@@ -7,6 +7,7 @@ closed-form geometry elsewhere in the package.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -62,17 +63,25 @@ def integrate_endpoint_singular(f: Callable[[float], float], iv: Interval,
 
     Uses the tanh-sinh (double exponential) transformation: abscissas
     x = mid + halfspan*tanh(pi/2 sinh t) on a trapezoid mesh in t that is
-    halved until two successive levels agree to tolerance. Endpoint
-    distances are carried in a cancellation-free form, so f is never
-    called at lo or hi.
+    halved until two successive levels agree to tolerance. The levels are
+    nested: level 0 takes every integer t, and each later level adds only
+    the odd multiples of its step, so every abscissa is evaluated once.
+    The wall completions and their frozen coefficients (below) are carried
+    from level to level. The trapezoid terms w*f are kept per node and
+    re-added in mesh order at each level, so the sum rounds exactly as one
+    sweep over the whole mesh would. The transcendental parts of node
+    distances and weights depend on the level alone; they are tabulated
+    once per process (see _level_nodes) and scaled by the half-span here.
+    Endpoint distances are carried in a cancellation-free form, so f is
+    never called at lo or hi.
 
     Double precision cannot place an abscissa closer to an endpoint than
     one ulp of it, and abscissas within a few thousand ulps carry large
     argument-rounding noise. The trapezoid mass of that near-endpoint
     zone is added back in closed form assuming the worst endpoint
     behavior admitted by the contract, f ~ c*(distance)^(-1/2), with c
-    frozen from the innermost node actually evaluated. The completion is
-    exact for inverse-square-root endpoints and harmless for bounded
+    frozen from the innermost node evaluated at any level. The completion
+    is exact for inverse-square-root endpoints and harmless for bounded
     ones; integrands of strictly intermediate order can be limited to
     roughly seven digits at the affected endpoint.
 
@@ -84,8 +93,19 @@ def integrate_endpoint_singular(f: Callable[[float], float], iv: Interval,
     # the wall must leave room inside microscopic intervals
     dmin_lo = min(_WALL * EPS * abs(lo), 0.05 * hs)
     dmin_hi = min(_WALL * EPS * abs(hi), 0.05 * hs)
-    pi_2 = 0.5 * math.pi
-    mid = lo + hs
+    root_hs = math.sqrt(hs)
+
+    center = 0.5 * math.pi * hs * _checked(f, lo + hs)  # t = 0 node
+    # w*f terms of the current mesh by increasing t, hi side then lo side
+    # per node, zero where walled; re-added in this order at each level so
+    # the sum rounds exactly as a single sweep over the mesh would
+    mesh: list[float] = []
+    comp_lo = 0.0
+    comp_hi = 0.0
+    # innermost evaluated node per side: its distance and frozen f*sqrt(d)
+    # coefficient for the wall completion
+    d_lo = d_hi = math.inf
+    g_lo = g_hi = 0.0
 
     max_level = min(_MAX_LEVEL, tol.max_iter)
     prev = math.nan
@@ -93,42 +113,28 @@ def integrate_endpoint_singular(f: Callable[[float], float], iv: Interval,
     refine_once = False
     for level in range(max_level + 1):
         h = 2.0 ** (-level)
-        total = pi_2 * hs * _checked(f, mid)  # t = 0 node
-        comp_lo = 0.0
-        comp_hi = 0.0
-        g_lo = 0.0  # frozen f*sqrt(d) coefficients for the wall completion
-        g_hi = 0.0
-        j = 1
-        while True:
-            t = j * h
-            s = pi_2 * math.sinh(t)
-            es = math.exp(-s)
-            q = es * es
-            d = hs * 2.0 * q / (1.0 + q)  # distance of the node to its near endpoint
-            w = hs * pi_2 * math.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
-            if w == 0.0 and d == 0.0:
-                break
-            # w/sqrt(d), written to survive underflow of q
-            wk = pi_2 * math.cosh(t) * 2.0 * math.sqrt(2.0 * hs) * es / (1.0 + q) ** 1.5
+        nodes = _level_nodes(level)
+        t_hi, tail, d_hi, g_hi = _sweep(f, nodes, hi, -1.0, hs, dmin_hi, d_hi, g_hi)
+        comp_hi += tail
+        t_lo, tail, d_lo, g_lo = _sweep(f, nodes, lo, 1.0, hs, dmin_lo, d_lo, g_lo)
+        comp_lo += tail
+        new = [0.0] * (2 * max(len(t_hi), len(t_lo)))
+        new[0:2 * len(t_hi):2] = t_hi
+        new[1:2 * len(t_lo):2] = t_lo
+        if level == 0:
+            mesh = new
+        else:  # the new nodes sit at odd multiples of h, the old ones at even
+            merged = [0.0] * (len(new) + len(mesh))
+            merged[0::4] = new[0::2]
+            merged[1::4] = new[1::2]
+            merged[2::4] = mesh[0::2]
+            merged[3::4] = mesh[1::2]
+            mesh = merged
+        total = center
+        for term in mesh:
+            total += term
 
-            x = hi - d
-            if d > dmin_hi and x < hi:
-                fx = _checked(f, x)
-                total += w * fx
-                g_hi = fx * math.sqrt(d)
-            else:
-                comp_hi += wk
-
-            x = lo + d
-            if d > dmin_lo and x > lo:
-                fx = _checked(f, x)
-                total += w * fx
-                g_lo = fx * math.sqrt(d)
-            else:
-                comp_lo += wk
-            j += 1
-
-        estimate = h * (total + comp_hi * g_hi + comp_lo * g_lo)
+        estimate = h * (total + root_hs * comp_hi * g_hi + root_hs * comp_lo * g_lo)
         if refine_once:
             return estimate
         if level >= 2:
@@ -139,6 +145,76 @@ def integrate_endpoint_singular(f: Callable[[float], float], iv: Interval,
                 refine_once = True  # one extra halving buys ~2 digits at 2x cost
         prev = estimate
     raise ConvergenceError("tanh-sinh quadrature did not converge", prev, err)
+
+
+def _sweep(f, nodes, end, sign, hs, dmin, d_in, g_in):
+    """One level's new nodes on the side of one endpoint.
+
+    Evaluates f at end + sign*d, from the midpoint toward the endpoint,
+    until a node falls inside the wall dmin (or rounds onto the endpoint);
+    that node and every later one are walled, since distances shrink
+    monotonically along the level. Returns the trapezoid terms w*f of the
+    evaluated nodes, the unit completion weight of the walled tail, and
+    the innermost node's distance and frozen coefficient, updated from
+    (d_in, g_in) if this level reached closer to the endpoint.
+    """
+    hs2 = 2.0 * hs
+    hs_pi_2 = 0.5 * math.pi * hs
+    terms = []
+    tail = 0.0
+    d = math.inf
+    fx = 0.0
+    for q, opq, ch, opq2, uk_tail in nodes:
+        dx = hs2 * q / opq
+        x = end + sign * dx
+        if not (dx > dmin and x != end):
+            tail = uk_tail
+            break
+        d = dx
+        fx = _checked(f, x)
+        terms.append(hs_pi_2 * ch * 4.0 * q / opq2 * fx)
+    if d < d_in:
+        return terms, tail, d, fx * math.sqrt(d)
+    return terms, tail, d_in, g_in
+
+
+@functools.cache
+def _level_nodes(level: int) -> tuple[tuple[float, float, float, float, float], ...]:
+    """Tanh-sinh nodes first used at this level, by increasing t.
+
+    Level 0 holds t = 1, 2, 3, ...; level k > 0 holds t = j*2^-k for odd j.
+    Each entry is (q, 1 + q, cosh t, (1 + q)^2, uk_tail) with
+    q = exp(-pi*sinh t): a node of a half-span hs lies 2*hs*q/(1 + q) from
+    its near endpoint and carries trapezoid weight
+    (pi/2)*hs*cosh(t)*4*q/(1 + q)^2 (before the step factor), both formed
+    left to right as written, which fixes their rounding. sqrt(hs)*uk_tail is the summed wall-completion weight
+    w/sqrt(d) of this node and every later one of the level, so a level's
+    walled tail costs one lookup. The list ends where q underflows and
+    every later node has zero distance and weight.
+    """
+    pi_2 = 0.5 * math.pi
+    h = 2.0 ** (-level)
+    stride = 1 if level == 0 else 2
+    rows = []
+    j = 1
+    while True:
+        t = j * h
+        ch = math.cosh(t)
+        es = math.exp(-pi_2 * math.sinh(t))
+        q = es * es
+        if q == 0.0:
+            break
+        # w/sqrt(d) is written to survive underflow of q
+        rows.append((q, 1.0 + q, ch, (1.0 + q) * (1.0 + q),
+                     pi_2 * ch * 2.0 * math.sqrt(2.0) * es / (1.0 + q) ** 1.5))
+        j += stride
+    nodes = []
+    tail = 0.0
+    for row in reversed(rows):  # smallest weights first
+        tail += row[-1]
+        nodes.append(row[:-1] + (tail,))
+    nodes.reverse()
+    return tuple(nodes)
 
 
 def _checked(f, x):

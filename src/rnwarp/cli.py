@@ -66,13 +66,13 @@ def _emit_table(cfg: RunConfig, columns: list[str], rows: list[list], default_fo
             sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
     else:
         payload = [dict(zip(columns, row)) for row in rows]
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _emit_record(cfg: RunConfig, record: dict, default_format: str = "json") -> None:
     fmt = cfg.format or default_format
     if fmt == "json":
-        sys.stdout.write(json.dumps(record) + "\n")
+        sys.stdout.write(json.dumps(record, allow_nan=False) + "\n")
     else:
         sys.stdout.write(",".join(record.keys()) + "\n")
         sys.stdout.write(",".join(_fmt(v) for v in record.values()) + "\n")
@@ -128,7 +128,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         cfg.params, cfg.grid_points, cfg.guard_fraction, cfg.theta, cfg.tol)
     fmt = cfg.format or "json"
     if fmt == "json":
-        sys.stdout.write(json.dumps(report.to_dict()) + "\n")
+        sys.stdout.write(json.dumps(report.to_dict(), allow_nan=False) + "\n")
     else:
         rows = [[c.name, c.max_abs_residual, c.threshold, c.passed] for c in report.checks]
         _emit_table(cfg, VERIFY_COLUMNS, rows, default_format="csv")

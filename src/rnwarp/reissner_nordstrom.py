@@ -38,6 +38,9 @@ class BlackHoleParams:
     charge: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mass) and math.isfinite(self.charge)):
+            raise DomainError(
+                f"mass and charge must be finite, got {self.mass}, {self.charge}")
         if not self.mass > 0.0:
             raise DomainError(f"mass must be positive, got {self.mass}")
         if self.charge < 0.0:
@@ -104,8 +107,14 @@ def mu_of_r(p: BlackHoleParams, r: float, tol: Tolerance = DEFAULT_TOL) -> float
         return 0.0
     rp, rm = hp.r_plus, hp.r_minus
 
-    def integrand(x):
-        return x / math.sqrt((rp - x) * (x - rm))
+    if rm > 0.0:
+        def integrand(x):
+            return x / math.sqrt((rp - x) * (x - rm))
+    else:
+        # the factor x cancels analytically; (rp - x)*x would underflow to
+        # zero at subnormal abscissas next to the r = 0 endpoint
+        def integrand(x):
+            return math.sqrt(x / (rp - x))
 
     return calculus.integrate_endpoint_singular(integrand, Interval(rm, r), tol)
 

@@ -1,16 +1,75 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnwarp.calculus import (DEFAULT_TOL, Interval, Tolerance, derivative,
+import rnwarp
+from rnwarp.calculus import (DEFAULT_TOL, EPS, Interval, Tolerance, derivative,
                              find_root_bracketed, integrate_endpoint_singular)
 from rnwarp.errors import BracketError, ConvergenceError
 
 
 def arcsine(x):
     return 1.0 / math.sqrt(x * (2.0 - x))
+
+
+def sweep_level(f, iv, level):
+    """One tanh-sinh level swept from scratch: every node's transcendentals
+    recomputed, f called at every node, the trapezoid terms summed in mesh
+    order. The reference that integrate_endpoint_singular must reproduce."""
+    lo, hi = iv.lo, iv.hi
+    hs = 0.5 * (hi - lo)
+    dmin_lo = min(16384.0 * EPS * abs(lo), 0.05 * hs)
+    dmin_hi = min(16384.0 * EPS * abs(hi), 0.05 * hs)
+    pi_2 = 0.5 * math.pi
+    h = 2.0 ** (-level)
+    total = pi_2 * hs * f(lo + hs)
+    comp_lo = comp_hi = g_lo = g_hi = 0.0
+    j = 1
+    while True:
+        t = j * h
+        es = math.exp(-pi_2 * math.sinh(t))
+        q = es * es
+        d = hs * 2.0 * q / (1.0 + q)
+        w = hs * pi_2 * math.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
+        if w == 0.0 and d == 0.0:
+            return h * (total + comp_hi * g_hi + comp_lo * g_lo)
+        wk = pi_2 * math.cosh(t) * 2.0 * math.sqrt(2.0 * hs) * es / (1.0 + q) ** 1.5
+        if d > dmin_hi and hi - d < hi:
+            fx = f(hi - d)
+            total += w * fx
+            g_hi = fx * math.sqrt(d)
+        else:
+            comp_hi += wk
+        if d > dmin_lo and lo + d > lo:
+            fx = f(lo + d)
+            total += w * fx
+            g_lo = fx * math.sqrt(d)
+        else:
+            comp_lo += wk
+        j += 1
+
+
+def sweep_reference(f, iv, tol=DEFAULT_TOL):
+    """sweep_level under the convergence rule of integrate_endpoint_singular."""
+    prev = math.nan
+    refine_once = False
+    for level in range(13):
+        estimate = sweep_level(f, iv, level)
+        if refine_once:
+            return estimate
+        if level >= 2:
+            err = abs(estimate - prev)
+            if err <= max(tol.abs_tol, tol.rel_tol * abs(estimate)):
+                if err <= 0.01 * tol.abs_tol or level == 12:
+                    return estimate
+                refine_once = True
+        prev = estimate
+    raise ConvergenceError("reference did not converge", prev, err)
 
 
 class TestIntegrate:
@@ -85,6 +144,72 @@ class TestIntegrate:
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             integrate_endpoint_singular(lambda x: math.nan, Interval(0.0, 1.0))
+
+    @pytest.mark.parametrize("f, iv", [
+        (arcsine, Interval(0.0, 2.0)),
+        (lambda x: x / math.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0)),
+        # stalls, so every level up to the finest is evaluated; the interval
+        # keeps clear of zero, where distinct subnormal abscissas round together
+        (lambda x: 1.0 if x < 0.87 else 0.0, Interval(0.5, 1.5)),
+    ])
+    def test_each_abscissa_evaluated_once(self, f, iv):
+        seen = []
+
+        def recording(x):
+            seen.append(x)
+            return f(x)
+
+        try:
+            integrate_endpoint_singular(recording, iv)
+        except ConvergenceError:
+            pass
+        assert len(seen) > 50
+        assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("split", [0.05, 0.3, 0.7, 1.0, 1.3, 1.95])
+    def test_reproduces_level_sweeps_bit_for_bit(self, split):
+        for f, iv in [(arcsine, Interval(0.0, split)), (arcsine, Interval(split, 2.0)),
+                      (lambda x: x / math.sqrt((1.8 - x) * (x - 0.2)),
+                       Interval(0.2, 0.2 + 0.8 * split)),
+                      (math.sin, Interval(-split, 2.0 * split))]:
+            assert integrate_endpoint_singular(f, iv) == sweep_reference(f, iv)
+
+    @given(a=st.floats(min_value=-1e3, max_value=1e3),
+           rel_width=st.floats(min_value=1e-12, max_value=10.0),
+           c=st.floats(min_value=0.0, max_value=2.0))
+    def test_agrees_with_level_sweeps_to_rounding(self, a, rel_width, c):
+        # the wall completion is summed in another order than the
+        # reference's, which moves the last bits where it carries a sizable
+        # share of the integral: on intervals narrow next to |a|
+        b = a + max(abs(a), 1.0) * rel_width
+
+        def f(x):
+            return 1.0 / (math.sqrt(b - x) * math.sqrt(x - a)) + c
+
+        try:
+            want = sweep_reference(f, Interval(a, b))
+        except ConvergenceError:
+            return
+        assert integrate_endpoint_singular(f, Interval(a, b)) == pytest.approx(
+            want, rel=64 * EPS, abs=0.0)
+
+    def test_result_independent_of_node_table_history(self):
+        # a fresh process builds only the levels this call needs; here the
+        # stalled integrand has already built every level
+        code = ("import math\n"
+                "from rnwarp.calculus import Interval, integrate_endpoint_singular\n"
+                "print(integrate_endpoint_singular("
+                "lambda x: x / math.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0)).hex())")
+        src = os.path.dirname(os.path.dirname(rnwarp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True).stdout.strip()
+        with pytest.raises(ConvergenceError):
+            integrate_endpoint_singular(lambda x: 1.0 if x < 0.37 else 0.0,
+                                        Interval(0.0, 1.0))
+        here = integrate_endpoint_singular(lambda x: x / math.sqrt((1.8 - x) * (x - 0.2)),
+                                           Interval(0.2, 1.0))
+        assert here.hex() == fresh
 
     def test_interval_must_be_ordered(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,12 @@ class TestHorizons:
         _, out_neg, _ = run(capsys, "horizons", "--mass", "1", "--charge", "-0.6")
         assert out_pos == out_neg
 
+    @pytest.mark.parametrize("mass, charge", [("inf", "0"), ("1", "nan")])
+    def test_nonfinite_input_exits_2(self, capsys, mass, charge):
+        code, out, err = run(capsys, "horizons", "--mass", mass, "--charge", charge)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "horizons", "--mass", "1", "--charge", "0.6",
                            "--format", "csv")
@@ -197,6 +203,14 @@ class TestVerifyCommand:
         rep = json.loads(out)
         assert rep["overall_pass"] is True
         assert any("near-extremal" in n for n in rep["notes"])
+
+    def test_small_schwarzschild_runs(self, capsys):
+        # Q = 0 puts the inner horizon at r = 0, where quadrature abscissas
+        # go subnormal
+        code, out, _ = run(capsys, "verify", "--mass", "0.02", "--charge", "0",
+                           "--grid", "8")
+        assert code == 0
+        assert json.loads(out)["overall_pass"] is True
 
     def test_invalid_params_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--mass", "1", "--charge", "1.5")

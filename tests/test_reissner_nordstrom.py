@@ -37,6 +37,12 @@ class TestParams:
         with pytest.raises(DomainError):
             BlackHoleParams(1.0, -0.1)
 
+    @pytest.mark.parametrize("m, q", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
+                                      (1.0, math.inf), (math.inf, math.inf)])
+    def test_nonfinite_rejected(self, m, q):
+        with pytest.raises(DomainError, match="finite"):
+            BlackHoleParams(m, q)
+
 
 class TestHorizons:
     def test_schwarzschild(self, schwarzschild):
@@ -90,6 +96,23 @@ class TestCoordinateMap:
     def test_strictly_increasing(self, charged):
         values = [mu_of_r(charged, r) for r in interior_grid(charged, 64)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_schwarzschild_subnormal_abscissas(self):
+        # r_minus = 0: abscissas next to r = 0 are subnormal, where the
+        # factored integrand's (r_plus - x)*x underflows to zero
+        mu = mu_of_r(BlackHoleParams(0.01, 0.0), 1e-300)
+        assert 0.0 <= mu < 1e-300
+
+    # the quadrature error grows toward either horizon (9e-10 at 1e-4 of the
+    # gap below r_plus), so the draw keeps 1e-3 of the gap from both
+    @given(m=masses, qr=st.floats(min_value=0.0, max_value=0.9),
+           frac=st.floats(min_value=0.001, max_value=0.999))
+    def test_matches_sqrt_closed_form(self, m, qr, frac):
+        p = BlackHoleParams(m, m * qr)
+        hp = horizons(p)
+        r = hp.r_minus + frac * hp.width
+        assert mu_of_r(p, r) == pytest.approx(mu_closed_form_sqrt(p, r),
+                                              abs=1e-9 * max(1.0, m))
 
     def test_domain(self, charged):
         with pytest.raises(DomainError):
