@@ -36,8 +36,9 @@ class Tolerance:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError(f"tolerances must be positive, got {self.abs_tol}, {self.rel_tol}")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError(
+                f"tolerances must be positive and finite, got {self.abs_tol}, {self.rel_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -207,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}; rerun with a looser --tol\n")
         return 2
+    except ArithmeticError as exc:  # e.g. a numerical cross-check that failed
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     return 0
 
 

@@ -1,10 +1,10 @@
 """Brute-force curvature from raw metric components by finite differences.
 
 Given nothing but a coordinate chart (a callable returning the symmetric
-4x4 metric matrix at a point), this module builds Christoffel symbols,
-the Ricci tensor and the scalar curvature numerically. It shares no
-algebra with the closed-form geometry modules and therefore acts as the
-independent referee for them.
+4x4 metric matrix at each point of a batch), this module builds
+Christoffel symbols, the Ricci tensor and the scalar curvature
+numerically. It shares no algebra with the closed-form geometry modules
+and therefore acts as the independent referee for them.
 
 Sign conventions: R_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
 + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb, fixed so that the round
@@ -36,10 +36,14 @@ _DET_FLOOR = 1e-12
 class MetricField:
     """A coordinate chart: names, metric component function, domain predicate.
 
-    g maps a 4-point (array-like of 4 floats) to the symmetric 4x4 matrix
-    of metric components; domain_check returns True where the chart is
-    valid. g must be symmetric to 1e-14 and invertible
-    (|det| > 1e-12 * scale^4) everywhere domain_check passes.
+    g maps points of shape (..., 4) to metrics of shape (..., 4, 4), the
+    symmetric matrix of metric components at each point: a single
+    4-point gives one 4x4 matrix, an (n, 4) batch n of them. Each
+    point's matrix must not depend on the rest of the batch; the oracle
+    evaluates its whole difference stencil in one call. domain_check
+    takes a single 4-point and returns True where the chart is valid.
+    g must be symmetric to 1e-14 and invertible (|det| > 1e-12 * scale^4)
+    everywhere domain_check passes.
     coord_scales gives the characteristic magnitude of each coordinate
     (e.g. the mass for length-like coordinates, 1 for angles); default
     differencing steps are proportional to it, which keeps the engine's
@@ -123,47 +127,85 @@ def _steps(mf: MetricField, x: np.ndarray, h: float | None) -> np.ndarray:
                      for c, s in zip(x, mf.coord_scales)])
 
 
-def _grad_matrix(fn, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """d[a, i, j] = partial_a of the matrix-valued fn, 4th-order central.
+# Central weights (Fornberg, Math. Comp. 51, 1988) on the offsets +2, +1,
+# -1, -2: the 4th-order first derivative takes (-1, 8, -8, 1)/12, the
+# 5-point second derivative (-1, 16, 16, -1)/12 plus -30/12 at the center,
+# and a mixed derivative the tensor product of two first-derivative
+# stencils over these (offset, weight) pairs.
+_OFFSETS = (2, 1, -1, -2)
+_CROSS = ((1, 8.0), (2, -1.0), (-1, -8.0), (-2, 1.0))
+_CROSS_WEIGHTS = tuple(ci * cj for _, ci in _CROSS for _, cj in _CROSS)
+_PAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
+_PAIR_A = np.array([a for a, _ in _PAIRS])
+_PAIR_B = np.array([b for _, b in _PAIRS])
+
+
+def _stencil_table():
+    """Every metric evaluation of ricci_at as a row: offsets and mesh.
+
+    Row k samples x + offsets[k] * mesh_steps[mesh[k]], where the meshes
+    are the inner step, the outer step and twice the outer step. Rows
+    come in evaluation order: the center, the gradient (the first 17 rows
+    are all christoffel_at needs), then per Hessian mesh its center and,
+    axis by axis, the pure stencil followed by the mixed ones with every
+    later axis. The index arrays returned alongside locate each stencil's
+    rows for the assembly.
+    """
+    offsets, mesh = [], []
+
+    def row(m, a=None, i=0, b=None, j=0):
+        k = [0, 0, 0, 0]
+        if a is not None:
+            k[a] = i
+        if b is not None:
+            k[b] = j
+        offsets.append(k)
+        mesh.append(m)
+        return len(offsets) - 1
+
+    center = row(0)
+    grad = [[row(0, a, i) for i in _OFFSETS] for a in range(4)]
+    hess_center, pure, mixed = [], [], []
+    for m in (1, 2):
+        hess_center.append(row(m))
+        pure_m, mixed_m = [], []  # mixed_m comes out in _PAIRS order
+        for a in range(4):
+            pure_m.append([row(m, a, i) for i in _OFFSETS])
+            for b in range(a + 1, 4):
+                mixed_m.append([row(m, a, i, b, j) for i, _ in _CROSS for j, _ in _CROSS])
+        pure.append(pure_m)
+        mixed.append(mixed_m)
+    # mixed rows term-major: _MIXED_ROWS[t, hessian mesh, pair]
+    return (np.array(offsets, dtype=float), np.array(mesh), center, np.array(grad),
+            np.array(hess_center), np.array(pure), np.array(mixed).transpose(2, 0, 1))
+
+
+(_STENCIL, _STENCIL_MESH, _CENTER, _GRAD_ROWS,
+ _HESS_CENTER, _PURE_ROWS, _MIXED_ROWS) = _stencil_table()
+_GRADIENT_ROWS = 1 + _GRAD_ROWS.size  # center plus gradient: christoffel_at's share
+
+
+def _stencil_metrics(mf: MetricField, x: np.ndarray, steps: np.ndarray,
+                     rows: int) -> np.ndarray:
+    """The metric at the first `rows` stencil points, in one call of mf.g."""
+    outer = OUTER_STEP_FACTOR * steps
+    mesh_steps = np.stack([steps, outer, 2.0 * outer])
+    points = x + _STENCIL[:rows] * mesh_steps[_STENCIL_MESH[:rows]]
+    return mf.g(points)
+
+
+def _grad_matrix(gs: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """d[a, i, j] = partial_a of the metric, 4th-order central.
 
     Same stencil as calculus.derivative(order=1), applied to all 16
-    components of one evaluation at a time instead of re-sampling fn per
-    component.
+    components of each stencil evaluation at once.
     """
-    out = np.empty((4, 4, 4))
-    for a in range(4):
-        e = np.zeros(4)
-        e[a] = steps[a]
-        out[a] = (-fn(x + 2.0 * e) + 8.0 * fn(x + e)
-                  - 8.0 * fn(x - e) + fn(x - 2.0 * e)) / (12.0 * steps[a])
-    return out
+    f = gs[_GRAD_ROWS]  # f[a, k] = g at x + _OFFSETS[k] * steps[a] * e_a
+    return (-f[:, 0] + 8.0 * f[:, 1] - 8.0 * f[:, 2] + f[:, 3]) / (12.0 * steps)[:, None, None]
 
 
-_CROSS = ((1, 8.0), (2, -1.0), (-1, -8.0), (-2, 1.0))
-
-
-def _hess_once(fn, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    hess = np.empty((4, 4, 4, 4))
-    f0 = fn(x)
-    for a in range(4):
-        ea = np.zeros(4)
-        ea[a] = steps[a]
-        hess[a, a] = (-fn(x + 2.0 * ea) + 16.0 * fn(x + ea) - 30.0 * f0
-                      + 16.0 * fn(x - ea) - fn(x - 2.0 * ea)) / (12.0 * steps[a] ** 2)
-        for b in range(a + 1, 4):
-            eb = np.zeros(4)
-            eb[b] = steps[b]
-            acc = np.zeros((4, 4))
-            for i, ci in _CROSS:
-                for j, cj in _CROSS:
-                    acc += (ci * cj) * fn(x + i * ea + j * eb)
-            hess[a, b] = acc / (144.0 * steps[a] * steps[b])
-            hess[b, a] = hess[a, b]
-    return hess
-
-
-def _hess_matrix(fn, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """hess[a, b, i, j] = partial_a partial_b of the matrix-valued fn.
+def _hess_matrix(gs: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """hess[a, b, i, j] = partial_a partial_b of the metric.
 
     Pure second derivatives use the 5-point stencil of
     calculus.derivative(order=2); mixed ones use the tensor product of
@@ -171,9 +213,28 @@ def _hess_matrix(fn, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     mesh and its double and Richardson-combined to sixth order: the
     curvature assembly amplifies second-derivative error by the metric's
     dynamic range, and a single mesh cannot hold both truncation and
-    roundoff below that amplification near the horizons.
+    roundoff below that amplification near the horizons. Both meshes are
+    assembled at once, along the leading axis.
     """
-    return (16.0 * _hess_once(fn, x, steps) - _hess_once(fn, x, 2.0 * steps)) / 15.0
+    meshes = (outer, 2.0 * outer)
+    f = gs[_PURE_ROWS]  # f[mesh, a, k]
+    f0 = gs[_HESS_CENTER][:, None]
+    # scalar squares, not an array square: np.float64 ** 2 calls pow,
+    # which can round differently from x * x
+    den = np.array([[12.0 * s[a] ** 2 for a in range(4)] for s in meshes])
+    pure = (-f[:, :, 0] + 16.0 * f[:, :, 1] - 30.0 * f0
+            + 16.0 * f[:, :, 2] - f[:, :, 3]) / den[:, :, None, None]
+    acc = np.zeros((2, len(_PAIRS), 4, 4))
+    for w, term in zip(_CROSS_WEIGHTS, gs[_MIXED_ROWS]):
+        # term by term in the per-point order: a reduction may add in
+        # another order (np.sum adds pairwise along a contiguous axis)
+        acc += w * term
+    mixed = acc / np.array([144.0 * s[_PAIR_A] * s[_PAIR_B] for s in meshes])[:, :, None, None]
+    hess = np.empty((2, 4, 4, 4, 4))
+    hess[:, range(4), range(4)] = pure
+    hess[:, _PAIR_A, _PAIR_B] = mixed
+    hess[:, _PAIR_B, _PAIR_A] = mixed
+    return (16.0 * hess[0] - hess[1]) / 15.0
 
 
 def _require_domain(mf: MetricField, x: np.ndarray, reach: np.ndarray):
@@ -200,8 +261,9 @@ def christoffel_at(mf: MetricField, x, h: float | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     steps = _steps(mf, x, h)
     _require_domain(mf, x, 2.0 * steps)
-    ginv = invert4(mf.g(x))
-    dg = _grad_matrix(mf.g, x, steps)  # dg[b, d, c] = d_b g_dc
+    gs = _stencil_metrics(mf, x, steps, _GRADIENT_ROWS)
+    ginv = invert4(gs[_CENTER])
+    dg = _grad_matrix(gs, steps)  # dg[b, d, c] = d_b g_dc
     gamma = 0.5 * (np.einsum('ad,bdc->abc', ginv, dg)
                    + np.einsum('ad,cdb->abc', ginv, dg)
                    - np.einsum('ad,dbc->abc', ginv, dg))
@@ -228,9 +290,10 @@ def ricci_at(mf: MetricField, x, h: float | None = None) -> CurvaturePoint:
     outer = OUTER_STEP_FACTOR * steps
     _require_domain(mf, x, 4.0 * outer)  # the doubled Richardson mesh reaches 2*(2*outer)
 
-    ginv = invert4(mf.g(x))
-    dg = _grad_matrix(mf.g, x, steps)        # dg[e, i, j] = d_e g_ij
-    hess = _hess_matrix(mf.g, x, outer)      # hess[e, b, i, j] = d_e d_b g_ij
+    gs = _stencil_metrics(mf, x, steps, len(_STENCIL))
+    ginv = invert4(gs[_CENTER])
+    dg = _grad_matrix(gs, steps)             # dg[e, i, j] = d_e g_ij
+    hess = _hess_matrix(gs, outer)           # hess[e, b, i, j] = d_e d_b g_ij
 
     # S[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc and its e-derivative
     s_low = np.einsum('bdc->dbc', dg) + np.einsum('cdb->dbc', dg) - dg

@@ -71,8 +71,14 @@ class InteriorPoint:
 
 
 def horizons(p: BlackHoleParams) -> HorizonPair:
-    """Horizon radii r_pm = m +- sqrt(m^2 - Q^2)."""
-    c = math.sqrt(p.mass * p.mass - p.charge * p.charge)
+    """Horizon radii r_pm = m +- sqrt(m^2 - Q^2).
+
+    Raises DomainError when m^2 overflows.
+    """
+    m2 = p.mass * p.mass
+    if not math.isfinite(m2):
+        raise DomainError(f"mass {p.mass} too large: m^2 overflows a double")
+    c = math.sqrt(m2 - p.charge * p.charge)
     return HorizonPair(p.mass + c, p.mass - c)
 
 
@@ -263,19 +269,47 @@ def ricci_closed_form(p: BlackHoleParams, r: float, theta: float) -> RicciDiag:
 _ANGLE_STEP_SCALE = 4.0
 
 
+def _per_distinct(values: np.ndarray, fn) -> np.ndarray:
+    """fn applied once to each distinct float in values, spread back over values.
+
+    A stencil revisits the same coordinate value many times; the result at
+    a point depends on that value alone, whatever else is in the batch.
+    """
+    ordered = np.sort(values, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return np.array([fn(v) for v in distinct.tolist()])[np.searchsorted(distinct, values)]
+
+
+def _sin_squared(th: float) -> float:
+    # Python's ** calls pow, which can round differently from numpy's x * x
+    return math.sin(th) ** 2
+
+
+def _diagonal_metric(shape, g00, g11, g22, g33) -> np.ndarray:
+    out = np.zeros(shape + (4, 4))
+    out[..., 0, 0] = g00
+    out[..., 1, 1] = g11
+    out[..., 2, 2] = g22
+    out[..., 3, 3] = g33
+    return out
+
+
 def static_chart(p: BlackHoleParams) -> MetricField:
     """The (t, r, theta, phi) chart as raw metric components for the oracle.
 
     g = diag(N^2, -1/N^2, r^2, r^2 sin^2 theta); inside the horizons
-    N^2 > 0, so r is the timelike direction here.
+    N^2 > 0, so r is the timelike direction here. g takes points of
+    shape (..., 4) and returns metrics of shape (..., 4, 4).
     """
     hp = horizons(p)
 
     def g(x):
-        r, th = float(x[1]), float(x[2])
+        x = np.asarray(x, dtype=float)
+        r, th = x[..., 1], x[..., 2]
         n2 = (hp.r_plus - r) * (r - hp.r_minus) / (r * r)
         r2 = r * r
-        return np.diag([n2, -1.0 / n2, r2, r2 * math.sin(th) ** 2])
+        return _diagonal_metric(x.shape[:-1], n2, -1.0 / n2, r2,
+                                r2 * _per_distinct(th, _sin_squared))
 
     def inside(x):
         return hp.r_minus < x[1] < hp.r_plus and 0.0 < x[2] < math.pi
@@ -287,19 +321,21 @@ def static_chart(p: BlackHoleParams) -> MetricField:
 def warped_chart(p: BlackHoleParams) -> MetricField:
     """The (mu, nu, theta, phi) chart as raw metric components for the oracle.
 
-    g = diag(-1, f1(mu)^2, f2(mu)^2, f2(mu)^2 sin^2 theta). Each
-    evaluation inverts F through the fast reparametrization, so the
-    oracle can afford its nested difference stencils.
+    g = diag(-1, f1(mu)^2, f2(mu)^2, f2(mu)^2 sin^2 theta). g takes
+    points of shape (..., 4) and returns metrics of shape (..., 4, 4);
+    it inverts F through the fast reparametrization once per distinct mu
+    in the batch, so the oracle can afford its nested difference stencils.
     """
     hp = horizons(p)
     mu_max = p.mass * math.pi
 
     def g(x):
-        mu, th = float(x[0]), float(x[2])
-        r = _kepler_inverse(p, mu)
+        x = np.asarray(x, dtype=float)
+        r = _per_distinct(x[..., 0], lambda mu: _kepler_inverse(p, mu))
         f1sq = (hp.r_plus - r) * (r - hp.r_minus) / (r * r)
         r2 = r * r
-        return np.diag([-1.0, f1sq, r2, r2 * math.sin(th) ** 2])
+        return _diagonal_metric(x.shape[:-1], -1.0, f1sq, r2,
+                                r2 * _per_distinct(x[..., 2], _sin_squared))
 
     def inside(x):
         return 0.0 < x[0] < mu_max and 0.0 < x[2] < math.pi

@@ -296,3 +296,11 @@ class TestTolerance:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             Tolerance(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"abs_tol": math.inf}, {"rel_tol": math.inf}, {"abs_tol": math.nan},
+        {"rel_tol": math.nan}, {"abs_tol": -math.inf},
+    ])
+    def test_nonfinite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(**kwargs)

@@ -43,6 +43,12 @@ class TestHorizons:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mass, charge", [("1e300", "0"), ("1e300", "1e299")])
+    def test_overflowing_mass_exits_2(self, capsys, mass, charge):
+        code, out, err = run(capsys, "horizons", "--mass", mass, "--charge", charge)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "horizons", "--mass", "1", "--charge", "0.6",
                            "--format", "csv")
@@ -239,6 +245,24 @@ class TestVerifyCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", [
+        ("transform", "--r", "1"), ("verify", "--grid", "8"), ("curvature",),
+    ])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+    def test_nonfinite_tolerance_exits_2(self, capsys, command, tol):
+        code, out, err = run(capsys, command[0], "--mass", "1", "--charge", "0.6",
+                             f"--tol={tol}", *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_arithmetic_error_exits_2(self, capsys):
+        # the lapse cross-check fails next to a tiny inner horizon; the
+        # library's ArithmeticError must not escape as a traceback
+        code, out, err = run(capsys, "curvature", "--mass", "1", "--charge", "0.001",
+                             "--guard", "1e-6", "--grid", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: lapse forms disagree") and err.count("\n") == 1
+
     def test_missing_subcommand(self, capsys):
         assert cli.main([]) == 2
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,26 +6,130 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnwarp import oracle
 from rnwarp.errors import DomainError, SingularMetricError
 from rnwarp.oracle import MetricField, christoffel_at, invert4, ricci_at
-from rnwarp.reissner_nordstrom import (BlackHoleParams, horizons, interior_grid,
-                                       lapse_squared, mu_of_r, ricci_closed_form,
-                                       static_chart, warped_chart)
+from rnwarp.reissner_nordstrom import (BlackHoleParams, _kepler_inverse, horizons,
+                                       interior_grid, lapse_squared, mu_of_r,
+                                       ricci_closed_form, static_chart, warped_chart)
 
 PI_2 = math.pi / 2.0
 
-FLAT = MetricField(("t", "x", "y", "z"), lambda x: np.diag([-1.0, 1.0, 1.0, 1.0]))
+
+def _diagonal(x, diag):
+    """Batched diagonal metric: diag holds scalars or arrays shaped like x[..., 0]."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1] + (4, 4))
+    for i, v in enumerate(diag):
+        out[..., i, i] = v
+    return out
+
+
+FLAT = MetricField(("t", "x", "y", "z"), lambda x: _diagonal(x, (-1.0, 1.0, 1.0, 1.0)))
 
 
 def sphere_chart(radius):
     """Flat 2d block plus a round sphere of the given radius."""
 
     def g(x):
-        th = float(x[2])
+        th = np.asarray(x, dtype=float)[..., 2]
         a2 = radius * radius
-        return np.diag([-1.0, 1.0, a2, a2 * math.sin(th) ** 2])
+        return _diagonal(x, (-1.0, 1.0, a2, a2 * np.sin(th) ** 2))
 
     return MetricField(("t", "x", "theta", "phi"), g, lambda x: 0.0 < x[2] < math.pi)
+
+
+# -- reference: the per-point stencil ----------------------------------------
+# One scalar metric call per stencil point, in the order the batched table
+# lists them; ricci_at and christoffel_at must reproduce it bit for bit.
+
+def reference_static_chart(p):
+    """static_chart as one scalar call per point."""
+    hp = horizons(p)
+
+    def g(x):
+        r, th = float(x[1]), float(x[2])
+        n2 = (hp.r_plus - r) * (r - hp.r_minus) / (r * r)
+        r2 = r * r
+        return np.diag([n2, -1.0 / n2, r2, r2 * math.sin(th) ** 2])
+
+    return dataclasses.replace(static_chart(p), g=g)
+
+
+def reference_warped_chart(p):
+    """warped_chart as one scalar call per point, Kepler inverse at every one."""
+    hp = horizons(p)
+
+    def g(x):
+        mu, th = float(x[0]), float(x[2])
+        r = _kepler_inverse(p, mu)
+        f1sq = (hp.r_plus - r) * (r - hp.r_minus) / (r * r)
+        r2 = r * r
+        return np.diag([-1.0, f1sq, r2, r2 * math.sin(th) ** 2])
+
+    return dataclasses.replace(warped_chart(p), g=g)
+
+
+_CROSS = ((1, 8.0), (2, -1.0), (-1, -8.0), (-2, 1.0))
+
+
+def _reference_grad(fn, x, steps):
+    out = np.empty((4, 4, 4))
+    for a in range(4):
+        e = np.zeros(4)
+        e[a] = steps[a]
+        out[a] = (-fn(x + 2.0 * e) + 8.0 * fn(x + e)
+                  - 8.0 * fn(x - e) + fn(x - 2.0 * e)) / (12.0 * steps[a])
+    return out
+
+
+def _reference_hess_once(fn, x, steps):
+    hess = np.empty((4, 4, 4, 4))
+    f0 = fn(x)
+    for a in range(4):
+        ea = np.zeros(4)
+        ea[a] = steps[a]
+        hess[a, a] = (-fn(x + 2.0 * ea) + 16.0 * fn(x + ea) - 30.0 * f0
+                      + 16.0 * fn(x - ea) - fn(x - 2.0 * ea)) / (12.0 * steps[a] ** 2)
+        for b in range(a + 1, 4):
+            eb = np.zeros(4)
+            eb[b] = steps[b]
+            acc = np.zeros((4, 4))
+            for i, ci in _CROSS:
+                for j, cj in _CROSS:
+                    acc += (ci * cj) * fn(x + i * ea + j * eb)
+            hess[a, b] = acc / (144.0 * steps[a] * steps[b])
+            hess[b, a] = hess[a, b]
+    return hess
+
+
+def reference_christoffel(mf, x):
+    x = np.asarray(x, dtype=float)
+    steps = oracle._steps(mf, x, None)
+    ginv = invert4(mf.g(x))
+    dg = _reference_grad(mf.g, x, steps)
+    return 0.5 * (np.einsum('ad,bdc->abc', ginv, dg)
+                  + np.einsum('ad,cdb->abc', ginv, dg)
+                  - np.einsum('ad,dbc->abc', ginv, dg))
+
+
+def reference_ricci(mf, x):
+    x = np.asarray(x, dtype=float)
+    steps = oracle._steps(mf, x, None)
+    outer = oracle.OUTER_STEP_FACTOR * steps
+    ginv = invert4(mf.g(x))
+    dg = _reference_grad(mf.g, x, steps)
+    hess = (16.0 * _reference_hess_once(mf.g, x, outer)
+            - _reference_hess_once(mf.g, x, 2.0 * outer)) / 15.0
+    s_low = np.einsum('bdc->dbc', dg) + np.einsum('cdb->dbc', dg) - dg
+    ds_low = np.einsum('ebdc->edbc', hess) + np.einsum('ecdb->edbc', hess) - hess
+    gamma = 0.5 * np.einsum('ad,dbc->abc', ginv, s_low)
+    dginv = -np.einsum('am,emn,nd->ead', ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum('ead,dbc->eabc', dginv, s_low)
+                    + np.einsum('ad,edbc->eabc', ginv, ds_low))
+    ricci = (np.einsum('ccab->ab', dgamma) - np.einsum('accb->ab', dgamma)
+             + np.einsum('ccd,dab->ab', gamma, gamma) - np.einsum('cad,dcb->ab', gamma, gamma))
+    return gamma, ricci, float(np.einsum('ab,ab->', ginv, ricci))
 
 
 class TestInvert4:
@@ -189,3 +294,128 @@ class TestChartCovariance:
         assert gamma[2, 0, 2] == pytest.approx(0.8, abs=1e-6)
         with pytest.raises(ValueError):
             ricci_at(warped_chart(charged), [mu, 0.0, PI_2, 0.0], h=-1e-5)
+
+
+def _interior(m, qr, frac):
+    p = BlackHoleParams(m, m * qr)
+    hp = horizons(p)
+    return p, hp.r_minus + hp.width * frac
+
+
+def _outcome(evaluate):
+    """The exact bits of a result, or the type of the error it raised."""
+    try:
+        out = evaluate()
+    except (DomainError, SingularMetricError) as exc:
+        return type(exc)
+    if isinstance(out, oracle.CurvaturePoint):
+        out = (out.christoffel, out.ricci, out.scalar)
+    if isinstance(out, np.ndarray):
+        out = (out,)
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in out)
+
+
+def _counting(mf):
+    calls = []
+
+    def g(x):
+        calls.append(np.shape(x))
+        return mf.g(x)
+
+    return dataclasses.replace(mf, g=g), calls
+
+
+class TestBatchedStencil:
+    @given(m=st.floats(min_value=0.3, max_value=5.0),
+           qr=st.floats(min_value=0.0, max_value=0.98),
+           frac=st.floats(min_value=0.05, max_value=0.95),
+           theta=st.floats(min_value=0.3, max_value=2.8))
+    @settings(max_examples=25)
+    def test_bit_identical_to_per_point_stencil(self, m, qr, frac, theta):
+        p, r = _interior(m, qr, frac)
+        for chart, ref, x in ((warped_chart, reference_warped_chart, [mu_of_r(p, r), 0.0, theta, 0.0]),
+                              (static_chart, reference_static_chart, [0.0, r, theta, 0.0])):
+            # a singular metric next to a horizon must fail the same way
+            assert _outcome(lambda: ricci_at(chart(p), x)) == _outcome(
+                lambda: reference_ricci(ref(p), x))
+            assert _outcome(lambda: christoffel_at(chart(p), x)) == _outcome(
+                lambda: reference_christoffel(ref(p), x))
+
+    @pytest.mark.parametrize("chart, reference", [(warped_chart, reference_warped_chart),
+                                                   (static_chart, reference_static_chart)])
+    def test_metric_bit_identical_to_scalar_chart(self, charged, chart, reference):
+        # numpy squares with x * x, Python's ** calls pow; they round apart
+        # about once in a thousand draws, so the batch must be large
+        rng = np.random.default_rng(3)
+        hp = horizons(charged)
+        n = 4000
+        points = np.column_stack([
+            rng.uniform(0.05, 0.95, n) * math.pi * charged.mass,
+            hp.r_minus + hp.width * rng.uniform(0.05, 0.95, n),
+            rng.uniform(0.3, 2.8, n), rng.uniform(-1.0, 1.0, n)])
+        want = np.array([reference(charged).g(x) for x in points])
+        assert chart(charged).g(points).tobytes() == want.tobytes()
+
+    def test_assembly_squares_steps_as_the_per_point_stencil(self):
+        # at a point whose outer step squares differently under pow and
+        # under x * x, the Hessian denominators must take the pow square
+        def g(x):
+            x = np.asarray(x, dtype=float)
+            s = x[..., 0] * x[..., 1] + x[..., 2] * x[..., 2] * x[..., 3]
+            return _diagonal(x, (-(1.0 + 0.1 * s), 1.0 + 0.2 * s, 1.0 + 0.3 * s, 1.0 + 0.4 * s))
+
+        mf = MetricField(("a", "b", "c", "d"), g)
+        rng = np.random.default_rng(11)
+        for _ in range(20000):
+            x = rng.uniform(1.0, 3.0, 4)
+            outer = oracle.OUTER_STEP_FACTOR * oracle._steps(mf, x, None)
+            if any(o ** 2 != o * o for o in np.concatenate([outer, 2.0 * outer])):
+                break
+        else:
+            pytest.skip("pow squares every step exactly here")
+        assert _outcome(lambda: ricci_at(mf, x)) == _outcome(lambda: reference_ricci(mf, x))
+
+    @pytest.mark.parametrize("chart", [warped_chart, static_chart])
+    def test_metric_shapes(self, charged, chart):
+        mf = chart(charged)
+        x = np.array([mu_of_r(charged, 1.0), 1.0, 1.1, 0.2])
+        assert mf.g(x).shape == (4, 4)
+        assert mf.g(list(x)).shape == (4, 4)
+        assert mf.g(np.tile(x, (5, 1))).shape == (5, 4, 4)
+        assert mf.g(np.tile(x, (2, 3, 1))).shape == (2, 3, 4, 4)
+
+    @pytest.mark.parametrize("chart", [warped_chart, static_chart])
+    def test_point_independent_of_batch(self, charged, chart):
+        # the stencil revisits coordinate values; a point's metric must be
+        # the same whether it is evaluated alone or among others
+        mf = chart(charged)
+        x = np.array([mu_of_r(charged, 1.2), 1.2, 1.0, 0.3])
+        steps = oracle._steps(mf, x, None)
+        outer = oracle.OUTER_STEP_FACTOR * steps
+        points = x + oracle._STENCIL * np.stack([steps, outer, 2.0 * outer])[oracle._STENCIL_MESH]
+        points = np.concatenate([points, x + 0.01 * np.arange(-10, 10)[:, None]])
+        order = np.random.default_rng(5).permutation(len(points))
+        batch = mf.g(points[order])
+        for k, i in enumerate(order):
+            assert batch[k].tobytes() == mf.g(points[i]).tobytes()
+
+    @pytest.mark.parametrize("chart", [warped_chart, static_chart])
+    def test_one_metric_call_per_evaluation(self, charged, chart):
+        mf, calls = _counting(chart(charged))
+        x = [mu_of_r(charged, 1.0), 1.0, 1.0, 0.0]
+        ricci_at(mf, x)
+        assert calls == [(len(oracle._STENCIL), 4)]
+        del calls[:]
+        christoffel_at(mf, x)
+        assert calls == [(17, 4)]
+
+    def test_stencil_table_matches_call_order(self):
+        # the table lists the per-point stencil's evaluations in order
+        seen = []
+        recording = dataclasses.replace(FLAT, g=lambda x: seen.append(np.array(x)) or FLAT.g(x))
+        x = np.array([0.1, 0.2, 0.3, 0.4])
+        reference_ricci(recording, x)
+        steps = oracle._steps(FLAT, x, None)
+        outer = oracle.OUTER_STEP_FACTOR * steps
+        table = x + oracle._STENCIL * np.stack([steps, outer, 2.0 * outer])[oracle._STENCIL_MESH]
+        assert np.array(seen).tobytes() == table.tobytes()

@@ -63,6 +63,11 @@ class TestHorizons:
         assert hp.r_plus * hp.r_minus == pytest.approx(q * q, rel=1e-12, abs=1e-12 * m * m)
 
 
+    def test_overflowing_mass_named(self):
+        with pytest.raises(DomainError, match="overflow"):
+            horizons(BlackHoleParams(1e300, 0.0))
+
+
 class TestLapse:
     def test_charged_at_one(self, charged):
         # oracle: (0.8 * 0.8)/1 from the factored horizon form
