@@ -26,6 +26,9 @@ _WALL = 16384.0
 
 _MAX_LEVEL = 12  # finer tanh-sinh meshes cannot help in double precision
 
+# per-step growth of the window that find_root_bracketed opens about a guess
+_WINDOW_GROWTH = 8.0
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -84,19 +87,24 @@ def integrate_endpoint_singular(f: Callable[[float], float], iv: Interval,
     frozen from the innermost node evaluated at any level. The completion
     is exact for inverse-square-root endpoints and harmless for bounded
     ones; integrands of strictly intermediate order can be limited to
-    roughly seven digits at the affected endpoint.
+    roughly seven digits at the affected endpoint. An endpoint equal to 0
+    has no ulp scale: its wall is scaled by the half-span, and nodes inside
+    it are evaluated until the first whose term is negligible next to the
+    t = 0 term (see _sweep).
 
     Raises ConvergenceError (carrying the last estimate and its error
     bound) if the mesh refinement is exhausted.
     """
     lo, hi = iv.lo, iv.hi
     hs = 0.5 * (hi - lo)
-    # the wall must leave room inside microscopic intervals
-    dmin_lo = min(_WALL * EPS * abs(lo), 0.05 * hs)
-    dmin_hi = min(_WALL * EPS * abs(hi), 0.05 * hs)
+    # the wall must leave room inside microscopic intervals; an endpoint at
+    # 0 has no ulp scale of its own, so its wall is scaled by the half-span
+    dmin_lo = min(_WALL * EPS * (abs(lo) if lo != 0.0 else hs), 0.05 * hs)
+    dmin_hi = min(_WALL * EPS * (abs(hi) if hi != 0.0 else hs), 0.05 * hs)
     root_hs = math.sqrt(hs)
 
     center = 0.5 * math.pi * hs * _checked(f, lo + hs)  # t = 0 node
+    negligible = EPS * abs(center)
     # w*f terms of the current mesh by increasing t, hi side then lo side
     # per node, zero where walled; re-added in this order at each level so
     # the sum rounds exactly as a single sweep over the mesh would
@@ -115,9 +123,9 @@ def integrate_endpoint_singular(f: Callable[[float], float], iv: Interval,
     for level in range(max_level + 1):
         h = 2.0 ** (-level)
         nodes = _level_nodes(level)
-        t_hi, tail, d_hi, g_hi = _sweep(f, nodes, hi, -1.0, hs, dmin_hi, d_hi, g_hi)
+        t_hi, tail, d_hi, g_hi = _sweep(f, nodes, hi, -1.0, hs, dmin_hi, negligible, d_hi, g_hi)
         comp_hi += tail
-        t_lo, tail, d_lo, g_lo = _sweep(f, nodes, lo, 1.0, hs, dmin_lo, d_lo, g_lo)
+        t_lo, tail, d_lo, g_lo = _sweep(f, nodes, lo, 1.0, hs, dmin_lo, negligible, d_lo, g_lo)
         comp_lo += tail
         new = [0.0] * (2 * max(len(t_hi), len(t_lo)))
         new[0:2 * len(t_hi):2] = t_hi
@@ -148,34 +156,44 @@ def integrate_endpoint_singular(f: Callable[[float], float], iv: Interval,
     raise ConvergenceError("tanh-sinh quadrature did not converge", prev, err)
 
 
-def _sweep(f, nodes, end, sign, hs, dmin, d_in, g_in):
+def _sweep(f, nodes, end, sign, hs, dmin, negligible, d_in, g_in):
     """One level's new nodes on the side of one endpoint.
 
     Evaluates f at end + sign*d, from the midpoint toward the endpoint,
     until a node falls inside the wall dmin (or rounds onto the endpoint);
     that node and every later one are walled, since distances shrink
-    monotonically along the level. Returns the trapezoid terms w*f of the
-    evaluated nodes, the unit completion weight of the walled tail, and
-    the innermost node's distance and frozen coefficient, updated from
-    (d_in, g_in) if this level reached closer to the endpoint.
+    monotonically along the level. At an endpoint equal to 0 a node
+    inside the wall is still evaluated, and walled only once its term
+    w*f is at most `negligible`: where the terms keep mattering, as for a
+    nonintegrable singularity, the sweep runs on toward the endpoint.
+    Returns the trapezoid terms w*f of the kept nodes, the unit
+    completion weight of the walled tail, and the innermost kept node's
+    distance and frozen coefficient, updated from (d_in, g_in) if this
+    level reached closer to the endpoint.
     """
     hs2 = 2.0 * hs
     hs_pi_2 = 0.5 * math.pi * hs
     terms = []
     tail = 0.0
     d = math.inf
-    fx = 0.0
+    f_in = 0.0
     for q, opq, ch, opq2, uk_tail in nodes:
         dx = hs2 * q / opq
         x = end + sign * dx
-        if not (dx > dmin and x != end):
+        inside = not dx > dmin
+        if x == end or (inside and end != 0.0):
+            tail = uk_tail
+            break
+        fx = _checked(f, x)
+        term = hs_pi_2 * ch * 4.0 * q / opq2 * fx
+        if inside and abs(term) <= negligible:
             tail = uk_tail
             break
         d = dx
-        fx = _checked(f, x)
-        terms.append(hs_pi_2 * ch * 4.0 * q / opq2 * fx)
+        f_in = fx
+        terms.append(term)
     if d < d_in:
-        return terms, tail, d, fx * math.sqrt(d)
+        return terms, tail, d, f_in * math.sqrt(d)
     return terms, tail, d_in, g_in
 
 
@@ -226,7 +244,7 @@ def _checked(f, x):
 
 
 def find_root_bracketed(g: Callable[[float], float], iv: Interval,
-                        tol: Tolerance = DEFAULT_TOL) -> float:
+                        tol: Tolerance = DEFAULT_TOL, guess: float | None = None) -> float:
     """Root of g inside [lo, hi], where g(lo) and g(hi) differ in sign.
 
     Inverse-quadratic / secant steps guarded by bisection (Brent's
@@ -234,16 +252,73 @@ def find_root_bracketed(g: Callable[[float], float], iv: Interval,
     slope at the bracket ends. Stops when |g(x)| <= abs_tol or the
     bracket has shrunk to rel_tol*|x| (plus a machine-epsilon floor).
     The result always lies within the input bracket.
+
+    An optional guess inside [lo, hi] is tried first and returned as is
+    when |g(guess)| <= abs_tol. Otherwise a window about the guess is
+    widened geometrically until g changes sign across it, and Brent's
+    scheme runs on that window. The window can grow to the whole
+    interval, so BracketError is raised only when no sign change is found
+    there either. Every value of g comes from a call to g.
     """
-    a, b = iv.lo, iv.hi
-    fa, fb = g(a), g(b)
+    if guess is None:
+        a, b = iv.lo, iv.hi
+        fa, fb = g(a), g(b)
+    else:
+        if not iv.lo <= guess <= iv.hi:
+            raise ValueError(f"guess {guess!r} outside [{iv.lo}, {iv.hi}]")
+        fx = g(guess)
+        if abs(fx) <= tol.abs_tol:
+            return guess
+        a, fa, b, fb = _window(g, iv, guess, fx, tol)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"no sign change on [{a}, {b}]: g={fa!r}, {fb!r}")
+    return _brent(g, a, fa, b, fb, tol)
 
+
+def _window(g, iv, x0, f0, tol):
+    """A window [a, b] about x0, with g(a) and g(b), across which g changes sign.
+
+    Each side steps out from x0 by a width that starts at Brent's
+    bracket tolerance and grows by _WINDOW_GROWTH per step, clipped to
+    the interval. The next step goes to the side whose outermost value
+    is nearer zero, so a monotone g is bracketed from one side; the
+    first step goes where an increasing g would have its root. A side
+    that reaches its interval end stops, and when both have, the
+    window is the whole interval and its end values are returned, with
+    or without a sign change. The inner end of the window is the last
+    point on that side where g kept the sign of f0.
+    """
+    lo, hi = iv.lo, iv.hi
+    step = 0.5 * (tol.rel_tol * abs(x0) + 2.0 * EPS * max(1.0, abs(x0)))
+    # per side (lower, upper): outermost point, its value, next width
+    x = [x0, x0]
+    fx = [f0, f0]
+    width = [step, step]
+    side = 0 if f0 > 0.0 else 1
+    while x[0] > lo or x[1] < hi:
+        if x[side] == (lo, hi)[side]:
+            side = 1 - side
+        inner, f_inner = x[side], fx[side]
+        if side == 0:
+            x[0] = max(lo, x0 - width[0])
+        else:
+            x[1] = min(hi, x0 + width[1])
+        fx[side] = g(x[side])
+        width[side] *= _WINDOW_GROWTH
+        if fx[side] == 0.0 or (fx[side] > 0.0) != (f0 > 0.0):
+            if side == 0:
+                return x[0], fx[0], inner, f_inner
+            return inner, f_inner, x[1], fx[1]
+        side = 0 if abs(fx[0]) < abs(fx[1]) else 1
+    return x[0], fx[0], x[1], fx[1]
+
+
+def _brent(g, a, fa, b, fb, tol):
+    """Brent's iteration from a sign-changing bracket [a, b] with known g(a), g(b)."""
     c, fc = a, fa
     d = e = b - a
     for _ in range(tol.max_iter):

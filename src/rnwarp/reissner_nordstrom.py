@@ -12,8 +12,9 @@ f2(mu) = r and f1(mu) = N. Two published antiderivative candidates for mu are
 provided as well; the one applying arccos to the plain ratio
 (r_plus - r)/(r_plus - r_minus) disagrees with the quadrature between the
 horizons, while the variant applying arccos to the square root of that ratio
-matches it. The quadrature is treated as authoritative throughout, and the
-discrepancy is surfaced by the verification suite rather than resolved here.
+matches it. The quadrature is the authoritative referee; its inverse starts
+from the Kepler inverse. The discrepancy is surfaced by the verification
+suite rather than resolved here.
 """
 
 from __future__ import annotations
@@ -154,7 +155,10 @@ def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> floa
 
     Valid for 0 < mu < m*pi. F is strictly increasing with F(r_minus) = 0
     and F(r_plus) = m*pi, so [r_minus, r_plus] always brackets the root;
-    the improper quadrature converges at the closed endpoints.
+    the improper quadrature converges at the closed endpoints. The
+    quadrature is the authoritative referee: the search starts from the
+    Kepler inverse (_kepler_inverse) and returns it when the quadrature
+    agrees to abs_tol, so the root is always decided by mu_of_r.
     """
     hp = horizons(p)
     mu_max = p.mass * math.pi
@@ -164,7 +168,8 @@ def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> floa
     def g(r):
         return mu_of_r(p, r, tol) - mu
 
-    return calculus.find_root_bracketed(g, Interval(hp.r_minus, hp.r_plus), tol)
+    return calculus.find_root_bracketed(g, Interval(hp.r_minus, hp.r_plus), tol,
+                                        guess=_kepler_inverse(p, mu))
 
 
 def interior_point(p: BlackHoleParams, r: float | None = None, mu: float | None = None,

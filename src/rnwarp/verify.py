@@ -9,6 +9,7 @@ notes, not failures.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -17,6 +18,8 @@ import numpy as np
 
 from . import calculus, fluid, oracle, reissner_nordstrom as rn, warped
 from .calculus import Tolerance
+from .errors import SingularMetricError
+from .warped import WarpState
 
 # Thresholds are part of the artifact contract; tests pin them.
 THRESHOLDS = {
@@ -112,28 +115,139 @@ def _off_diagonal_norm(ricci: np.ndarray, mf_g, x, m: float) -> float:
 
 
 def _charts_invertible(probes) -> bool:
-    """Whether the oracle's pivot floor holds at the probed chart points."""
-    for chart, points in probes:
-        for pt in points:
-            g = chart.g(np.asarray(pt, dtype=float))
-            scale = float(np.max(np.abs(g)))
-            if abs(float(np.linalg.det(g))) <= 10.0 * 1e-12 * scale ** 4:
-                return False
+    """Whether the oracle's pivot floor (oracle.invert4) holds at the probed chart points."""
+    try:
+        for chart, points in probes:
+            for pt in points:
+                oracle.invert4(chart.g(np.asarray(pt, dtype=float)))
+    except SingularMetricError:
+        return False
     return True
+
+
+@dataclass(frozen=True)
+class _GridPoint:
+    """The values every check shares at one grid point, each computed once."""
+
+    r: float
+    mu: float        # quadrature: the authoritative referee
+    mu_sqrt: float   # square-root closed form
+    warp: WarpState
+
+
+def _worst(rows) -> float:
+    """Largest residual over rows of residuals, scanned in order from 0."""
+    return max([0.0, *itertools.chain.from_iterable(rows)])
+
+
+def _warp_identity_residuals(p, pt: _GridPoint) -> tuple[float, float, float]:
+    """Residuals of the derivative identities relating f1 to f2.
+
+    They come from first-order differencing of the machine-smooth inverse
+    map. Each is scaled by the differenced function's local magnitude,
+    since the centered stencil carries an irreducible eps*|f|/h noise floor.
+    The step follows the calculus default with the geometry's length
+    unit as the coordinate scale, so the check is unit independent.
+    """
+    m, q = p.mass, p.charge
+
+    def r_of(mu):
+        return rn._kepler_inverse(p, mu)
+
+    def f1_of(mu):
+        return math.sqrt(rn.lapse_squared(p, r_of(mu)))
+
+    def f1p_of(mu):
+        r = r_of(mu)
+        return -m / (r * r) + q * q / (r * r * r)
+
+    w, mu0, r = pt.warp, pt.mu_sqrt, pt.r
+    h_id = calculus.EPS ** (1.0 / 3.0) * max(abs(mu0), m)
+    return (
+        abs(calculus.derivative(r_of, mu0, 1, h_id) - w.f1)
+        / max(1.0, abs(w.f1), r / m),
+        m * abs(calculus.derivative(f1_of, mu0, 1, h_id) - w.f1p)
+        / max(1.0, m * abs(w.f1p), w.f1),
+        m * m * abs(calculus.derivative(f1p_of, mu0, 1, h_id) - w.f1pp)
+        / max(1.0, m * m * abs(w.f1pp), m * abs(w.f1p)),
+    )
+
+
+_ORACLE_CHECKS = ("closed_vs_oracle_ricci", "chart_covariance", "scalar_oracle",
+                  "oracle_off_diagonal")
+
+
+def _curvature_residuals(p, pt: _GridPoint, theta: float, charts) -> dict[str, tuple]:
+    """Residual rows, keyed by check name, of the closed-form Ricci diagonal.
+
+    It is compared with the warped-product formulas and, when the oracle
+    charts (warped, static) are given, with the oracle in both charts.
+    """
+    m, r = p.mass, pt.r
+    rc = rn.ricci_closed_form(p, r, theta)
+    wr = warped.ricci_from_warps(pt.warp, theta)
+    closed = (rc.r_mumu, rc.r_nunu, rc.r_thth, rc.r_phph)
+    warp_vals = (wr.r_mumu, wr.r_nunu, wr.r_thth, wr.r_phph)
+    cfl = _component_floors(pt.warp, theta, m)
+    out = {
+        "closed_vs_warped_ricci": [_rel(a, b, f) for a, b, f in zip(closed, warp_vals, cfl)],
+        # scalars carry length^-2; measure them in curvature units m^-2 so
+        # the check is independent of the unit choice
+        "scalar_closed_and_warped": (m * m * abs(wr.scalar), m * m * abs(rc.scalar)),
+        "schwarzschild_flatness": [abs(v) for v in warp_vals],
+    }
+    if charts is None:
+        return out
+    wc, sc = charts
+    cp = oracle.ricci_at(wc, [pt.mu, 0.0, theta, 0.0])
+    n2 = rn.lapse_squared(p, r)
+    cp2 = oracle.ricci_at(sc, [0.0, r, theta, 0.0])
+    transformed = (float(cp2.ricci[1, 1]) * n2, float(cp2.ricci[0, 0]),
+                   float(cp2.ricci[2, 2]), float(cp2.ricci[3, 3]))
+    out["closed_vs_oracle_ricci"] = [_rel(a, float(b), f)
+                                     for a, b, f in zip(closed, np.diag(cp.ricci), cfl)]
+    out["chart_covariance"] = [_rel(a, b, f) for a, b, f in zip(closed, transformed, cfl)]
+    out["scalar_oracle"] = (m * m * abs(cp.scalar), m * m * abs(cp2.scalar))
+    out["oracle_off_diagonal"] = (
+        _off_diagonal_norm(cp.ricci, mf_g=wc.g, x=cp.point, m=m),
+        _off_diagonal_norm(cp2.ricci, mf_g=sc.g, x=cp2.point, m=m))
+    return out
+
+
+def _fluid_residuals(p, pt: _GridPoint, theta: float, tol) -> tuple[tuple, float, float]:
+    """The fluid balances that vanish, the mumu gap residual, and the mumu residual.
+
+    The mumu gap is compared with its closed form. The thth/phph balances
+    are dimensionless; nunu and mumu carry length^-2.
+    """
+    q, w = p.charge, pt.warp
+    rep = fluid.fluid_report(p, pt.r, theta, tol)
+    scale_angular = max((q / w.f2) ** 2, 1.0)
+    scale_time = max(q * q / w.f2 ** 4, 1.0 / (p.mass * p.mass))
+    balances = (abs(rep.residuals.nunu) / scale_time,
+                abs(rep.residuals.thth) / scale_angular,
+                abs(rep.residuals.phph) / scale_angular)
+    gap_expected = q * q / w.f2 ** 4 * (1.0 - w.f1 ** 2)
+    gap = abs(rep.residuals.mumu - gap_expected) / max(scale_time, abs(gap_expected))
+    return balances, gap, rep.residuals.mumu
 
 
 def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
                      guard_fraction: float = 0.05, theta: float = 0.5 * math.pi,
                      tol: Tolerance = calculus.DEFAULT_TOL,
                      thresholds: dict | None = None) -> VerifyReport:
-    """Run every cross-check for one parameter set and collect a report."""
+    """Run every cross-check for one parameter set and collect a report.
+
+    One pass over the grid builds a record per point (the quadrature mu,
+    the square-root closed form, the warp state); each grid check is a
+    reduction over those records.
+    """
     th = dict(THRESHOLDS)
     if thresholds:
         th.update(thresholds)
     hp = rn.horizons(p)
     grid = rn.interior_grid(p, grid_points, guard_fraction)
     m, q = p.mass, p.charge
-    floor = 1.0 / (m * m)  # curvature comparisons degenerate to this scale at Q = 0
     checks: list[CheckResult] = []
     notes: list[str] = []
 
@@ -154,6 +268,9 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     def add(name, residual):
         checks.append(CheckResult(name, float(residual), th[name], residual <= th[name]))
 
+    points = [_GridPoint(r, rn.mu_of_r(p, r, tol), rn.mu_closed_form_sqrt(p, r),
+                         rn.warp_state(p, r)) for r in grid]
+
     # Vieta: r+ + r- = 2m, r+ r- = Q^2
     add("horizon_vieta", max(
         abs(hp.r_plus + hp.r_minus - 2.0 * m) / (2.0 * m),
@@ -164,91 +281,25 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     add("mu_at_inner_horizon", abs(rn.mu_of_r(p, hp.r_minus, tol)))
     add("mu_at_outer_horizon", abs(rn.mu_of_r(p, hp.r_plus, tol) - m * math.pi))
 
-    # derivative identities relating f1 to f2, by first-order differencing
-    # of the machine-smooth inverse map
-    def r_of(mu):
-        return rn._kepler_inverse(p, mu)
-
-    def f1_of(mu):
-        return math.sqrt(rn.lapse_squared(p, r_of(mu)))
-
-    def f1p_of(mu):
-        r = r_of(mu)
-        return -m / (r * r) + q * q / (r * r * r)
-
-    # Residuals are scaled by the differenced function's local magnitude:
-    # the centered stencil carries an irreducible eps*|f|/h noise floor.
-    # The step follows the calculus default with the geometry's length
-    # unit as the coordinate scale, so the check is unit independent.
-    worst = 0.0
-    for r in grid:
-        w = rn.warp_state(p, r)
-        mu0 = rn.mu_closed_form_sqrt(p, r)
-        h_id = calculus.EPS ** (1.0 / 3.0) * max(abs(mu0), m)
-        worst = max(
-            worst,
-            abs(calculus.derivative(r_of, mu0, 1, h_id) - w.f1)
-            / max(1.0, abs(w.f1), r / m),
-            m * abs(calculus.derivative(f1_of, mu0, 1, h_id) - w.f1p)
-            / max(1.0, m * abs(w.f1p), w.f1),
-            m * m * abs(calculus.derivative(f1p_of, mu0, 1, h_id) - w.f1pp)
-            / max(1.0, m * m * abs(w.f1pp), m * abs(w.f1p)),
-        )
-    add("warp_identities", worst)
+    add("warp_identities", _worst(_warp_identity_residuals(p, pt) for pt in points))
 
     # triple agreement and scalar flatness
     wc = rn.warped_chart(p)
     sc = rn.static_chart(p)
     near_extremal_oracle = (m - q) / m < ORACLE_CHARGE_CUTOFF
-    mu_edges = (rn.mu_closed_form_sqrt(p, grid[0]), rn.mu_closed_form_sqrt(p, grid[-1]))
+    first, last = points[0], points[-1]
     ill_conditioned = not _charts_invertible((
-        (wc, ([mu_edges[0], 0.0, theta, 0.0], [mu_edges[1], 0.0, theta, 0.0])),
-        (sc, ([0.0, grid[0], theta, 0.0], [0.0, grid[-1], theta, 0.0])),
+        (wc, ([first.mu_sqrt, 0.0, theta, 0.0], [last.mu_sqrt, 0.0, theta, 0.0])),
+        (sc, ([0.0, first.r, theta, 0.0], [0.0, last.r, theta, 0.0])),
     ))
     oracle_applies = not (near_extremal_oracle or ill_conditioned)
-    worst_cw = worst_co = worst_cov = 0.0
-    worst_scal_cw = worst_scal_o = worst_off = 0.0
-    worst_schw = 0.0
-    for r in grid:
-        rc = rn.ricci_closed_form(p, r, theta)
-        wst = rn.warp_state(p, r)
-        wr = warped.ricci_from_warps(wst, theta)
-        closed = (rc.r_mumu, rc.r_nunu, rc.r_thth, rc.r_phph)
-        warp_vals = (wr.r_mumu, wr.r_nunu, wr.r_thth, wr.r_phph)
-        cfl = _component_floors(wst, theta, m)
-        worst_cw = max(worst_cw, *[_rel(a, b, f) for a, b, f in zip(closed, warp_vals, cfl)])
-        # scalars carry length^-2; measure them in curvature units m^-2 so
-        # the check is independent of the unit choice
-        worst_scal_cw = max(worst_scal_cw, m * m * abs(wr.scalar), m * m * abs(rc.scalar))
-        if q == 0.0:
-            worst_schw = max(worst_schw, *[abs(v) for v in warp_vals])
-        if not oracle_applies:
-            continue
-
-        mu0 = rn.mu_of_r(p, r, tol)
-        cp = oracle.ricci_at(wc, [mu0, 0.0, theta, 0.0])
-        odiag = np.diag(cp.ricci)
-        worst_co = max(worst_co, *[_rel(a, float(b), f)
-                                   for a, b, f in zip(closed, odiag, cfl)])
-        worst_scal_o = max(worst_scal_o, m * m * abs(cp.scalar))
-        worst_off = max(worst_off, _off_diagonal_norm(cp.ricci, mf_g=wc.g, x=cp.point, m=m))
-
-        n2 = rn.lapse_squared(p, r)
-        cp2 = oracle.ricci_at(sc, [0.0, r, theta, 0.0])
-        transformed = (float(cp2.ricci[1, 1]) * n2, float(cp2.ricci[0, 0]),
-                       float(cp2.ricci[2, 2]), float(cp2.ricci[3, 3]))
-        worst_cov = max(worst_cov, *[_rel(a, b, f)
-                                     for a, b, f in zip(closed, transformed, cfl)])
-        worst_scal_o = max(worst_scal_o, m * m * abs(cp2.scalar))
-        worst_off = max(worst_off, _off_diagonal_norm(cp2.ricci, mf_g=sc.g, x=cp2.point, m=m))
-
-    add("closed_vs_warped_ricci", worst_cw)
-    add("scalar_closed_and_warped", worst_scal_cw)
+    curvature = [_curvature_residuals(p, pt, theta, (wc, sc) if oracle_applies else None)
+                 for pt in points]
+    for name in ("closed_vs_warped_ricci", "scalar_closed_and_warped"):
+        add(name, _worst(c[name] for c in curvature))
     if oracle_applies:
-        add("closed_vs_oracle_ricci", worst_co)
-        add("chart_covariance", worst_cov)
-        add("scalar_oracle", worst_scal_o)
-        add("oracle_off_diagonal", worst_off)
+        for name in _ORACLE_CHECKS:
+            add(name, _worst(c[name] for c in curvature))
     elif near_extremal_oracle:
         notes.append(
             "finite-difference oracle checks skipped: the horizon gap is too small for "
@@ -260,7 +311,7 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
             "the pivot floor on this grid (the floor is unit dependent; rerun in units "
             "with m near 1); the algebraic checks remain in force")
     if q == 0.0:
-        add("schwarzschild_flatness", worst_schw)
+        add("schwarzschild_flatness", _worst(c["schwarzschild_flatness"] for c in curvature))
 
     # inverse round trip on fixed pseudorandom mu samples
     rng = random.Random(_ROUNDTRIP_SEED)
@@ -271,36 +322,16 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         worst = max(worst, abs(rn.mu_of_r(p, rn.r_of_mu(p, mu0, tol), tol) - mu0))
     add("roundtrip_inverse", worst / mu_max)
 
-    # fluid extraction: three balances vanish, the mumu gap has a closed form.
-    # The thth/phph balances are dimensionless; nunu and mumu carry length^-2.
-    worst = worst_gap = 0.0
-    gap_mid = 0.0
-    r_mid = grid[len(grid) // 2]
-    for r in grid:
-        rep = fluid.fluid_report(p, r, theta, tol)
-        w = rn.warp_state(p, r)
-        scale_angular = max((q / w.f2) ** 2, 1.0)
-        scale_time = max(q * q / w.f2 ** 4, floor)
-        worst = max(worst, abs(rep.residuals.nunu) / scale_time,
-                    abs(rep.residuals.thth) / scale_angular,
-                    abs(rep.residuals.phph) / scale_angular)
-        gap_expected = q * q / w.f2 ** 4 * (1.0 - w.f1 ** 2)
-        worst_gap = max(worst_gap, abs(rep.residuals.mumu - gap_expected)
-                        / max(scale_time, abs(gap_expected)))
-        if r == r_mid:
-            gap_mid = rep.residuals.mumu
-    add("fluid_residuals", worst)
-    add("fluid_mumu_gap_identity", worst_gap)
+    # fluid extraction: three balances vanish, the mumu gap has a closed form
+    fluid_rows = [_fluid_residuals(p, pt, theta, tol) for pt in points]
+    add("fluid_residuals", _worst(balances for balances, _, _ in fluid_rows))
+    add("fluid_mumu_gap_identity", _worst((gap,) for _, gap, _ in fluid_rows))
+    mid = len(grid) // 2
+    gap_mid = fluid_rows[mid][2]
 
     # the two closed-form candidates against the quadrature definition
-    worst = 0.0
-    plain_gap = 0.0
-    for r in grid:
-        mu_quad = rn.mu_of_r(p, r, tol)
-        worst = max(worst, abs(rn.mu_closed_form_sqrt(p, r) - mu_quad))
-        gap = abs(rn.mu_closed_form(p, r) - mu_quad)
-        if gap > plain_gap:
-            plain_gap = gap
+    worst = _worst((abs(pt.mu_sqrt - pt.mu),) for pt in points)
+    plain_gap = _worst((abs(rn.mu_closed_form(p, pt.r) - pt.mu),) for pt in points)
     add("closed_form_sqrt_vs_quadrature", worst)
 
     notes.append(
@@ -309,7 +340,7 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         "quadrature is authoritative")
     notes.append(
         f"mumu fluid balance is not closed by the extracted isotropic pressure: residual "
-        f"Q^2/f2^4 (1 - f1^2) = {gap_mid:.6g} at r = {r_mid:.6g}; reported, not failed")
+        f"Q^2/f2^4 (1 - f1^2) = {gap_mid:.6g} at r = {grid[mid]:.6g}; reported, not failed")
     if near_extremal:
         notes.append(
             f"near-extremal configuration: (m - Q)/m = {(m - q) / m:.3g}; guard band "

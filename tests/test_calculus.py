@@ -11,6 +11,8 @@ import rnwarp
 from rnwarp.calculus import (DEFAULT_TOL, EPS, Interval, Tolerance, derivative,
                              find_root_bracketed, integrate_endpoint_singular)
 from rnwarp.errors import BracketError, ConvergenceError
+from rnwarp.reissner_nordstrom import BlackHoleParams, mu_of_r, r_of_mu
+from rnwarp.verify import THRESHOLDS
 
 
 def arcsine(x):
@@ -23,12 +25,18 @@ def sweep_level(f, iv, level):
     order. The reference that integrate_endpoint_singular must reproduce."""
     lo, hi = iv.lo, iv.hi
     hs = 0.5 * (hi - lo)
-    dmin_lo = min(16384.0 * EPS * abs(lo), 0.05 * hs)
-    dmin_hi = min(16384.0 * EPS * abs(hi), 0.05 * hs)
+    # an endpoint at 0 gets a wall scaled by the half-span, and a node
+    # inside it is walled only once its term is negligible; the sweep
+    # stops there, as the terms fall off monotonically toward the endpoint
+    dmin_lo = min(16384.0 * EPS * (abs(lo) if lo != 0.0 else hs), 0.05 * hs)
+    dmin_hi = min(16384.0 * EPS * (abs(hi) if hi != 0.0 else hs), 0.05 * hs)
     pi_2 = 0.5 * math.pi
     h = 2.0 ** (-level)
-    total = pi_2 * hs * f(lo + hs)
+    center = pi_2 * hs * f(lo + hs)
+    negligible = EPS * abs(center)
+    total = center
     comp_lo = comp_hi = g_lo = g_hi = 0.0
+    walled_lo = walled_hi = False
     j = 1
     while True:
         t = j * h
@@ -39,17 +47,27 @@ def sweep_level(f, iv, level):
         if w == 0.0 and d == 0.0:
             return h * (total + comp_hi * g_hi + comp_lo * g_lo)
         wk = pi_2 * math.cosh(t) * 2.0 * math.sqrt(2.0 * hs) * es / (1.0 + q) ** 1.5
-        if d > dmin_hi and hi - d < hi:
+        if not walled_hi and hi - d < hi and (d > dmin_hi or hi == 0.0):
             fx = f(hi - d)
-            total += w * fx
-            g_hi = fx * math.sqrt(d)
+            if d > dmin_hi or abs(w * fx) > negligible:
+                total += w * fx
+                g_hi = fx * math.sqrt(d)
+            else:
+                walled_hi = True
         else:
+            walled_hi = True
+        if walled_hi:
             comp_hi += wk
-        if d > dmin_lo and lo + d > lo:
+        if not walled_lo and lo + d > lo and (d > dmin_lo or lo == 0.0):
             fx = f(lo + d)
-            total += w * fx
-            g_lo = fx * math.sqrt(d)
+            if d > dmin_lo or abs(w * fx) > negligible:
+                total += w * fx
+                g_lo = fx * math.sqrt(d)
+            else:
+                walled_lo = True
         else:
+            walled_lo = True
+        if walled_lo:
             comp_lo += wk
         j += 1
 
@@ -125,6 +143,19 @@ class TestIntegrate:
         got = integrate_endpoint_singular(f, Interval(a, b))
         want = c1 * math.pi + c2 * width
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+    def test_zero_endpoint_stops_where_terms_vanish(self):
+        # the terms of a bounded integrand die out long before the subnormal
+        # range, so an endpoint at 0 gets a wall like any other
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.sqrt(x)
+
+        got = integrate_endpoint_singular(f, Interval(0.0, 1.0))
+        assert got == pytest.approx(2.0 / 3.0, abs=1e-10)
+        assert min(seen) > 1e-100
 
     def test_discontinuous_integrand_fails_to_converge(self):
         # violates the continuity precondition; refinement stalls and the
@@ -258,6 +289,62 @@ class TestFindRoot:
 
         got = find_root_bracketed(g, Interval(-1.0, 1.0))
         assert got == pytest.approx(math.sin(0.25), abs=1e-9)
+
+
+# (g, interval, root): increasing, decreasing, and steep at both ends
+GUESS_CASES = [
+    (lambda x: x * x - 2.0, Interval(0.0, 2.0), math.sqrt(2.0)),
+    (math.cos, Interval(1.0, 2.0), 0.5 * math.pi),
+    (lambda x: math.asin(x) - 0.25, Interval(-1.0, 1.0), math.sin(0.25)),
+    (lambda x: 0.25 - math.asin(x), Interval(-1.0, 1.0), math.sin(0.25)),
+]
+
+
+class TestGuess:
+    def test_accepted_guess_is_returned_exactly(self):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        guess = math.sqrt(2.0)  # g(guess) is a rounding error, far below abs_tol
+        assert find_root_bracketed(g, Interval(0.0, 2.0), guess=guess) == guess
+        assert calls == [guess]
+
+    @pytest.mark.parametrize("g, iv, root", GUESS_CASES)
+    @pytest.mark.parametrize("where", ["lo", "hi", "below", "above", "far_below", "far_above"])
+    def test_far_or_one_sided_guess_meets_the_same_tolerance(self, g, iv, root, where):
+        guess = {"lo": iv.lo, "hi": iv.hi, "below": root - 1e-6, "above": root + 1e-6,
+                 "far_below": 0.9 * iv.lo + 0.1 * root,
+                 "far_above": 0.9 * iv.hi + 0.1 * root}[where]
+        plain = find_root_bracketed(g, iv)
+        got = find_root_bracketed(g, iv, guess=guess)
+        assert plain == pytest.approx(root, abs=1e-9)
+        assert got == pytest.approx(root, abs=1e-9)
+        assert iv.lo <= got <= iv.hi
+
+    @pytest.mark.parametrize("guess", [-1.0, -0.2, 0.0, 0.7, 1.0])
+    def test_no_sign_change_anywhere_raises(self, guess):
+        with pytest.raises(BracketError):
+            find_root_bracketed(lambda x: x * x + 1.0, Interval(-1.0, 1.0), guess=guess)
+
+    @pytest.mark.parametrize("guess", [-1.5, 2.0, math.nan])
+    def test_guess_outside_the_interval_rejected(self, guess):
+        with pytest.raises(ValueError, match="guess"):
+            find_root_bracketed(lambda x: x, Interval(-1.0, 1.0), guess=guess)
+
+    @given(m=st.floats(min_value=0.1, max_value=10.0),
+           q_over_m=st.floats(min_value=0.0, max_value=0.999),
+           frac=st.floats(min_value=0.01, max_value=0.99))
+    @settings(max_examples=40)
+    def test_r_of_mu_round_trip_within_the_verify_bound(self, m, q_over_m, frac):
+        # the mu range of verify's round-trip samples; r_of_mu starts from
+        # the Kepler inverse and the quadrature decides the root
+        p = BlackHoleParams(m, m * q_over_m)
+        mu_max = m * math.pi
+        mu = frac * mu_max
+        assert abs(mu_of_r(p, r_of_mu(p, mu)) - mu) <= THRESHOLDS["roundtrip_inverse"] * mu_max
 
 
 class TestDerivative:

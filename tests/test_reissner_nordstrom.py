@@ -126,6 +126,27 @@ class TestCoordinateMap:
             mu_of_r(charged, 1.80001)
 
 
+class TestZeroInnerHorizon:
+    def test_mu_stops_short_of_subnormal_abscissas(self, monkeypatch):
+        # Q = 0 puts the inner horizon at 0, where the quadrature used to
+        # sweep on into subnormal abscissas: 144 integrand calls, 19 below 1e-100
+        seen = []
+        quad = calculus.integrate_endpoint_singular
+
+        def recording(f, iv, tol=calculus.DEFAULT_TOL):
+            def g(x):
+                seen.append(x)
+                return f(x)
+            return quad(g, iv, tol)
+
+        monkeypatch.setattr(calculus, "integrate_endpoint_singular", recording)
+        p = BlackHoleParams(1.0, 0.0)
+        mu = mu_of_r(p, 1.0)
+        assert min(seen) > 1e-100
+        assert len(seen) <= 100
+        assert mu == pytest.approx(mu_closed_form_sqrt(p, 1.0), abs=1e-10)
+
+
 class TestClosedForms:
     def test_plain_ratio_value(self, charged):
         # oracle: 2*arccos(0.5) - 0.8 by hand; deliberately differs from the

@@ -1,3 +1,5 @@
+from rnwarp import calculus
+from rnwarp import reissner_nordstrom as rn
 from rnwarp.reissner_nordstrom import BlackHoleParams
 from rnwarp.verify import THRESHOLDS, CheckResult, VerifyReport, run_verification
 
@@ -70,3 +72,58 @@ def test_notes_carry_both_closed_form_numbers(charged):
     rep = run_verification(charged, grid_points=8)
     note = next(n for n in rep.notes if "plain-ratio" in n)
     assert "quadrature" in note and "square-root" in note
+
+
+def test_oracle_runs_where_the_pivot_floor_holds():
+    # the probes go through oracle.invert4's own floor: at this small mass
+    # the static-chart determinant clears it, so the oracle checks run
+    rep = run_verification(BlackHoleParams(0.24542557893639622, 0.0238814758126807),
+                           grid_points=8)
+    assert rep.overall, [c for c in rep.checks if not c.passed]
+    assert "oracle_off_diagonal" in {c.name for c in rep.checks}
+    assert not any("pivot floor" in n for n in rep.notes)
+
+
+def test_reference_verify_quadrature_budget(monkeypatch):
+    # one quadrature mu per grid point shared by every check, and the
+    # round-trip roots started from the Kepler inverse: 1052 quadratures
+    # in all, 859 of them inside the roots, when each loop had its own
+    # mu and Brent searched the whole interior
+    counts = {"all": 0, "roots": 0}
+    in_root = [False]
+    quad, root = calculus.integrate_endpoint_singular, rn.r_of_mu
+
+    def counted_quad(*args, **kwargs):
+        counts["all"] += 1
+        counts["roots"] += in_root[0]
+        return quad(*args, **kwargs)
+
+    def marked_root(*args, **kwargs):
+        in_root[0] = True
+        try:
+            return root(*args, **kwargs)
+        finally:
+            in_root[0] = False
+
+    monkeypatch.setattr(calculus, "integrate_endpoint_singular", counted_quad)
+    monkeypatch.setattr(rn, "r_of_mu", marked_root)
+    assert run_verification(BlackHoleParams(1.0, 0.6), 64).overall
+    assert counts["all"] <= 400
+    assert counts["roots"] <= 200
+
+
+def test_steep_round_trip_no_longer_drives_the_quadrature_into_the_horizon():
+    # Brent over the whole interior asked for mu next to a horizon, where
+    # the quadrature raised ConvergenceError
+    m = 5.072915140196658
+    rep = run_verification(BlackHoleParams(m, m * 0.999499544920172), 64)
+    assert rep.overall, [c for c in rep.checks if not c.passed]
+
+
+def test_check_order(charged):
+    rep = run_verification(charged, grid_points=8)
+    assert [c.name for c in rep.checks] == [
+        "horizon_vieta", "mu_at_inner_horizon", "mu_at_outer_horizon", "warp_identities",
+        "closed_vs_warped_ricci", "scalar_closed_and_warped", "closed_vs_oracle_ricci",
+        "chart_covariance", "scalar_oracle", "oracle_off_diagonal", "roundtrip_inverse",
+        "fluid_residuals", "fluid_mumu_gap_identity", "closed_form_sqrt_vs_quadrature"]
