@@ -9,12 +9,11 @@ from .calculus import DEFAULT_TOL, Interval, Tolerance, derivative, find_root_br
     integrate_endpoint_singular
 from .errors import BracketError, ConvergenceError, DomainError, ExtremalError, \
     SingularMetricError
-from .fluid import EinsteinTensorDiag, FluidReport, FluidResiduals, einstein_tensor, \
-    fluid_report, stress_energy_perfect_fluid
-from .oracle import CurvaturePoint, MetricField, christoffel_at, ricci_at
-from .reissner_nordstrom import BlackHoleParams, HorizonPair, InteriorPoint, horizons, \
-    interior_grid, interior_point, lapse_squared, mu_closed_form, mu_closed_form_sqrt, \
-    mu_of_r, r_of_mu, ricci_closed_form, static_chart, warp_state, warped_chart
+from .fluid import FluidReport, FluidResiduals, fluid_report
+from .oracle import CurvaturePoint, MetricField, ricci_at
+from .reissner_nordstrom import BlackHoleParams, HorizonPair, horizons, interior_grid, \
+    lapse_squared, mu_closed_form, mu_closed_form_sqrt, mu_of_r, r_of_mu, ricci_closed_form, \
+    static_chart, warp_state, warped_chart
 from .warped import RicciDiag, WarpState, ricci_from_warps, scalar_from_ricci
 
 __all__ = [
@@ -24,27 +23,22 @@ __all__ = [
     "CurvaturePoint",
     "DEFAULT_TOL",
     "DomainError",
-    "EinsteinTensorDiag",
     "ExtremalError",
     "FluidReport",
     "FluidResiduals",
     "HorizonPair",
-    "InteriorPoint",
     "Interval",
     "MetricField",
     "RicciDiag",
     "SingularMetricError",
     "Tolerance",
     "WarpState",
-    "christoffel_at",
     "derivative",
-    "einstein_tensor",
     "find_root_bracketed",
     "fluid_report",
     "horizons",
     "integrate_endpoint_singular",
     "interior_grid",
-    "interior_point",
     "lapse_squared",
     "mu_closed_form",
     "mu_closed_form_sqrt",
@@ -55,7 +49,6 @@ __all__ = [
     "ricci_from_warps",
     "scalar_from_ricci",
     "static_chart",
-    "stress_energy_perfect_fluid",
     "warp_state",
     "warped_chart",
 ]

@@ -25,6 +25,7 @@ EPS = sys.float_info.epsilon
 _WALL = 16384.0
 
 _MAX_LEVEL = 12  # finer tanh-sinh meshes cannot help in double precision
+_MAX_ITER = 200  # Brent iterations before find_root_bracketed gives up
 
 # per-step growth of the window that find_root_bracketed opens about a guess
 _WINDOW_GROWTH = 8.0
@@ -36,14 +37,11 @@ class Tolerance:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_iter: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
             raise ValueError(
                 f"tolerances must be positive and finite, got {self.abs_tol}, {self.rel_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -116,11 +114,10 @@ def integrate_endpoint_singular(f: Callable[[float], float], iv: Interval,
     d_lo = d_hi = math.inf
     g_lo = g_hi = 0.0
 
-    max_level = min(_MAX_LEVEL, tol.max_iter)
     prev = math.nan
     err = math.inf
     refine_once = False
-    for level in range(max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         h = 2.0 ** (-level)
         nodes = _level_nodes(level)
         t_hi, tail, d_hi, g_hi = _sweep(f, nodes, hi, -1.0, hs, dmin_hi, negligible, d_hi, g_hi)
@@ -149,7 +146,7 @@ def integrate_endpoint_singular(f: Callable[[float], float], iv: Interval,
         if level >= 2:
             err = abs(estimate - prev)
             if err <= max(tol.abs_tol, tol.rel_tol * abs(estimate)):
-                if err <= 0.01 * tol.abs_tol or level == max_level:
+                if err <= 0.01 * tol.abs_tol or level == _MAX_LEVEL:
                     return estimate
                 refine_once = True  # one extra halving buys ~2 digits at 2x cost
         prev = estimate
@@ -321,7 +318,7 @@ def _brent(g, a, fa, b, fb, tol):
     """Brent's iteration from a sign-changing bracket [a, b] with known g(a), g(b)."""
     c, fc = a, fa
     d = e = b - a
-    for _ in range(tol.max_iter):
+    for _ in range(_MAX_ITER):
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a

@@ -17,6 +17,12 @@ reported verbatim rather than hidden. A single isotropic pressure cannot
 close all four equations at once (the true charged source is
 anisotropic), so the verification suite flags this as a documented
 discrepancy instead of a failure.
+
+These balances pair rho with the nunu component and P f1^2 with the mumu
+one. A fluid comoving along the timelike mu direction, with
+T = diag(rho, P f1^2, P f2^2, P f2^2 sin^2 theta), would instead leave a
+nunu residual of -2 Q^2 f1^2/f2^4; the rho and P reported here follow the
+pairing above.
 """
 
 from __future__ import annotations
@@ -26,19 +32,9 @@ from dataclasses import dataclass
 
 from .calculus import DEFAULT_TOL, Tolerance
 from .reissner_nordstrom import BlackHoleParams, mu_of_r, warp_state
-from .warped import RicciDiag, WarpState
+from .warped import WarpState
 
 EIGHT_PI = 8.0 * math.pi
-
-
-@dataclass(frozen=True)
-class EinsteinTensorDiag:
-    """Diagonal Einstein tensor components (length^-2) in the warped chart."""
-
-    g_mumu: float
-    g_nunu: float
-    g_thth: float
-    g_phph: float
 
 
 @dataclass(frozen=True)
@@ -62,47 +58,15 @@ class FluidReport:
     mu: float
 
 
-def einstein_tensor(rd: RicciDiag, w: WarpState) -> EinsteinTensorDiag:
-    """G_ab = R_ab - (scalar/2) g_ab with the warped metric diag(-1, f1^2, f2^2, f2^2 sin^2).
-
-    For the interior geometry the scalar vanishes and G equals the Ricci
-    diagonal componentwise.
-    """
-    half_r = 0.5 * rd.scalar
-    f1sq = w.f1 * w.f1
-    f2sq = w.f2 * w.f2
-    sin2 = math.sin(rd.theta) ** 2
-    return EinsteinTensorDiag(
-        g_mumu=rd.r_mumu - half_r * -1.0,
-        g_nunu=rd.r_nunu - half_r * f1sq,
-        g_thth=rd.r_thth - half_r * f2sq,
-        g_phph=rd.r_phph - half_r * f2sq * sin2,
-    )
-
-
-def stress_energy_perfect_fluid(rho: float, pressure: float, w: WarpState,
-                                theta: float) -> tuple[float, float, float, float]:
-    """Diagonal covariant T_ab for a comoving perfect fluid.
-
-    The 4-velocity is the unit timelike vector along the mu direction
-    (the only timelike direction between the horizons), normalized
-    u_a u^a = -1, giving T = diag(rho, P f1^2, P f2^2, P f2^2 sin^2 theta).
-    """
-    f1sq = w.f1 * w.f1
-    f2sq = w.f2 * w.f2
-    return (rho, pressure * f1sq, pressure * f2sq, pressure * f2sq * math.sin(theta) ** 2)
-
-
-def fluid_report(p: BlackHoleParams, r: float, theta: float = 0.5 * math.pi,
-                 tol: Tolerance = DEFAULT_TOL) -> FluidReport:
-    """Extract (rho, P) at interior r and evaluate all four balance residuals.
+def fluid_balance(charge: float, w: WarpState,
+                  theta: float) -> tuple[float, float, FluidResiduals]:
+    """Extract (rho, P) from the warp state and evaluate all four balance residuals.
 
     rho = Q^2 f1^2 / (8 pi f2^4) and P = Q^2 / (8 pi f2^4); the nunu,
     thth and phph residuals then vanish identically while the mumu one
     equals Q^2/f2^4 (1 - f1^2) and is returned as-is.
     """
-    w = warp_state(p, r)
-    q2 = p.charge * p.charge
+    q2 = charge * charge
     f1sq = w.f1 * w.f1
     f2sq = w.f2 * w.f2
     f2_4 = f2sq * f2sq
@@ -112,10 +76,12 @@ def fluid_report(p: BlackHoleParams, r: float, theta: float = 0.5 * math.pi,
     res_nunu = -q2 * f1sq / f2_4 + EIGHT_PI * rho
     res_thth = q2 / f2sq - EIGHT_PI * pressure * f2sq
     res_phph = res_thth * math.sin(theta) ** 2
-    return FluidReport(
-        rho=rho,
-        pressure=pressure,
-        residuals=FluidResiduals(res_mumu, res_nunu, res_thth, res_phph),
-        r=r,
-        mu=mu_of_r(p, r, tol),
-    )
+    return rho, pressure, FluidResiduals(res_mumu, res_nunu, res_thth, res_phph)
+
+
+def fluid_report(p: BlackHoleParams, r: float, theta: float = 0.5 * math.pi,
+                 tol: Tolerance = DEFAULT_TOL) -> FluidReport:
+    """fluid_balance at interior r, with r and its coordinate mu = F(r) attached."""
+    rho, pressure, residuals = fluid_balance(p.charge, warp_state(p, r), theta)
+    return FluidReport(rho=rho, pressure=pressure, residuals=residuals, r=r,
+                       mu=mu_of_r(p, r, tol))

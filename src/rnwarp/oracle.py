@@ -145,11 +145,10 @@ def _stencil_table():
 
     Row k samples x + offsets[k] * mesh_steps[mesh[k]], where the meshes
     are the inner step, the outer step and twice the outer step. Rows
-    come in evaluation order: the center, the gradient (the first 17 rows
-    are all christoffel_at needs), then per Hessian mesh its center and,
-    axis by axis, the pure stencil followed by the mixed ones with every
-    later axis. The index arrays returned alongside locate each stencil's
-    rows for the assembly.
+    come in evaluation order: the center, the gradient, then per Hessian
+    mesh its center and, axis by axis, the pure stencil followed by the
+    mixed ones with every later axis. The index arrays returned alongside
+    locate each stencil's rows for the assembly.
     """
     offsets, mesh = [], []
 
@@ -182,15 +181,13 @@ def _stencil_table():
 
 (_STENCIL, _STENCIL_MESH, _CENTER, _GRAD_ROWS,
  _HESS_CENTER, _PURE_ROWS, _MIXED_ROWS) = _stencil_table()
-_GRADIENT_ROWS = 1 + _GRAD_ROWS.size  # center plus gradient: christoffel_at's share
 
 
-def _stencil_metrics(mf: MetricField, x: np.ndarray, steps: np.ndarray,
-                     rows: int) -> np.ndarray:
-    """The metric at the first `rows` stencil points, in one call of mf.g."""
+def _stencil_metrics(mf: MetricField, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The metric at every stencil point, in one call of mf.g."""
     outer = OUTER_STEP_FACTOR * steps
     mesh_steps = np.stack([steps, outer, 2.0 * outer])
-    points = x + _STENCIL[:rows] * mesh_steps[_STENCIL_MESH[:rows]]
+    points = x + _STENCIL * mesh_steps[_STENCIL_MESH]
     return mf.g(points)
 
 
@@ -251,25 +248,6 @@ def _require_domain(mf: MetricField, x: np.ndarray, reach: np.ndarray):
                     f"stencil point {y.tolist()} outside chart domain")
 
 
-def christoffel_at(mf: MetricField, x, h: float | None = None) -> np.ndarray:
-    """Gamma^a_bc = 1/2 g^ad (d_b g_dc + d_c g_db - d_d g_bc) at x.
-
-    Metric derivatives are 4th-order central differences with step h per
-    coordinate (default: the calculus first-derivative step for that
-    coordinate value). x and its 2h-neighborhood must pass domain_check.
-    """
-    x = np.asarray(x, dtype=float)
-    steps = _steps(mf, x, h)
-    _require_domain(mf, x, 2.0 * steps)
-    gs = _stencil_metrics(mf, x, steps, _GRADIENT_ROWS)
-    ginv = invert4(gs[_CENTER])
-    dg = _grad_matrix(gs, steps)  # dg[b, d, c] = d_b g_dc
-    gamma = 0.5 * (np.einsum('ad,bdc->abc', ginv, dg)
-                   + np.einsum('ad,cdb->abc', ginv, dg)
-                   - np.einsum('ad,dbc->abc', ginv, dg))
-    return gamma
-
-
 def ricci_at(mf: MetricField, x, h: float | None = None) -> CurvaturePoint:
     """Ricci tensor and scalar at x from differenced metric components.
 
@@ -290,7 +268,7 @@ def ricci_at(mf: MetricField, x, h: float | None = None) -> CurvaturePoint:
     outer = OUTER_STEP_FACTOR * steps
     _require_domain(mf, x, 4.0 * outer)  # the doubled Richardson mesh reaches 2*(2*outer)
 
-    gs = _stencil_metrics(mf, x, steps, len(_STENCIL))
+    gs = _stencil_metrics(mf, x, steps)
     ginv = invert4(gs[_CENTER])
     dg = _grad_matrix(gs, steps)             # dg[e, i, j] = d_e g_ij
     hess = _hess_matrix(gs, outer)           # hess[e, b, i, j] = d_e d_b g_ij

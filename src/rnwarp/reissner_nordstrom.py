@@ -63,14 +63,6 @@ class HorizonPair:
         return self.r_plus - self.r_minus
 
 
-@dataclass(frozen=True)
-class InteriorPoint:
-    """An interior radius together with its proper-time coordinate mu = F(r)."""
-
-    r: float
-    mu: float
-
-
 def horizons(p: BlackHoleParams) -> HorizonPair:
     """Horizon radii r_pm = m +- sqrt(m^2 - Q^2).
 
@@ -106,10 +98,7 @@ def mu_of_r(p: BlackHoleParams, r: float, tol: Tolerance = DEFAULT_TOL) -> float
     Defined for r_minus <= r <= r_plus; the improper integral converges at
     both horizons. F(r_minus) = 0 and F(r_plus) = m*pi. Strictly increasing.
     """
-    hp = horizons(p)
-    if not hp.r_minus <= r <= hp.r_plus:
-        raise DomainError(
-            f"r={r} outside the closed interior [{hp.r_minus}, {hp.r_plus}]")
+    hp = _require_closed_interior(p, r)
     if r == hp.r_minus:
         return 0.0
     rp, rm = hp.r_plus, hp.r_minus
@@ -170,17 +159,6 @@ def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> floa
 
     return calculus.find_root_bracketed(g, Interval(hp.r_minus, hp.r_plus), tol,
                                         guess=_kepler_inverse(p, mu))
-
-
-def interior_point(p: BlackHoleParams, r: float | None = None, mu: float | None = None,
-                   tol: Tolerance = DEFAULT_TOL) -> InteriorPoint:
-    """Complete an interior point from exactly one of r, mu."""
-    if (r is None) == (mu is None):
-        raise ValueError("provide exactly one of r, mu")
-    if r is not None:
-        _require_interior(p, r)
-        return InteriorPoint(r, mu_of_r(p, r, tol))
-    return InteriorPoint(r_of_mu(p, mu, tol), mu)
 
 
 def _kepler_inverse(p: BlackHoleParams, mu: float) -> float:

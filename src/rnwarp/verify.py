@@ -214,28 +214,27 @@ def _curvature_residuals(p, pt: _GridPoint, theta: float, charts) -> dict[str, t
     return out
 
 
-def _fluid_residuals(p, pt: _GridPoint, theta: float, tol) -> tuple[tuple, float, float]:
+def _fluid_residuals(p, pt: _GridPoint, theta: float) -> tuple[tuple, float, float]:
     """The fluid balances that vanish, the mumu gap residual, and the mumu residual.
 
     The mumu gap is compared with its closed form. The thth/phph balances
     are dimensionless; nunu and mumu carry length^-2.
     """
     q, w = p.charge, pt.warp
-    rep = fluid.fluid_report(p, pt.r, theta, tol)
+    _, _, res = fluid.fluid_balance(q, w, theta)
     scale_angular = max((q / w.f2) ** 2, 1.0)
     scale_time = max(q * q / w.f2 ** 4, 1.0 / (p.mass * p.mass))
-    balances = (abs(rep.residuals.nunu) / scale_time,
-                abs(rep.residuals.thth) / scale_angular,
-                abs(rep.residuals.phph) / scale_angular)
+    balances = (abs(res.nunu) / scale_time,
+                abs(res.thth) / scale_angular,
+                abs(res.phph) / scale_angular)
     gap_expected = q * q / w.f2 ** 4 * (1.0 - w.f1 ** 2)
-    gap = abs(rep.residuals.mumu - gap_expected) / max(scale_time, abs(gap_expected))
-    return balances, gap, rep.residuals.mumu
+    gap = abs(res.mumu - gap_expected) / max(scale_time, abs(gap_expected))
+    return balances, gap, res.mumu
 
 
 def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
                      guard_fraction: float = 0.05, theta: float = 0.5 * math.pi,
-                     tol: Tolerance = calculus.DEFAULT_TOL,
-                     thresholds: dict | None = None) -> VerifyReport:
+                     tol: Tolerance = calculus.DEFAULT_TOL) -> VerifyReport:
     """Run every cross-check for one parameter set and collect a report.
 
     One pass over the grid builds a record per point (the quadrature mu,
@@ -243,8 +242,6 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     reduction over those records.
     """
     th = dict(THRESHOLDS)
-    if thresholds:
-        th.update(thresholds)
     hp = rn.horizons(p)
     grid = rn.interior_grid(p, grid_points, guard_fraction)
     m, q = p.mass, p.charge
@@ -259,7 +256,7 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         # steep (dmu/dr ~ 1/lapse) and r must be pinned to ~1e-12 relative
         # for the round trip to resolve mu at all
         tol = Tolerance(abs_tol=max(tol.abs_tol, 2e-8 * m),
-                        rel_tol=min(tol.rel_tol, 1e-12), max_iter=tol.max_iter)
+                        rel_tol=min(tol.rel_tol, 1e-12))
         # checks whose residual is quadrature error must track the relaxation
         for name in ("mu_at_outer_horizon", "roundtrip_inverse",
                      "closed_form_sqrt_vs_quadrature"):
@@ -323,7 +320,7 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     add("roundtrip_inverse", worst / mu_max)
 
     # fluid extraction: three balances vanish, the mumu gap has a closed form
-    fluid_rows = [_fluid_residuals(p, pt, theta, tol) for pt in points]
+    fluid_rows = [_fluid_residuals(p, pt, theta) for pt in points]
     add("fluid_residuals", _worst(balances for balances, _, _ in fluid_rows))
     add("fluid_mumu_gap_identity", _worst((gap,) for _, gap, _ in fluid_rows))
     mid = len(grid) // 2

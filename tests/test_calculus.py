@@ -375,10 +375,10 @@ class TestDerivative:
 
 class TestTolerance:
     def test_defaults(self):
-        assert DEFAULT_TOL == Tolerance(1e-10, 1e-10, 200)
+        assert DEFAULT_TOL == Tolerance(1e-10, 1e-10)
 
     @pytest.mark.parametrize("kwargs", [
-        {"abs_tol": 0.0}, {"rel_tol": -1.0}, {"max_iter": 0},
+        {"abs_tol": 0.0}, {"rel_tol": -1.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

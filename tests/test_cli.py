@@ -96,6 +96,13 @@ class TestTransform:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("r", ["0", "2"])
+    def test_horizon_radius_exits_2(self, capsys, r):
+        # the quadrature accepts the closed interior; transform takes interior points only
+        code, out, err = run(capsys, "transform", "--mass", "1", "--charge", "0", "--r", r)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "open interior" in err
+
     def test_csv_record(self, capsys):
         code, out, _ = run(capsys, "transform", "--mass", "1", "--charge", "0.6",
                            "--r", "1", "--format", "csv")
@@ -269,12 +276,28 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         assert cli.main(["horizons", "--mass", "1", "--charge", "0", "--bogus"]) == 2
 
-    def test_bad_grid(self, capsys):
-        code, _, err = run(capsys, "curvature", "--mass", "1", "--charge", "0.6",
-                           "--grid", "1")
-        assert code == 2
+    @pytest.mark.parametrize("command", ["curvature", "fluid", "verify"])
+    def test_bad_grid(self, capsys, command):
+        code, out, err = run(capsys, command, "--mass", "1", "--charge", "0.6",
+                             "--grid", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid needs at least 2 points") and err.count("\n") == 1
 
-    def test_bad_guard(self, capsys):
-        code, _, _ = run(capsys, "curvature", "--mass", "1", "--charge", "0.6",
-                         "--guard", "0.7")
-        assert code == 2
+    @pytest.mark.parametrize("command", ["curvature", "fluid", "verify"])
+    @pytest.mark.parametrize("guard", ["0.7", "0", "nan"])
+    def test_bad_guard(self, capsys, command, guard):
+        code, out, err = run(capsys, command, "--mass", "1", "--charge", "0.6",
+                             "--guard", guard)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: guard_fraction must lie in") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("horizons", "--grid", "8"), ("horizons", "--guard", "0.7"),
+        ("horizons", "--tol", "1e-6"), ("horizons", "--theta", "1"),
+        ("transform", "--r", "1", "--grid", "8"), ("transform", "--r", "1", "--guard", "0.1"),
+        ("transform", "--r", "1", "--theta", "1"),
+    ], ids=" ".join)
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--mass", "1", "--charge", "0.6", *argv[1:])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err

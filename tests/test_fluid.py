@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnwarp.fluid import (einstein_tensor, fluid_report, stress_energy_perfect_fluid)
-from rnwarp.reissner_nordstrom import BlackHoleParams, horizons, warp_state
-from rnwarp.warped import RicciDiag, WarpState, ricci_from_warps
+from rnwarp.fluid import fluid_balance, fluid_report
+from rnwarp.reissner_nordstrom import (BlackHoleParams, horizons, interior_grid, mu_of_r,
+                                       warp_state)
+from rnwarp.warped import ricci_from_warps
 
 PI_2 = math.pi / 2.0
 EIGHT_PI = 8.0 * math.pi
@@ -20,56 +21,29 @@ charge_ratios = st.floats(min_value=0.0, max_value=0.99)
 fractions = st.floats(min_value=0.05, max_value=0.95)
 
 
-class TestEinsteinTensor:
-    def test_equals_ricci_when_scalar_vanishes(self, charged):
-        w = warp_state(charged, 1.0)
-        rd = ricci_from_warps(w, PI_2)
-        g = einstein_tensor(rd, w)
-        assert g.g_mumu == pytest.approx(0.36, abs=1e-9)
-        assert g.g_nunu == pytest.approx(-0.2304, abs=1e-9)
-        assert g.g_thth == pytest.approx(0.36, abs=1e-9)
-        assert g.g_phph == pytest.approx(0.36, abs=1e-9)
-
-    def test_matches_ricci_across_interior_grid(self, charged):
-        # with vanishing scalar the trace term drops out componentwise
-        from rnwarp.reissner_nordstrom import interior_grid
+class TestFluidBalance:
+    def test_residuals_are_the_documented_balances(self, charged):
+        # mumu: R - 8 pi P f1^2, nunu: R + 8 pi rho, thth: R - 8 pi P f2^2,
+        # phph: R - 8 pi P f2^2 sin^2, with the warped-product Ricci diagonal
+        theta = 1.0
+        sin2 = math.sin(theta) ** 2
         for r in interior_grid(charged, 16):
             w = warp_state(charged, r)
-            rd = ricci_from_warps(w, PI_2)
-            g = einstein_tensor(rd, w)
-            for got, want in ((g.g_mumu, rd.r_mumu), (g.g_nunu, rd.r_nunu),
-                              (g.g_thth, rd.r_thth), (g.g_phph, rd.r_phph)):
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            rd = ricci_from_warps(w, theta)
+            rho, pressure, res = fluid_balance(charged.charge, w, theta)
+            f1sq, f2sq = w.f1 * w.f1, w.f2 * w.f2
+            want = (rd.r_mumu - EIGHT_PI * pressure * f1sq, rd.r_nunu + EIGHT_PI * rho,
+                    rd.r_thth - EIGHT_PI * pressure * f2sq,
+                    rd.r_phph - EIGHT_PI * pressure * f2sq * sin2)
+            got = (res.mumu, res.nunu, res.thth, res.phph)
+            for g, v, scale in zip(got, want, (rd.r_mumu, rd.r_mumu, 1.0, 1.0)):
+                assert g == pytest.approx(v, abs=1e-12 * max(1.0, abs(scale)))
 
-    def test_zero_input(self):
-        w = WarpState(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        g = einstein_tensor(RicciDiag(0.0, 0.0, 0.0, 0.0, 0.0, PI_2), w)
-        assert (g.g_mumu, g.g_nunu, g.g_thth, g.g_phph) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_trace_term_arithmetic(self):
-        # unit warps, scalar 2: G = R - (R/2) g = (1+1, 1-1, 1-1, 1-1)
-        w = WarpState(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        g = einstein_tensor(RicciDiag(1.0, 1.0, 1.0, 1.0, 2.0, PI_2), w)
-        assert (g.g_mumu, g.g_nunu, g.g_thth, g.g_phph) == (2.0, 0.0, 0.0, 0.0)
-
-
-class TestStressEnergy:
-    def test_dust(self):
-        w = WarpState(0.7, 2.0, 0.1, 0.2, 0.0, 0.0)
-        assert stress_energy_perfect_fluid(1.0, 0.0, w, PI_2) == (1.0, 0.0, 0.0, 0.0)
-
-    def test_pure_pressure_unit_warps(self):
-        w = WarpState(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        assert stress_energy_perfect_fluid(0.0, 1.0, w, PI_2) == (0.0, 1.0, 1.0, 1.0)
-
-    def test_vacuum(self):
-        w = WarpState(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        assert stress_energy_perfect_fluid(0.0, 0.0, w, PI_2) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_warp_weighting(self):
-        w = WarpState(2.0, 3.0, 0.0, 0.0, 0.0, 0.0)
-        t = stress_energy_perfect_fluid(0.5, 2.0, w, PI_2)
-        assert t == (0.5, 8.0, 18.0, 18.0)
+    def test_report_is_the_balance_at_its_warp_state(self, charged):
+        rep = fluid_report(charged, 0.9, theta=0.6)
+        rho, pressure, res = fluid_balance(charged.charge, warp_state(charged, 0.9), 0.6)
+        assert (rep.rho, rep.pressure, rep.residuals) == (rho, pressure, res)
+        assert rep.mu == mu_of_r(charged, 0.9)
 
 
 class TestFluidReport:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rnwarp import oracle
 from rnwarp.errors import DomainError, SingularMetricError
-from rnwarp.oracle import MetricField, christoffel_at, invert4, ricci_at
+from rnwarp.oracle import MetricField, invert4, ricci_at
 from rnwarp.reissner_nordstrom import (BlackHoleParams, _kepler_inverse, horizons,
                                        interior_grid, lapse_squared, mu_of_r,
                                        ricci_closed_form, static_chart, warped_chart)
@@ -41,7 +41,7 @@ def sphere_chart(radius):
 
 # -- reference: the per-point stencil ----------------------------------------
 # One scalar metric call per stencil point, in the order the batched table
-# lists them; ricci_at and christoffel_at must reproduce it bit for bit.
+# lists them; ricci_at must reproduce it bit for bit.
 
 def reference_static_chart(p):
     """static_chart as one scalar call per point."""
@@ -103,16 +103,6 @@ def _reference_hess_once(fn, x, steps):
     return hess
 
 
-def reference_christoffel(mf, x):
-    x = np.asarray(x, dtype=float)
-    steps = oracle._steps(mf, x, None)
-    ginv = invert4(mf.g(x))
-    dg = _reference_grad(mf.g, x, steps)
-    return 0.5 * (np.einsum('ad,bdc->abc', ginv, dg)
-                  + np.einsum('ad,cdb->abc', ginv, dg)
-                  - np.einsum('ad,dbc->abc', ginv, dg))
-
-
 def reference_ricci(mf, x):
     x = np.asarray(x, dtype=float)
     steps = oracle._steps(mf, x, None)
@@ -155,11 +145,11 @@ class TestInvert4:
 
 class TestChristoffel:
     def test_flat_vanishes(self):
-        gamma = christoffel_at(FLAT, [0.0, 0.3, -0.2, 1.0])
+        gamma = ricci_at(FLAT, [0.0, 0.3, -0.2, 1.0]).christoffel
         assert np.max(np.abs(gamma)) <= 1e-10
 
     def test_sphere_at_equator(self):
-        gamma = christoffel_at(sphere_chart(1.0), [0.0, 0.0, PI_2, 0.4])
+        gamma = ricci_at(sphere_chart(1.0), [0.0, 0.0, PI_2, 0.4]).christoffel
         # Gamma^theta_phiphi = -sin th cos th and Gamma^phi_thetaphi = cot th
         # both vanish on the equator
         assert gamma[2, 3, 3] == pytest.approx(0.0, abs=1e-9)
@@ -167,29 +157,29 @@ class TestChristoffel:
 
     def test_sphere_off_equator(self):
         th = 1.1
-        gamma = christoffel_at(sphere_chart(2.0), [0.0, 0.0, th, 0.4])
+        gamma = ricci_at(sphere_chart(2.0), [0.0, 0.0, th, 0.4]).christoffel
         assert gamma[2, 3, 3] == pytest.approx(-math.sin(th) * math.cos(th), abs=1e-9)
         assert gamma[3, 2, 3] == pytest.approx(1.0 / math.tan(th), abs=1e-9)
 
     def test_warped_chart_sphere_expansion(self, charged):
         # oracle: Gamma^theta_mu theta = f2'/f2 = f1/r = 0.8 at r = 1
         mu = mu_of_r(charged, 1.0)
-        gamma = christoffel_at(warped_chart(charged), [mu, 0.0, PI_2, 0.0])
+        gamma = ricci_at(warped_chart(charged), [mu, 0.0, PI_2, 0.0]).christoffel
         assert gamma[2, 0, 2] == pytest.approx(0.8, abs=1e-6)
 
     def test_lower_index_symmetry(self, charged):
         mu = mu_of_r(charged, 1.1)
-        gamma = christoffel_at(warped_chart(charged), [mu, 0.0, 1.0, 0.2])
+        gamma = ricci_at(warped_chart(charged), [mu, 0.0, 1.0, 0.2]).christoffel
         sym = np.transpose(gamma, (0, 2, 1))
         assert np.max(np.abs(gamma - sym)) <= 1e-10 * max(1.0, np.max(np.abs(gamma)))
 
     def test_domain_enforced(self, charged):
         chart = warped_chart(charged)
         with pytest.raises(DomainError):
-            christoffel_at(chart, [-0.5, 0.0, PI_2, 0.0])
+            ricci_at(chart, [-0.5, 0.0, PI_2, 0.0])
         with pytest.raises(DomainError):
             # inside the domain but the stencil would cross mu = 0
-            christoffel_at(chart, [1e-9, 0.0, PI_2, 0.0])
+            ricci_at(chart, [1e-9, 0.0, PI_2, 0.0])
 
 
 class TestRicci:
@@ -290,7 +280,7 @@ class TestChartCovariance:
         mu = mu_of_r(charged, 1.0)
         cp = ricci_at(warped_chart(charged), [mu, 0.0, PI_2, 0.0], h=8e-6)
         assert cp.ricci[0, 0] == pytest.approx(0.36, abs=1e-4)
-        gamma = christoffel_at(warped_chart(charged), [mu, 0.0, PI_2, 0.0], h=1e-5)
+        gamma = ricci_at(warped_chart(charged), [mu, 0.0, PI_2, 0.0], h=1e-5).christoffel
         assert gamma[2, 0, 2] == pytest.approx(0.8, abs=1e-6)
         with pytest.raises(ValueError):
             ricci_at(warped_chart(charged), [mu, 0.0, PI_2, 0.0], h=-1e-5)
@@ -338,8 +328,6 @@ class TestBatchedStencil:
             # a singular metric next to a horizon must fail the same way
             assert _outcome(lambda: ricci_at(chart(p), x)) == _outcome(
                 lambda: reference_ricci(ref(p), x))
-            assert _outcome(lambda: christoffel_at(chart(p), x)) == _outcome(
-                lambda: reference_christoffel(ref(p), x))
 
     @pytest.mark.parametrize("chart, reference", [(warped_chart, reference_warped_chart),
                                                    (static_chart, reference_static_chart)])
@@ -405,9 +393,6 @@ class TestBatchedStencil:
         x = [mu_of_r(charged, 1.0), 1.0, 1.0, 0.0]
         ricci_at(mf, x)
         assert calls == [(len(oracle._STENCIL), 4)]
-        del calls[:]
-        christoffel_at(mf, x)
-        assert calls == [(17, 4)]
 
     def test_stencil_table_matches_call_order(self):
         # the table lists the per-point stencil's evaluations in order

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from rnwarp import calculus
 from rnwarp.errors import DomainError, ExtremalError
 from rnwarp.reissner_nordstrom import (BlackHoleParams, _kepler_inverse, horizons,
-                                       interior_grid, interior_point, lapse_squared,
+                                       interior_grid, lapse_squared,
                                        mu_closed_form, mu_closed_form_sqrt, mu_of_r,
                                        r_of_mu, ricci_closed_form, warp_state)
 
@@ -191,16 +191,6 @@ class TestInverse:
         for mu in (0.0, -0.5, math.pi, 4.0):
             with pytest.raises(DomainError):
                 r_of_mu(charged, mu)
-
-    def test_interior_point_completion(self, charged):
-        pt = interior_point(charged, r=1.0)
-        assert pt.mu == pytest.approx(MU_AT_ONE, abs=1e-10)
-        pt2 = interior_point(charged, mu=pt.mu)
-        assert pt2.r == pytest.approx(1.0, abs=1e-9)
-        with pytest.raises(ValueError):
-            interior_point(charged, r=1.0, mu=0.5)
-        with pytest.raises(ValueError):
-            interior_point(charged)
 
     @given(m=masses, qr=st.floats(min_value=0.0, max_value=0.95),
            frac=st.floats(min_value=0.02, max_value=0.98))
