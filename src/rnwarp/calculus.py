@@ -25,7 +25,7 @@ EPS = sys.float_info.epsilon
 _WALL = 16384.0
 
 _MAX_LEVEL = 12  # finer tanh-sinh meshes cannot help in double precision
-_MAX_ITER = 200  # Brent iterations before find_root_bracketed gives up
+_MAX_HALVINGS = 1100  # enough for any finite bracket: 2^1025 wide down to 2^-52
 
 # per-step growth of the window that find_root_bracketed opens about a guess
 _WINDOW_GROWTH = 8.0
@@ -244,18 +244,18 @@ def find_root_bracketed(g: Callable[[float], float], iv: Interval,
                         tol: Tolerance = DEFAULT_TOL, guess: float | None = None) -> float:
     """Root of g inside [lo, hi], where g(lo) and g(hi) differ in sign.
 
-    Inverse-quadratic / secant steps guarded by bisection (Brent's
-    scheme), so convergence is guaranteed even where g has unbounded
-    slope at the bracket ends. Stops when |g(x)| <= abs_tol or the
-    bracket has shrunk to rel_tol*|x| (plus a machine-epsilon floor).
-    The result always lies within the input bracket.
+    Bisection, so convergence is guaranteed even where g has unbounded
+    slope at the bracket ends. Each halving first tests the end with the
+    smaller |g| and returns it when |g| <= abs_tol or the half-width is
+    within rel_tol of it (plus a machine-epsilon floor, see _xtol). The
+    result always lies within the input bracket.
 
     An optional guess inside [lo, hi] is tried first and returned as is
     when |g(guess)| <= abs_tol. Otherwise a window about the guess is
-    widened geometrically until g changes sign across it, and Brent's
-    scheme runs on that window. The window can grow to the whole
-    interval, so BracketError is raised only when no sign change is found
-    there either. Every value of g comes from a call to g.
+    widened geometrically until g changes sign across it, and bisection
+    runs on that window. The window can grow to the whole interval, so
+    BracketError is raised only when no sign change is found there
+    either. Every value of g comes from a call to g.
     """
     if guess is None:
         a, b = iv.lo, iv.hi
@@ -273,16 +273,23 @@ def find_root_bracketed(g: Callable[[float], float], iv: Interval,
         return b
     if (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"no sign change on [{a}, {b}]: g={fa!r}, {fb!r}")
-    return _brent(g, a, fa, b, fb, tol)
+    return _bisect(g, a, fa, b, fb, tol)
+
+
+def _xtol(x: float, tol: Tolerance) -> float:
+    """Half the bracket width at which a root search near x stops."""
+    return 0.5 * (tol.rel_tol * abs(x) + 2.0 * EPS * max(1.0, abs(x)))
 
 
 def _window(g, iv, x0, f0, tol):
     """A window [a, b] about x0, with g(a) and g(b), across which g changes sign.
 
-    Each side steps out from x0 by a width that starts at Brent's
-    bracket tolerance and grows by _WINDOW_GROWTH per step, clipped to
-    the interval. The next step goes to the side whose outermost value
-    is nearer zero, so a monotone g is bracketed from one side; the
+    Each side steps out from x0 by a width that starts at the bracket
+    tolerance _xtol(x0) and grows by _WINDOW_GROWTH per step, clipped to
+    the interval. A first step that finds the sign change leaves a
+    window within that tolerance, which bisection returns without
+    calling g again. The next step goes to the side whose outermost
+    value is nearer zero, so a monotone g is bracketed from one side; the
     first step goes where an increasing g would have its root. A side
     that reaches its interval end stops, and when both have, the
     window is the whole interval and its end values are returned, with
@@ -290,7 +297,7 @@ def _window(g, iv, x0, f0, tol):
     point on that side where g kept the sign of f0.
     """
     lo, hi = iv.lo, iv.hi
-    step = 0.5 * (tol.rel_tol * abs(x0) + 2.0 * EPS * max(1.0, abs(x0)))
+    step = _xtol(x0, tol)
     # per side (lower, upper): outermost point, its value, next width
     x = [x0, x0]
     fx = [f0, f0]
@@ -314,73 +321,26 @@ def _window(g, iv, x0, f0, tol):
     return x[0], fx[0], x[1], fx[1]
 
 
-def _brent(g, a, fa, b, fb, tol):
-    """Brent's iteration from a sign-changing bracket [a, b] with known g(a), g(b)."""
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(_MAX_ITER):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        xtol = 0.5 * (tol.rel_tol * abs(b) + 2.0 * EPS * max(1.0, abs(b)))
-        m = 0.5 * (c - b)
-        if abs(fb) <= tol.abs_tol or abs(m) <= xtol:
-            return b
-        if abs(e) < xtol or abs(fa) <= abs(fb):
-            d = e = m  # bisect
+def _bisect(g, a, fa, b, fb, tol):
+    """Bisection of a sign-changing bracket [a, b] with known g(a), g(b); b wins |g| ties."""
+    for _ in range(_MAX_HALVINGS):
+        x, fx, y = (a, fa, b) if abs(fa) < abs(fb) else (b, fb, a)
+        half = 0.5 * (y - x)
+        if abs(fx) <= tol.abs_tol or abs(half) <= _xtol(x, tol):
+            return x
+        mid = 0.5 * a + 0.5 * b  # halves first: b - a may overflow
+        fm = g(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
         else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s  # secant
-                q = 1.0 - s
-            else:
-                q = fa / fc  # inverse quadratic
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(xtol * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > xtol else math.copysign(xtol, m)
-        fb = g(b)
-        if fb == 0.0:
-            return b
-    raise ConvergenceError("bracketed root search did not converge", b, abs(2.0 * m))
+            b, fb = mid, fm
+    raise ConvergenceError("bracketed root search did not converge", x, abs(2.0 * half))
 
 
-def default_step(x: float, order: int) -> float:
-    """Step size balancing truncation and roundoff for the stencils below."""
-    scale = max(abs(x), 1.0)
-    return (EPS ** (1.0 / 3.0) if order == 1 else EPS ** 0.25) * scale
-
-
-def derivative(f: Callable[[float], float], x: float, order: int = 1,
-               h: float | None = None) -> float:
-    """Central-difference derivative of f at x.
-
-    order 1 uses the 4-point fourth-order stencil, order 2 the 5-point
-    stencil. The caller owns step-size selection; the default is
-    h = eps^(1/3)*max(|x|,1) for order 1 and eps^(1/4)*max(|x|,1) for
-    order 2, with eps the machine epsilon. f must be smooth within 2h
-    of x.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if h is None:
-        h = default_step(x, order)
+def derivative(f: Callable[[float], float], x: float, h: float) -> float:
+    """Derivative of f at x by the 4-point fourth-order central stencil of step h."""
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    if order == 1:
-        return (-f(x + 2.0 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2.0 * h)) / (12.0 * h)
-    return (-f(x + 2.0 * h) + 16.0 * f(x + h) - 30.0 * f(x)
-            + 16.0 * f(x - h) - f(x - 2.0 * h)) / (12.0 * h * h)
+    return (-f(x + 2.0 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2.0 * h)) / (12.0 * h)

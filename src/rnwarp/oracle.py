@@ -45,7 +45,7 @@ class MetricField:
     g must be symmetric to 1e-14 and invertible (|det| > 1e-12 * scale^4)
     everywhere domain_check passes.
     coord_scales gives the characteristic magnitude of each coordinate
-    (e.g. the mass for length-like coordinates, 1 for angles); default
+    (e.g. the mass for length-like coordinates, 1 for angles); the
     differencing steps are proportional to it, which keeps the engine's
     accuracy independent of the choice of units.
     """
@@ -117,11 +117,7 @@ def invert4(g: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _steps(mf: MetricField, x: np.ndarray, h: float | None) -> np.ndarray:
-    if h is not None:
-        if h <= 0.0:
-            raise ValueError(f"step must be positive, got {h}")
-        return np.full(4, h)
+def _steps(mf: MetricField, x: np.ndarray) -> np.ndarray:
     cbrt_eps = calculus.EPS ** (1.0 / 3.0)
     return np.array([cbrt_eps * max(abs(float(c)), s)
                      for c, s in zip(x, mf.coord_scales)])
@@ -194,8 +190,8 @@ def _stencil_metrics(mf: MetricField, x: np.ndarray, steps: np.ndarray) -> np.nd
 def _grad_matrix(gs: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """d[a, i, j] = partial_a of the metric, 4th-order central.
 
-    Same stencil as calculus.derivative(order=1), applied to all 16
-    components of each stencil evaluation at once.
+    Same stencil as calculus.derivative, applied to all 16 components of
+    each stencil evaluation at once.
     """
     f = gs[_GRAD_ROWS]  # f[a, k] = g at x + _OFFSETS[k] * steps[a] * e_a
     return (-f[:, 0] + 8.0 * f[:, 1] - 8.0 * f[:, 2] + f[:, 3]) / (12.0 * steps)[:, None, None]
@@ -204,8 +200,8 @@ def _grad_matrix(gs: np.ndarray, steps: np.ndarray) -> np.ndarray:
 def _hess_matrix(gs: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """hess[a, b, i, j] = partial_a partial_b of the metric.
 
-    Pure second derivatives use the 5-point stencil of
-    calculus.derivative(order=2); mixed ones use the tensor product of
+    Pure second derivatives use the 5-point central stencil (weights
+    above _OFFSETS); mixed ones use the tensor product of
     two 4-point first-derivative stencils. Each is evaluated on the base
     mesh and its double and Richardson-combined to sixth order: the
     curvature assembly amplifies second-derivative error by the metric's
@@ -248,7 +244,7 @@ def _require_domain(mf: MetricField, x: np.ndarray, reach: np.ndarray):
                     f"stencil point {y.tolist()} outside chart domain")
 
 
-def ricci_at(mf: MetricField, x, h: float | None = None) -> CurvaturePoint:
+def ricci_at(mf: MetricField, x) -> CurvaturePoint:
     """Ricci tensor and scalar at x from differenced metric components.
 
     R_ab = d_c Gamma^c_ab - d_a Gamma^c_cb + Gamma^c_cd Gamma^d_ab
@@ -258,13 +254,13 @@ def ricci_at(mf: MetricField, x, h: float | None = None) -> CurvaturePoint:
     derivatives, which are differenced directly: stacking two numeric
     first-derivative stages instead would square the noise floor and
     fail near the horizons. The second-derivative stencils live on a
-    mesh OUTER_STEP_FACTOR times the inner metric step h (default per
-    coordinate as in calculus.derivative), and the full stencil
-    neighborhood, 4*OUTER_STEP_FACTOR*h per axis, must pass
+    mesh OUTER_STEP_FACTOR times the inner metric step h, which is
+    eps^(1/3) * max(|x_a|, coord_scales[a]) on axis a, and the full
+    stencil neighborhood, 4*OUTER_STEP_FACTOR*h per axis, must pass
     domain_check.
     """
     x = np.asarray(x, dtype=float)
-    steps = _steps(mf, x, h)
+    steps = _steps(mf, x)
     outer = OUTER_STEP_FACTOR * steps
     _require_domain(mf, x, 4.0 * outer)  # the doubled Richardson mesh reaches 2*(2*outer)
 

@@ -75,6 +75,11 @@ def horizons(p: BlackHoleParams) -> HorizonPair:
     return HorizonPair(p.mass + c, p.mass - c)
 
 
+def _factored_lapse(hp: HorizonPair, r):
+    """N^2 = (r_plus - r)(r - r_minus)/r^2 at a float r or elementwise on an array."""
+    return (hp.r_plus - r) * (r - hp.r_minus) / (r * r)
+
+
 def lapse_squared(p: BlackHoleParams, r: float) -> float:
     """N^2 at interior r, from the factored horizon form.
 
@@ -84,7 +89,7 @@ def lapse_squared(p: BlackHoleParams, r: float) -> float:
     the direct form loses all significance to cancellation).
     """
     hp = _require_interior(p, r)
-    n2 = (hp.r_plus - r) * (r - hp.r_minus) / (r * r)
+    n2 = _factored_lapse(hp, r)
     direct = -1.0 + 2.0 * p.mass / r - (p.charge / r) ** 2
     if abs(n2 - direct) > 1e-12 * max(1.0, abs(n2)):
         raise ArithmeticError(
@@ -289,7 +294,7 @@ def static_chart(p: BlackHoleParams) -> MetricField:
     def g(x):
         x = np.asarray(x, dtype=float)
         r, th = x[..., 1], x[..., 2]
-        n2 = (hp.r_plus - r) * (r - hp.r_minus) / (r * r)
+        n2 = _factored_lapse(hp, r)
         r2 = r * r
         return _diagonal_metric(x.shape[:-1], n2, -1.0 / n2, r2,
                                 r2 * _per_distinct(th, _sin_squared))
@@ -315,7 +320,7 @@ def warped_chart(p: BlackHoleParams) -> MetricField:
     def g(x):
         x = np.asarray(x, dtype=float)
         r = _per_distinct(x[..., 0], lambda mu: _kepler_inverse(p, mu))
-        f1sq = (hp.r_plus - r) * (r - hp.r_minus) / (r * r)
+        f1sq = _factored_lapse(hp, r)
         r2 = r * r
         return _diagonal_metric(x.shape[:-1], -1.0, f1sq, r2,
                                 r2 * _per_distinct(x[..., 2], _sin_squared))
@@ -331,15 +336,16 @@ def interior_grid(p: BlackHoleParams, n: int, guard_fraction: float = 0.05) -> l
     """Uniform r-grid over the guarded interior.
 
     Excludes guard_fraction of the horizon gap at each end, where the
-    mu-parameterization degenerates and finite differencing fails.
+    mu-parameterization degenerates and finite differencing fails. The
+    end points stay at least 2 ulps inside each horizon.
     """
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
     if not 0.0 < guard_fraction < 0.5:
         raise ValueError(f"guard_fraction must lie in (0, 0.5), got {guard_fraction}")
     hp = horizons(p)
-    lo = hp.r_minus + guard_fraction * hp.width
-    hi = hp.r_plus - guard_fraction * hp.width
+    lo = max(hp.r_minus + guard_fraction * hp.width, hp.r_minus + 2.0 * math.ulp(hp.r_minus))
+    hi = min(hp.r_plus - guard_fraction * hp.width, hp.r_plus - 2.0 * math.ulp(hp.r_plus))
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 

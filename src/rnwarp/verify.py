@@ -146,8 +146,8 @@ def _warp_identity_residuals(p, pt: _GridPoint) -> tuple[float, float, float]:
     They come from first-order differencing of the machine-smooth inverse
     map. Each is scaled by the differenced function's local magnitude,
     since the centered stencil carries an irreducible eps*|f|/h noise floor.
-    The step follows the calculus default with the geometry's length
-    unit as the coordinate scale, so the check is unit independent.
+    The step is eps^(1/3)*max(|mu|, m), with the geometry's length unit
+    as the coordinate scale, so the check is unit independent.
     """
     m, q = p.mass, p.charge
 
@@ -164,11 +164,11 @@ def _warp_identity_residuals(p, pt: _GridPoint) -> tuple[float, float, float]:
     w, mu0, r = pt.warp, pt.mu_sqrt, pt.r
     h_id = calculus.EPS ** (1.0 / 3.0) * max(abs(mu0), m)
     return (
-        abs(calculus.derivative(r_of, mu0, 1, h_id) - w.f1)
+        abs(calculus.derivative(r_of, mu0, h_id) - w.f1)
         / max(1.0, abs(w.f1), r / m),
-        m * abs(calculus.derivative(f1_of, mu0, 1, h_id) - w.f1p)
+        m * abs(calculus.derivative(f1_of, mu0, h_id) - w.f1p)
         / max(1.0, m * abs(w.f1p), w.f1),
-        m * m * abs(calculus.derivative(f1p_of, mu0, 1, h_id) - w.f1pp)
+        m * m * abs(calculus.derivative(f1p_of, mu0, h_id) - w.f1pp)
         / max(1.0, m * m * abs(w.f1pp), m * abs(w.f1p)),
     )
 

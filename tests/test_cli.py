@@ -270,6 +270,16 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err.startswith("error: lapse forms disagree") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["curvature", "fluid"])
+    @pytest.mark.parametrize("guard", ["1e-300", "1e-17"])
+    def test_guard_below_an_ulp_of_the_horizon(self, capsys, command, guard):
+        # the grid ends are kept 2 ulps inside the horizons, not on them
+        code, out, err = run(capsys, command, "--mass", "1", "--charge", "0.6",
+                             "--guard", guard, "--grid", "3")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3 and all(map(math.isfinite, map(float, sum(rows, []))))
+
     def test_missing_subcommand(self, capsys):
         assert cli.main([]) == 2
 

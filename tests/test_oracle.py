@@ -105,7 +105,7 @@ def _reference_hess_once(fn, x, steps):
 
 def reference_ricci(mf, x):
     x = np.asarray(x, dtype=float)
-    steps = oracle._steps(mf, x, None)
+    steps = oracle._steps(mf, x)
     outer = oracle.OUTER_STEP_FACTOR * steps
     ginv = invert4(mf.g(x))
     dg = _reference_grad(mf.g, x, steps)
@@ -275,16 +275,6 @@ class TestChartCovariance:
         assert np.max(gap) <= 1e-5
         assert abs(cp.scalar) * m * m <= 1e-5
 
-    def test_explicit_scalar_step(self, charged):
-        # caller-chosen step overrides the per-coordinate defaults
-        mu = mu_of_r(charged, 1.0)
-        cp = ricci_at(warped_chart(charged), [mu, 0.0, PI_2, 0.0], h=8e-6)
-        assert cp.ricci[0, 0] == pytest.approx(0.36, abs=1e-4)
-        gamma = ricci_at(warped_chart(charged), [mu, 0.0, PI_2, 0.0], h=1e-5).christoffel
-        assert gamma[2, 0, 2] == pytest.approx(0.8, abs=1e-6)
-        with pytest.raises(ValueError):
-            ricci_at(warped_chart(charged), [mu, 0.0, PI_2, 0.0], h=-1e-5)
-
 
 def _interior(m, qr, frac):
     p = BlackHoleParams(m, m * qr)
@@ -356,7 +346,7 @@ class TestBatchedStencil:
         rng = np.random.default_rng(11)
         for _ in range(20000):
             x = rng.uniform(1.0, 3.0, 4)
-            outer = oracle.OUTER_STEP_FACTOR * oracle._steps(mf, x, None)
+            outer = oracle.OUTER_STEP_FACTOR * oracle._steps(mf, x)
             if any(o ** 2 != o * o for o in np.concatenate([outer, 2.0 * outer])):
                 break
         else:
@@ -378,7 +368,7 @@ class TestBatchedStencil:
         # the same whether it is evaluated alone or among others
         mf = chart(charged)
         x = np.array([mu_of_r(charged, 1.2), 1.2, 1.0, 0.3])
-        steps = oracle._steps(mf, x, None)
+        steps = oracle._steps(mf, x)
         outer = oracle.OUTER_STEP_FACTOR * steps
         points = x + oracle._STENCIL * np.stack([steps, outer, 2.0 * outer])[oracle._STENCIL_MESH]
         points = np.concatenate([points, x + 0.01 * np.arange(-10, 10)[:, None]])
@@ -400,7 +390,7 @@ class TestBatchedStencil:
         recording = dataclasses.replace(FLAT, g=lambda x: seen.append(np.array(x)) or FLAT.g(x))
         x = np.array([0.1, 0.2, 0.3, 0.4])
         reference_ricci(recording, x)
-        steps = oracle._steps(FLAT, x, None)
+        steps = oracle._steps(FLAT, x)
         outer = oracle.OUTER_STEP_FACTOR * steps
         table = x + oracle._STENCIL * np.stack([steps, outer, 2.0 * outer])[oracle._STENCIL_MESH]
         assert np.array(seen).tobytes() == table.tobytes()

@@ -247,9 +247,10 @@ class TestWarpState:
         for r in interior_grid(charged, 9):
             w = warp_state(charged, r)
             mu0 = mu_closed_form_sqrt(charged, r)
-            assert abs(calculus.derivative(r_of, mu0, 1) - w.f1) <= 1e-10 * max(1.0, r)
-            assert abs(calculus.derivative(f1_of, mu0, 1) - w.f1p) <= 1e-10 * max(1.0, w.f1)
-            assert abs(calculus.derivative(f1p_of, mu0, 1) - w.f1pp) <= 1e-10 * max(
+            h = calculus.EPS ** (1.0 / 3.0) * max(abs(mu0), 1.0)
+            assert abs(calculus.derivative(r_of, mu0, h) - w.f1) <= 1e-10 * max(1.0, r)
+            assert abs(calculus.derivative(f1_of, mu0, h) - w.f1p) <= 1e-10 * max(1.0, w.f1)
+            assert abs(calculus.derivative(f1p_of, mu0, h) - w.f1pp) <= 1e-10 * max(
                 1.0, abs(w.f1pp), abs(w.f1p))
 
 
@@ -278,6 +279,25 @@ class TestGrid:
         assert grid[0] == pytest.approx(0.2 + 0.05 * 1.6)
         assert grid[-1] == pytest.approx(1.8 - 0.05 * 1.6)
         assert len(grid) == 32
+
+    @pytest.mark.parametrize("guard", [1e-300, 1e-17])
+    def test_ends_stay_two_ulps_inside(self, charged, guard):
+        # a guard band below an ulp of the horizon would round onto it
+        hp = horizons(charged)
+        grid = interior_grid(charged, 3, guard)
+        assert grid[0] == hp.r_minus + 2.0 * math.ulp(hp.r_minus)
+        assert grid[-1] == hp.r_plus - 2.0 * math.ulp(hp.r_plus)
+
+    @given(m=st.floats(min_value=0.1, max_value=10.0),
+           q_over_m=st.floats(min_value=0.0, max_value=0.999),
+           guard=st.floats(min_value=1e-6, max_value=0.49))
+    def test_clamp_idle_for_wide_guards(self, m, q_over_m, guard):
+        p = BlackHoleParams(m, m * q_over_m)
+        hp = horizons(p)
+        lo = hp.r_minus + guard * hp.width
+        hi = hp.r_plus - guard * hp.width
+        step = (hi - lo) / 3
+        assert interior_grid(p, 4, guard) == [lo + i * step for i in range(4)]
 
     def test_validation(self, charged):
         with pytest.raises(ValueError):
