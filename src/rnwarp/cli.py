@@ -87,24 +87,24 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_curvature(args: argparse.Namespace) -> int:
-    p, tol = _params(args), _tol(args)
+    p = _params(args)
     rows = []
     for r in rn.interior_grid(p, args.grid, args.guard):
         w = rn.warp_state(p, r)
         rd = warped.ricci_from_warps(w, args.theta)
-        rows.append([r, rn.mu_of_r(p, r, tol), w.f1, w.f2,
+        rows.append([r, rn.mu_closed_form_sqrt(p, r), w.f1, w.f2,
                      rd.r_mumu, rd.r_nunu, rd.r_thth, rd.r_phph, rd.scalar])
     _emit_table(args.format, CURVATURE_COLUMNS, rows)
     return 0
 
 
 def cmd_fluid(args: argparse.Namespace) -> int:
-    p, tol = _params(args), _tol(args)
+    p = _params(args)
     rows = []
     for r in rn.interior_grid(p, args.grid, args.guard):
-        rep = fluid.fluid_report(p, r, args.theta, tol)
-        rows.append([rep.r, rep.mu, rep.rho, rep.pressure, rep.residuals.mumu,
-                     rep.residuals.nunu, rep.residuals.thth, rep.residuals.phph])
+        rho, pressure, res = fluid.fluid_balance(p.charge, rn.warp_state(p, r), args.theta)
+        rows.append([r, rn.mu_closed_form_sqrt(p, r), rho, pressure,
+                     res.mumu, res.nunu, res.thth, res.phph])
     _emit_table(args.format, FLUID_COLUMNS, rows)
     return 0
 
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Interior Reissner-Nordstrom curvature calculator (geometrized units)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, fmt):
+    def command(name, run, summary, fmt, tol=False):
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(run=run)
         sp.add_argument("--mass", type=float, required=True, help="mass m > 0 (length units)")
@@ -136,16 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="charge Q (length units; sign is ignored)")
         sp.add_argument("--format", choices=["csv", "json"], default=fmt,
                         help=f"output format (default {fmt})")
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-10,
+                            help="absolute and relative tolerance for quadrature and root finding")
         return sp
-
-    def tolerance(sp):
-        sp.add_argument("--tol", type=float, default=1e-10,
-                        help="absolute and relative tolerance for quadrature and root finding")
 
     command("horizons", cmd_horizons, "horizon radii and extremal margin", "json")
     tr = command("transform", cmd_transform,
-                 "convert between r and the proper-time coordinate mu", "json")
-    tolerance(tr)
+                 "convert between r and the proper-time coordinate mu", "json", tol=True)
     which = tr.add_mutually_exclusive_group(required=True)
     which.add_argument("--r", type=float, help="interior radius")
     which.add_argument("--mu", type=float, help="proper-time coordinate in (0, m*pi)")
@@ -153,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("curvature", cmd_curvature, "Ricci components over the interior grid", "csv"),
             ("fluid", cmd_fluid, "perfect-fluid extraction over the interior grid", "csv"),
             ("verify", cmd_verify, "run the full cross-validation suite", "json")):
-        sp = command(name, run, summary, fmt)
-        tolerance(sp)
+        # curvature and fluid take mu from its closed form: no quadrature, no --tol
+        sp = command(name, run, summary, fmt, tol=name == "verify")
         sp.add_argument("--grid", type=int, default=64,
                         help="grid points across the guarded interior (default 64)")
         sp.add_argument("--guard", type=float, default=0.05,

@@ -81,7 +81,7 @@ def fluid_balance(charge: float, w: WarpState,
 
 def fluid_report(p: BlackHoleParams, r: float, theta: float = 0.5 * math.pi,
                  tol: Tolerance = DEFAULT_TOL) -> FluidReport:
-    """fluid_balance at interior r, with r and its coordinate mu = F(r) attached."""
+    """fluid_balance at interior r, with r and its quadrature coordinate mu_of_r(r) attached."""
     rho, pressure, residuals = fluid_balance(p.charge, warp_state(p, r), theta)
     return FluidReport(rho=rho, pressure=pressure, residuals=residuals, r=r,
                        mu=mu_of_r(p, r, tol))

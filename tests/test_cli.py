@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from rnwarp import cli
+from rnwarp import calculus, cli
+from rnwarp import reissner_nordstrom as rn
 from rnwarp.verify import CheckResult, VerifyReport
 
 
@@ -192,6 +193,89 @@ class TestFluid:
             assert all(v == 0.0 for v in vals[2:])
 
 
+def table(capsys, command, mass, charge, grid):
+    """The rows of a curvature or fluid CSV table, as strings, after checking exit 0."""
+    code, out, err = run(capsys, command, "--mass", repr(mass), "--charge", repr(charge),
+                         "--grid", str(grid))
+    assert (code, err) == (0, "")
+    return [line.split(",") for line in out.splitlines()[1:]]
+
+
+# Exact mu for the double inputs (m, Q, r) at grid-256 rows, rounded once to
+# a double. Generated in 50-digit mpmath with
+#
+#     mp.mp.dps = 50
+#     m, q, r = map(mp.mpf, (m, q, r))
+#     rp, rm = m + mp.sqrt(m*m - q*q), m - mp.sqrt(m*m - q*q)
+#     mu = 2*m*mp.acos(mp.sqrt((rp - r)/(rp - rm))) - mp.sqrt((rp - r)*(r - rm))
+#
+# and cross-checked against mp.quad of the defining integral (substituting
+# x = rm + u^2) to 1e-49. Rows: (grid index, r, mu).
+EXACT_MU = {
+    (1.0, 0.6): [
+        (0, 0.27999999999999997, 0.10231489631300852996),
+        (1, 0.28564705882352937, 0.10682078694092399066),
+        (128, 1.0028235294117647, 0.77433072860162107714),
+        (254, 1.7143529411764704, 2.3144944883215298791),
+        (255, 1.72, 2.3418539263102767091),
+    ],
+    (1.0, 0.0): [
+        (0, 0.1, 0.015136917442195078594),
+        (1, 0.10705882352941178, 0.016786114650006723149),
+        (128, 1.0035294117647058, 0.57433197428024081061),
+        (254, 1.8929411764705881, 2.2244598160306130344),
+        (255, 1.9, 2.2546759474394630635),
+    ],
+    (0.3, 0.3 * (1 - 5e-5)): [
+        (0, 0.29730003375021236, 0.13400039020185368077),
+        (1, 0.29732120995609307, 0.13873733962868791252),
+        (128, 0.30001058810294035, 0.46929777995132515631),
+        (254, 0.3026787900439069, 0.80103945004273558437),
+        (255, 0.3026999662497876, 0.80586209920090621459),
+    ],
+}
+
+
+class TestTableMu:
+    """The curvature and fluid tables take mu from the square-root closed form."""
+
+    @pytest.mark.parametrize("mass, charge", [(1.0, 0.6), (1.0, 0.0), (2.5, 2.4)])
+    def test_mu_column_is_the_closed_form(self, capsys, mass, charge):
+        curv = table(capsys, "curvature", mass, charge, 16)
+        flu = table(capsys, "fluid", mass, charge, 16)
+        p = rn.BlackHoleParams(mass, charge)
+        assert [row[1] for row in curv] == [
+            repr(rn.mu_closed_form_sqrt(p, float(row[0]))) for row in curv]
+        assert [row[:2] for row in flu] == [row[:2] for row in curv]
+
+    @pytest.mark.parametrize("command", ["curvature", "fluid"])
+    @pytest.mark.parametrize("charge", [0.6, 0.0])
+    def test_no_quadrature(self, capsys, monkeypatch, command, charge):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tables ran a quadrature")
+
+        monkeypatch.setattr(calculus, "integrate_endpoint_singular", refuse)
+        with pytest.raises(AssertionError):  # the patch reaches the quadrature mu
+            rn.mu_of_r(rn.BlackHoleParams(1.0, charge), 1.0)
+        assert len(table(capsys, command, 1.0, charge, 8)) == 8
+
+    @pytest.mark.parametrize("command", ["curvature", "fluid"])
+    @pytest.mark.parametrize("charge", [0.999999999, 0.99999999999])
+    def test_near_extremal(self, capsys, command, charge):
+        # the quadrature mu does not converge at these gaps (1e-9, 1e-11 of m)
+        rows = table(capsys, command, 1.0, charge, 64)
+        assert len(rows) == 64
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    @pytest.mark.parametrize("mass, charge", list(EXACT_MU))
+    def test_mu_against_exact(self, capsys, mass, charge):
+        budget = (1e-12 if (mass - charge) / mass < 1e-4 else 1e-14) * mass
+        rows = table(capsys, "curvature", mass, charge, 256)
+        for i, r, mu in EXACT_MU[mass, charge]:
+            assert float(rows[i][0]) == r
+            assert abs(float(rows[i][1]) - mu) <= budget
+
+
 class TestVerifyCommand:
     def test_charged_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--mass", "1", "--charge", "0.6",
@@ -253,7 +337,7 @@ class TestVerifyCommand:
 
 class TestUsage:
     @pytest.mark.parametrize("command", [
-        ("transform", "--r", "1"), ("verify", "--grid", "8"), ("curvature",),
+        ("transform", "--r", "1"), ("verify", "--grid", "8"),
     ])
     @pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
     def test_nonfinite_tolerance_exits_2(self, capsys, command, tol):
@@ -306,6 +390,7 @@ class TestUsage:
         ("horizons", "--tol", "1e-6"), ("horizons", "--theta", "1"),
         ("transform", "--r", "1", "--grid", "8"), ("transform", "--r", "1", "--guard", "0.1"),
         ("transform", "--r", "1", "--theta", "1"),
+        ("curvature", "--tol", "1e-6"), ("fluid", "--tol", "1e-6"),
     ], ids=" ".join)
     def test_flag_the_command_does_not_read(self, capsys, argv):
         code, out, err = run(capsys, argv[0], "--mass", "1", "--charge", "0.6", *argv[1:])
