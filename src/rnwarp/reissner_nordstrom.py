@@ -12,9 +12,9 @@ f2(mu) = r and f1(mu) = N. Two published antiderivative candidates for mu are
 provided as well; the one applying arccos to the plain ratio
 (r_plus - r)/(r_plus - r_minus) disagrees with the quadrature between the
 horizons, while the variant applying arccos to the square root of that ratio
-matches it. The quadrature is the authoritative referee; its inverse starts
-from the Kepler inverse. The discrepancy is surfaced by the verification
-suite rather than resolved here.
+matches it. The quadrature is the authoritative referee, also of the Kepler
+inverse that serves as r(mu). The discrepancy is surfaced by the
+verification suite rather than resolved here.
 """
 
 from __future__ import annotations
@@ -150,9 +150,10 @@ def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> floa
     Valid for 0 < mu < m*pi. F is strictly increasing with F(r_minus) = 0
     and F(r_plus) = m*pi, so [r_minus, r_plus] always brackets the root;
     the improper quadrature converges at the closed endpoints. The
-    quadrature is the authoritative referee: the search starts from the
-    Kepler inverse (_kepler_inverse) and returns it when the quadrature
-    agrees to abs_tol, so the root is always decided by mu_of_r.
+    search starts from the Kepler inverse (_kepler_inverse) and returns it
+    when the quadrature agrees to abs_tol, so the root is always decided
+    by mu_of_r. This is the inverse of `rnwarp transform --mu`; the
+    charts and the verification suite use _kepler_inverse directly.
     """
     hp = horizons(p)
     mu_max = p.mass * math.pi
@@ -171,10 +172,10 @@ def _kepler_inverse(p: BlackHoleParams, mu: float) -> float:
 
     With cos(phi) = (m - r)/c, c = sqrt(m^2 - Q^2), this is the same
     function as r_of_mu (the reparametrization integrates the defining
-    quadrature exactly; the agreement is itself verified in the test
-    suite) but costs a few Newton steps instead of nested quadratures.
-    Used where F^(-1) is evaluated inside tight loops, e.g. the oracle
-    metric below.
+    quadrature exactly) but costs a few Newton steps instead of nested
+    quadratures. It is the r(mu) of the warped chart below and of the
+    warp identities in verify; verify's roundtrip_inverse check measures
+    mu_of_r at its output against the requested mu.
     """
     m = p.mass
     c = math.sqrt(m * m - p.charge * p.charge)
@@ -337,14 +338,16 @@ def interior_grid(p: BlackHoleParams, n: int, guard_fraction: float = 0.05) -> l
 
     Excludes guard_fraction of the horizon gap at each end, where the
     mu-parameterization degenerates and finite differencing fails. The
-    end points stay at least 2 ulps inside each horizon.
+    end points stay at least 2 ulps inside each horizon, and the low end 2
+    ulps of r_plus above 0, where r^4 would underflow next to r_minus = 0.
     """
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
     if not 0.0 < guard_fraction < 0.5:
         raise ValueError(f"guard_fraction must lie in (0, 0.5), got {guard_fraction}")
     hp = horizons(p)
-    lo = max(hp.r_minus + guard_fraction * hp.width, hp.r_minus + 2.0 * math.ulp(hp.r_minus))
+    lo = max(hp.r_minus + guard_fraction * hp.width, hp.r_minus + 2.0 * math.ulp(hp.r_minus),
+             2.0 * math.ulp(hp.r_plus))
     hi = min(hp.r_plus - guard_fraction * hp.width, hp.r_plus - 2.0 * math.ulp(hp.r_plus))
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]

@@ -2,9 +2,9 @@
 
 Each check compares two independently computed quantities over the
 guarded interior grid and records the worst residual against a fixed
-threshold. Documented discrepancies (the plain-ratio closed form of the
-coordinate map, and the unbalanced mumu fluid equation) are emitted as
-notes, not failures.
+threshold; each evaluator the library uses is checked once. Documented
+discrepancies (the plain-ratio closed form of the coordinate map, and the
+unbalanced mumu fluid equation) are emitted as notes, not failures.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import numpy as np
 from . import calculus, fluid, oracle, reissner_nordstrom as rn, warped
 from .calculus import Tolerance
 from .errors import SingularMetricError
-from .warped import WarpState
+from .warped import RicciDiag, WarpState
 
 # Thresholds are part of the artifact contract; tests pin them.
 THRESHOLDS = {
     "horizon_vieta": 1e-12,
-    "mu_at_inner_horizon": 1e-9,
     "mu_at_outer_horizon": 1e-8,
     "warp_identities": 1e-10,
     "closed_vs_warped_ricci": 1e-10,
@@ -114,17 +113,6 @@ def _off_diagonal_norm(ricci: np.ndarray, mf_g, x, m: float) -> float:
     return m * m * float(np.max(scaled))
 
 
-def _charts_invertible(probes) -> bool:
-    """Whether the oracle's pivot floor (oracle.invert4) holds at the probed chart points."""
-    try:
-        for chart, points in probes:
-            for pt in points:
-                oracle.invert4(chart.g(np.asarray(pt, dtype=float)))
-    except SingularMetricError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class _GridPoint:
     """The values every check shares at one grid point, each computed once."""
@@ -133,6 +121,7 @@ class _GridPoint:
     mu: float        # quadrature: the authoritative referee
     mu_sqrt: float   # square-root closed form
     warp: WarpState
+    ricci: RicciDiag  # closed form, at the run's theta
 
 
 def _worst(rows) -> float:
@@ -177,41 +166,49 @@ _ORACLE_CHECKS = ("closed_vs_oracle_ricci", "chart_covariance", "scalar_oracle",
                   "oracle_off_diagonal")
 
 
-def _curvature_residuals(p, pt: _GridPoint, theta: float, charts) -> dict[str, tuple]:
-    """Residual rows, keyed by check name, of the closed-form Ricci diagonal.
+def _diagonal(rd) -> tuple[float, float, float, float]:
+    return (rd.r_mumu, rd.r_nunu, rd.r_thth, rd.r_phph)
 
-    It is compared with the warped-product formulas and, when the oracle
-    charts (warped, static) are given, with the oracle in both charts.
-    """
-    m, r = p.mass, pt.r
-    rc = rn.ricci_closed_form(p, r, theta)
+
+def _algebraic_residuals(p, pt: _GridPoint, theta: float) -> dict[str, tuple]:
+    """Residual rows, keyed by check name, of the closed-form Ricci against the warp formulas."""
+    m = p.mass
     wr = warped.ricci_from_warps(pt.warp, theta)
-    closed = (rc.r_mumu, rc.r_nunu, rc.r_thth, rc.r_phph)
-    warp_vals = (wr.r_mumu, wr.r_nunu, wr.r_thth, wr.r_phph)
+    warp_vals = _diagonal(wr)
     cfl = _component_floors(pt.warp, theta, m)
-    out = {
-        "closed_vs_warped_ricci": [_rel(a, b, f) for a, b, f in zip(closed, warp_vals, cfl)],
+    return {
+        "closed_vs_warped_ricci": [_rel(a, b, f)
+                                   for a, b, f in zip(_diagonal(pt.ricci), warp_vals, cfl)],
         # scalars carry length^-2; measure them in curvature units m^-2 so
         # the check is independent of the unit choice
-        "scalar_closed_and_warped": (m * m * abs(wr.scalar), m * m * abs(rc.scalar)),
+        "scalar_closed_and_warped": (m * m * abs(wr.scalar), m * m * abs(pt.ricci.scalar)),
         "schwarzschild_flatness": [abs(v) for v in warp_vals],
     }
-    if charts is None:
-        return out
-    wc, sc = charts
+
+
+def _oracle_residuals(p, pt: _GridPoint, theta: float, wc, sc) -> dict[str, tuple]:
+    """Residual rows, keyed by check name, of the closed-form Ricci against the oracle.
+
+    The oracle runs in the warped chart wc and in the static chart sc.
+    Raises SingularMetricError where a chart metric falls under the
+    oracle's pivot floor.
+    """
+    m, r = p.mass, pt.r
+    closed, cfl = _diagonal(pt.ricci), _component_floors(pt.warp, theta, m)
     cp = oracle.ricci_at(wc, [pt.mu, 0.0, theta, 0.0])
     n2 = rn.lapse_squared(p, r)
     cp2 = oracle.ricci_at(sc, [0.0, r, theta, 0.0])
     transformed = (float(cp2.ricci[1, 1]) * n2, float(cp2.ricci[0, 0]),
                    float(cp2.ricci[2, 2]), float(cp2.ricci[3, 3]))
-    out["closed_vs_oracle_ricci"] = [_rel(a, float(b), f)
-                                     for a, b, f in zip(closed, np.diag(cp.ricci), cfl)]
-    out["chart_covariance"] = [_rel(a, b, f) for a, b, f in zip(closed, transformed, cfl)]
-    out["scalar_oracle"] = (m * m * abs(cp.scalar), m * m * abs(cp2.scalar))
-    out["oracle_off_diagonal"] = (
-        _off_diagonal_norm(cp.ricci, mf_g=wc.g, x=cp.point, m=m),
-        _off_diagonal_norm(cp2.ricci, mf_g=sc.g, x=cp2.point, m=m))
-    return out
+    return {
+        "closed_vs_oracle_ricci": [_rel(a, float(b), f)
+                                   for a, b, f in zip(closed, np.diag(cp.ricci), cfl)],
+        "chart_covariance": [_rel(a, b, f) for a, b, f in zip(closed, transformed, cfl)],
+        "scalar_oracle": (m * m * abs(cp.scalar), m * m * abs(cp2.scalar)),
+        "oracle_off_diagonal": (
+            _off_diagonal_norm(cp.ricci, mf_g=wc.g, x=cp.point, m=m),
+            _off_diagonal_norm(cp2.ricci, mf_g=sc.g, x=cp2.point, m=m)),
+    }
 
 
 def _fluid_residuals(p, pt: _GridPoint, theta: float) -> tuple[tuple, float, float]:
@@ -238,8 +235,10 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     """Run every cross-check for one parameter set and collect a report.
 
     One pass over the grid builds a record per point (the quadrature mu,
-    the square-root closed form, the warp state); each grid check is a
-    reduction over those records.
+    the square-root closed form, the warp state, the closed-form Ricci);
+    each grid check is a reduction over those records. The oracle checks
+    are skipped, with a note, below ORACLE_CHARGE_CUTOFF or where the
+    oracle's own pivot check fails anywhere on the grid.
     """
     th = dict(THRESHOLDS)
     hp = rn.horizons(p)
@@ -251,12 +250,8 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     near_extremal = (m - q) / m < NEAR_EXTREMAL_MARGIN
     if near_extremal:
         # the mu quadrature noise floor scales with 1/sqrt(horizon gap), so
-        # a 1e-10 request is unattainable there and would only raise; the
-        # bracket tolerance tightens instead, because the inverse map is
-        # steep (dmu/dr ~ 1/lapse) and r must be pinned to ~1e-12 relative
-        # for the round trip to resolve mu at all
-        tol = Tolerance(abs_tol=max(tol.abs_tol, 2e-8 * m),
-                        rel_tol=min(tol.rel_tol, 1e-12))
+        # a 1e-10 request is unattainable there and would only raise
+        tol = Tolerance(abs_tol=max(tol.abs_tol, 2e-8 * m), rel_tol=tol.rel_tol)
         # checks whose residual is quadrature error must track the relaxation
         for name in ("mu_at_outer_horizon", "roundtrip_inverse",
                      "closed_form_sqrt_vs_quadrature"):
@@ -266,7 +261,8 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         checks.append(CheckResult(name, float(residual), th[name], residual <= th[name]))
 
     points = [_GridPoint(r, rn.mu_of_r(p, r, tol), rn.mu_closed_form_sqrt(p, r),
-                         rn.warp_state(p, r)) for r in grid]
+                         rn.warp_state(p, r), rn.ricci_closed_form(p, r, theta))
+              for r in grid]
 
     # Vieta: r+ + r- = 2m, r+ r- = Q^2
     add("horizon_vieta", max(
@@ -274,49 +270,42 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         abs(hp.r_plus * hp.r_minus - q * q) / max(q * q, m * m),
     ))
 
-    # boundary values of the coordinate map
-    add("mu_at_inner_horizon", abs(rn.mu_of_r(p, hp.r_minus, tol)))
+    # the coordinate map's value at the outer horizon; mu(r_minus) = 0 by definition
     add("mu_at_outer_horizon", abs(rn.mu_of_r(p, hp.r_plus, tol) - m * math.pi))
 
     add("warp_identities", _worst(_warp_identity_residuals(p, pt) for pt in points))
 
     # triple agreement and scalar flatness
-    wc = rn.warped_chart(p)
-    sc = rn.static_chart(p)
-    near_extremal_oracle = (m - q) / m < ORACLE_CHARGE_CUTOFF
-    first, last = points[0], points[-1]
-    ill_conditioned = not _charts_invertible((
-        (wc, ([first.mu_sqrt, 0.0, theta, 0.0], [last.mu_sqrt, 0.0, theta, 0.0])),
-        (sc, ([0.0, first.r, theta, 0.0], [0.0, last.r, theta, 0.0])),
-    ))
-    oracle_applies = not (near_extremal_oracle or ill_conditioned)
-    curvature = [_curvature_residuals(p, pt, theta, (wc, sc) if oracle_applies else None)
-                 for pt in points]
+    algebraic = [_algebraic_residuals(p, pt, theta) for pt in points]
     for name in ("closed_vs_warped_ricci", "scalar_closed_and_warped"):
-        add(name, _worst(c[name] for c in curvature))
-    if oracle_applies:
-        for name in _ORACLE_CHECKS:
-            add(name, _worst(c[name] for c in curvature))
-    elif near_extremal_oracle:
+        add(name, _worst(c[name] for c in algebraic))
+    if (m - q) / m < ORACLE_CHARGE_CUTOFF:
         notes.append(
             "finite-difference oracle checks skipped: the horizon gap is too small for "
             "the lapse-squared dynamic range at double precision; the algebraic "
             "closed-form and warped-product checks remain in force")
     else:
-        notes.append(
-            "finite-difference oracle checks skipped: a chart determinant falls under "
-            "the pivot floor on this grid (the floor is unit dependent; rerun in units "
-            "with m near 1); the algebraic checks remain in force")
+        wc, sc = rn.warped_chart(p), rn.static_chart(p)
+        try:
+            oracle_rows = [_oracle_residuals(p, pt, theta, wc, sc) for pt in points]
+        except SingularMetricError:
+            notes.append(
+                "finite-difference oracle checks skipped: a chart determinant falls under "
+                "the pivot floor on this grid (the floor is unit dependent; rerun in units "
+                "with m near 1); the algebraic checks remain in force")
+        else:
+            for name in _ORACLE_CHECKS:
+                add(name, _worst(c[name] for c in oracle_rows))
     if q == 0.0:
-        add("schwarzschild_flatness", _worst(c["schwarzschild_flatness"] for c in curvature))
+        add("schwarzschild_flatness", _worst(c["schwarzschild_flatness"] for c in algebraic))
 
-    # inverse round trip on fixed pseudorandom mu samples
+    # the Kepler inverse against the quadrature on fixed pseudorandom mu samples
     rng = random.Random(_ROUNDTRIP_SEED)
     mu_max = m * math.pi
     worst = 0.0
     for _ in range(_ROUNDTRIP_SAMPLES):
         mu0 = mu_max * rng.uniform(0.01, 0.99)
-        worst = max(worst, abs(rn.mu_of_r(p, rn.r_of_mu(p, mu0, tol), tol) - mu0))
+        worst = max(worst, abs(rn.mu_of_r(p, rn._kepler_inverse(p, mu0), tol) - mu0))
     add("roundtrip_inverse", worst / mu_max)
 
     # fluid extraction: three balances vanish, the mumu gap has a closed form

@@ -364,6 +364,18 @@ class TestUsage:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == 3 and all(map(math.isfinite, map(float, sum(rows, []))))
 
+    @pytest.mark.parametrize("command", ["curvature", "fluid"])
+    @pytest.mark.parametrize("guard", ["1e-300", "1e-160", "1e-100"])
+    def test_tiny_guard_at_zero_charge(self, capsys, command, guard):
+        # r_minus = 0 has no ulp scale; the low end stays 2 ulps of r_plus
+        # above 0, where r^2 and r^4 are still normal floats
+        code, out, err = run(capsys, command, "--mass", "1", "--charge", "0",
+                             "--guard", guard, "--grid", "2")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert float(rows[0][0]) == 2.0 * math.ulp(2.0)
+        assert len(rows) == 2 and all(map(math.isfinite, map(float, sum(rows, []))))
+
     def test_missing_subcommand(self, capsys):
         assert cli.main([]) == 2
 

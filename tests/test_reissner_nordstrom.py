@@ -88,8 +88,9 @@ class TestLapse:
 
 
 class TestCoordinateMap:
-    def test_zero_at_inner_horizon(self, charged):
-        assert mu_of_r(charged, horizons(charged).r_minus) == 0.0
+    def test_zero_at_inner_horizon(self, charged, schwarzschild):
+        for p in (charged, schwarzschild):
+            assert mu_of_r(p, horizons(p).r_minus) == 0.0
 
     def test_m_pi_at_outer_horizon(self, charged):
         assert mu_of_r(charged, horizons(charged).r_plus) == pytest.approx(

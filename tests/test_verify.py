@@ -1,5 +1,9 @@
-from rnwarp import calculus
+import math
+import random
+
+from rnwarp import calculus, oracle, verify
 from rnwarp import reissner_nordstrom as rn
+from rnwarp.errors import SingularMetricError
 from rnwarp.reissner_nordstrom import BlackHoleParams
 from rnwarp.verify import THRESHOLDS, CheckResult, VerifyReport, run_verification
 
@@ -76,8 +80,8 @@ def test_notes_carry_both_closed_form_numbers(charged):
 
 
 def test_oracle_runs_where_the_pivot_floor_holds():
-    # the probes go through oracle.invert4's own floor: at this small mass
-    # the static-chart determinant clears it, so the oracle checks run
+    # oracle.invert4's own floor decides: at this small mass the
+    # static-chart determinant clears it, so the oracle checks run
     rep = run_verification(BlackHoleParams(0.24542557893639622, 0.0238814758126807),
                            grid_points=8)
     assert rep.overall, [c for c in rep.checks if not c.passed]
@@ -86,31 +90,61 @@ def test_oracle_runs_where_the_pivot_floor_holds():
 
 
 def test_reference_verify_quadrature_budget(monkeypatch):
-    # one quadrature mu per grid point shared by every check, the fluid
-    # check included, and the round-trip roots started from the Kepler
-    # inverse: 1052 quadratures in all, 859 of them inside the roots, when
-    # each loop had its own mu and Brent searched the whole interior
-    counts = {"all": 0, "roots": 0}
-    in_root = [False]
-    quad, root = calculus.integrate_endpoint_singular, rn.r_of_mu
+    # one quadrature mu per grid point shared by every check, the outer
+    # horizon, and one per round-trip sample: 64 + 1 + 100. The round trip
+    # inverts with the Kepler inverse, so verify runs no root search
+    # (273 quadratures when it checked the quadrature's own root search)
+    counts = {"quad": 0, "root": 0}
+    quad, r_of_mu, find_root = (calculus.integrate_endpoint_singular, rn.r_of_mu,
+                                calculus.find_root_bracketed)
 
-    def counted_quad(*args, **kwargs):
-        counts["all"] += 1
-        counts["roots"] += in_root[0]
-        return quad(*args, **kwargs)
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def marked_root(*args, **kwargs):
-        in_root[0] = True
-        try:
-            return root(*args, **kwargs)
-        finally:
-            in_root[0] = False
-
-    monkeypatch.setattr(calculus, "integrate_endpoint_singular", counted_quad)
-    monkeypatch.setattr(rn, "r_of_mu", marked_root)
+    monkeypatch.setattr(calculus, "integrate_endpoint_singular", counted("quad", quad))
+    monkeypatch.setattr(rn, "r_of_mu", counted("root", r_of_mu))
+    monkeypatch.setattr(calculus, "find_root_bracketed", counted("root", find_root))
     assert run_verification(BlackHoleParams(1.0, 0.6), 64).overall
-    assert counts["all"] <= 300
-    assert counts["roots"] <= 200
+    assert counts["quad"] <= 170
+    assert counts["root"] == 0
+
+
+def test_roundtrip_inverse_is_the_kepler_inverse_against_the_quadrature(charged):
+    rep = run_verification(charged, grid_points=8)
+    rng = random.Random(verify._ROUNDTRIP_SEED)
+    mu_max = charged.mass * math.pi
+    worst = 0.0
+    for _ in range(verify._ROUNDTRIP_SAMPLES):
+        mu0 = mu_max * rng.uniform(0.01, 0.99)
+        worst = max(worst, abs(rn.mu_of_r(charged, rn._kepler_inverse(charged, mu0)) - mu0))
+    check = {c.name: c for c in rep.checks}["roundtrip_inverse"]
+    assert check.max_abs_residual == worst / mu_max
+    assert 0.0 < check.max_abs_residual <= THRESHOLDS["roundtrip_inverse"]
+
+
+def test_pivot_floor_mid_grid_skips_the_oracle(charged, monkeypatch):
+    # the oracle's own pivot check decides the skip, wherever on the grid
+    # it fires; the algebraic checks still run and nothing raises
+    calls = [0]
+    invert4 = oracle.invert4
+
+    def failing_mid_grid(g):
+        calls[0] += 1
+        if calls[0] == 7:
+            raise SingularMetricError("metric determinant below pivot floor")
+        return invert4(g)
+
+    monkeypatch.setattr(oracle, "invert4", failing_mid_grid)
+    rep = run_verification(charged, grid_points=8)
+    assert calls[0] == 7
+    names = {c.name for c in rep.checks}
+    assert not names & set(verify._ORACLE_CHECKS)
+    assert {"closed_vs_warped_ricci", "scalar_closed_and_warped"} <= names
+    assert any("pivot floor" in n for n in rep.notes)
+    assert rep.overall
 
 
 def test_steep_round_trip_no_longer_drives_the_quadrature_into_the_horizon():
@@ -124,7 +158,7 @@ def test_steep_round_trip_no_longer_drives_the_quadrature_into_the_horizon():
 def test_check_order(charged):
     rep = run_verification(charged, grid_points=8)
     assert [c.name for c in rep.checks] == [
-        "horizon_vieta", "mu_at_inner_horizon", "mu_at_outer_horizon", "warp_identities",
+        "horizon_vieta", "mu_at_outer_horizon", "warp_identities",
         "closed_vs_warped_ricci", "scalar_closed_and_warped", "closed_vs_oracle_ricci",
         "chart_covariance", "scalar_oracle", "oracle_off_diagonal", "roundtrip_inverse",
         "fluid_residuals", "fluid_mumu_gap_identity", "closed_form_sqrt_vs_quadrature"]
