@@ -251,11 +251,12 @@ def find_root_bracketed(g: Callable[[float], float], iv: Interval,
     result always lies within the input bracket.
 
     An optional guess inside [lo, hi] is tried first and returned as is
-    when |g(guess)| <= abs_tol. Otherwise a window about the guess is
-    widened geometrically until g changes sign across it, and bisection
-    runs on that window. The window can grow to the whole interval, so
-    BracketError is raised only when no sign change is found there
-    either. Every value of g comes from a call to g.
+    when |g(guess)| <= abs_tol. Otherwise a window is widened
+    geometrically from the guess, one side at a time, until g changes
+    sign across it, and bisection runs on that window. Each side can
+    grow to its interval end, so BracketError is raised only when
+    neither end changes sign either. Every value of g comes from a call
+    to g.
     """
     if guess is None:
         a, b = iv.lo, iv.hi
@@ -284,41 +285,27 @@ def _xtol(x: float, tol: Tolerance) -> float:
 def _window(g, iv, x0, f0, tol):
     """A window [a, b] about x0, with g(a) and g(b), across which g changes sign.
 
-    Each side steps out from x0 by a width that starts at the bracket
-    tolerance _xtol(x0) and grows by _WINDOW_GROWTH per step, clipped to
-    the interval. A first step that finds the sign change leaves a
-    window within that tolerance, which bisection returns without
-    calling g again. The next step goes to the side whose outermost
-    value is nearer zero, so a monotone g is bracketed from one side; the
-    first step goes where an increasing g would have its root. A side
-    that reaches its interval end stops, and when both have, the
-    window is the whole interval and its end values are returned, with
-    or without a sign change. The inner end of the window is the last
-    point on that side where g kept the sign of f0.
+    The window steps out from x0 on one side by a width that starts at
+    the bracket tolerance _xtol(x0) and grows by _WINDOW_GROWTH per step,
+    clipped to the interval. A first step that finds the sign change
+    leaves a window within that tolerance, which bisection returns
+    without calling g again. The first side is the one where an
+    increasing g has its root; the other side is tried, from x0 again,
+    only once the first reaches its interval end. The inner end of the
+    window is the last point on that side where g kept the sign of f0.
+    Raises BracketError when g keeps that sign at both interval ends.
     """
-    lo, hi = iv.lo, iv.hi
-    step = _xtol(x0, tol)
-    # per side (lower, upper): outermost point, its value, next width
-    x = [x0, x0]
-    fx = [f0, f0]
-    width = [step, step]
-    side = 0 if f0 > 0.0 else 1
-    while x[0] > lo or x[1] < hi:
-        if x[side] == (lo, hi)[side]:
-            side = 1 - side
-        inner, f_inner = x[side], fx[side]
-        if side == 0:
-            x[0] = max(lo, x0 - width[0])
-        else:
-            x[1] = min(hi, x0 + width[1])
-        fx[side] = g(x[side])
-        width[side] *= _WINDOW_GROWTH
-        if fx[side] == 0.0 or (fx[side] > 0.0) != (f0 > 0.0):
-            if side == 0:
-                return x[0], fx[0], inner, f_inner
-            return inner, f_inner, x[1], fx[1]
-        side = 0 if abs(fx[0]) < abs(fx[1]) else 1
-    return x[0], fx[0], x[1], fx[1]
+    positive = f0 > 0.0
+    for end in (iv.lo, iv.hi) if positive else (iv.hi, iv.lo):
+        inner, f_inner, width = x0, f0, _xtol(x0, tol)
+        while inner != end:
+            x = max(end, x0 - width) if end < x0 else min(end, x0 + width)
+            fx = g(x)
+            if fx == 0.0 or (fx > 0.0) != positive:
+                return (x, fx, inner, f_inner) if x < x0 else (inner, f_inner, x, fx)
+            inner, f_inner = x, fx
+            width *= _WINDOW_GROWTH
+    raise BracketError(f"no sign change on [{iv.lo}, {iv.hi}] about the guess {x0!r}")
 
 
 def _bisect(g, a, fa, b, fb, tol):

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .calculus import DEFAULT_TOL, Tolerance
 from .reissner_nordstrom import BlackHoleParams, mu_of_r, warp_state
 from .warped import WarpState
 
@@ -79,9 +78,8 @@ def fluid_balance(charge: float, w: WarpState,
     return rho, pressure, FluidResiduals(res_mumu, res_nunu, res_thth, res_phph)
 
 
-def fluid_report(p: BlackHoleParams, r: float, theta: float = 0.5 * math.pi,
-                 tol: Tolerance = DEFAULT_TOL) -> FluidReport:
+def fluid_report(p: BlackHoleParams, r: float, theta: float = 0.5 * math.pi) -> FluidReport:
     """fluid_balance at interior r, with r and its quadrature coordinate mu_of_r(r) attached."""
     rho, pressure, residuals = fluid_balance(p.charge, warp_state(p, r), theta)
     return FluidReport(rho=rho, pressure=pressure, residuals=residuals, r=r,
-                       mu=mu_of_r(p, r, tol))
+                       mu=mu_of_r(p, r))

@@ -13,7 +13,8 @@ Sign conventions: R_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,25 +35,24 @@ _DET_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class MetricField:
-    """A coordinate chart: names, metric component function, domain predicate.
+    """A coordinate chart: metric component function, domain box, coordinate scales.
 
     g maps points of shape (..., 4) to metrics of shape (..., 4, 4), the
     symmetric matrix of metric components at each point: a single
     4-point gives one 4x4 matrix, an (n, 4) batch n of them. Each
     point's matrix must not depend on the rest of the batch; the oracle
-    evaluates its whole difference stencil in one call. domain_check
-    takes a single 4-point and returns True where the chart is valid.
-    g must be symmetric to 1e-14 and invertible (|det| > 1e-12 * scale^4)
-    everywhere domain_check passes.
+    evaluates its whole difference stencil in one call. domain holds one
+    open interval (lo, hi) per coordinate, infinite ends allowed; the
+    chart is valid on their product. g must be symmetric to 1e-14 and
+    invertible (|det| > 1e-12 * scale^4) everywhere inside that box.
     coord_scales gives the characteristic magnitude of each coordinate
     (e.g. the mass for length-like coordinates, 1 for angles); the
     differencing steps are proportional to it, which keeps the engine's
     accuracy independent of the choice of units.
     """
 
-    coord_names: tuple[str, str, str, str]
     g: Callable[[np.ndarray], np.ndarray]
-    domain_check: Callable[[np.ndarray], bool] = field(default=lambda x: True)
+    domain: tuple[tuple[float, float], ...] = ((-math.inf, math.inf),) * 4
     coord_scales: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
 
@@ -231,17 +231,13 @@ def _hess_matrix(gs: np.ndarray, outer: np.ndarray) -> np.ndarray:
 
 
 def _require_domain(mf: MetricField, x: np.ndarray, reach: np.ndarray):
-    # Axis-aligned extremes cover the nested stencil points for the
-    # box-shaped chart domains used in this package.
-    if not mf.domain_check(x):
+    # The stencil spans the box x +- reach, which lies inside the domain
+    # box exactly when its axis extremes do.
+    lo, hi = np.array(mf.domain).T
+    if not ((lo < x - reach) & (x + reach < hi)).all():
+        if ((lo < x) & (x < hi)).all():
+            raise DomainError(f"stencil about {x.tolist()} leaves the chart domain")
         raise DomainError(f"point {x.tolist()} outside chart domain")
-    for a in range(4):
-        for sgn in (-1.0, 1.0):
-            y = x.copy()
-            y[a] += sgn * reach[a]
-            if not mf.domain_check(y):
-                raise DomainError(
-                    f"stencil point {y.tolist()} outside chart domain")
 
 
 def ricci_at(mf: MetricField, x) -> CurvaturePoint:
@@ -256,8 +252,8 @@ def ricci_at(mf: MetricField, x) -> CurvaturePoint:
     fail near the horizons. The second-derivative stencils live on a
     mesh OUTER_STEP_FACTOR times the inner metric step h, which is
     eps^(1/3) * max(|x_a|, coord_scales[a]) on axis a, and the full
-    stencil neighborhood, 4*OUTER_STEP_FACTOR*h per axis, must pass
-    domain_check.
+    stencil neighborhood, 4*OUTER_STEP_FACTOR*h per axis, must lie inside
+    the domain box.
     """
     x = np.asarray(x, dtype=float)
     steps = _steps(mf, x)

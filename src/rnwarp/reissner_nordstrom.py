@@ -257,6 +257,8 @@ def ricci_closed_form(p: BlackHoleParams, r: float, theta: float) -> RicciDiag:
 # masses away from unity without measurable truncation cost.
 _ANGLE_STEP_SCALE = 4.0
 
+_LINE = (-math.inf, math.inf)  # an unbounded chart coordinate
+
 
 def _per_distinct(values: np.ndarray, fn) -> np.ndarray:
     """fn applied once to each distinct float in values, spread back over values.
@@ -300,11 +302,8 @@ def static_chart(p: BlackHoleParams) -> MetricField:
         return _diagonal_metric(x.shape[:-1], n2, -1.0 / n2, r2,
                                 r2 * _per_distinct(th, _sin_squared))
 
-    def inside(x):
-        return hp.r_minus < x[1] < hp.r_plus and 0.0 < x[2] < math.pi
-
-    return MetricField(("t", "r", "theta", "phi"), g, inside,
-                       coord_scales=(p.mass, p.mass, _ANGLE_STEP_SCALE, _ANGLE_STEP_SCALE))
+    return MetricField(g, (_LINE, (hp.r_minus, hp.r_plus), (0.0, math.pi), _LINE),
+                       (p.mass, p.mass, _ANGLE_STEP_SCALE, _ANGLE_STEP_SCALE))
 
 
 def warped_chart(p: BlackHoleParams) -> MetricField:
@@ -316,7 +315,6 @@ def warped_chart(p: BlackHoleParams) -> MetricField:
     in the batch, so the oracle can afford its nested difference stencils.
     """
     hp = horizons(p)
-    mu_max = p.mass * math.pi
 
     def g(x):
         x = np.asarray(x, dtype=float)
@@ -326,11 +324,8 @@ def warped_chart(p: BlackHoleParams) -> MetricField:
         return _diagonal_metric(x.shape[:-1], -1.0, f1sq, r2,
                                 r2 * _per_distinct(x[..., 2], _sin_squared))
 
-    def inside(x):
-        return 0.0 < x[0] < mu_max and 0.0 < x[2] < math.pi
-
-    return MetricField(("mu", "nu", "theta", "phi"), g, inside,
-                       coord_scales=(p.mass, p.mass, _ANGLE_STEP_SCALE, _ANGLE_STEP_SCALE))
+    return MetricField(g, ((0.0, p.mass * math.pi), _LINE, (0.0, math.pi), _LINE),
+                       (p.mass, p.mass, _ANGLE_STEP_SCALE, _ANGLE_STEP_SCALE))
 
 
 def interior_grid(p: BlackHoleParams, n: int, guard_fraction: float = 0.05) -> list[float]:

@@ -179,10 +179,11 @@ def _algebraic_residuals(p, pt: _GridPoint, theta: float) -> dict[str, tuple]:
     return {
         "closed_vs_warped_ricci": [_rel(a, b, f)
                                    for a, b, f in zip(_diagonal(pt.ricci), warp_vals, cfl)],
-        # scalars carry length^-2; measure them in curvature units m^-2 so
-        # the check is independent of the unit choice
-        "scalar_closed_and_warped": (m * m * abs(wr.scalar), m * m * abs(pt.ricci.scalar)),
-        "schwarzschild_flatness": [abs(v) for v in warp_vals],
+        # the closed-form scalar is 0 by construction, so only the warp
+        # formulas' scalar is tested; scalars carry length^-2, measured in
+        # curvature units m^-2 so the check is independent of the unit choice
+        "scalar_closed_and_warped": (m * m * abs(wr.scalar),),
+        "schwarzschild_flatness": [abs(v) / f for v, f in zip(warp_vals, cfl)],
     }
 
 
@@ -253,9 +254,12 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         # a 1e-10 request is unattainable there and would only raise
         tol = Tolerance(abs_tol=max(tol.abs_tol, 2e-8 * m), rel_tol=tol.rel_tol)
         # checks whose residual is quadrature error must track the relaxation
-        for name in ("mu_at_outer_horizon", "roundtrip_inverse",
-                     "closed_form_sqrt_vs_quadrature"):
+        for name in ("mu_at_outer_horizon", "closed_form_sqrt_vs_quadrature"):
             th[name] = max(th[name], 2.0 * tol.abs_tol)
+        # roundtrip_inverse is in units of m*pi, so its relaxation is the
+        # same at every mass: 2*pi*abs_tol in mu covers the round trip's
+        # quadrature error, about 4*abs_tol at a gap of 1e-6 of m
+        th["roundtrip_inverse"] = max(th["roundtrip_inverse"], 2.0 * tol.abs_tol / m)
 
     def add(name, residual):
         checks.append(CheckResult(name, float(residual), th[name], residual <= th[name]))

@@ -326,6 +326,40 @@ class TestFindRoot:
         assert calls == [guess, guess + calculus._xtol(guess, DEFAULT_TOL)]
         assert got == calls[1]
 
+    @pytest.mark.parametrize("root, guess", [(0.3, 0.9), (0.9, 0.3)],
+                             ids=["root_below", "root_above"])
+    def test_increasing_g_is_windowed_on_the_root_side_only(self, root, guess):
+        # far enough from the root for a gallop of many steps, every one of
+        # them on the side where an increasing g has its root
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x - root
+
+        got = find_root_bracketed(g, Interval(0.0, 2.0), guess=guess)
+        assert got == pytest.approx(root, abs=1e-9)
+        step = math.copysign(calculus._xtol(guess, DEFAULT_TOL), root - guess)
+        assert calls[1:7] == [guess + step * 8.0 ** k for k in range(6)]
+        assert all((x < guess) == (root < guess) for x in calls[1:])
+
+    def test_decreasing_g_is_found_after_the_first_side_ends(self):
+        # a decreasing g has its root on the side an increasing one has not:
+        # the first side steps out to its interval end, then the other one
+        # starts again from the guess
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return 1.0 - x
+
+        got = find_root_bracketed(g, Interval(0.0, 2.0), guess=0.5)
+        assert got == pytest.approx(1.0, abs=1e-9)
+        first_above = next(i for i, x in enumerate(calls) if x > 0.5)
+        assert calls[first_above - 1] == 0.0
+        assert all(x < 0.5 for x in calls[1:first_above])
+        assert calls[first_above] == 0.5 + calculus._xtol(0.5, DEFAULT_TOL)
+
     def test_steep_edges(self):
         # derivative blows up at both bracket ends, as for the coordinate map
         def g(x):

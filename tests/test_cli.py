@@ -309,6 +309,14 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["overall_pass"] is True
 
+    @pytest.mark.parametrize("mass", ["1e-3", "0.01"])
+    def test_small_mass_schwarzschild_passes(self, capsys, mass):
+        # schwarzschild_flatness is measured in curvature units, so it does
+        # not grow as 1/m^2
+        code, out, _ = run(capsys, "verify", "--mass", mass, "--charge", "0")
+        assert code == 0
+        assert json.loads(out)["overall_pass"] is True
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--mass", "1", "--charge", "1.5")
         assert code == 2

@@ -25,7 +25,7 @@ def _diagonal(x, diag):
     return out
 
 
-FLAT = MetricField(("t", "x", "y", "z"), lambda x: _diagonal(x, (-1.0, 1.0, 1.0, 1.0)))
+FLAT = MetricField(lambda x: _diagonal(x, (-1.0, 1.0, 1.0, 1.0)))
 
 
 def sphere_chart(radius):
@@ -36,7 +36,8 @@ def sphere_chart(radius):
         a2 = radius * radius
         return _diagonal(x, (-1.0, 1.0, a2, a2 * np.sin(th) ** 2))
 
-    return MetricField(("t", "x", "theta", "phi"), g, lambda x: 0.0 < x[2] < math.pi)
+    line = (-math.inf, math.inf)
+    return MetricField(g, (line, line, (0.0, math.pi), line))
 
 
 # -- reference: the per-point stencil ----------------------------------------
@@ -231,6 +232,46 @@ class TestRicci:
             ricci_at(static_chart(charged), [0.0, 1.81, PI_2, 0.0])
 
 
+class TestDomainBox:
+    BOX = ((-1.0, 1.0), (2.0, 3.0), (0.0, math.pi), (-math.inf, math.inf))
+    CENTER = (0.0, 2.5, PI_2, 0.0)
+
+    def chart(self):
+        return MetricField(lambda x: _diagonal(x, (-1.0, 1.0, 1.0, 1.0)), self.BOX)
+
+    def test_inside_passes(self):
+        assert np.max(np.abs(ricci_at(self.chart(), self.CENTER).ricci)) <= 1e-8
+
+    @pytest.mark.parametrize("axis, value", [(0, 1.5), (1, 1.0), (2, -0.1), (1, math.nan)])
+    def test_point_outside_raises(self, axis, value):
+        x = list(self.CENTER)
+        x[axis] = value
+        with pytest.raises(DomainError, match="outside chart domain"):
+            ricci_at(self.chart(), x)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_stencil_crossing_each_finite_bound_raises(self, axis, end):
+        # the point is inside, its stencil reaches past the bound
+        bound = self.BOX[axis][end]
+        x = list(self.CENTER)
+        x[axis] = bound + (1e-9 if end == 0 else -1e-9)
+        with pytest.raises(DomainError, match="leaves the chart domain"):
+            ricci_at(self.chart(), x)
+
+    @pytest.mark.parametrize("x", [(0.0, 0.0, 0.0, 0.0), (-1e100, 1e100, 5.0, -3.0),
+                                   (1e-300, -7.0, 1e6, 1e-300)])
+    def test_default_domain_never_raises(self, x):
+        assert np.max(np.abs(ricci_at(FLAT, x).ricci)) <= 1e-8
+
+    def test_charts_declare_their_boxes(self, charged):
+        hp, line = horizons(charged), (-math.inf, math.inf)
+        assert static_chart(charged).domain == (
+            line, (hp.r_minus, hp.r_plus), (0.0, math.pi), line)
+        assert warped_chart(charged).domain == (
+            (0.0, charged.mass * math.pi), line, (0.0, math.pi), line)
+
+
 class TestChartCovariance:
     def test_against_closed_form(self, charged):
         # both charts, componentwise, against the closed forms
@@ -342,7 +383,7 @@ class TestBatchedStencil:
             s = x[..., 0] * x[..., 1] + x[..., 2] * x[..., 2] * x[..., 3]
             return _diagonal(x, (-(1.0 + 0.1 * s), 1.0 + 0.2 * s, 1.0 + 0.3 * s, 1.0 + 0.4 * s))
 
-        mf = MetricField(("a", "b", "c", "d"), g)
+        mf = MetricField(g)
         rng = np.random.default_rng(11)
         for _ in range(20000):
             x = rng.uniform(1.0, 3.0, 4)

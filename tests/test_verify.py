@@ -1,11 +1,15 @@
 import math
 import random
 
-from rnwarp import calculus, oracle, verify
+import pytest
+
+from rnwarp import calculus, oracle, verify, warped
 from rnwarp import reissner_nordstrom as rn
 from rnwarp.errors import SingularMetricError
 from rnwarp.reissner_nordstrom import BlackHoleParams
 from rnwarp.verify import THRESHOLDS, CheckResult, VerifyReport, run_verification
+
+PI_2 = 0.5 * math.pi
 
 
 def test_overall_is_conjunction():
@@ -39,6 +43,42 @@ def test_schwarzschild_adds_flatness_check(schwarzschild):
     assert rep.overall, [c for c in rep.checks if not c.passed]
     flat = {c.name: c for c in rep.checks}["schwarzschild_flatness"]
     assert flat.max_abs_residual <= 1e-8
+
+
+@pytest.mark.parametrize("mass", [1e-3, 1.0, 1e3])
+def test_schwarzschild_flatness_is_in_curvature_units(mass):
+    # each warped Ricci component over its metric weight in m^-2, as in
+    # closed_vs_warped_ricci: the same small number at every mass
+    p = BlackHoleParams(mass, 0.0)
+    rep = run_verification(p, grid_points=8)
+    states = [rn.warp_state(p, r) for r in rn.interior_grid(p, 8)]
+    want = max(abs(v) / f for w in states
+               for v, f in zip(verify._diagonal(warped.ricci_from_warps(w, PI_2)),
+                               verify._component_floors(w, PI_2, mass)))
+    flat = {c.name: c for c in rep.checks}["schwarzschild_flatness"]
+    assert flat.max_abs_residual == want
+    assert flat.max_abs_residual <= 1e-12
+
+
+@pytest.mark.parametrize("mass, charge", [(1.0, 0.6), (2.5, 1.5)])
+def test_scalar_closed_and_warped_is_the_warp_formulas_scalar(mass, charge):
+    # the closed-form scalar is 0 by construction and adds nothing
+    p = BlackHoleParams(mass, charge)
+    rep = run_verification(p, grid_points=8)
+    want = max(mass * mass * abs(warped.ricci_from_warps(rn.warp_state(p, r), PI_2).scalar)
+               for r in rn.interior_grid(p, 8))
+    check = {c.name: c for c in rep.checks}["scalar_closed_and_warped"]
+    assert check.max_abs_residual == want
+
+
+@pytest.mark.parametrize("mass", [0.238, 5.0])
+def test_near_extremal_roundtrip_threshold_is_the_same_at_every_mass(mass):
+    # the residual is in units of m*pi, so its relaxation is too: 2*pi
+    # times the relaxed abs_tol 2e-8*m, over m*pi
+    rep = run_verification(BlackHoleParams(mass, mass * (1.0 - 5e-5)), grid_points=8)
+    check = {c.name: c for c in rep.checks}["roundtrip_inverse"]
+    assert check.threshold == pytest.approx(4e-8, rel=1e-15)
+    assert check.passed
 
 
 def test_every_check_carries_its_pinned_threshold(charged):
