@@ -97,27 +97,34 @@ def lapse_squared(p: BlackHoleParams, r: float) -> float:
     return n2
 
 
-def mu_of_r(p: BlackHoleParams, r: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
     """The coordinate map mu = F(r), by quadrature of the defining integral.
 
     Defined for r_minus <= r <= r_plus; the improper integral converges at
     both horizons. F(r_minus) = 0 and F(r_plus) = m*pi. Strictly increasing.
+    A float r gives a float; an array of r gives the array of F, from one
+    batched quadrature, each entry bit for bit F at that entry alone.
     """
-    hp = _require_closed_interior(p, r)
-    if r == hp.r_minus:
-        return 0.0
+    hp = horizons(p)
     rp, rm = hp.r_plus, hp.r_minus
 
     if rm > 0.0:
         def integrand(x):
-            return x / math.sqrt((rp - x) * (x - rm))
+            return x / np.sqrt((rp - x) * (x - rm))
     else:
         # the factor x cancels analytically; (rp - x)*x would underflow to
         # zero at subnormal abscissas next to the r = 0 endpoint
         def integrand(x):
-            return math.sqrt(x / (rp - x))
+            return np.sqrt(x / (rp - x))
 
-    return calculus.integrate_endpoint_singular(integrand, Interval(rm, r), tol)
+    rs = np.asarray(r, dtype=float)
+    for bad in rs[~((rm <= rs) & (rs <= rp))][:1].tolist():
+        _require_closed_interior(p, bad)
+    mu = np.zeros(rs.shape)
+    inner = rs > rm  # F(r_minus) = 0 takes no quadrature
+    if inner.any():
+        mu[inner] = calculus.integrate_endpoint_singular(integrand, rm, rs[inner], tol)
+    return float(mu) if mu.ndim == 0 else mu
 
 
 def mu_closed_form(p: BlackHoleParams, r: float) -> float:

@@ -9,6 +9,7 @@ unbalanced mumu fluid equation) are emitted as notes, not failures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -101,16 +102,21 @@ def _component_floors(w, theta: float, m: float) -> tuple[float, float, float, f
             f2sq * math.sin(theta) ** 2 / msq)
 
 
-def _off_diagonal_norm(ricci: np.ndarray, mf_g, x, m: float) -> float:
+def _off_diagonal_norm(ricci: np.ndarray, mf_g, x, m: float):
     """Largest off-diagonal Ricci entry, weighted to curvature units.
 
     Entry (a, b) is normalized by sqrt(|g_aa g_bb|), the same weight that
-    makes the diagonal comparison unit free, then expressed in m^-2.
+    makes the diagonal comparison unit free, then expressed in m^-2. At
+    one point x (ricci of shape (4, 4)) this is a float; at a batch of
+    points (ricci of shape (n, 4, 4)) an array of one per point, from one
+    call of the chart's metric.
     """
-    g = np.abs(np.diag(mf_g(x)))
-    weight = np.sqrt(np.outer(g, g))
-    scaled = np.abs(ricci - np.diag(np.diag(ricci))) / weight
-    return m * m * float(np.max(scaled))
+    g = np.abs(np.diagonal(mf_g(x), axis1=-2, axis2=-1))
+    weight = np.sqrt(g[..., :, None] * g[..., None, :])
+    diagonal = np.zeros_like(ricci)
+    diagonal[..., range(4), range(4)] = np.diagonal(ricci, axis1=-2, axis2=-1)
+    norm = m * m * np.max(np.abs(ricci - diagonal) / weight, axis=(-2, -1))
+    return norm if norm.ndim else float(norm)
 
 
 @dataclass(frozen=True)
@@ -129,19 +135,16 @@ def _worst(rows) -> float:
     return max([0.0, *itertools.chain.from_iterable(rows)])
 
 
-def _warp_identity_residuals(p, pt: _GridPoint) -> tuple[float, float, float]:
+def _warp_identity_residuals(p, pt: _GridPoint, r_of) -> tuple[float, float, float]:
     """Residuals of the derivative identities relating f1 to f2.
 
     They come from first-order differencing of the machine-smooth inverse
-    map. Each is scaled by the differenced function's local magnitude,
-    since the centered stencil carries an irreducible eps*|f|/h noise floor.
-    The step is eps^(1/3)*max(|mu|, m), with the geometry's length unit
-    as the coordinate scale, so the check is unit independent.
+    map r_of (mu -> r). Each is scaled by the differenced function's local
+    magnitude, since the centered stencil carries an irreducible eps*|f|/h
+    noise floor. The step is eps^(1/3)*max(|mu|, m), with the geometry's
+    length unit as the coordinate scale, so the check is unit independent.
     """
     m, q = p.mass, p.charge
-
-    def r_of(mu):
-        return rn._kepler_inverse(p, mu)
 
     def f1_of(mu):
         return math.sqrt(rn.lapse_squared(p, r_of(mu)))
@@ -187,29 +190,35 @@ def _algebraic_residuals(p, pt: _GridPoint, theta: float) -> dict[str, tuple]:
     }
 
 
-def _oracle_residuals(p, pt: _GridPoint, theta: float, wc, sc) -> dict[str, tuple]:
+def _oracle_residuals(p, points: list[_GridPoint], theta: float, wc, sc) -> list[dict]:
     """Residual rows, keyed by check name, of the closed-form Ricci against the oracle.
 
-    The oracle runs in the warped chart wc and in the static chart sc.
-    Raises SingularMetricError where a chart metric falls under the
-    oracle's pivot floor.
+    The oracle runs in the warped chart wc and in the static chart sc, on
+    the whole grid at once; row k belongs to points[k]. Raises
+    SingularMetricError where a chart metric falls under the oracle's
+    pivot floor.
     """
-    m, r = p.mass, pt.r
-    closed, cfl = _diagonal(pt.ricci), _component_floors(pt.warp, theta, m)
-    cp = oracle.ricci_at(wc, [pt.mu, 0.0, theta, 0.0])
-    n2 = rn.lapse_squared(p, r)
-    cp2 = oracle.ricci_at(sc, [0.0, r, theta, 0.0])
-    transformed = (float(cp2.ricci[1, 1]) * n2, float(cp2.ricci[0, 0]),
-                   float(cp2.ricci[2, 2]), float(cp2.ricci[3, 3]))
-    return {
-        "closed_vs_oracle_ricci": [_rel(a, float(b), f)
-                                   for a, b, f in zip(closed, np.diag(cp.ricci), cfl)],
-        "chart_covariance": [_rel(a, b, f) for a, b, f in zip(closed, transformed, cfl)],
-        "scalar_oracle": (m * m * abs(cp.scalar), m * m * abs(cp2.scalar)),
-        "oracle_off_diagonal": (
-            _off_diagonal_norm(cp.ricci, mf_g=wc.g, x=cp.point, m=m),
-            _off_diagonal_norm(cp2.ricci, mf_g=sc.g, x=cp2.point, m=m)),
-    }
+    m = p.mass
+    cw = oracle.ricci_at(wc, [[pt.mu, 0.0, theta, 0.0] for pt in points])
+    cs = oracle.ricci_at(sc, [[0.0, pt.r, theta, 0.0] for pt in points])
+    off_w = _off_diagonal_norm(cw.ricci, wc.g, cw.point, m).tolist()
+    off_s = _off_diagonal_norm(cs.ricci, sc.g, cs.point, m).tolist()
+    rows = []
+    for k, pt in enumerate(points):
+        closed, cfl = _diagonal(pt.ricci), _component_floors(pt.warp, theta, m)
+        n2 = rn.lapse_squared(p, pt.r)
+        ricci_s = cs.ricci[k]
+        transformed = (float(ricci_s[1, 1]) * n2, float(ricci_s[0, 0]),
+                       float(ricci_s[2, 2]), float(ricci_s[3, 3]))
+        rows.append({
+            "closed_vs_oracle_ricci": [_rel(a, float(b), f)
+                                       for a, b, f in zip(closed, np.diag(cw.ricci[k]), cfl)],
+            "chart_covariance": [_rel(a, b, f) for a, b, f in zip(closed, transformed, cfl)],
+            "scalar_oracle": (m * m * abs(float(cw.scalar[k])),
+                              m * m * abs(float(cs.scalar[k]))),
+            "oracle_off_diagonal": (off_w[k], off_s[k]),
+        })
+    return rows
 
 
 def _fluid_residuals(p, pt: _GridPoint, theta: float) -> tuple[tuple, float, float]:
@@ -237,9 +246,11 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
 
     One pass over the grid builds a record per point (the quadrature mu,
     the square-root closed form, the warp state, the closed-form Ricci);
-    each grid check is a reduction over those records. The oracle checks
-    are skipped, with a note, below ORACLE_CHARGE_CUTOFF or where the
-    oracle's own pivot check fails anywhere on the grid.
+    each grid check is a reduction over those records. The quadratures of
+    the run are one batched call and the oracle takes the whole grid per
+    chart, so the layers see the grid at once, not point by point. The
+    oracle checks are skipped, with a note, below ORACLE_CHARGE_CUTOFF or
+    where the oracle's own pivot check fails anywhere on the grid.
     """
     th = dict(THRESHOLDS)
     hp = rn.horizons(p)
@@ -264,9 +275,19 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     def add(name, residual):
         checks.append(CheckResult(name, float(residual), th[name], residual <= th[name]))
 
-    points = [_GridPoint(r, rn.mu_of_r(p, r, tol), rn.mu_closed_form_sqrt(p, r),
+    # the Kepler inverse is checked against the quadrature at fixed
+    # pseudorandom mu samples; every quadrature of the run (the grid, the
+    # outer horizon, the round trip) is one batch
+    rng = random.Random(_ROUNDTRIP_SEED)
+    mu_max = m * math.pi
+    mu_samples = [mu_max * rng.uniform(0.01, 0.99) for _ in range(_ROUNDTRIP_SAMPLES)]
+    r_samples = [rn._kepler_inverse(p, mu0) for mu0 in mu_samples]
+    mus = rn.mu_of_r(p, np.array(grid + [hp.r_plus] + r_samples), tol).tolist()
+    mu_outer, mu_round = mus[len(grid)], mus[len(grid) + 1:]
+
+    points = [_GridPoint(r, mu, rn.mu_closed_form_sqrt(p, r),
                          rn.warp_state(p, r), rn.ricci_closed_form(p, r, theta))
-              for r in grid]
+              for r, mu in zip(grid, mus)]
 
     # Vieta: r+ + r- = 2m, r+ r- = Q^2
     add("horizon_vieta", max(
@@ -275,9 +296,12 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     ))
 
     # the coordinate map's value at the outer horizon; mu(r_minus) = 0 by definition
-    add("mu_at_outer_horizon", abs(rn.mu_of_r(p, hp.r_plus, tol) - m * math.pi))
+    add("mu_at_outer_horizon", abs(mu_outer - m * math.pi))
 
-    add("warp_identities", _worst(_warp_identity_residuals(p, pt) for pt in points))
+    # one Kepler inverse per distinct mu: the three identities difference
+    # at the same four stencil points
+    r_of = functools.cache(functools.partial(rn._kepler_inverse, p))
+    add("warp_identities", _worst(_warp_identity_residuals(p, pt, r_of) for pt in points))
 
     # triple agreement and scalar flatness
     algebraic = [_algebraic_residuals(p, pt, theta) for pt in points]
@@ -291,7 +315,7 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     else:
         wc, sc = rn.warped_chart(p), rn.static_chart(p)
         try:
-            oracle_rows = [_oracle_residuals(p, pt, theta, wc, sc) for pt in points]
+            oracle_rows = _oracle_residuals(p, points, theta, wc, sc)
         except SingularMetricError:
             notes.append(
                 "finite-difference oracle checks skipped: a chart determinant falls under "
@@ -303,13 +327,10 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     if q == 0.0:
         add("schwarzschild_flatness", _worst(c["schwarzschild_flatness"] for c in algebraic))
 
-    # the Kepler inverse against the quadrature on fixed pseudorandom mu samples
-    rng = random.Random(_ROUNDTRIP_SEED)
-    mu_max = m * math.pi
+    # the Kepler inverse against the quadrature
     worst = 0.0
-    for _ in range(_ROUNDTRIP_SAMPLES):
-        mu0 = mu_max * rng.uniform(0.01, 0.99)
-        worst = max(worst, abs(rn.mu_of_r(p, rn._kepler_inverse(p, mu0), tol) - mu0))
+    for mu0, mu in zip(mu_samples, mu_round):
+        worst = max(worst, abs(mu - mu0))
     add("roundtrip_inverse", worst / mu_max)
 
     # fluid extraction: three balances vanish, the mumu gap has a closed form

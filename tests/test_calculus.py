@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,18 @@ from rnwarp import calculus
 from rnwarp.calculus import (DEFAULT_TOL, EPS, Interval, Tolerance, derivative,
                              find_root_bracketed, integrate_endpoint_singular)
 from rnwarp.errors import BracketError, ConvergenceError
-from rnwarp.reissner_nordstrom import BlackHoleParams, mu_of_r, r_of_mu
+from rnwarp.reissner_nordstrom import BlackHoleParams, horizons, interior_grid, mu_of_r, \
+    r_of_mu
 from rnwarp.verify import THRESHOLDS
 
 
 def arcsine(x):
-    return 1.0 / math.sqrt(x * (2.0 - x))
+    return 1.0 / np.sqrt(x * (2.0 - x))
+
+
+def integrate(f, iv, tol=DEFAULT_TOL):
+    """The quadrature of f over one interval: a batch of one row."""
+    return float(integrate_endpoint_singular(f, iv.lo, [iv.hi], tol)[0])
 
 
 def sweep_level(f, iv, level):
@@ -73,60 +80,64 @@ def sweep_level(f, iv, level):
         j += 1
 
 
-def sweep_reference(f, iv, tol=DEFAULT_TOL):
-    """sweep_level under the convergence rule of integrate_endpoint_singular."""
+def sweep_levels(f, iv, tol=DEFAULT_TOL):
+    """sweep_level under the convergence rule of integrate_endpoint_singular:
+    the estimate and the finest level it took."""
     prev = math.nan
     refine_once = False
     for level in range(13):
         estimate = sweep_level(f, iv, level)
         if refine_once:
-            return estimate
+            return estimate, level
         if level >= 2:
             err = abs(estimate - prev)
             if err <= max(tol.abs_tol, tol.rel_tol * abs(estimate)):
                 if err <= 0.01 * tol.abs_tol or level == 12:
-                    return estimate
+                    return estimate, level
                 refine_once = True
         prev = estimate
     raise ConvergenceError("reference did not converge", prev, err)
 
 
+def sweep_reference(f, iv, tol=DEFAULT_TOL):
+    return sweep_levels(f, iv, tol)[0]
+
+
 class TestIntegrate:
     def test_arcsine_kernel(self):
         # exact arcsine integral, singular at both ends
-        got = integrate_endpoint_singular(arcsine, Interval(0.0, 2.0))
+        got = integrate(arcsine, Interval(0.0, 2.0))
         assert got == pytest.approx(math.pi, abs=1e-9)
 
     def test_weighted_arcsine_kernel(self):
         # oracle: substituting x = 1 - cos(phi) turns the integrand into
         # (1 - cos phi) d phi over (0, pi), which integrates to pi exactly
-        got = integrate_endpoint_singular(lambda x: x / math.sqrt((2.0 - x) * x),
-                                          Interval(0.0, 2.0))
+        got = integrate(lambda x: x / np.sqrt((2.0 - x) * x), Interval(0.0, 2.0))
         assert got == pytest.approx(math.pi, abs=1e-9)
 
     def test_constant(self):
-        got = integrate_endpoint_singular(lambda x: 1.0, Interval(0.0, 1.0))
+        got = integrate(np.ones_like, Interval(0.0, 1.0))
         assert got == pytest.approx(1.0, abs=1e-11)
 
     def test_single_sided_singularity(self):
         # integral of 1/sqrt(x) over (0, 1) is 2
-        got = integrate_endpoint_singular(lambda x: 1.0 / math.sqrt(x), Interval(0.0, 1.0))
+        got = integrate(lambda x: 1.0 / np.sqrt(x), Interval(0.0, 1.0))
         assert got == pytest.approx(2.0, abs=1e-9)
 
     def test_smooth_integrand(self):
-        got = integrate_endpoint_singular(math.sin, Interval(0.0, math.pi))
+        got = integrate(np.sin, Interval(0.0, math.pi))
         assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_deterministic(self):
-        vals = {integrate_endpoint_singular(arcsine, Interval(0.0, 2.0)) for _ in range(3)}
+        vals = {integrate(arcsine, Interval(0.0, 2.0)) for _ in range(3)}
         assert len(vals) == 1
 
     @given(st.floats(min_value=0.05, max_value=1.95))
     @settings(max_examples=20)
     def test_additive_over_subintervals(self, split):
-        whole = integrate_endpoint_singular(arcsine, Interval(0.0, 2.0))
-        left = integrate_endpoint_singular(arcsine, Interval(0.0, split))
-        right = integrate_endpoint_singular(arcsine, Interval(split, 2.0))
+        whole = integrate(arcsine, Interval(0.0, 2.0))
+        left = integrate(arcsine, Interval(0.0, split))
+        right = integrate(arcsine, Interval(split, 2.0))
         assert abs(left + right - whole) <= 2.0 * DEFAULT_TOL.abs_tol + 1e-12
 
     @given(a=st.floats(min_value=-3.0, max_value=1.0),
@@ -139,9 +150,9 @@ class TestIntegrate:
         b = a + width
 
         def f(x):
-            return c1 / math.sqrt((b - x) * (x - a)) + c2
+            return c1 / np.sqrt((b - x) * (x - a)) + c2
 
-        got = integrate_endpoint_singular(f, Interval(a, b))
+        got = integrate(f, Interval(a, b))
         want = c1 * math.pi + c2 * width
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
@@ -151,10 +162,10 @@ class TestIntegrate:
         seen = []
 
         def f(x):
-            seen.append(x)
-            return math.sqrt(x)
+            seen.extend(x.tolist())
+            return np.sqrt(x)
 
-        got = integrate_endpoint_singular(f, Interval(0.0, 1.0))
+        got = integrate(f, Interval(0.0, 1.0))
         assert got == pytest.approx(2.0 / 3.0, abs=1e-10)
         assert min(seen) > 1e-100
 
@@ -162,37 +173,40 @@ class TestIntegrate:
         # violates the continuity precondition; refinement stalls and the
         # error must carry the running estimate and bound
         with pytest.raises(ConvergenceError) as exc:
-            integrate_endpoint_singular(lambda x: 1.0 if x < 0.37 else 0.0,
-                                        Interval(0.0, 1.0))
+            integrate(lambda x: np.where(x < 0.37, 1.0, 0.0), Interval(0.0, 1.0))
         assert exc.value.estimate == pytest.approx(0.37, abs=0.01)
         assert exc.value.error_bound > 0.0
 
     def test_nonintegrable_singularity_rejected(self):
         # 1/x overflows approaching the zero endpoint, where no
         # representability wall exists
+        def f(x):
+            with np.errstate(over="ignore"):
+                return 1.0 / x
+
         with pytest.raises(ValueError, match="non-finite"):
-            integrate_endpoint_singular(lambda x: 1.0 / x, Interval(0.0, 1.0))
+            integrate(f, Interval(0.0, 1.0))
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            integrate_endpoint_singular(lambda x: math.nan, Interval(0.0, 1.0))
+            integrate(lambda x: np.full_like(x, math.nan), Interval(0.0, 1.0))
 
     @pytest.mark.parametrize("f, iv", [
         (arcsine, Interval(0.0, 2.0)),
-        (lambda x: x / math.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0)),
+        (lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0)),
         # stalls, so every level up to the finest is evaluated; the interval
         # keeps clear of zero, where distinct subnormal abscissas round together
-        (lambda x: 1.0 if x < 0.87 else 0.0, Interval(0.5, 1.5)),
+        (lambda x: np.where(x < 0.87, 1.0, 0.0), Interval(0.5, 1.5)),
     ])
     def test_each_abscissa_evaluated_once(self, f, iv):
         seen = []
 
         def recording(x):
-            seen.append(x)
+            seen.extend(x.tolist())
             return f(x)
 
         try:
-            integrate_endpoint_singular(recording, iv)
+            integrate(recording, iv)
         except ConvergenceError:
             pass
         assert len(seen) > 50
@@ -201,10 +215,10 @@ class TestIntegrate:
     @pytest.mark.parametrize("split", [0.05, 0.3, 0.7, 1.0, 1.3, 1.95])
     def test_reproduces_level_sweeps_bit_for_bit(self, split):
         for f, iv in [(arcsine, Interval(0.0, split)), (arcsine, Interval(split, 2.0)),
-                      (lambda x: x / math.sqrt((1.8 - x) * (x - 0.2)),
+                      (lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)),
                        Interval(0.2, 0.2 + 0.8 * split)),
-                      (math.sin, Interval(-split, 2.0 * split))]:
-            assert integrate_endpoint_singular(f, iv) == sweep_reference(f, iv)
+                      (np.sin, Interval(-split, 2.0 * split))]:
+            assert integrate(f, iv) == sweep_reference(f, iv)
 
     @given(a=st.floats(min_value=-1e3, max_value=1e3),
            rel_width=st.floats(min_value=1e-12, max_value=10.0),
@@ -216,31 +230,29 @@ class TestIntegrate:
         b = a + max(abs(a), 1.0) * rel_width
 
         def f(x):
-            return 1.0 / (math.sqrt(b - x) * math.sqrt(x - a)) + c
+            return 1.0 / (np.sqrt(b - x) * np.sqrt(x - a)) + c
 
         try:
             want = sweep_reference(f, Interval(a, b))
         except ConvergenceError:
             return
-        assert integrate_endpoint_singular(f, Interval(a, b)) == pytest.approx(
+        assert integrate(f, Interval(a, b)) == pytest.approx(
             want, rel=64 * EPS, abs=0.0)
 
     def test_result_independent_of_node_table_history(self):
         # a fresh process builds only the levels this call needs; here the
         # stalled integrand has already built every level
-        code = ("import math\n"
-                "from rnwarp.calculus import Interval, integrate_endpoint_singular\n"
-                "print(integrate_endpoint_singular("
-                "lambda x: x / math.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0)).hex())")
+        code = ("import numpy as np\n"
+                "from rnwarp.calculus import integrate_endpoint_singular\n"
+                "print(float(integrate_endpoint_singular("
+                "lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), 0.2, [1.0])[0]).hex())")
         src = os.path.dirname(os.path.dirname(rnwarp.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                capture_output=True, text=True).stdout.strip()
         with pytest.raises(ConvergenceError):
-            integrate_endpoint_singular(lambda x: 1.0 if x < 0.37 else 0.0,
-                                        Interval(0.0, 1.0))
-        here = integrate_endpoint_singular(lambda x: x / math.sqrt((1.8 - x) * (x - 0.2)),
-                                           Interval(0.2, 1.0))
+            integrate(lambda x: np.where(x < 0.37, 1.0, 0.0), Interval(0.0, 1.0))
+        here = integrate(lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0))
         assert here.hex() == fresh
 
     def test_interval_must_be_ordered(self):
@@ -248,6 +260,104 @@ class TestIntegrate:
             Interval(1.0, 1.0)
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
+
+
+def inverse_sqrt_neg(x):
+    return 1.0 / np.sqrt(-x)
+
+
+class TestBatchedRows:
+    """integrate_endpoint_singular on many upper limits: each row as if alone."""
+
+    # (integrand, lower limit, upper limits): ends at 0 (probed nodes
+    # inside the wall, below or above), ends away from 0, a smooth
+    # integrand, intervals from microscopic to wide
+    CASES = [
+        (arcsine, 0.0, [2.0, 1.5, 1e-3, 0.3, 1.999, 1e-9, 1.0]),
+        (lambda x: 1.0 / np.sqrt(x), 0.0, [1.0, 1e-6, 30.0, 0.5]),
+        (inverse_sqrt_neg, -1.0, [-0.5, 0.0, -1e-3, -0.999]),
+        (lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), 0.2, [1.8, 1.0, 0.2000001, 1.79, 0.9]),
+        (np.sin, -0.7, [2.1, -0.6, 0.0, 1e3 * EPS, 0.4]),
+    ]
+
+    @pytest.mark.parametrize("f, lo, his", CASES)
+    def test_each_row_reproduces_its_level_sweep(self, f, lo, his):
+        got = integrate_endpoint_singular(f, lo, his)
+        want = [sweep_levels(f, Interval(lo, hi)) for hi in his]
+        assert got.tolist() == [w for w, _ in want]
+        assert len({level for _, level in want}) > 1  # rows converge at different levels
+
+    @pytest.mark.parametrize("f, lo, his", CASES)
+    def test_row_independent_of_the_rest_of_the_batch(self, f, lo, his):
+        whole = integrate_endpoint_singular(f, lo, his)
+        order = np.random.default_rng(1).permutation(len(his))
+        shuffled = integrate_endpoint_singular(f, lo, np.array(his)[order])
+        assert shuffled.tobytes() == whole[order].tobytes()
+        alone = [integrate_endpoint_singular(f, lo, [hi])[0] for hi in his]
+        assert np.array(alone).tobytes() == whole.tobytes()
+
+    def test_mixed_tolerance_rows_reproduce_their_sweeps(self):
+        # a loose tolerance lets rows stop after the refine-once level or at once
+        tol = Tolerance(1e-6, 1e-6)
+        his = [2.0, 0.1, 1.0, 1.99999]
+        got = integrate_endpoint_singular(arcsine, 0.0, his, tol)
+        assert got.tolist() == [sweep_reference(arcsine, Interval(0.0, hi), tol) for hi in his]
+
+    def test_each_row_evaluated_once_per_abscissa(self):
+        seen = []
+
+        def recording(x):
+            seen.extend(x.tolist())
+            return arcsine(x)
+
+        his = [2.0, 1.0, 0.5]
+        integrate_endpoint_singular(recording, 0.0, his)
+        for hi in his:  # each row's abscissas are its own, whatever the others are
+            alone = []
+            integrate(lambda x: alone.extend(x.tolist()) or arcsine(x), Interval(0.0, hi))
+            assert set(alone) <= set(seen)
+        assert len(set(seen)) == len(seen)
+
+    def test_first_failing_row_decides_the_error(self):
+        # a row stalls (ConvergenceError), another returns NaN (ValueError):
+        # the earlier row's error is raised, as a loop over the rows would
+        def f(x):
+            return np.where(x > 5.0, np.nan, np.where(x < 0.37, 1.0, 0.0))
+
+        with pytest.raises(ConvergenceError):
+            integrate_endpoint_singular(f, 0.0, [0.3, 1.0, 10.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_endpoint_singular(f, 0.0, [0.3, 10.0, 1.0])
+
+    @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (2.5, 2.475), (0.3, 0.0)])
+    def test_mu_rows_reproduce_their_level_sweeps(self, m, q):
+        # the charged integrand walls both ends; at Q = 0 the lower end is
+        # r = 0 and its nodes inside the wall are probed
+        p = BlackHoleParams(m, q)
+        hp = horizons(p)
+        rp, rm = hp.r_plus, hp.r_minus
+        if rm > 0.0:
+            def f(x):
+                return x / np.sqrt((rp - x) * (x - rm))
+        else:
+            def f(x):
+                return np.sqrt(x / (rp - x))
+        rs = interior_grid(p, 8) + [rp, rm + 1e-3 * hp.width, rp - 1e-7 * hp.width]
+        want = [sweep_levels(f, Interval(rm, r)) for r in rs]
+        assert mu_of_r(p, np.array(rs)).tolist() == [w for w, _ in want]
+        assert len({level for _, level in want}) > 1
+
+    @pytest.mark.parametrize("his", [[], [[1.0]], [1.0, 0.0], [1.0, math.nan]])
+    def test_limits_must_be_a_vector_above_lo(self, his):
+        if len(his) == 0:
+            assert integrate_endpoint_singular(arcsine, 0.0, his).shape == (0,)
+            return
+        with pytest.raises(ValueError, match="lo < hi"):
+            integrate_endpoint_singular(arcsine, 0.0, his)
+
+    def test_integrand_must_be_elementwise(self):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_endpoint_singular(lambda x: 1.0, 0.0, [1.0])
 
 
 class TestFindRoot:

@@ -435,3 +435,84 @@ class TestBatchedStencil:
         outer = oracle.OUTER_STEP_FACTOR * steps
         table = x + oracle._STENCIL * np.stack([steps, outer, 2.0 * outer])[oracle._STENCIL_MESH]
         assert np.array(seen).tobytes() == table.tobytes()
+
+
+def _grid_points(p, n, theta=PI_2):
+    """Warped and static chart points over the guarded interior grid."""
+    grid = interior_grid(p, n)
+    mus = mu_of_r(p, np.array(grid))
+    return (np.array([[mu, 0.0, theta, 0.0] for mu in mus]),
+            np.array([[0.0, r, theta, 0.0] for r in grid]))
+
+
+class TestBatchedPoints:
+    @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (7.9, 4.8), (0.3, 0.29)])
+    def test_each_point_equals_the_per_point_reference(self, m, q):
+        p = BlackHoleParams(m, q)
+        for chart, ref, points in zip((warped_chart, static_chart),
+                                      (reference_warped_chart, reference_static_chart),
+                                      _grid_points(p, 20)):
+            cp = ricci_at(chart(p), points)
+            assert cp.christoffel.shape == (20, 4, 4, 4) and cp.scalar.shape == (20,)
+            for k, x in enumerate(points):
+                gamma, ricci, scalar = reference_ricci(ref(p), x)
+                assert cp.christoffel[k].tobytes() == gamma.tobytes()
+                assert cp.ricci[k].tobytes() == ricci.tobytes()
+                assert cp.scalar[k] == scalar
+
+    @pytest.mark.parametrize("chart", [warped_chart, static_chart])
+    def test_point_independent_of_the_rest_of_the_batch(self, charged, chart):
+        points = _grid_points(charged, 40)[chart is static_chart]
+        points[::3, 2] = 1.1  # two thetas in the batch
+        mf = chart(charged)
+        whole = ricci_at(mf, points)
+        order = np.random.default_rng(2).permutation(len(points))
+        shuffled = ricci_at(mf, points[order])
+        for field in ("christoffel", "ricci", "scalar"):
+            assert getattr(shuffled, field).tobytes() == getattr(whole, field)[order].tobytes()
+        for k in (0, 17, 39):
+            alone = ricci_at(mf, points[k])
+            assert type(alone.scalar) is float
+            assert alone.ricci.tobytes() == whole.ricci[k].tobytes()
+            assert alone.scalar == whole.scalar[k]
+
+    @pytest.mark.parametrize("chart", [warped_chart, static_chart])
+    def test_one_metric_call_per_block(self, charged, chart):
+        mf, calls = _counting(chart(charged))
+        ricci_at(mf, _grid_points(charged, 20)[chart is static_chart])
+        stencil = len(oracle._STENCIL)
+        assert calls == [(oracle._BLOCK * stencil, 4), ((20 - oracle._BLOCK) * stencil, 4)]
+
+    @pytest.mark.parametrize("m, q", [(0.1, 0.0), (0.16523791279038202, 0.0), (1.0, 0.6),
+                                      (0.3, 0.2)])
+    def test_batch_raises_exactly_when_a_point_raises(self, m, q):
+        # small masses drive the static chart under the pivot floor near
+        # the horizons, tiny guards push stencils across the domain box
+        p = BlackHoleParams(m, q)
+        hp = horizons(p)
+        for guard in (0.05, 1e-3, 1e-7):
+            grid = np.linspace(hp.r_minus + guard * hp.width, hp.r_plus - guard * hp.width, 12)
+            mus = mu_of_r(p, grid)
+            for chart, points in ((warped_chart(p), [[mu, 0.0, PI_2, 0.0] for mu in mus]),
+                                  (static_chart(p), [[0.0, r, PI_2, 0.0] for r in grid])):
+                alone = [_outcome(lambda: ricci_at(chart, x)) for x in points]
+                kinds = {o for o in alone if isinstance(o, type)}
+                batch = _outcome(lambda: ricci_at(chart, points))
+                if not kinds:
+                    assert not isinstance(batch, type)
+                elif DomainError in kinds:
+                    assert batch is DomainError
+                else:
+                    assert batch is SingularMetricError
+
+    def test_invert4_batch_equals_each_matrix(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(50, 4, 4)) * np.exp(4.0 * rng.normal(size=(50, 4, 4)))
+        g = a + np.swapaxes(a, 1, 2) + 8.0 * np.eye(4)
+        batch = invert4(np.asfortranarray(g))  # any memory layout
+        for k in range(50):
+            assert batch[k].tobytes() == invert4(g[k]).tobytes()
+        singular = g.copy()
+        singular[30] = np.diag([1.0, 1.0, 1.0, 0.0])
+        with pytest.raises(SingularMetricError):
+            invert4(singular)

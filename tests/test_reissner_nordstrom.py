@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,11 +135,11 @@ class TestZeroInnerHorizon:
         seen = []
         quad = calculus.integrate_endpoint_singular
 
-        def recording(f, iv, tol=calculus.DEFAULT_TOL):
+        def recording(f, lo, hi, tol=calculus.DEFAULT_TOL):
             def g(x):
-                seen.append(x)
+                seen.extend(x.tolist())
                 return f(x)
-            return quad(g, iv, tol)
+            return quad(g, lo, hi, tol)
 
         monkeypatch.setattr(calculus, "integrate_endpoint_singular", recording)
         p = BlackHoleParams(1.0, 0.0)
@@ -146,6 +147,39 @@ class TestZeroInnerHorizon:
         assert min(seen) > 1e-100
         assert len(seen) <= 100
         assert mu == pytest.approx(mu_closed_form_sqrt(p, 1.0), abs=1e-10)
+
+
+class TestBatchedMu:
+    @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (2.5, 2.475), (0.3, 0.0)])
+    def test_entries_equal_scalar_calls(self, m, q):
+        p = BlackHoleParams(m, q)
+        hp = horizons(p)
+        rs = interior_grid(p, 16) + [hp.r_plus, hp.r_minus, hp.r_minus + 1e-9 * hp.width]
+        batch = mu_of_r(p, np.array(rs))
+        assert batch.tolist() == [mu_of_r(p, r) for r in rs]
+        assert batch[len(rs) - 2] == 0.0  # F(r_minus), no quadrature
+
+    def test_one_quadrature_per_batch(self, charged, monkeypatch):
+        rows = []
+        quad = calculus.integrate_endpoint_singular
+
+        def counted(f, lo, hi, tol=calculus.DEFAULT_TOL):
+            rows.append(len(hi))
+            return quad(f, lo, hi, tol)
+
+        monkeypatch.setattr(calculus, "integrate_endpoint_singular", counted)
+        hp = horizons(charged)
+        mu_of_r(charged, np.array([hp.r_minus, 1.0, 1.5, hp.r_plus]))
+        assert rows == [3]
+
+    def test_scalar_gives_a_python_float(self, charged):
+        # repr of a numpy float would change the CLI's CSV and JSON text
+        assert type(mu_of_r(charged, 1.0)) is float
+        assert type(mu_of_r(charged, horizons(charged).r_minus)) is float
+
+    def test_any_entry_outside_raises(self, charged):
+        with pytest.raises(DomainError, match="r=1.81"):
+            mu_of_r(charged, np.array([1.0, 1.81, 0.1]))
 
 
 class TestClosedForms:

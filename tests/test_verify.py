@@ -131,25 +131,30 @@ def test_oracle_runs_where_the_pivot_floor_holds():
 
 def test_reference_verify_quadrature_budget(monkeypatch):
     # one quadrature mu per grid point shared by every check, the outer
-    # horizon, and one per round-trip sample: 64 + 1 + 100. The round trip
-    # inverts with the Kepler inverse, so verify runs no root search
-    # (273 quadratures when it checked the quadrature's own root search)
-    counts = {"quad": 0, "root": 0}
+    # horizon, and one per round-trip sample: 64 + 1 + 100 rows, all in
+    # one batched call. The round trip inverts with the Kepler inverse, so
+    # verify runs no root search (273 quadratures when it checked the
+    # quadrature's own root search)
+    rows, roots = [], [0]
     quad, r_of_mu, find_root = (calculus.integrate_endpoint_singular, rn.r_of_mu,
                                 calculus.find_root_bracketed)
 
-    def counted(key, fn):
+    def counted_quad(f, lo, hi, tol=calculus.DEFAULT_TOL):
+        rows.append(len(hi))
+        return quad(f, lo, hi, tol)
+
+    def counted_root(fn):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            roots[0] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(calculus, "integrate_endpoint_singular", counted("quad", quad))
-    monkeypatch.setattr(rn, "r_of_mu", counted("root", r_of_mu))
-    monkeypatch.setattr(calculus, "find_root_bracketed", counted("root", find_root))
+    monkeypatch.setattr(calculus, "integrate_endpoint_singular", counted_quad)
+    monkeypatch.setattr(rn, "r_of_mu", counted_root(r_of_mu))
+    monkeypatch.setattr(calculus, "find_root_bracketed", counted_root(find_root))
     assert run_verification(BlackHoleParams(1.0, 0.6), 64).overall
-    assert counts["quad"] <= 170
-    assert counts["root"] == 0
+    assert rows == [165]
+    assert roots == [0]
 
 
 def test_roundtrip_inverse_is_the_kepler_inverse_against_the_quadrature(charged):
@@ -167,19 +172,21 @@ def test_roundtrip_inverse_is_the_kepler_inverse_against_the_quadrature(charged)
 
 def test_pivot_floor_mid_grid_skips_the_oracle(charged, monkeypatch):
     # the oracle's own pivot check decides the skip, wherever on the grid
-    # it fires; the algebraic checks still run and nothing raises
+    # it fires; the algebraic checks still run and nothing raises. The
+    # oracle takes each chart's grid in blocks, one invert4 call per
+    # block: the third call is the warped chart's third block of 16 points
     calls = [0]
     invert4 = oracle.invert4
 
     def failing_mid_grid(g):
         calls[0] += 1
-        if calls[0] == 7:
+        if calls[0] == 3:
             raise SingularMetricError("metric determinant below pivot floor")
         return invert4(g)
 
     monkeypatch.setattr(oracle, "invert4", failing_mid_grid)
-    rep = run_verification(charged, grid_points=8)
-    assert calls[0] == 7
+    rep = run_verification(charged, grid_points=64)
+    assert calls[0] == 3
     names = {c.name for c in rep.checks}
     assert not names & set(verify._ORACLE_CHECKS)
     assert {"closed_vs_warped_ricci", "scalar_closed_and_warped"} <= names
