@@ -310,12 +310,9 @@ def ricci_at(mf: MetricField, x) -> CurvaturePoint:
     steps = _steps(mf, points)
     outer = OUTER_STEP_FACTOR * steps
     _require_domain(mf, points, 4.0 * outer)  # the doubled Richardson mesh reaches 2*(2*outer)
-    if len(points) <= _BLOCK:
-        gamma, ricci, scalar = _curvature(mf, points, steps, outer)
-    else:
-        blocks = [_curvature(mf, points[k:k + _BLOCK], steps[k:k + _BLOCK],
-                             outer[k:k + _BLOCK]) for k in range(0, len(points), _BLOCK)]
-        gamma, ricci, scalar = map(np.concatenate, zip(*blocks))
+    blocks = [_curvature(mf, points[k:k + _BLOCK], steps[k:k + _BLOCK], outer[k:k + _BLOCK])
+              for k in range(0, len(points), _BLOCK)]
+    gamma, ricci, scalar = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
     if x.ndim == 1:
         return CurvaturePoint(point=x, christoffel=gamma[0], ricci=ricci[0],
                               scalar=float(scalar[0]))
