@@ -2,7 +2,11 @@
 
 Each file under tests/data holds the stdout of one verify run. A change to
 how the numbers are computed (batching, reordering, caching) must leave
-every byte of it as it is.
+every byte of it as it is. The files were written with numpy 2.4.6 on
+x86-64 (AVX-512). einsum's reductions may add in another order under
+another numpy build or SIMD width, and libm's sin and exp may round
+differently elsewhere; on such a platform the files are regenerated from a
+commit whose numbers are trusted, never edited by hand.
 """
 
 import io
