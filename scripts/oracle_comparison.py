@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Radial profile of the interior curvature, closed form next to the oracle.
 
-For each grid radius, prints the closed-form Ricci diagonal, the
-finite-difference value from raw metric components in the proper-time
-chart, and their gap. A quick way to see the two independent pipelines
-agreeing (or to study how differencing degrades toward the horizons with
---guard).
+For each grid radius, prints the closed-form Ricci diagonal, the oracle's
+value from the raw metric components of the proper-time chart, and their
+gap. A quick way to see the two independent pipelines agreeing (or to
+study how they fare toward the horizons with --guard).
 
     python scripts/oracle_comparison.py --mass 1 --charge 0.6 --grid 16
 """

@@ -1,8 +1,8 @@
 """Interior Reissner-Nordstrom spacetime as a multiply warped product.
 
-Closed-form curvature, a quadrature-defined coordinate map, a
-finite-difference tensor oracle, and a perfect-fluid reduction, cross
-validated against each other. Geometrized units G = c = 1 throughout.
+Closed-form curvature, a quadrature-defined coordinate map, a tensor
+oracle on exact Taylor-jet derivatives, and a perfect-fluid reduction,
+cross validated against each other. Geometrized units G = c = 1 throughout.
 """
 
 from .calculus import DEFAULT_TOL, Interval, Tolerance, derivative, find_root_bracketed, \

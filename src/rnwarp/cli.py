@@ -175,6 +175,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}; rerun with a looser --tol\n")
         return 2
+    except OverflowError:  # Python's float power raises with an errno tuple
+        sys.stderr.write("error: floating-point overflow: an intermediate quantity exceeds the "
+                         "double range at this mass and charge\n")
+        return 2
     except ArithmeticError as exc:  # e.g. a numerical cross-check that failed
         sys.stderr.write(f"error: {exc}\n")
         return 2

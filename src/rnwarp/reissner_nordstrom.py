@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import calculus
+from . import calculus, oracle
 from .calculus import DEFAULT_TOL, Interval, Tolerance
 from .errors import DomainError, ExtremalError
 from .oracle import MetricField
@@ -174,7 +174,7 @@ def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> floa
                                         guess=_kepler_inverse(p, mu))
 
 
-def _kepler_inverse(p: BlackHoleParams, mu: float) -> float:
+def _kepler_inverse(p: BlackHoleParams, mu):
     """Fast F^(-1) through the monotone reparametrization mu = m*phi - c*sin(phi).
 
     With cos(phi) = (m - r)/c, c = sqrt(m^2 - Q^2), this is the same
@@ -183,43 +183,62 @@ def _kepler_inverse(p: BlackHoleParams, mu: float) -> float:
     quadratures. It is the r(mu) of the warped chart below and of the
     warp identities in verify; verify's roundtrip_inverse check measures
     mu_of_r at its output against the requested mu.
+
+    mu is a float (giving a float), an array or an oracle.Jet (giving
+    one). phi is solved once per distinct mu value; two Newton steps on
+    phi - e*sin(phi) = mu/m, e = c/m, then follow in the arithmetic of
+    mu. Each step doubles the number of exact orders, so a Jet of mu
+    gets r with exact first and second derivatives. Each entry depends
+    on its own mu alone.
     """
     m = p.mass
     c = math.sqrt(m * m - p.charge * p.charge)
     mu_max = m * math.pi
-    if not 0.0 < mu < mu_max:
-        raise DomainError(f"mu={mu} outside the open interval (0, {mu_max})")
-    # Newton with a bracket safeguard: the equation is monotone on [0, pi]
-    # but its slope m - c*cos(phi) = r vanishes at phi = 0 in the Q = 0
-    # limit, where an unguarded step overshoots.
-    # Iterated to a floating-point fixed point (or 2-cycle): downstream
-    # differencing sees any iteration-path dependence as jitter, so the
-    # output must be a function of mu alone down to the last ulp. The
-    # equation is solved in mass units so the cancellation noise of the
-    # residual does not grow with the geometry's scale.
+    values = mu.val if isinstance(mu, oracle.Jet) else np.asarray(mu, dtype=float)
+    for bad in values[~((0.0 < values) & (values < mu_max))][:1].tolist():
+        raise DomainError(f"mu={bad} outside the open interval (0, {mu_max})")
     ecc = c / m
+    phi = _per_distinct(values, lambda v: _kepler_phi(ecc, v / m, math.pi * v / mu_max))
     target = mu / m
+    for _ in range(2):
+        phi = phi - (phi - ecc * oracle.sin(phi) - target) / (1.0 - ecc * oracle.cos(phi))
+    r = m - c * oracle.cos(phi)
+    return r if isinstance(mu, oracle.Jet) or np.ndim(values) else float(r)
+
+
+def _kepler_phi(ecc: float, target: float, phi: float) -> float:
+    """The root in (0, pi) of phi - ecc*sin(phi) = target, from the guess phi.
+
+    Newton with a bracket safeguard: the equation is monotone on [0, pi]
+    but its slope 1 - ecc*cos(phi) = r/m vanishes at phi = 0 in the
+    Q = 0 limit, where an unguarded step overshoots. Iterated until the
+    residual is exactly 0 or to a floating-point fixed point (or
+    2-cycle), so the root is a function of target alone down to the last
+    ulp. The equation is in mass units so the cancellation noise of the
+    residual does not grow with the geometry's scale.
+    """
     lo, hi = 0.0, math.pi
-    phi = math.pi * mu / mu_max
     prev = -1.0
     for _ in range(200):
         g = phi - ecc * math.sin(phi) - target
+        if g == 0.0:
+            break
         if g > 0.0:
             hi = phi
         else:
             lo = phi
-        dg = 1.0 - ecc * math.cos(phi)  # equals r/m at the current iterate
+        dg = 1.0 - ecc * math.cos(phi)
         nxt = phi - g / dg if dg > 0.0 else 0.5 * (lo + hi)
+        if nxt == phi:  # a Newton step below half an ulp: phi is a bracket end now
+            break
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if nxt == phi:
-            break
         if nxt == prev:
             phi = min(phi, nxt)  # adjacent-float cycle; pick deterministically
             break
         prev = phi
         phi = nxt
-    return m - c * math.cos(phi)
+    return phi
 
 
 def warp_state(p: BlackHoleParams, r: float) -> WarpState:
@@ -258,38 +277,18 @@ def ricci_closed_form(p: BlackHoleParams, r: float, theta: float) -> RicciDiag:
     )
 
 
-# Angular features of the interior charts live on the O(1) radian scale
-# regardless of the mass, while the curvature signal shrinks as 1/m^2; a
-# wider angular mesh keeps the differencing noise below that signal for
-# masses away from unity without measurable truncation cost.
-_ANGLE_STEP_SCALE = 4.0
-
 _LINE = (-math.inf, math.inf)  # an unbounded chart coordinate
 
 
 def _per_distinct(values: np.ndarray, fn) -> np.ndarray:
     """fn applied once to each distinct float in values, spread back over values.
 
-    A stencil revisits the same coordinate value many times; the result at
-    a point depends on that value alone, whatever else is in the batch.
+    The result at an entry depends on its value alone, whatever else is
+    in the batch.
     """
     ordered = np.sort(values, axis=None)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     return np.array([fn(v) for v in distinct.tolist()])[np.searchsorted(distinct, values)]
-
-
-def _sin_squared(th: float) -> float:
-    # Python's ** calls pow, which can round differently from numpy's x * x
-    return math.sin(th) ** 2
-
-
-def _diagonal_metric(shape, g00, g11, g22, g33) -> np.ndarray:
-    out = np.zeros(shape + (4, 4))
-    out[..., 0, 0] = g00
-    out[..., 1, 1] = g11
-    out[..., 2, 2] = g22
-    out[..., 3, 3] = g33
-    return out
 
 
 def static_chart(p: BlackHoleParams) -> MetricField:
@@ -297,51 +296,47 @@ def static_chart(p: BlackHoleParams) -> MetricField:
 
     g = diag(N^2, -1/N^2, r^2, r^2 sin^2 theta); inside the horizons
     N^2 > 0, so r is the timelike direction here. g takes points of
-    shape (..., 4) and returns metrics of shape (..., 4, 4).
+    shape (..., 4) and returns metrics of shape (..., 4, 4), or a Jet of
+    points and returns a Jet of metrics.
     """
     hp = horizons(p)
 
     def g(x):
-        x = np.asarray(x, dtype=float)
-        r, th = x[..., 1], x[..., 2]
+        x = oracle.points(x)
+        r, s = x[..., 1], oracle.sin(x[..., 2])
         n2 = _factored_lapse(hp, r)
         r2 = r * r
-        return _diagonal_metric(x.shape[:-1], n2, -1.0 / n2, r2,
-                                r2 * _per_distinct(th, _sin_squared))
+        return oracle.diagonal_metric(x, (n2, -1.0 / n2, r2, r2 * (s * s)))
 
-    return MetricField(g, (_LINE, (hp.r_minus, hp.r_plus), (0.0, math.pi), _LINE),
-                       (p.mass, p.mass, _ANGLE_STEP_SCALE, _ANGLE_STEP_SCALE))
+    return MetricField(g, (_LINE, (hp.r_minus, hp.r_plus), (0.0, math.pi), _LINE))
 
 
 def warped_chart(p: BlackHoleParams) -> MetricField:
     """The (mu, nu, theta, phi) chart as raw metric components for the oracle.
 
     g = diag(-1, f1(mu)^2, f2(mu)^2, f2(mu)^2 sin^2 theta). g takes
-    points of shape (..., 4) and returns metrics of shape (..., 4, 4);
-    it inverts F through the fast reparametrization once per distinct mu
-    in the batch, so the oracle can afford its nested difference stencils.
+    points of shape (..., 4) and returns metrics of shape (..., 4, 4),
+    or a Jet of points and returns a Jet of metrics; r(mu) is the Kepler
+    inverse, one scalar solve per distinct mu in the batch.
     """
     hp = horizons(p)
 
     def g(x):
-        x = np.asarray(x, dtype=float)
-        r = _per_distinct(x[..., 0], lambda mu: _kepler_inverse(p, mu))
-        f1sq = _factored_lapse(hp, r)
+        x = oracle.points(x)
+        r, s = _kepler_inverse(p, x[..., 0]), oracle.sin(x[..., 2])
         r2 = r * r
-        return _diagonal_metric(x.shape[:-1], -1.0, f1sq, r2,
-                                r2 * _per_distinct(x[..., 2], _sin_squared))
+        return oracle.diagonal_metric(x, (-1.0, _factored_lapse(hp, r), r2, r2 * (s * s)))
 
-    return MetricField(g, ((0.0, p.mass * math.pi), _LINE, (0.0, math.pi), _LINE),
-                       (p.mass, p.mass, _ANGLE_STEP_SCALE, _ANGLE_STEP_SCALE))
+    return MetricField(g, ((0.0, p.mass * math.pi), _LINE, (0.0, math.pi), _LINE))
 
 
 def interior_grid(p: BlackHoleParams, n: int, guard_fraction: float = 0.05) -> list[float]:
     """Uniform r-grid over the guarded interior.
 
     Excludes guard_fraction of the horizon gap at each end, where the
-    mu-parameterization degenerates and finite differencing fails. The
-    end points stay at least 2 ulps inside each horizon, and the low end 2
-    ulps of r_plus above 0, where r^4 would underflow next to r_minus = 0.
+    mu-parameterization degenerates. The end points stay at least 2 ulps
+    inside each horizon, and the low end 2 ulps of r_plus above 0, where
+    r^4 would underflow next to r_minus = 0.
     """
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import calculus, fluid, oracle, reissner_nordstrom as rn, warped
 from .calculus import Tolerance
-from .errors import SingularMetricError
 from .warped import RicciDiag, WarpState
 
 # Thresholds are part of the artifact contract; tests pin them.
@@ -41,9 +40,6 @@ THRESHOLDS = {
 }
 
 NEAR_EXTREMAL_MARGIN = 1e-4   # warn when (m - Q)/m drops below this
-ORACLE_CHARGE_CUTOFF = 0.02   # skip oracle checks when (m - Q)/m drops below this:
-                              # the lapse f1^2 shrinks with the horizon gap and its
-                              # inverse amplifies differencing noise past the thresholds
 
 _ROUNDTRIP_SAMPLES = 100
 _ROUNDTRIP_SEED = 20240817  # fixed: verify output must be deterministic
@@ -109,10 +105,11 @@ def _off_diagonal_norm(ricci: np.ndarray, mf_g, x, m: float):
     makes the diagonal comparison unit free, then expressed in m^-2. At
     one point x (ricci of shape (4, 4)) this is a float; at a batch of
     points (ricci of shape (n, 4, 4)) an array of one per point, from one
-    call of the chart's metric.
+    call of the chart's metric. The weight is a product of square roots,
+    which cannot overflow.
     """
-    g = np.abs(np.diagonal(mf_g(x), axis1=-2, axis2=-1))
-    weight = np.sqrt(g[..., :, None] * g[..., None, :])
+    root = np.sqrt(np.abs(np.diagonal(mf_g(x), axis1=-2, axis2=-1)))
+    weight = root[..., :, None] * root[..., None, :]
     diagonal = np.zeros_like(ricci)
     diagonal[..., range(4), range(4)] = np.diagonal(ricci, axis1=-2, axis2=-1)
     norm = m * m * np.max(np.abs(ricci - diagonal) / weight, axis=(-2, -1))
@@ -135,34 +132,30 @@ def _worst(rows) -> float:
     return max([0.0, *itertools.chain.from_iterable(rows)])
 
 
-def _warp_identity_residuals(p, pt: _GridPoint, r_of) -> tuple[float, float, float]:
-    """Residuals of the derivative identities relating f1 to f2.
+def _warp_identity_residuals(p, points: list[_GridPoint]):
+    """Residual rows of the derivative identities relating f1 to f2, one per point.
 
-    They come from first-order differencing of the machine-smooth inverse
-    map r_of (mu -> r). Each is scaled by the differenced function's local
-    magnitude, since the centered stencil carries an irreducible eps*|f|/h
-    noise floor. The step is eps^(1/3)*max(|mu|, m), with the geometry's
-    length unit as the coordinate scale, so the check is unit independent.
+    The mu-derivatives come from the Kepler inverse r(mu) evaluated on a
+    jet of mu at every grid point at once: f1 = dr/dmu, so f1' is r's
+    second derivative, and f1'(mu) = -m/r^2 + Q^2/r^3 as a jet of r
+    gives f1''. Each is compared with warp_state and scaled by the local
+    magnitudes, so the check is unit independent.
     """
     m, q = p.mass, p.charge
+    mu = oracle.Jet.variables([[pt.mu_sqrt] for pt in points])[..., 0]
+    r = rn._kepler_inverse(p, mu)
+    q_r = q / r
+    f1p_of_mu = (q_r * q_r - m / r) / r  # -m/r^2 + Q^2/r^3, with no power of r to overflow
+    r_now = np.array([pt.r for pt in points])
+    f1, f1p, f1pp = (np.array([getattr(pt.warp, k) for pt in points])
+                     for k in ("f1", "f1p", "f1pp"))
 
-    def f1_of(mu):
-        return math.sqrt(rn.lapse_squared(p, r_of(mu)))
+    def scaled(diff, *magnitudes):
+        return (np.abs(diff) / functools.reduce(np.maximum, magnitudes, 1.0)).tolist()
 
-    def f1p_of(mu):
-        r = r_of(mu)
-        return -m / (r * r) + q * q / (r * r * r)
-
-    w, mu0, r = pt.warp, pt.mu_sqrt, pt.r
-    h_id = calculus.EPS ** (1.0 / 3.0) * max(abs(mu0), m)
-    return (
-        abs(calculus.derivative(r_of, mu0, h_id) - w.f1)
-        / max(1.0, abs(w.f1), r / m),
-        m * abs(calculus.derivative(f1_of, mu0, h_id) - w.f1p)
-        / max(1.0, m * abs(w.f1p), w.f1),
-        m * m * abs(calculus.derivative(f1p_of, mu0, h_id) - w.f1pp)
-        / max(1.0, m * m * abs(w.f1pp), m * abs(w.f1p)),
-    )
+    return zip(scaled(r.grad[0] - f1, np.abs(f1), r_now / m),
+               scaled(m * (r.hess[0, 0] - f1p), m * np.abs(f1p), f1),
+               scaled(m * m * (f1p_of_mu.grad[0] - f1pp), m * m * np.abs(f1pp), m * np.abs(f1p)))
 
 
 _ORACLE_CHECKS = ("closed_vs_oracle_ricci", "chart_covariance", "scalar_oracle",
@@ -195,8 +188,8 @@ def _oracle_residuals(p, points: list[_GridPoint], theta: float, wc, sc) -> list
 
     The oracle runs in the warped chart wc and in the static chart sc, on
     the whole grid at once; row k belongs to points[k]. Raises
-    SingularMetricError where a chart metric falls under the oracle's
-    pivot floor.
+    SingularMetricError where a chart metric fails the oracle's pivot
+    check.
     """
     m = p.mass
     cw = oracle.ricci_at(wc, [[pt.mu, 0.0, theta, 0.0] for pt in points])
@@ -248,9 +241,7 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     the square-root closed form, the warp state, the closed-form Ricci);
     each grid check is a reduction over those records. The quadratures of
     the run are one batched call and the oracle takes the whole grid per
-    chart, so the layers see the grid at once, not point by point. The
-    oracle checks are skipped, with a note, below ORACLE_CHARGE_CUTOFF or
-    where the oracle's own pivot check fails anywhere on the grid.
+    chart, so the layers see the grid at once, not point by point.
     """
     th = dict(THRESHOLDS)
     hp = rn.horizons(p)
@@ -281,8 +272,8 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     rng = random.Random(_ROUNDTRIP_SEED)
     mu_max = m * math.pi
     mu_samples = [mu_max * rng.uniform(0.01, 0.99) for _ in range(_ROUNDTRIP_SAMPLES)]
-    r_samples = [rn._kepler_inverse(p, mu0) for mu0 in mu_samples]
-    mus = rn.mu_of_r(p, np.array(grid + [hp.r_plus] + r_samples), tol).tolist()
+    r_samples = rn._kepler_inverse(p, np.array(mu_samples))
+    mus = rn.mu_of_r(p, np.concatenate([grid, [hp.r_plus], r_samples]), tol).tolist()
     mu_outer, mu_round = mus[len(grid)], mus[len(grid) + 1:]
 
     points = [_GridPoint(r, mu, rn.mu_closed_form_sqrt(p, r),
@@ -298,32 +289,16 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     # the coordinate map's value at the outer horizon; mu(r_minus) = 0 by definition
     add("mu_at_outer_horizon", abs(mu_outer - m * math.pi))
 
-    # one Kepler inverse per distinct mu: the three identities difference
-    # at the same four stencil points
-    r_of = functools.cache(functools.partial(rn._kepler_inverse, p))
-    add("warp_identities", _worst(_warp_identity_residuals(p, pt, r_of) for pt in points))
+    # the Kepler inverse's exact mu-derivatives against the analytic warp state
+    add("warp_identities", _worst(_warp_identity_residuals(p, points)))
 
     # triple agreement and scalar flatness
     algebraic = [_algebraic_residuals(p, pt, theta) for pt in points]
     for name in ("closed_vs_warped_ricci", "scalar_closed_and_warped"):
         add(name, _worst(c[name] for c in algebraic))
-    if (m - q) / m < ORACLE_CHARGE_CUTOFF:
-        notes.append(
-            "finite-difference oracle checks skipped: the horizon gap is too small for "
-            "the lapse-squared dynamic range at double precision; the algebraic "
-            "closed-form and warped-product checks remain in force")
-    else:
-        wc, sc = rn.warped_chart(p), rn.static_chart(p)
-        try:
-            oracle_rows = _oracle_residuals(p, points, theta, wc, sc)
-        except SingularMetricError:
-            notes.append(
-                "finite-difference oracle checks skipped: a chart determinant falls under "
-                "the pivot floor on this grid (the floor is unit dependent; rerun in units "
-                "with m near 1); the algebraic checks remain in force")
-        else:
-            for name in _ORACLE_CHECKS:
-                add(name, _worst(c[name] for c in oracle_rows))
+    oracle_rows = _oracle_residuals(p, points, theta, rn.warped_chart(p), rn.static_chart(p))
+    for name in _ORACLE_CHECKS:
+        add(name, _worst(c[name] for c in oracle_rows))
     if q == 0.0:
         add("schwarzschild_flatness", _worst(c["schwarzschild_flatness"] for c in algebraic))
 

@@ -317,6 +317,32 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["overall_pass"] is True
 
+    @pytest.mark.parametrize("mass, charge", [("1", "0.9999"), ("0.1", "0")])
+    def test_oracle_runs_where_it_was_skipped(self, capsys, mass, charge):
+        # a horizon gap of 1e-4 of m and a small mass: every check, the
+        # oracle's among them, runs and passes, and no note says skipped
+        code, out, _ = run(capsys, "verify", "--mass", mass, "--charge", charge)
+        assert code == 0
+        rep = json.loads(out)
+        checks = {c["name"]: c["pass"] for c in rep["checks"]}
+        assert checks["closed_vs_oracle_ricci"] and all(checks.values())
+        assert not any("skipped" in n for n in rep["notes"])
+
+    @pytest.mark.parametrize("mass, charge", [("1e150", "6e149"), ("1e150", "0"),
+                                              ("1e100", "9.9e99")])
+    def test_huge_mass_reports_or_names_the_cause(self, capsys, mass, charge):
+        # the oracle's pivot check and off-diagonal weights cannot overflow;
+        # an overflow elsewhere is one named error line, not an errno tuple
+        code, out, err = run(capsys, "verify", "--mass", mass, "--charge", charge,
+                             "--grid", "8")
+        if code in (0, 1):
+            rep = json.loads(out)
+            assert rep["overall_pass"] is (code == 0)
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: floating-point overflow") and err.count("\n") == 1
+            assert "(34" not in err and "Traceback" not in err
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--mass", "1", "--charge", "1.5")
         assert code == 2

@@ -23,11 +23,11 @@ GOLDEN = [
     ("reference", "1", "0.6"),
     ("schwarzschild", "1", "0"),
     ("low", "7.937343156201144", "4.843070307581991"),
-    # Q/m >= 0.98: the oracle is skipped for the horizon gap
+    # Q/m >= 0.98: the finite-difference oracle skipped this band
     ("steep", "0.3486070955447274", "0.3448051857717322"),
     # (m - Q)/m < 1e-4: quadrature tolerance and thresholds relaxed
     ("near_extremal", "0.10810660455688946", "0.10809595965137506"),
-    # the static chart's determinant falls under the oracle's pivot floor
+    # small mass: the static chart failed the old unit-dependent pivot floor
     ("pivot_floor", "0.16523791279038202", "0"),
 ]
 

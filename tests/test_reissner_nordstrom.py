@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnwarp import calculus
+from rnwarp import reissner_nordstrom as rn
 from rnwarp.errors import DomainError, ExtremalError
+from rnwarp.oracle import Jet
 from rnwarp.reissner_nordstrom import (BlackHoleParams, _kepler_inverse, horizons,
                                        interior_grid, lapse_squared,
                                        mu_closed_form, mu_closed_form_sqrt, mu_of_r,
@@ -235,6 +237,64 @@ class TestInverse:
         mu = m * math.pi * frac
         r = _kepler_inverse(p, mu)
         assert mu_of_r(p, r) == pytest.approx(mu, abs=1e-8 * max(1.0, m))
+
+
+class TestKeplerInverse:
+    DRAWS = [(10.0 ** u, min(v, 1.0 - 1e-8), w) for u, v, w in
+             np.random.default_rng(2024).uniform((-1.0, 0.0, 0.01), (1.0, 1.0, 0.99), (3000, 3))]
+
+    def test_iterations_per_solve_are_bounded(self, monkeypatch):
+        # the Newton loop stops when the residual is exactly 0 or the step
+        # rounds to nothing; it bisected a collapsing bracket before
+        sines = [0]
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def sin(x):
+                sines[0] += 1
+                return math.sin(x)
+
+        monkeypatch.setattr(rn, "math", CountingMath())
+        per_solve = []
+        for m, qr, frac in self.DRAWS:
+            c = math.sqrt(m * m - (m * qr) ** 2)
+            mu = m * math.pi * frac
+            sines[0] = 0
+            rn._kepler_phi(c / m, mu / m, math.pi * mu / (m * math.pi))
+            per_solve.append(sines[0])
+        assert max(per_solve) <= 20
+        assert sum(per_solve) / len(per_solve) <= 8.0
+
+    def test_batch_and_jet_equal_each_float(self, charged):
+        mus = np.linspace(0.01, 0.99, 41) * math.pi
+        mus[::4] = mus[1]  # repeated values share one solve
+        batch = _kepler_inverse(charged, mus)
+        jet = _kepler_inverse(charged, Jet.variables(mus[:, None])[..., 0])
+        for k, mu in enumerate(mus):
+            alone = _kepler_inverse(charged, float(mu))
+            assert type(alone) is float
+            assert batch[k] == alone == jet.val[k]
+
+    @given(m=st.floats(min_value=1e-8, max_value=1e8),
+           qr=st.floats(min_value=0.0, max_value=1.0 - 1e-8),
+           frac=st.floats(min_value=0.01, max_value=0.99))
+    def test_jet_derivatives_are_the_warp_state(self, m, qr, frac):
+        # dr/dmu = f1 = N and d^2r/dmu^2 = f1', to roundoff in units of m
+        p = BlackHoleParams(m, m * qr)
+        r = _kepler_inverse(p, Jet.variables([[m * math.pi * frac]])[..., 0])
+        w = warp_state(p, float(r.val[0]))
+        assert abs(r.grad[0, 0] - w.f1) <= 1e-12 * max(1.0, w.f1)
+        assert m * abs(r.hess[0, 0, 0] - w.f1p) <= 1e-12 * max(1.0, m * abs(w.f1p))
+
+    def test_domain(self, charged):
+        for mu in (0.0, -0.5, math.pi, 4.0, math.nan):
+            with pytest.raises(DomainError, match="outside the open interval"):
+                _kepler_inverse(charged, mu)
+        with pytest.raises(DomainError, match="mu=-0.5"):
+            _kepler_inverse(charged, np.array([1.0, -0.5, 0.0]))
 
 
 class TestWarpState:

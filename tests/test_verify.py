@@ -94,23 +94,27 @@ def test_threshold_override_can_fail(charged, monkeypatch):
     assert [c.name for c in rep.checks if not c.passed] == ["closed_vs_oracle_ricci"]
 
 
-def test_near_extremal_skips_oracle_and_warns():
+def _oracle_checks_pass(rep):
+    checks = {c.name: c for c in rep.checks}
+    assert set(verify._ORACLE_CHECKS) <= set(checks)
+    for name in verify._ORACLE_CHECKS:
+        assert checks[name].passed, checks[name]
+    assert not any("skipped" in n for n in rep.notes)
+
+
+def test_near_extremal_runs_the_oracle_and_warns():
     rep = run_verification(BlackHoleParams(1.0, 0.999999), grid_points=8)
     assert rep.overall, [c for c in rep.checks if not c.passed]
-    names = {c.name for c in rep.checks}
-    assert "closed_vs_oracle_ricci" not in names
-    assert "chart_covariance" not in names
+    _oracle_checks_pass(rep)
     assert any("near-extremal" in n for n in rep.notes)
-    assert any("oracle checks skipped" in n for n in rep.notes)
 
 
-def test_ill_conditioned_chart_skips_oracle_and_warns():
-    # a small-mass Schwarzschild grid drives the static-chart determinant
-    # under the unit-dependent pivot floor
+def test_small_mass_schwarzschild_runs_the_oracle():
+    # the static-chart metric spans 1/N^2 up to r^2; the row-normalized
+    # pivot check does not depend on the unit that makes them small
     rep = run_verification(BlackHoleParams(0.1, 0.0), grid_points=8)
     assert rep.overall, [c for c in rep.checks if not c.passed]
-    assert "closed_vs_oracle_ricci" not in {c.name for c in rep.checks}
-    assert any("pivot floor" in n for n in rep.notes)
+    _oracle_checks_pass(rep)
 
 
 def test_notes_carry_both_closed_form_numbers(charged):
@@ -119,14 +123,18 @@ def test_notes_carry_both_closed_form_numbers(charged):
     assert "quadrature" in note and "square-root" in note
 
 
-def test_oracle_runs_where_the_pivot_floor_holds():
-    # oracle.invert4's own floor decides: at this small mass the
-    # static-chart determinant clears it, so the oracle checks run
+def test_oracle_runs_at_a_small_charged_mass():
     rep = run_verification(BlackHoleParams(0.24542557893639622, 0.0238814758126807),
                            grid_points=8)
     assert rep.overall, [c for c in rep.checks if not c.passed]
-    assert "oracle_off_diagonal" in {c.name for c in rep.checks}
-    assert not any("pivot floor" in n for n in rep.notes)
+    _oracle_checks_pass(rep)
+
+
+@pytest.mark.parametrize("mass, ratio", [(1e-8, 0.6), (1e8, 0.3), (10.0, 0.98),
+                                         (1.0, 1.0 - 1e-8)])
+def test_oracle_checks_pass_at_every_mass_and_charge(mass, ratio):
+    # other checks may fail at these masses (ROADMAP item 3); the oracle's do not
+    _oracle_checks_pass(run_verification(BlackHoleParams(mass, mass * ratio), grid_points=16))
 
 
 def test_reference_verify_quadrature_budget(monkeypatch):
@@ -170,28 +178,30 @@ def test_roundtrip_inverse_is_the_kepler_inverse_against_the_quadrature(charged)
     assert 0.0 < check.max_abs_residual <= THRESHOLDS["roundtrip_inverse"]
 
 
-def test_pivot_floor_mid_grid_skips_the_oracle(charged, monkeypatch):
-    # the oracle's own pivot check decides the skip, wherever on the grid
-    # it fires; the algebraic checks still run and nothing raises. The
-    # oracle takes each chart's grid in blocks, one invert4 call per
-    # block: the third call is the warped chart's third block of 16 points
-    calls = [0]
+def test_oracle_inverts_each_chart_grid_in_one_call(charged, monkeypatch):
+    # the oracle takes each chart's whole grid in one metric call, so one
+    # invert4 call per chart; all four oracle checks run and pass
+    calls = []
     invert4 = oracle.invert4
 
-    def failing_mid_grid(g):
-        calls[0] += 1
-        if calls[0] == 3:
-            raise SingularMetricError("metric determinant below pivot floor")
+    def counted(g):
+        calls.append(g.shape)
         return invert4(g)
 
-    monkeypatch.setattr(oracle, "invert4", failing_mid_grid)
+    monkeypatch.setattr(oracle, "invert4", counted)
     rep = run_verification(charged, grid_points=64)
-    assert calls[0] == 3
-    names = {c.name for c in rep.checks}
-    assert not names & set(verify._ORACLE_CHECKS)
-    assert {"closed_vs_warped_ricci", "scalar_closed_and_warped"} <= names
-    assert any("pivot floor" in n for n in rep.notes)
+    assert calls == [(64, 4, 4), (64, 4, 4)]
     assert rep.overall
+    _oracle_checks_pass(rep)
+
+
+def test_a_singular_chart_metric_is_an_error_not_a_skip(charged, monkeypatch):
+    def singular(g):
+        raise SingularMetricError("row-normalized metric determinant 0.0 below pivot floor")
+
+    monkeypatch.setattr(oracle, "invert4", singular)
+    with pytest.raises(SingularMetricError):
+        run_verification(charged, grid_points=8)
 
 
 def test_steep_round_trip_no_longer_drives_the_quadrature_into_the_horizon():

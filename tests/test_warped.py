@@ -29,7 +29,7 @@ def test_static_sphere_warp():
 
 def test_charged_interior_state():
     # oracle: direct evaluation of the closed-form components with Q = 0.6,
-    # f2 = 1, cross-checked against the finite-difference engine elsewhere
+    # f2 = 1, cross-checked against the tensor oracle elsewhere
     rd = ricci_from_warps(CHARGED_STATE, PI_2)
     assert rd.r_mumu == pytest.approx(0.36, abs=1e-13)
     assert rd.r_nunu == pytest.approx(-0.2304, abs=1e-13)
