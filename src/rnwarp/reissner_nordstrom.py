@@ -182,14 +182,22 @@ def _kepler_inverse(p: BlackHoleParams, mu):
     quadrature exactly) but costs a few Newton steps instead of nested
     quadratures. It is the r(mu) of the warped chart below and of the
     warp identities in verify; verify's roundtrip_inverse check measures
-    mu_of_r at its output against the requested mu.
+    mu_of_r at its output against the requested mu. mu is a float
+    (giving a float), an array or an oracle.Jet (giving one).
+    """
+    phi, c = _kepler_angle(p, mu)
+    r = p.mass - c * oracle.cos(phi)
+    return r if isinstance(mu, oracle.Jet) or np.ndim(mu) else float(r)
 
-    mu is a float (giving a float), an array or an oracle.Jet (giving
-    one). phi is solved once per distinct mu value; two Newton steps on
-    phi - e*sin(phi) = mu/m, e = c/m, then follow in the arithmetic of
-    mu. Each step doubles the number of exact orders, so a Jet of mu
-    gets r with exact first and second derivatives. Each entry depends
-    on its own mu alone.
+
+def _kepler_angle(p: BlackHoleParams, mu):
+    """The angle phi of mu = m*phi - c*sin(phi), and c = sqrt(m^2 - Q^2).
+
+    mu is a float, an array or an oracle.Jet. phi is solved once per
+    distinct mu value; two Newton steps on phi - e*sin(phi) = mu/m,
+    e = c/m, then follow in the arithmetic of mu. Each step doubles the
+    number of exact orders, so a Jet of mu gets phi with exact first and
+    second derivatives. Each entry depends on its own mu alone.
     """
     m = p.mass
     c = math.sqrt(m * m - p.charge * p.charge)
@@ -202,8 +210,7 @@ def _kepler_inverse(p: BlackHoleParams, mu):
     target = mu / m
     for _ in range(2):
         phi = phi - (phi - ecc * oracle.sin(phi) - target) / (1.0 - ecc * oracle.cos(phi))
-    r = m - c * oracle.cos(phi)
-    return r if isinstance(mu, oracle.Jet) or np.ndim(values) else float(r)
+    return phi, c
 
 
 def _kepler_phi(ecc: float, target: float, phi: float) -> float:
@@ -319,13 +326,17 @@ def warped_chart(p: BlackHoleParams) -> MetricField:
     or a Jet of points and returns a Jet of metrics; r(mu) is the Kepler
     inverse, one scalar solve per distinct mu in the batch.
     """
-    hp = horizons(p)
 
     def g(x):
         x = oracle.points(x)
-        r, s = _kepler_inverse(p, x[..., 0]), oracle.sin(x[..., 2])
+        phi, c = _kepler_angle(p, x[..., 0])
+        r, s = p.mass - c * oracle.cos(phi), oracle.sin(x[..., 2])
+        # f1 = N, with N^2 = (r_plus - r)(r - r_minus)/r^2 = (c sin(phi)/r)^2:
+        # next to either horizon a difference of radii cancels, the sine
+        # keeps its relative accuracy
+        f1 = c * oracle.sin(phi) / r
         r2 = r * r
-        return oracle.diagonal_metric(x, (-1.0, _factored_lapse(hp, r), r2, r2 * (s * s)))
+        return oracle.diagonal_metric(x, (-1.0, f1 * f1, r2, r2 * (s * s)))
 
     return MetricField(g, ((0.0, p.mass * math.pi), _LINE, (0.0, math.pi), _LINE))
 

@@ -178,6 +178,13 @@ def test_roundtrip_inverse_is_the_kepler_inverse_against_the_quadrature(charged)
     assert 0.0 < check.max_abs_residual <= THRESHOLDS["roundtrip_inverse"]
 
 
+def test_tiny_guard_runs_the_oracle(charged):
+    # grid ends 1e-6 of the horizon gap from each horizon
+    rep = run_verification(charged, grid_points=16, guard_fraction=1e-6)
+    assert rep.overall, [c for c in rep.checks if not c.passed]
+    _oracle_checks_pass(rep)
+
+
 def test_oracle_inverts_each_chart_grid_in_one_call(charged, monkeypatch):
     # the oracle takes each chart's whole grid in one metric call, so one
     # invert4 call per chart; all four oracle checks run and pass
