@@ -1,4 +1,7 @@
-"""Scalar numeric primitives: quadrature, bracketed root finding, differentiation.
+"""Numeric primitives: batched quadrature, bracketed root finding, differentiation.
+
+The quadrature integrates a whole array of upper limits in one call; the
+root search and the difference quotient work on one float at a time.
 
 Everything here is a pure function of its arguments and deterministic for
 fixed inputs, so the routines can serve as independent referees for the

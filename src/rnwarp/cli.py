@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import fluid, reissner_nordstrom as rn, verify, warped
 from .calculus import Tolerance
 from .errors import ConvergenceError, DomainError
@@ -88,24 +90,22 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_curvature(args: argparse.Namespace) -> int:
     p = _params(args)
-    rows = []
-    for r in rn.interior_grid(p, args.grid, args.guard):
-        w = rn.warp_state(p, r)
-        rd = warped.ricci_from_warps(w, args.theta)
-        rows.append([r, rn.mu_closed_form_sqrt(p, r), w.f1, w.f2,
-                     rd.r_mumu, rd.r_nunu, rd.r_thth, rd.r_phph, rd.scalar])
-    _emit_table(args.format, CURVATURE_COLUMNS, rows)
+    r = np.array(rn.interior_grid(p, args.grid, args.guard))
+    w = rn.warp_state(p, r)
+    rd = warped.ricci_from_warps(w, args.theta)
+    columns = (r, rn.mu_closed_form_sqrt(p, r), w.f1, w.f2,
+               rd.r_mumu, rd.r_nunu, rd.r_thth, rd.r_phph, rd.scalar)
+    _emit_table(args.format, CURVATURE_COLUMNS, np.column_stack(columns).tolist())
     return 0
 
 
 def cmd_fluid(args: argparse.Namespace) -> int:
     p = _params(args)
-    rows = []
-    for r in rn.interior_grid(p, args.grid, args.guard):
-        rho, pressure, res = fluid.fluid_balance(p.charge, rn.warp_state(p, r), args.theta)
-        rows.append([r, rn.mu_closed_form_sqrt(p, r), rho, pressure,
-                     res.mumu, res.nunu, res.thth, res.phph])
-    _emit_table(args.format, FLUID_COLUMNS, rows)
+    r = np.array(rn.interior_grid(p, args.grid, args.guard))
+    rho, pressure, res = fluid.fluid_balance(p.charge, rn.warp_state(p, r), args.theta)
+    columns = (r, rn.mu_closed_form_sqrt(p, r), rho, pressure,
+               res.mumu, res.nunu, res.thth, res.phph)
+    _emit_table(args.format, FLUID_COLUMNS, np.column_stack(columns).tolist())
     return 0
 
 
@@ -168,20 +168,38 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        # numpy's floating-point errors raise, as Python's float operations do
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.run(args)
     except (DomainError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}; rerun with a looser --tol\n")
         return 2
-    except OverflowError:  # Python's float power raises with an errno tuple
-        sys.stderr.write("error: floating-point overflow: an intermediate quantity exceeds the "
-                         "double range at this mass and charge\n")
+    except (OverflowError, FloatingPointError) as exc:
+        sys.stderr.write(f"error: {_floating_point_cause(exc)}\n")
         return 2
     except ArithmeticError as exc:  # e.g. a numerical cross-check that failed
         sys.stderr.write(f"error: {exc}\n")
         return 2
+
+
+def _floating_point_cause(exc: ArithmeticError) -> str:
+    """One line naming the kind of floating-point error.
+
+    Python's float power raises OverflowError with an errno tuple; numpy's
+    FloatingPointError message names the kind and the operation.
+    """
+    text = str(exc)
+    if isinstance(exc, OverflowError) or text.startswith("overflow"):
+        return ("floating-point overflow: an intermediate quantity exceeds the double range "
+                "at these inputs")
+    if text.startswith("divide by zero"):
+        return ("float division by zero: an intermediate quantity underflows to 0 "
+                "at these inputs")
+    return (f"invalid floating-point operation ({text}): an intermediate quantity leaves "
+            "the double range at these inputs")
 
 
 if __name__ == "__main__":

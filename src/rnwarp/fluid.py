@@ -63,7 +63,8 @@ def fluid_balance(charge: float, w: WarpState,
 
     rho = Q^2 f1^2 / (8 pi f2^4) and P = Q^2 / (8 pi f2^4); the nunu,
     thth and phph residuals then vanish identically while the mumu one
-    equals Q^2/f2^4 (1 - f1^2) and is returned as-is.
+    equals Q^2/f2^4 (1 - f1^2) and is returned as-is. A warp state of
+    arrays gives arrays, one entry per point.
     """
     q2 = charge * charge
     f1sq = w.f1 * w.f1

@@ -80,21 +80,25 @@ def _factored_lapse(hp: HorizonPair, r):
     return (hp.r_plus - r) * (r - hp.r_minus) / (r * r)
 
 
-def lapse_squared(p: BlackHoleParams, r: float) -> float:
+def lapse_squared(p: BlackHoleParams, r):
     """N^2 at interior r, from the factored horizon form.
 
     The factored form (r_plus - r)(r - r_minus)/r^2 and the direct form
     -1 + 2m/r - Q^2/r^2 are the same polynomial; they are cross-checked
     here to 1e-12 (relative, with an absolute floor where N^2 -> 0 and
-    the direct form loses all significance to cancellation).
+    the direct form loses all significance to cancellation). A float r
+    gives a float, an array of r the array of N^2.
     """
     hp = _require_interior(p, r)
+    r = np.asarray(r, dtype=float)
     n2 = _factored_lapse(hp, r)
     direct = -1.0 + 2.0 * p.mass / r - (p.charge / r) ** 2
-    if abs(n2 - direct) > 1e-12 * max(1.0, abs(n2)):
+    disagree = np.abs(n2 - direct) > 1e-12 * np.maximum(1.0, np.abs(n2))
+    for k in np.flatnonzero(disagree)[:1].tolist():
         raise ArithmeticError(
-            f"lapse forms disagree at r={r}: {n2!r} vs {direct!r}")
-    return n2
+            f"lapse forms disagree at r={r.flat[k].item()}: "
+            f"{n2.flat[k].item()!r} vs {direct.flat[k].item()!r}")
+    return n2 if n2.ndim else float(n2)
 
 
 def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
@@ -105,7 +109,7 @@ def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
     A float r gives a float; an array of r gives the array of F, from one
     batched quadrature, each entry bit for bit F at that entry alone.
     """
-    hp = horizons(p)
+    hp = _require_closed_interior(p, r)
     rp, rm = hp.r_plus, hp.r_minus
 
     if rm > 0.0:
@@ -118,8 +122,6 @@ def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
             return np.sqrt(x / (rp - x))
 
     rs = np.asarray(r, dtype=float)
-    for bad in rs[~((rm <= rs) & (rs <= rp))][:1].tolist():
-        _require_closed_interior(p, bad)
     mu = np.zeros(rs.shape)
     inner = rs > rm  # F(r_minus) = 0 takes no quadrature
     if inner.any():
@@ -127,28 +129,35 @@ def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
     return float(mu) if mu.ndim == 0 else mu
 
 
-def mu_closed_form(p: BlackHoleParams, r: float) -> float:
+def mu_closed_form(p: BlackHoleParams, r):
     """Closed-form candidate with arccos of the plain horizon ratio.
 
     2m*arccos((r_plus - r)/(r_plus - r_minus)) - sqrt((r_plus - r)(r - r_minus)).
     Agrees with mu_of_r at both horizons but not between them; shipped for
     comparison and reporting only, never used as the definition of F.
+    A float r gives a float, an array of r the array.
     """
-    hp = _require_closed_interior(p, r)
-    ratio = (hp.r_plus - r) / hp.width
-    return 2.0 * p.mass * math.acos(ratio) - math.sqrt((hp.r_plus - r) * (r - hp.r_minus))
+    return _mu_closed_form(p, r, lambda ratio: ratio)
 
 
-def mu_closed_form_sqrt(p: BlackHoleParams, r: float) -> float:
+def mu_closed_form_sqrt(p: BlackHoleParams, r):
     """Closed-form candidate with arccos of the square root of the horizon ratio.
 
     2m*arccos(sqrt((r_plus - r)/(r_plus - r_minus))) - sqrt((r_plus - r)(r - r_minus)).
-    Matches the quadrature definition of F at every tested point.
+    Matches the quadrature definition of F at every tested point. A float
+    r gives a float, an array of r the array.
     """
+    return _mu_closed_form(p, r, np.sqrt)
+
+
+def _mu_closed_form(p: BlackHoleParams, r, arccos_argument):
     hp = _require_closed_interior(p, r)
-    ratio = (hp.r_plus - r) / hp.width
-    return 2.0 * p.mass * math.acos(math.sqrt(ratio)) - math.sqrt(
-        (hp.r_plus - r) * (r - hp.r_minus))
+    r = np.asarray(r, dtype=float)
+    x = arccos_argument((hp.r_plus - r) / hp.width)
+    # math.acos of each entry: np.arccos rounds some entries differently
+    acos = np.array([math.acos(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    mu = 2.0 * p.mass * acos - np.sqrt((hp.r_plus - r) * (r - hp.r_minus))
+    return mu if mu.ndim else float(mu)
 
 
 def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -248,40 +257,49 @@ def _kepler_phi(ecc: float, target: float, phi: float) -> float:
     return phi
 
 
-def warp_state(p: BlackHoleParams, r: float) -> WarpState:
+def warp_state(p: BlackHoleParams, r) -> WarpState:
     """Warp values and analytic mu-derivatives at interior radius r.
 
     f2 = r, f1 = N(r), and the chain rule dr/dmu = N gives
     f2' = f1, f1' = -m/r^2 + Q^2/r^3, f2'' = f1',
-    f1'' = -2 f1 f1'/r - Q^2 f1/r^4. No differencing is involved.
+    f1'' = -2 f1 f1'/r - Q^2 f1/r^4. No differencing is involved. A float
+    r gives floats, an array of r arrays.
     """
-    _require_interior(p, r)
-    f1 = math.sqrt(lapse_squared(p, r))
+    f1 = np.sqrt(lapse_squared(p, r))
+    r = np.asarray(r, dtype=float)
     q2 = p.charge * p.charge
     f1p = -p.mass / (r * r) + q2 / (r * r * r)
     f1pp = -2.0 * f1 * f1p / r - q2 * f1 / (r * r * r * r)
-    return WarpState(f1=f1, f2=r, f1p=f1p, f2p=f1, f1pp=f1pp, f2pp=f1p)
+    f1, f2, f1p, f1pp = _floats_for(r, f1, r, f1p, f1pp)
+    return WarpState(f1=f1, f2=f2, f1p=f1p, f2p=f1, f1pp=f1pp, f2pp=f1p)
 
 
-def ricci_closed_form(p: BlackHoleParams, r: float, theta: float) -> RicciDiag:
+def ricci_closed_form(p: BlackHoleParams, r, theta: float) -> RicciDiag:
     """Closed-form interior Ricci diagonal: (Q^2/r^4, -Q^2 N^2/r^4, Q^2/r^2, Q^2 sin^2(theta)/r^2).
 
-    The scalar curvature vanishes identically, charged or not.
+    The scalar curvature vanishes identically, charged or not. A float r
+    gives floats, an array of r arrays; theta is one angle.
     """
     _require_interior(p, r)
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta must lie in (0, pi), got {theta}")
+    r = np.asarray(r, dtype=float)
     q2 = p.charge * p.charge
     r2 = r * r
     r_thth = q2 / r2
-    return RicciDiag(
-        r_mumu=q2 / (r2 * r2),
-        r_nunu=-q2 * lapse_squared(p, r) / (r2 * r2),
-        r_thth=r_thth,
-        r_phph=r_thth * math.sin(theta) ** 2,
-        scalar=0.0,
-        theta=theta,
-    )
+    return RicciDiag(*_floats_for(
+        r,
+        q2 / (r2 * r2),
+        -q2 * lapse_squared(p, r) / (r2 * r2),
+        r_thth,
+        r_thth * math.sin(theta) ** 2,
+        np.zeros(r.shape),
+    ), theta=theta)
+
+
+def _floats_for(r: np.ndarray, *values) -> tuple:
+    """values as Python floats when r is 0-d, as they are when r is an array."""
+    return values if r.ndim else tuple(float(v) for v in values)
 
 
 _LINE = (-math.inf, math.inf)  # an unbounded chart coordinate
@@ -361,17 +379,21 @@ def interior_grid(p: BlackHoleParams, n: int, guard_fraction: float = 0.05) -> l
     return [lo + i * step for i in range(n)]
 
 
-def _require_interior(p: BlackHoleParams, r: float) -> HorizonPair:
+def _require_interior(p: BlackHoleParams, r) -> HorizonPair:
+    """The horizons, once every entry of r lies strictly between them; else DomainError."""
     hp = horizons(p)
-    if not hp.r_minus < r < hp.r_plus:
+    rs = np.asarray(r, dtype=float)
+    for bad in rs[~((hp.r_minus < rs) & (rs < hp.r_plus))][:1].tolist():
         raise DomainError(
-            f"r={r} outside the open interior ({hp.r_minus}, {hp.r_plus})")
+            f"r={bad} outside the open interior ({hp.r_minus}, {hp.r_plus})")
     return hp
 
 
-def _require_closed_interior(p: BlackHoleParams, r: float) -> HorizonPair:
+def _require_closed_interior(p: BlackHoleParams, r) -> HorizonPair:
+    """The horizons, once every entry of r lies between them or on one; else DomainError."""
     hp = horizons(p)
-    if not hp.r_minus <= r <= hp.r_plus:
+    rs = np.asarray(r, dtype=float)
+    for bad in rs[~((hp.r_minus <= rs) & (rs <= hp.r_plus))][:1].tolist():
         raise DomainError(
-            f"r={r} outside the closed interior [{hp.r_minus}, {hp.r_plus}]")
+            f"r={bad} outside the closed interior [{hp.r_minus}, {hp.r_plus}]")
     return hp

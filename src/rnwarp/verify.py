@@ -9,8 +9,6 @@ unbalanced mumu fluid equation) are emitted as notes, not failures.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -78,8 +76,9 @@ class VerifyReport:
         }
 
 
-def _rel(a: float, b: float, floor: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), floor)
+def _rel(a, b, floor):
+    """|a - b| relative to the larger of |a|, |b| and floor, entry by entry."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
 def _component_floors(w, theta: float, m: float) -> tuple[float, float, float, float]:
@@ -116,120 +115,32 @@ def _off_diagonal_norm(ricci: np.ndarray, mf_g, x, m: float):
     return norm if norm.ndim else float(norm)
 
 
-@dataclass(frozen=True)
-class _GridPoint:
-    """The values every check shares at one grid point, each computed once."""
-
-    r: float
-    mu: float        # quadrature: the authoritative referee
-    mu_sqrt: float   # square-root closed form
-    warp: WarpState
-    ricci: RicciDiag  # closed form, at the run's theta
-
-
-def _worst(rows) -> float:
-    """Largest residual over rows of residuals, scanned in order from 0."""
-    return max([0.0, *itertools.chain.from_iterable(rows)])
-
-
-def _warp_identity_residuals(p, points: list[_GridPoint]):
-    """Residual rows of the derivative identities relating f1 to f2, one per point.
+def _warp_identity_residuals(p, mu: np.ndarray, w: WarpState) -> np.ndarray:
+    """Residuals of the derivative identities relating f1 to f2, shape (3, n).
 
     The mu-derivatives come from the Kepler inverse r(mu) evaluated on a
     jet of mu at every grid point at once: f1 = dr/dmu, so f1' is r's
     second derivative, and f1'(mu) = -m/r^2 + Q^2/r^3 as a jet of r
-    gives f1''. Each is compared with warp_state and scaled by the local
-    magnitudes, so the check is unit independent.
+    gives f1''. Each is compared with the warp state w and scaled by the
+    local magnitudes, so the check is unit independent.
     """
     m, q = p.mass, p.charge
-    mu = oracle.Jet.variables([[pt.mu_sqrt] for pt in points])[..., 0]
-    r = rn._kepler_inverse(p, mu)
+    r = rn._kepler_inverse(p, oracle.Jet.variables(mu[:, None])[..., 0])
     q_r = q / r
     f1p_of_mu = (q_r * q_r - m / r) / r  # -m/r^2 + Q^2/r^3, with no power of r to overflow
-    r_now = np.array([pt.r for pt in points])
-    f1, f1p, f1pp = (np.array([getattr(pt.warp, k) for pt in points])
-                     for k in ("f1", "f1p", "f1pp"))
 
-    def scaled(diff, *magnitudes):
-        return (np.abs(diff) / functools.reduce(np.maximum, magnitudes, 1.0)).tolist()
+    def scaled(diff, a, b):
+        return np.abs(diff) / np.maximum(np.maximum(1.0, a), b)
 
-    return zip(scaled(r.grad[0] - f1, np.abs(f1), r_now / m),
-               scaled(m * (r.hess[0, 0] - f1p), m * np.abs(f1p), f1),
-               scaled(m * m * (f1p_of_mu.grad[0] - f1pp), m * m * np.abs(f1pp), m * np.abs(f1p)))
-
-
-_ORACLE_CHECKS = ("closed_vs_oracle_ricci", "chart_covariance", "scalar_oracle",
-                  "oracle_off_diagonal")
+    return np.array([
+        scaled(r.grad[0] - w.f1, np.abs(w.f1), w.f2 / m),
+        scaled(m * (r.hess[0, 0] - w.f1p), m * np.abs(w.f1p), w.f1),
+        scaled(m * m * (f1p_of_mu.grad[0] - w.f1pp), m * m * np.abs(w.f1pp), m * np.abs(w.f1p)),
+    ])
 
 
-def _diagonal(rd) -> tuple[float, float, float, float]:
-    return (rd.r_mumu, rd.r_nunu, rd.r_thth, rd.r_phph)
-
-
-def _algebraic_residuals(p, pt: _GridPoint, theta: float) -> dict[str, tuple]:
-    """Residual rows, keyed by check name, of the closed-form Ricci against the warp formulas."""
-    m = p.mass
-    wr = warped.ricci_from_warps(pt.warp, theta)
-    warp_vals = _diagonal(wr)
-    cfl = _component_floors(pt.warp, theta, m)
-    return {
-        "closed_vs_warped_ricci": [_rel(a, b, f)
-                                   for a, b, f in zip(_diagonal(pt.ricci), warp_vals, cfl)],
-        # the closed-form scalar is 0 by construction, so only the warp
-        # formulas' scalar is tested; scalars carry length^-2, measured in
-        # curvature units m^-2 so the check is independent of the unit choice
-        "scalar_closed_and_warped": (m * m * abs(wr.scalar),),
-        "schwarzschild_flatness": [abs(v) / f for v, f in zip(warp_vals, cfl)],
-    }
-
-
-def _oracle_residuals(p, points: list[_GridPoint], theta: float, wc, sc) -> list[dict]:
-    """Residual rows, keyed by check name, of the closed-form Ricci against the oracle.
-
-    The oracle runs in the warped chart wc and in the static chart sc, on
-    the whole grid at once; row k belongs to points[k]. Raises
-    SingularMetricError where a chart metric fails the oracle's pivot
-    check.
-    """
-    m = p.mass
-    cw = oracle.ricci_at(wc, [[pt.mu, 0.0, theta, 0.0] for pt in points])
-    cs = oracle.ricci_at(sc, [[0.0, pt.r, theta, 0.0] for pt in points])
-    off_w = _off_diagonal_norm(cw.ricci, wc.g, cw.point, m).tolist()
-    off_s = _off_diagonal_norm(cs.ricci, sc.g, cs.point, m).tolist()
-    rows = []
-    for k, pt in enumerate(points):
-        closed, cfl = _diagonal(pt.ricci), _component_floors(pt.warp, theta, m)
-        n2 = rn.lapse_squared(p, pt.r)
-        ricci_s = cs.ricci[k]
-        transformed = (float(ricci_s[1, 1]) * n2, float(ricci_s[0, 0]),
-                       float(ricci_s[2, 2]), float(ricci_s[3, 3]))
-        rows.append({
-            "closed_vs_oracle_ricci": [_rel(a, float(b), f)
-                                       for a, b, f in zip(closed, np.diag(cw.ricci[k]), cfl)],
-            "chart_covariance": [_rel(a, b, f) for a, b, f in zip(closed, transformed, cfl)],
-            "scalar_oracle": (m * m * abs(float(cw.scalar[k])),
-                              m * m * abs(float(cs.scalar[k]))),
-            "oracle_off_diagonal": (off_w[k], off_s[k]),
-        })
-    return rows
-
-
-def _fluid_residuals(p, pt: _GridPoint, theta: float) -> tuple[tuple, float, float]:
-    """The fluid balances that vanish, the mumu gap residual, and the mumu residual.
-
-    The mumu gap is compared with its closed form. The thth/phph balances
-    are dimensionless; nunu and mumu carry length^-2.
-    """
-    q, w = p.charge, pt.warp
-    _, _, res = fluid.fluid_balance(q, w, theta)
-    scale_angular = max((q / w.f2) ** 2, 1.0)
-    scale_time = max(q * q / w.f2 ** 4, 1.0 / (p.mass * p.mass))
-    balances = (abs(res.nunu) / scale_time,
-                abs(res.thth) / scale_angular,
-                abs(res.phph) / scale_angular)
-    gap_expected = q * q / w.f2 ** 4 * (1.0 - w.f1 ** 2)
-    gap = abs(res.mumu - gap_expected) / max(scale_time, abs(gap_expected))
-    return balances, gap, res.mumu
+def _ricci_diagonal(rd: RicciDiag) -> np.ndarray:
+    return np.array([rd.r_mumu, rd.r_nunu, rd.r_thth, rd.r_phph])
 
 
 def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
@@ -237,15 +148,17 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
                      tol: Tolerance = calculus.DEFAULT_TOL) -> VerifyReport:
     """Run every cross-check for one parameter set and collect a report.
 
-    One pass over the grid builds a record per point (the quadrature mu,
-    the square-root closed form, the warp state, the closed-form Ricci);
-    each grid check is a reduction over those records. The quadratures of
-    the run are one batched call and the oracle takes the whole grid per
-    chart, so the layers see the grid at once, not point by point.
+    Each evaluator runs once on the whole grid array (the quadrature mu,
+    the square-root closed form, the warp state, the closed-form and warp
+    Ricci, the oracle per chart), and each check is one array expression
+    reduced by its maximum. The quadratures of the run are one batched
+    call. A residual that is not finite (the oracle's inverse metric
+    overflows at a polar angle within ~1e-150 of the axis) raises
+    ArithmeticError naming the check.
     """
     th = dict(THRESHOLDS)
     hp = rn.horizons(p)
-    grid = rn.interior_grid(p, grid_points, guard_fraction)
+    grid = np.array(rn.interior_grid(p, grid_points, guard_fraction))
     m, q = p.mass, p.charge
     checks: list[CheckResult] = []
     notes: list[str] = []
@@ -264,21 +177,30 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         th["roundtrip_inverse"] = max(th["roundtrip_inverse"], 2.0 * tol.abs_tol / m)
 
     def add(name, residual):
-        checks.append(CheckResult(name, float(residual), th[name], residual <= th[name]))
+        residual = float(residual)
+        if not math.isfinite(residual):
+            # max() would drop a NaN; a residual that is no number fails loudly
+            raise ArithmeticError(f"check {name} has a non-finite residual {residual} "
+                                  "at these inputs")
+        checks.append(CheckResult(name, residual, th[name], residual <= th[name]))
 
     # the Kepler inverse is checked against the quadrature at fixed
     # pseudorandom mu samples; every quadrature of the run (the grid, the
     # outer horizon, the round trip) is one batch
     rng = random.Random(_ROUNDTRIP_SEED)
     mu_max = m * math.pi
-    mu_samples = [mu_max * rng.uniform(0.01, 0.99) for _ in range(_ROUNDTRIP_SAMPLES)]
-    r_samples = rn._kepler_inverse(p, np.array(mu_samples))
-    mus = rn.mu_of_r(p, np.concatenate([grid, [hp.r_plus], r_samples]), tol).tolist()
-    mu_outer, mu_round = mus[len(grid)], mus[len(grid) + 1:]
+    mu_samples = np.array([mu_max * rng.uniform(0.01, 0.99) for _ in range(_ROUNDTRIP_SAMPLES)])
+    r_samples = rn._kepler_inverse(p, mu_samples)
+    mus = rn.mu_of_r(p, np.concatenate([grid, [hp.r_plus], r_samples]), tol)
+    mu, mu_outer, mu_round = mus[:len(grid)], mus[len(grid)], mus[len(grid) + 1:]
 
-    points = [_GridPoint(r, mu, rn.mu_closed_form_sqrt(p, r),
-                         rn.warp_state(p, r), rn.ricci_closed_form(p, r, theta))
-              for r, mu in zip(grid, mus)]
+    # every evaluator once on the whole grid
+    mu_sqrt = rn.mu_closed_form_sqrt(p, grid)
+    w = rn.warp_state(p, grid)
+    closed = _ricci_diagonal(rn.ricci_closed_form(p, grid, theta))
+    wr = warped.ricci_from_warps(w, theta)
+    warp_diag = _ricci_diagonal(wr)
+    floors = np.array(np.broadcast_arrays(*_component_floors(w, theta, m)))
 
     # Vieta: r+ + r- = 2m, r+ r- = Q^2
     add("horizon_vieta", max(
@@ -290,34 +212,52 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     add("mu_at_outer_horizon", abs(mu_outer - m * math.pi))
 
     # the Kepler inverse's exact mu-derivatives against the analytic warp state
-    add("warp_identities", _worst(_warp_identity_residuals(p, points)))
+    add("warp_identities", np.max(_warp_identity_residuals(p, mu_sqrt, w)))
 
-    # triple agreement and scalar flatness
-    algebraic = [_algebraic_residuals(p, pt, theta) for pt in points]
-    for name in ("closed_vs_warped_ricci", "scalar_closed_and_warped"):
-        add(name, _worst(c[name] for c in algebraic))
-    oracle_rows = _oracle_residuals(p, points, theta, rn.warped_chart(p), rn.static_chart(p))
-    for name in _ORACLE_CHECKS:
-        add(name, _worst(c[name] for c in oracle_rows))
+    # triple agreement and scalar flatness: the closed form against the
+    # warp formulas, then against the oracle in the warped chart (mu, nu,
+    # theta, phi) and in the static chart (t, r, theta, phi), whose
+    # components map to the warped ones by R_mumu = N^2 R_rr, R_nunu = R_tt.
+    # The closed-form scalar is 0 by construction, so only the computed
+    # scalars are tested; scalars carry length^-2, measured in curvature
+    # units m^-2 so the checks are independent of the unit choice
+    add("closed_vs_warped_ricci", np.max(_rel(closed, warp_diag, floors)))
+    add("scalar_closed_and_warped", np.max(m * m * np.abs(wr.scalar)))
+    wc, sc = rn.warped_chart(p), rn.static_chart(p)
+    zero, polar = np.zeros_like(grid), np.full_like(grid, theta)
+    cw = oracle.ricci_at(wc, np.column_stack([mu, zero, polar, zero]))
+    cs = oracle.ricci_at(sc, np.column_stack([zero, grid, polar, zero]))
+    static = np.diagonal(cs.ricci, axis1=1, axis2=2).T
+    transformed = np.array([static[1] * rn.lapse_squared(p, grid), static[0], static[2], static[3]])
+    add("closed_vs_oracle_ricci",
+        np.max(_rel(closed, np.diagonal(cw.ricci, axis1=1, axis2=2).T, floors)))
+    add("chart_covariance", np.max(_rel(closed, transformed, floors)))
+    add("scalar_oracle", np.max(m * m * np.abs([cw.scalar, cs.scalar])))
+    add("oracle_off_diagonal", np.max([_off_diagonal_norm(cw.ricci, wc.g, cw.point, m),
+                                       _off_diagonal_norm(cs.ricci, sc.g, cs.point, m)]))
     if q == 0.0:
-        add("schwarzschild_flatness", _worst(c["schwarzschild_flatness"] for c in algebraic))
+        add("schwarzschild_flatness", np.max(np.abs(warp_diag) / floors))
 
     # the Kepler inverse against the quadrature
-    worst = 0.0
-    for mu0, mu in zip(mu_samples, mu_round):
-        worst = max(worst, abs(mu - mu0))
-    add("roundtrip_inverse", worst / mu_max)
+    add("roundtrip_inverse", np.max(np.abs(mu_round - mu_samples)) / mu_max)
 
-    # fluid extraction: three balances vanish, the mumu gap has a closed form
-    fluid_rows = [_fluid_residuals(p, pt, theta) for pt in points]
-    add("fluid_residuals", _worst(balances for balances, _, _ in fluid_rows))
-    add("fluid_mumu_gap_identity", _worst((gap,) for _, gap, _ in fluid_rows))
+    # fluid extraction: three balances vanish, the mumu gap has a closed
+    # form. The thth/phph balances are dimensionless; nunu and mumu carry
+    # length^-2
+    _, _, res = fluid.fluid_balance(q, w, theta)
+    scale_angular = np.maximum((q / w.f2) ** 2, 1.0)
+    scale_time = np.maximum(q * q / w.f2 ** 4, 1.0 / (m * m))
+    add("fluid_residuals", np.max([np.abs(res.nunu) / scale_time,
+                                   np.abs(res.thth) / scale_angular,
+                                   np.abs(res.phph) / scale_angular]))
+    gap_expected = q * q / w.f2 ** 4 * (1.0 - w.f1 ** 2)
+    add("fluid_mumu_gap_identity", np.max(
+        np.abs(res.mumu - gap_expected) / np.maximum(scale_time, np.abs(gap_expected))))
     mid = len(grid) // 2
-    gap_mid = fluid_rows[mid][2]
 
     # the two closed-form candidates against the quadrature definition
-    worst = _worst((abs(pt.mu_sqrt - pt.mu),) for pt in points)
-    plain_gap = _worst((abs(rn.mu_closed_form(p, pt.r) - pt.mu),) for pt in points)
+    worst = float(np.max(np.abs(mu_sqrt - mu)))
+    plain_gap = float(np.max(np.abs(rn.mu_closed_form(p, grid) - mu)))
     add("closed_form_sqrt_vs_quadrature", worst)
 
     notes.append(
@@ -326,7 +266,8 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         "quadrature is authoritative")
     notes.append(
         f"mumu fluid balance is not closed by the extracted isotropic pressure: residual "
-        f"Q^2/f2^4 (1 - f1^2) = {gap_mid:.6g} at r = {grid[mid]:.6g}; reported, not failed")
+        f"Q^2/f2^4 (1 - f1^2) = {float(res.mumu[mid]):.6g} at r = {grid[mid]:.6g}; "
+        "reported, not failed")
     if near_extremal:
         notes.append(
             f"near-extremal configuration: (m - Q)/m = {(m - q) / m:.3g}; guard band "

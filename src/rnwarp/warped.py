@@ -12,15 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class WarpState:
-    """Warp values and first/second mu-derivatives at one point.
+    """Warp values and first/second mu-derivatives at one point or along a grid.
 
     f1 scales the line fiber and is dimensionless; f2 is the areal radius
-    of the sphere fiber (length units). Both warps must be positive.
+    of the sphere fiber (length units). Each field is a float, or an array
+    with one entry per point. Both warps must be positive at every entry.
     """
 
     f1: float
@@ -31,7 +34,7 @@ class WarpState:
     f2pp: float
 
     def __post_init__(self):
-        if not (self.f1 > 0.0 and self.f2 > 0.0):
+        if not (np.all(np.greater(self.f1, 0.0)) and np.all(np.greater(self.f2, 0.0))):
             raise DomainError(f"warping functions must be positive, got f1={self.f1}, f2={self.f2}")
 
 
@@ -39,8 +42,9 @@ class WarpState:
 class RicciDiag:
     """The four nonvanishing Ricci components (length^-2) plus the scalar.
 
-    theta records the polar angle at which r_phph was evaluated;
-    r_phph = r_thth * sin(theta)^2 always.
+    The components and the scalar are floats, or arrays along a grid.
+    theta, one angle, records the polar angle at which r_phph was
+    evaluated; r_phph = r_thth * sin(theta)^2 always.
     """
 
     r_mumu: float
@@ -52,7 +56,7 @@ class RicciDiag:
 
 
 def ricci_from_warps(w: WarpState, theta: float) -> RicciDiag:
-    """Diagonal Ricci components of the warped product at one point.
+    """Diagonal Ricci components of the warped product at w's point or points.
 
     R_mumu = -f1''/f1 - 2 f2''/f2
     R_nunu = 2 f1 f1' f2'/f2 + f1 f1''

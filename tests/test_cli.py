@@ -343,6 +343,29 @@ class TestVerifyCommand:
             assert err.startswith("error: floating-point overflow") and err.count("\n") == 1
             assert "(34" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("theta", ["1e-160", "1e-150"])
+    def test_non_finite_oracle_exits_2(self, capsys, theta):
+        # the oracle's inverse metric overflows this close to the axis; the
+        # run stops with one line instead of reporting the checks as passed
+        code, out, err = run(capsys, "verify", "--mass", "1", "--charge", "0.6",
+                             "--theta", theta, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, mass, charge, cause", [
+        ("verify", "1e-150", "5e-151", "float division by zero"),
+        ("curvature", "1e-150", "5e-151", "float division by zero"),
+        ("verify", "1e150", "6e149", "floating-point overflow"),
+        ("fluid", "1e150", "6e149", "floating-point overflow"),
+        ("verify", "1e-100", "0", "invalid floating-point operation"),
+    ])
+    def test_floating_point_error_names_its_kind(self, capsys, command, mass, charge, cause):
+        # r^3 underflows to 0 at m = 1e-150 and r^4 overflows at m = 1e150;
+        # at Q = 0, 0/0
+        code, out, err = run(capsys, command, "--mass", mass, "--charge", charge)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cause}") and err.count("\n") == 1
+
     def test_invalid_params_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--mass", "1", "--charge", "1.5")
         assert code == 2

@@ -1,5 +1,7 @@
 import math
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,19 @@ class TestFluidBalance:
             got = (res.mumu, res.nunu, res.thth, res.phph)
             for g, v, scale in zip(got, want, (rd.r_mumu, rd.r_mumu, 1.0, 1.0)):
                 assert g == pytest.approx(v, abs=1e-12 * max(1.0, abs(scale)))
+
+    @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (0.3, 0.29)])
+    def test_a_grid_array_gives_each_point_as_alone(self, m, q):
+        p = BlackHoleParams(m, q)
+        rs = interior_grid(p, 16)
+        rho, pressure, res = fluid_balance(q, warp_state(p, np.array(rs)), 1.0)
+        rd = ricci_from_warps(warp_state(p, np.array(rs)), 1.0)
+        for k, r in enumerate(rs):
+            w = warp_state(p, r)
+            one = fluid_balance(q, w, 1.0)
+            assert (rho[k], pressure[k]) == one[:2]
+            assert [v[k] for v in astuple(res)] == list(astuple(one[2]))
+            assert [v[k] for v in astuple(rd)[:5]] == list(astuple(ricci_from_warps(w, 1.0))[:5])
 
     def test_report_is_the_balance_at_its_warp_state(self, charged):
         rep = fluid_report(charged, 0.9, theta=0.6)

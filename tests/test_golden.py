@@ -1,6 +1,6 @@
-"""`rnwarp verify --format json` output pinned byte for byte.
+"""`rnwarp verify --format json`, `curvature` and `fluid` output pinned byte for byte.
 
-Each file under tests/data holds the stdout of one verify run. A change to
+Each file under tests/data holds the stdout of one run. A change to
 how the numbers are computed (batching, reordering, caching) must leave
 every byte of it as it is. The files were written with numpy 2.4.6 on
 x86-64 (AVX-512). einsum's reductions may add in another order under
@@ -23,11 +23,14 @@ GOLDEN = [
     ("reference", "1", "0.6"),
     ("schwarzschild", "1", "0"),
     ("low", "7.937343156201144", "4.843070307581991"),
-    # Q/m >= 0.98: the finite-difference oracle skipped this band
+    # Q/m ~ 0.989, in the steep band (0.98 <= Q/m < 1 - 1e-4): a narrow
+    # horizon gap with the base tolerance and thresholds
     ("steep", "0.3486070955447274", "0.3448051857717322"),
     # (m - Q)/m < 1e-4: quadrature tolerance and thresholds relaxed
     ("near_extremal", "0.10810660455688946", "0.10809595965137506"),
-    # small mass: the static chart failed the old unit-dependent pivot floor
+    # small uncharged mass (r_minus = 0): the static chart's metric entries
+    # are small in these units, and the oracle's row-normalized pivot check
+    # passes them
     ("pivot_floor", "0.16523791279038202", "0"),
 ]
 
@@ -39,3 +42,16 @@ def test_verify_report_is_byte_identical(name, mass, charge):
         code = cli.main(["verify", "--mass", mass, "--charge", charge, "--format", "json"])
     assert code == 0
     assert out.getvalue() == (DATA / f"verify_{name}.json").read_text()
+
+
+TABLES = [("reference", "1", "0.6"), ("schwarzschild", "1", "0")]
+
+
+@pytest.mark.parametrize("command", ["curvature", "fluid"])
+@pytest.mark.parametrize("name, mass, charge", TABLES, ids=[t[0] for t in TABLES])
+def test_table_is_byte_identical(command, name, mass, charge):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main([command, "--mass", mass, "--charge", charge, "--grid", "64"])
+    assert code == 0
+    assert out.getvalue() == (DATA / f"{command}_{name}.csv").read_text()

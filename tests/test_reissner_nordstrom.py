@@ -184,6 +184,57 @@ class TestBatchedMu:
             mu_of_r(charged, np.array([1.0, 1.81, 0.1]))
 
 
+def _closed_form_values(p, r):
+    """Every closed-form value at r (a float or an array), as a flat tuple."""
+    w, rc = warp_state(p, r), ricci_closed_form(p, r, 1.0)
+    return (lapse_squared(p, r), mu_closed_form(p, r), mu_closed_form_sqrt(p, r),
+            w.f1, w.f2, w.f1p, w.f2p, w.f1pp, w.f2pp,
+            rc.r_mumu, rc.r_nunu, rc.r_thth, rc.r_phph, rc.scalar)
+
+
+class TestBatchedClosedForms:
+    @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (2.5, 2.475), (1e-8, 3e-9),
+                                      (1e8, 0.0)])
+    def test_entries_equal_float_calls(self, m, q):
+        # one code path: each entry of an array call is the float call's value
+        p = BlackHoleParams(m, q)
+        rs = interior_grid(p, 16)
+        batch = _closed_form_values(p, np.array(rs))
+        for k, r in enumerate(rs):
+            assert [v[k] for v in batch] == list(_closed_form_values(p, r))
+
+    def test_a_float_gives_python_floats(self, charged):
+        # repr of a numpy float would change the CLI's CSV and JSON text
+        for value in _closed_form_values(charged, 1.0):
+            assert type(value) is float
+        for value in _closed_form_values(charged, np.array([0.5, 1.0])):
+            assert isinstance(value, np.ndarray) and value.shape == (2,)
+
+    @pytest.mark.parametrize("evaluate", [lapse_squared, warp_state,
+                                          lambda p, r: ricci_closed_form(p, r, 1.0)])
+    def test_any_entry_outside_the_open_interior_raises(self, charged, evaluate):
+        with pytest.raises(DomainError, match=r"r=1\.8 outside the open interior"):
+            evaluate(charged, np.array([1.0, 1.8, 0.1]))
+
+    @pytest.mark.parametrize("evaluate", [mu_closed_form, mu_closed_form_sqrt])
+    def test_any_entry_outside_the_closed_interior_raises(self, charged, evaluate):
+        assert evaluate(charged, np.array([0.2, 1.8])).tolist() == [
+            evaluate(charged, 0.2), evaluate(charged, 1.8)]
+        with pytest.raises(DomainError, match=r"r=1\.81 outside the closed interior"):
+            evaluate(charged, np.array([1.0, 1.81, 0.1]))
+
+    def test_lapse_cross_check_names_the_first_failing_radius(self, charged, monkeypatch):
+        factored = rn._factored_lapse
+
+        def skewed(hp, r):
+            return factored(hp, r) + np.where(r > 1.0, 1e-9, 0.0)
+
+        monkeypatch.setattr(rn, "_factored_lapse", skewed)
+        assert lapse_squared(charged, np.array([0.5, 1.0])).shape == (2,)
+        with pytest.raises(ArithmeticError, match=r"lapse forms disagree at r=1\.25:"):
+            lapse_squared(charged, np.array([0.5, 1.25, 1.5]))
+
+
 class TestClosedForms:
     def test_plain_ratio_value(self, charged):
         # oracle: 2*arccos(0.5) - 0.8 by hand; deliberately differs from the

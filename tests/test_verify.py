@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rnwarp import calculus, oracle, verify, warped
@@ -10,6 +11,12 @@ from rnwarp.reissner_nordstrom import BlackHoleParams
 from rnwarp.verify import THRESHOLDS, CheckResult, VerifyReport, run_verification
 
 PI_2 = 0.5 * math.pi
+ORACLE_CHECKS = ("closed_vs_oracle_ricci", "chart_covariance", "scalar_oracle",
+                 "oracle_off_diagonal")
+
+
+def _diagonal(rd):
+    return (rd.r_mumu, rd.r_nunu, rd.r_thth, rd.r_phph)
 
 
 def test_overall_is_conjunction():
@@ -53,7 +60,7 @@ def test_schwarzschild_flatness_is_in_curvature_units(mass):
     rep = run_verification(p, grid_points=8)
     states = [rn.warp_state(p, r) for r in rn.interior_grid(p, 8)]
     want = max(abs(v) / f for w in states
-               for v, f in zip(verify._diagonal(warped.ricci_from_warps(w, PI_2)),
+               for v, f in zip(_diagonal(warped.ricci_from_warps(w, PI_2)),
                                verify._component_floors(w, PI_2, mass)))
     flat = {c.name: c for c in rep.checks}["schwarzschild_flatness"]
     assert flat.max_abs_residual == want
@@ -96,8 +103,8 @@ def test_threshold_override_can_fail(charged, monkeypatch):
 
 def _oracle_checks_pass(rep):
     checks = {c.name: c for c in rep.checks}
-    assert set(verify._ORACLE_CHECKS) <= set(checks)
-    for name in verify._ORACLE_CHECKS:
+    assert set(ORACLE_CHECKS) <= set(checks)
+    for name in ORACLE_CHECKS:
         assert checks[name].passed, checks[name]
     assert not any("skipped" in n for n in rep.notes)
 
@@ -217,6 +224,28 @@ def test_steep_round_trip_no_longer_drives_the_quadrature_into_the_horizon():
     m = 5.072915140196658
     rep = run_verification(BlackHoleParams(m, m * 0.999499544920172), 64)
     assert rep.overall, [c for c in rep.checks if not c.passed]
+
+
+@pytest.mark.parametrize("theta", [1e-160, 1e-150])
+def test_a_non_finite_residual_raises_naming_the_check(charged, theta):
+    # this close to the axis the oracle's Ricci tensor is inf and NaN;
+    # a residual that is no number must not read as 0 and pass
+    with np.errstate(all="ignore"), pytest.raises(
+            ArithmeticError, match="check closed_vs_oracle_ricci has a non-finite residual nan"):
+        run_verification(charged, grid_points=64, theta=theta)
+
+
+def test_a_nan_in_any_entry_fails_its_check(charged, monkeypatch):
+    norm = verify._off_diagonal_norm
+
+    def one_nan(*args):
+        out = norm(*args)
+        out[3] = math.nan
+        return out
+
+    monkeypatch.setattr(verify, "_off_diagonal_norm", one_nan)
+    with pytest.raises(ArithmeticError, match="check oracle_off_diagonal"):
+        run_verification(charged, grid_points=8)
 
 
 def test_check_order(charged):

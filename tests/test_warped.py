@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,6 +92,15 @@ def test_line_fiber_rescale(f1, f2, f1p, f2p, f1pp, f2pp, lam):
 def test_warps_must_be_positive(f1, f2):
     with pytest.raises(DomainError):
         WarpState(f1, f2, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("f1,f2", [([1.0, 0.0], [1.0, 1.0]), ([1.0, 1.0], [2.0, -2.0]),
+                                   ([1.0, math.nan], [1.0, 1.0])])
+def test_warps_must_be_positive_at_every_entry(f1, f2):
+    zeros = np.zeros(2)
+    WarpState(np.ones(2), np.ones(2), zeros, zeros, zeros, zeros)
+    with pytest.raises(DomainError):
+        WarpState(np.array(f1), np.array(f2), zeros, zeros, zeros, zeros)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi, -0.1, 4.0])
