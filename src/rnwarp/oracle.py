@@ -103,10 +103,6 @@ class Jet:
         return Jet(q, dq, -(q * self.hess + _symmetric(dq, self.grad)) / self.val)
 
 
-def _outer(a: np.ndarray) -> np.ndarray:
-    return a[:, None] * a
-
-
 def _symmetric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i b_j + a_j b_i over the two leading axes, exactly symmetric."""
     t = a[:, None] * b
@@ -118,7 +114,7 @@ def sin(x):
     if not isinstance(x, Jet):
         return np.sin(x)
     s, c = np.sin(x.val), np.cos(x.val)
-    return Jet(s, c * x.grad, c * x.hess - s * _outer(x.grad))
+    return Jet(s, c * x.grad, c * x.hess - s * (x.grad[:, None] * x.grad))
 
 
 def cos(x):
@@ -126,7 +122,7 @@ def cos(x):
     if not isinstance(x, Jet):
         return np.cos(x)
     s, c = np.sin(x.val), np.cos(x.val)
-    return Jet(c, -s * x.grad, -s * x.hess - c * _outer(x.grad))
+    return Jet(c, -s * x.grad, -s * x.hess - c * (x.grad[:, None] * x.grad))
 
 
 def points(x):
@@ -152,8 +148,7 @@ def diagonal_metric(x, entries) -> np.ndarray | Jet:
     grad, hess = np.zeros((k,) + out.shape), np.zeros((k, k) + out.shape)
     for i, e in enumerate(entries):
         if isinstance(e, Jet):
-            grad[..., i, i] = e.grad
-            hess[..., i, i] = e.hess
+            grad[..., i, i], hess[..., i, i] = e.grad, e.hess
     return Jet(out, grad, hess)
 
 
@@ -264,8 +259,8 @@ def invert4(g: np.ndarray) -> np.ndarray:
             f"below pivot floor {_DET_FLOOR}")
     t = flat[:, _COF_ENTRY] * minors[:, _COF_MINOR] * _COF_SIGN
     inv = ((t[:, :, 0] + t[:, :, 1]) + t[:, :, 2]) / det[:, None]
-    # C order, as a single matrix has it: einsum picks its summation
-    # order, and with it the rounding, by the memory layout
+    # C order, as a single matrix has it (the division alone may not give
+    # it): the BLAS kernel of a matmul, and its rounding, follow the layout
     return np.ascontiguousarray((inv.reshape(-1, 4, 4) / scale[:, None, :]).reshape(a.shape))
 
 
@@ -279,12 +274,9 @@ def _require_domain(mf: MetricField, x: np.ndarray):
 def ricci_at(mf: MetricField, x) -> CurvaturePoint:
     """Ricci tensor and scalar at x from the metric's exact derivatives.
 
-    R_ab = d_c Gamma^c_ab - d_a Gamma^c_cb + Gamma^c_cd Gamma^d_ab
-    - Gamma^c_ad Gamma^d_cb; scalar = g^ab R_ab. With
-    Gamma = (1/2) g^(-1) (dg + dg - dg), the connection derivative
-    expands by the product rule into first and second metric
-    derivatives. mf.g is called once, on the points seeded as jets, and
-    its result carries both.
+    mf.g is called once, on the points seeded as jets, and its result
+    carries the metric's first and second derivatives; _curvature
+    contracts them into R_ab (sign conventions above) and g^ab R_ab.
 
     x is one point of shape (4,) or a batch of shape (n, 4). A batch
     gives a CurvaturePoint whose fields carry a leading axis of n (scalar
@@ -303,25 +295,33 @@ def ricci_at(mf: MetricField, x) -> CurvaturePoint:
     hess = np.ascontiguousarray(g.hess.transpose(2, 0, 1, 3, 4))    # hess[n, e, b, i, j]
     gamma, ricci, scalar = _curvature(ginv, dg, hess)
     if x.ndim == 1:
-        return CurvaturePoint(point=x, christoffel=gamma[0], ricci=ricci[0],
-                              scalar=float(scalar[0]))
+        gamma, ricci, scalar = gamma[0], ricci[0], float(scalar[0])
     return CurvaturePoint(point=x, christoffel=gamma, ricci=ricci, scalar=scalar)
 
 
 def _curvature(ginv: np.ndarray, dg: np.ndarray, hess: np.ndarray):
-    """Christoffel symbols, Ricci tensors and scalars from the metric's inverse and derivatives."""
-    # S[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc and its e-derivative
-    s_low = np.einsum('...bdc->...dbc', dg) + np.einsum('...cdb->...dbc', dg) - dg
-    ds_low = (np.einsum('...ebdc->...edbc', hess) + np.einsum('...ecdb->...edbc', hess)
-              - hess)
-    gamma = 0.5 * np.einsum('...ad,...dbc->...abc', ginv, s_low)
-    dginv = -np.einsum('...am,...emn,...nd->...ead', ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum('...ead,...dbc->...eabc', dginv, s_low)
-                    + np.einsum('...ad,...edbc->...eabc', ginv, ds_low))
+    """Christoffel symbols, Ricci tensors and scalars from g^ad, d_e g_ij and d_e d_b g_ij.
 
-    term1 = np.einsum('...ccab->...ab', dgamma)   # d_c Gamma^c_ab
-    term2 = np.einsum('...accb->...ab', dgamma)   # d_a Gamma^c_cb
-    term3 = np.einsum('...ccd,...dab->...ab', gamma, gamma)
-    term4 = np.einsum('...cad,...dcb->...ab', gamma, gamma)
-    ricci = term1 - term2 + term3 - term4
-    return gamma, ricci, np.einsum('...ab,...ab->...', ginv, ricci)
+    Gamma^a_bc = (1/2) g^ad S_dbc with S_dbc = d_b g_dc + d_c g_db - d_d g_bc.
+    By d_e g^ad = -g^am d_e g_mn g^nd and the symmetry of g^cd, Gamma's
+    derivatives enter contracted, and no d_e Gamma^a_bc is formed:
+    d_c Gamma^c_ab = (1/2)(d_c g^cd S_dab + g^cd d_c S_dab) and
+    d_a Gamma^c_cb = (1/2)(d_a g^cd d_b g_cd + g^cd d_a d_b g_cd). Each
+    product is a reshape and a matmul over the leading point axis.
+    """
+    n = len(ginv)
+    g16 = ginv.reshape(n, 1, 16)
+    s_low = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg   # S[n, d, b, c]
+    gamma = 0.5 * (ginv @ s_low.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])                   # dginv[n, e, a, d]
+    # g^cd d_c S_dab = t_ab + t_ba - g^cd d_c d_d g_ab, t_ab = g^cd d_a d_c g_db
+    t = (g16[:, None] @ hess.reshape(n, 4, 16, 4)).reshape(n, 4, 4)
+    div_gamma = (np.trace(dginv, axis1=1, axis2=2)[:, None] @ s_low.reshape(n, 4, 16)
+                 - g16 @ hess.reshape(n, 16, 16)).reshape(n, 4, 4) + t + t.transpose(0, 2, 1)
+    grad_trace = (dginv.reshape(n, 4, 16) @ dg.reshape(n, 4, 16).transpose(0, 2, 1)
+                  + (hess.reshape(n, 16, 16) @ g16.transpose(0, 2, 1)).reshape(n, 4, 4))
+    swapped = gamma.transpose(0, 2, 1, 3).reshape(n, 4, 16)   # [n, a, c, d] = Gamma^c_ad
+    quadratic = ((np.trace(gamma, axis1=1, axis2=2)[:, None] @ gamma.reshape(n, 4, 16))
+                 .reshape(n, 4, 4) - swapped @ swapped.reshape(n, 16, 4))
+    ricci = 0.5 * (div_gamma - grad_trace) + quadratic
+    return gamma, ricci, (g16 @ ricci.reshape(n, 16, 1)).reshape(n)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rnwarp import oracle, verify
 from rnwarp.errors import DomainError, SingularMetricError
@@ -193,6 +194,85 @@ class TestInvert4:
         with np.errstate(all="raise"):
             inv = invert4(g)
         assert np.allclose(np.diag(inv) * np.diag(g), 1.0, rtol=1e-15)
+
+
+def reference_curvature(ginv, dg, hess):
+    """The Ricci assembly by the product rule, as einsum contractions.
+
+    It forms d_e Gamma^a_bc in full, as a (n, 4, 4, 4, 4) array, and
+    contracts it; the oracle's assembly contracts first. Same arguments
+    and results as oracle._curvature.
+    """
+    s_low = np.einsum('...bdc->...dbc', dg) + np.einsum('...cdb->...dbc', dg) - dg
+    ds_low = (np.einsum('...ebdc->...edbc', hess) + np.einsum('...ecdb->...edbc', hess)
+              - hess)
+    gamma = 0.5 * np.einsum('...ad,...dbc->...abc', ginv, s_low)
+    dginv = -np.einsum('...am,...emn,...nd->...ead', ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum('...ead,...dbc->...eabc', dginv, s_low)
+                    + np.einsum('...ad,...edbc->...eabc', ginv, ds_low))
+    term1 = np.einsum('...ccab->...ab', dgamma)   # d_c Gamma^c_ab
+    term2 = np.einsum('...accb->...ab', dgamma)   # d_a Gamma^c_cb
+    term3 = np.einsum('...ccd,...dab->...ab', gamma, gamma)
+    term4 = np.einsum('...cad,...dcb->...ab', gamma, gamma)
+    ricci = term1 - term2 + term3 - term4
+    return gamma, ricci, np.einsum('...ab,...ab->...', ginv, ricci)
+
+
+def _jet_inputs(mf, pts):
+    """_curvature's arguments as ricci_at forms them from the chart's jet."""
+    g = mf.g(Jet.variables(pts))
+    return (invert4(g.val), np.ascontiguousarray(g.grad.transpose(1, 0, 2, 3)),
+            np.ascontiguousarray(g.hess.transpose(2, 0, 1, 3, 4)))
+
+
+def _assert_matches_reference(ginv, dg, hess, tol):
+    # curvature units per point: the size of g^-1 d2g and of (g^-1 dg)^2,
+    # what each term of R_ab is made of; the scalar carries one more g^-1
+    gi, d1, d2 = (np.abs(a).reshape(len(a), -1).max(axis=1) for a in (ginv, dg, hess))
+    unit = gi * d2 + (gi * d1) ** 2
+    got, want = oracle._curvature(ginv, dg, hess), reference_curvature(ginv, dg, hess)
+    assert np.all(np.abs(got[0] - want[0]) <= tol * (gi * d1)[:, None, None, None])
+    assert np.all(np.abs(got[1] - want[1]) <= tol * unit[:, None, None])
+    assert np.all(np.abs(got[2] - want[2]) <= tol * gi * unit)
+
+
+entries = st.floats(min_value=-1.0, max_value=1.0)
+
+
+class TestAssembly:
+    @given(n=st.integers(min_value=1, max_value=5), data=st.data())
+    @settings(max_examples=100)
+    def test_general_metrics_match_the_reference(self, n, data):
+        # both charts are diagonal, so only a metric with every entry filled
+        # exercises each index of the contracted identities. With each
+        # entry of the symmetric perturbation at most 0.2 the metric keeps
+        # the Lorentzian signature and no eigenvalue comes within 0.2 of 0
+        a = data.draw(hnp.arrays(float, (n, 4, 4), elements=st.floats(-0.1, 0.1)))
+        d = data.draw(hnp.arrays(float, (n, 4, 4, 4), elements=entries))
+        h = data.draw(hnp.arrays(float, (n, 4, 4, 4, 4), elements=entries))
+        g = np.diag([-1.0, 1.0, 1.0, 1.0]) + a + np.swapaxes(a, 1, 2)
+        dg = d + np.swapaxes(d, 2, 3)
+        hess = h + np.swapaxes(h, 1, 2)
+        hess = hess + np.swapaxes(hess, 3, 4)
+        _assert_matches_reference(invert4(g), dg, hess, 1e-12)
+
+    @pytest.mark.parametrize("chart", [warped_chart, static_chart])
+    @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (1e-6, 0.9e-6), (3e5, 2.9e5)])
+    def test_charts_match_the_reference(self, chart, m, q):
+        p = BlackHoleParams(m, q)
+        pts = _grid_points(p, 64, theta=1.0)[chart is static_chart]
+        _assert_matches_reference(*_jet_inputs(chart(p), pts), 1e-12)
+
+    def test_overflow_raises_instead_of_returning_inf(self, charged):
+        # at theta = 1e-150 g^phiphi ~ 1e300 and its derivative overflows:
+        # an error when numpy raises, inf and NaN when it is told to ignore
+        x = [1.0, 0.0, 1e-150, 0.0]
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError,
+                                                     match="overflow encountered in matmul"):
+            ricci_at(warped_chart(charged), x)
+        with np.errstate(all="ignore"):
+            cp = ricci_at(warped_chart(charged), x)
+        assert not np.isfinite(cp.ricci).all() and math.isnan(cp.scalar)
 
 
 class TestChristoffel:
@@ -517,6 +597,25 @@ class TestBatchedPoints:
             assert alone.scalar == whole.scalar[k]
 
     @pytest.mark.parametrize("chart", [warped_chart, static_chart])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
+    def test_bits_independent_of_batch_size_and_order(self, charged, chart, n):
+        # each point's matrices go to the same matmul kernel whatever the
+        # batch around them, reversed, shuffled or alone
+        pts = _grid_points(charged, 65)[chart is static_chart][:n]
+        pts[1::2, 2] = 1.1
+        mf = chart(charged)
+        whole = ricci_at(mf, pts)
+        for order in (np.arange(n)[::-1], np.random.default_rng(n).permutation(n)):
+            moved = ricci_at(mf, pts[order])
+            for field in ("christoffel", "ricci", "scalar"):
+                assert getattr(moved, field).tobytes() == getattr(whole, field)[order].tobytes()
+        for k in range(n):
+            alone = ricci_at(mf, pts[k])
+            assert alone.christoffel.tobytes() == whole.christoffel[k].tobytes()
+            assert alone.ricci.tobytes() == whole.ricci[k].tobytes()
+            assert alone.scalar == whole.scalar[k]
+
+    @pytest.mark.parametrize("chart", [warped_chart, static_chart])
     def test_one_metric_call_per_batch(self, charged, chart):
         mf, calls = _counting(chart(charged))
         ricci_at(mf, _grid_points(charged, 20)[chart is static_chart])
@@ -548,7 +647,8 @@ class TestBatchedPoints:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(50, 4, 4)) * np.exp(4.0 * rng.normal(size=(50, 4, 4)))
         g = a + np.swapaxes(a, 1, 2) + 8.0 * np.eye(4)
-        batch = invert4(np.asfortranarray(g))  # any memory layout
+        batch = invert4(np.asfortranarray(g))  # any memory layout, C order out
+        assert batch.flags.c_contiguous and invert4(g[0]).flags.c_contiguous
         for k in range(50):
             assert batch[k].tobytes() == invert4(g[k]).tobytes()
         singular = g.copy()
