@@ -65,44 +65,49 @@ DEFAULT_TOL = Tolerance()
 
 
 def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float, hi,
-                                tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+                                singular_hi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Integrate f over each open interval (lo, hi[i]), tolerating inverse-square-root endpoints.
 
     f is elementwise: it maps a 1-D array of abscissas to the array of its
     values there, each value a function of its own abscissa alone. hi is a
     1-D array of upper limits, each above lo; entry i of the result is the
-    integral over (lo, hi[i]). The rows are integrated side by side, each
-    call of f serving every row still refining, and a row leaves the batch
-    once it has converged. Each row keeps its own walls, completions,
-    level count and stopping rule, so its result, bit for bit, and the
-    abscissas f sees for it do not depend on the other rows.
+    integral over (lo, hi[i]). singular_hi says, per row (or for all rows
+    at once), whether f may be singular at hi[i]; the lower end lo is
+    always taken as possibly singular. The rows are integrated side by
+    side, each call of f serving every row still refining, and a row
+    leaves the batch once it has converged. Each row keeps its own walls,
+    completions, level count and stopping rule, so its result, bit for
+    bit, and the abscissas f sees for it do not depend on the other rows.
 
     Uses the tanh-sinh (double exponential) transformation: abscissas
     x = mid + halfspan*tanh(pi/2 sinh t) on a trapezoid mesh in t that is
     halved until two successive levels agree to tolerance. The levels are
     nested: level 0 takes every integer t, and each later level adds only
     the odd multiples of its step, so every abscissa is evaluated once.
-    The wall completions and their frozen coefficients (below) are carried
-    from level to level. The trapezoid terms w*f are kept per node and
-    re-added in mesh order at each level (np.cumsum, which adds
-    sequentially), so the sum rounds exactly as one sweep over the whole
-    mesh would. The transcendental parts of node distances and weights
-    depend on the level alone; they are tabulated once per process (see
-    _level_nodes) and scaled by the half-span here. Endpoint distances are
-    carried in a cancellation-free form, so f is never called at lo or hi.
+    Each row keeps a running total of its trapezoid terms w*f: a level
+    sums its new terms sequentially, the hi side's by increasing t and
+    then the lo side's, and adds that sum to the total, so the rounding
+    depends on the row alone. The wall completions and their frozen
+    coefficients (below) are carried from level to level too. The
+    transcendental parts of node distances and weights depend on the
+    level alone; they are tabulated once per process (see _level_nodes)
+    and scaled by the half-span here. Endpoint distances are carried in a
+    cancellation-free form, so f is never called at lo or hi.
 
     Double precision cannot place an abscissa closer to an endpoint than
-    one ulp of it, and abscissas within a few thousand ulps carry large
-    argument-rounding noise. The trapezoid mass of that near-endpoint
-    zone is added back in closed form assuming the worst endpoint
-    behavior admitted by the contract, f ~ c*(distance)^(-1/2), with c
-    frozen from the innermost node evaluated at any level. The completion
-    is exact for inverse-square-root endpoints and harmless for bounded
-    ones; integrands of strictly intermediate order can be limited to
-    roughly seven digits at the affected endpoint. An endpoint equal to 0
-    has no ulp scale: its wall is scaled by the half-span, and nodes inside
-    it are evaluated until the first whose term is negligible next to the
-    t = 0 term (see _sweep).
+    one ulp of it, and next to a singular endpoint abscissas within a few
+    thousand ulps carry large argument-rounding noise. So a singular
+    endpoint gets a wall: the trapezoid mass of the zone inside it is
+    added back in closed form assuming the worst endpoint behavior
+    admitted by the contract, f ~ c*(distance)^(-1/2), with c frozen from
+    the innermost node evaluated at any level. The completion is exact for
+    inverse-square-root endpoints; integrands of strictly intermediate
+    order can be limited to roughly seven digits there. A regular upper
+    end gets no wall and no completion: its nodes are evaluated until an
+    abscissa rounds onto it, and the terms past that are below rounding.
+    An endpoint equal to 0 has no ulp scale and is always walled: its wall
+    is scaled by the half-span, and nodes inside it are evaluated until
+    the first whose term is negligible next to the t = 0 term (see _sweep).
 
     A row fails with ValueError where f returns a non-finite value, and
     with ConvergenceError (carrying its last estimate and error bound) if
@@ -121,6 +126,10 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     for i in np.flatnonzero(~np.isfinite(fx)).tolist():
         failed[i] = _non_finite(fx[i], mid[i])
     center = 0.5 * math.pi * hs * fx  # t = 0 node
+    singular_hi = np.asarray(singular_hi)
+    if singular_hi.dtype != bool:
+        raise ValueError(f"singular_hi must be booleans, got {singular_hi!r}")
+    walled_hi = np.broadcast_to(singular_hi, hi.shape) | (hi == 0.0)
     # the walls must leave room inside microscopic intervals; an endpoint
     # at 0 has no ulp scale of its own, so its wall is scaled by the half-span
     dmin_hi = np.minimum(_WALL * EPS * np.where(hi != 0.0, np.abs(hi), hs), 0.05 * hs)
@@ -133,17 +142,19 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
         "root_hs": np.sqrt(hs),
         "negligible": EPS * np.abs(center),
         "end": np.column_stack([hi, np.full(n, float(lo))]),
-        "dmin": np.column_stack([dmin_hi, dmin_lo]),
+        "walled": np.column_stack([walled_hi, np.ones(n, dtype=bool)]),
+        "dmin": np.column_stack([np.where(walled_hi, dmin_hi, 0.0), dmin_lo]),
+        # every node of a level with unit distance unit_d <= cut (see
+        # _level_nodes) is dropped: inside the walls, or within EPS/8 of a
+        # regular end, where abscissas round onto it, with a factor 2 to spare
+        "cut": 0.25 * np.minimum(np.where(walled_hi, dmin_hi, 0.125 * EPS * np.abs(hi)),
+                                 dmin_lo) / hs,
         "comp": np.zeros((n, 2)),  # summed unit completion weight of the walled tails
         # innermost evaluated node: its distance and frozen coefficient
         # f*sqrt(d) for the wall completion
         "d": np.full((n, 2), math.inf),
         "g": np.zeros((n, 2)),
-        # the t = 0 term, then the w*f terms of the current mesh by
-        # increasing t, a (hi, lo) pair per node, zero where walled;
-        # re-added in this order at each level so the sum rounds exactly
-        # as a single sweep over the mesh would
-        "terms": center[:, None],
+        "total": center,  # the running sum of the trapezoid terms
         "prev": np.full(n, math.nan),
         "err": np.full(n, math.inf),
         "refine_once": np.zeros(n, dtype=bool),
@@ -154,12 +165,10 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
         if not len(s["row"]):
             break
         h = 2.0 ** (-level)
-        new = _sweep(f, _level_nodes(level), s, failed)
-        s["terms"] = _merge(s["terms"], new, level)
-        total = np.cumsum(s["terms"], axis=1)[:, -1]
+        s["total"] = s["total"] + _sweep(f, _level_nodes(level), s, failed)
 
         comp, g = s["comp"], s["g"]
-        estimate = h * (total + s["root_hs"] * comp[:, 0] * g[:, 0]
+        estimate = h * (s["total"] + s["root_hs"] * comp[:, 0] * g[:, 0]
                         + s["root_hs"] * comp[:, 1] * g[:, 1])
         done = s["refine_once"].copy()
         if level >= 2:
@@ -186,27 +195,6 @@ def _rows(s: dict, keep: np.ndarray, failed: dict) -> dict:
     return s if keep.all() else {k: v[keep] for k, v in s.items()}
 
 
-def _merge(terms: np.ndarray, new: np.ndarray, level: int) -> np.ndarray:
-    """The mesh terms (see integrate_endpoint_singular) with a level's new nodes merged in by t.
-
-    new holds the (hi, lo) terms of the level's nodes, shape (rows, k, 2).
-    Past level 0 they sit at the odd multiples of the step and the old
-    nodes at the even ones, so new node i goes before old node i; the
-    shorter of the two is padded with zeros.
-    """
-    n, k_new = new.shape[:2]
-    if level == 0:
-        return np.concatenate([terms, new.reshape(n, -1)], axis=1)
-    k_old = (terms.shape[1] - 1) // 2
-    k = max(k_new, k_old)
-    merged = np.zeros((n, 1 + 4 * k))
-    merged[:, 0] = terms[:, 0]
-    nodes = merged[:, 1:].reshape(n, k, 2, 2)
-    nodes[:, :k_new, 0] = new
-    nodes[:, :k_old, 1] = terms[:, 1:].reshape(n, k_old, 2)
-    return merged
-
-
 _SIGN = np.array([-1.0, 1.0])  # hi side, lo side: the direction from each endpoint inward
 
 
@@ -214,57 +202,60 @@ def _sweep(f, nodes, s: dict, failed: dict) -> np.ndarray:
     """One level's new nodes on both sides of every row in s.
 
     On each side f is evaluated at end + sign*d, from the midpoint toward
-    the endpoint, until a node falls inside the wall dmin (or rounds onto
-    the endpoint); that node and every later one are walled, since
-    distances shrink monotonically along the level. At an endpoint equal
-    to 0 a node inside the wall is still evaluated, and walled only once
-    its term w*f is at most `negligible`: where the terms keep mattering,
-    as for a nonintegrable singularity, the sweep runs on toward the
-    endpoint, one node per call of f. Every other node of the level, on
-    every row and both sides, is evaluated in one call of f.
+    the endpoint, until a node falls inside the wall dmin (0 at a regular
+    end) or rounds onto the endpoint; that node and every later one are
+    dropped, since distances shrink monotonically along the level. At an
+    endpoint equal to 0 a node inside the wall is still evaluated, and
+    dropped only once its term w*f is at most `negligible`: where the
+    terms keep mattering, as for a nonintegrable singularity, the sweep
+    runs on toward the endpoint, one node per call of f. Every other node
+    of the level, on every row and both sides, is evaluated in one call
+    of f.
 
-    Adds the unit weight of each walled tail to the row's completion
-    weight, moves the innermost node where this level reached closer to
-    the endpoint, and enters rows where f is non-finite in failed.
-    Returns the trapezoid terms w*f of the kept nodes as (hi, lo) pairs
-    by increasing t, shape (rows, k, 2), zero where walled.
+    Adds the unit weight of each dropped tail at a walled end to the row's
+    completion weight, moves the innermost node where this level reached
+    closer to the endpoint, and enters rows where f is non-finite in
+    failed. Returns each row's sum of the trapezoid terms w*f of its kept
+    nodes, added sequentially: the hi side by increasing t, then the lo
+    side, so that the sum does not depend on the other rows.
     """
-    q, opq, ch, opq2, uk_tail = nodes
+    unit_d, unit_w, uk_tail = nodes
     hs2 = 2.0 * s["hs"]
     hs_pi_2 = 0.5 * math.pi * s["hs"]
     kept, fx = _walk(f, nodes, s, failed, hs2, hs_pi_2)
-    width = int(kept.max(initial=0))
-    w = hs_pi_2[:, None] * ch[:width] * 4.0 * q[:width] / opq2[:width]
-    terms = np.where(np.arange(width) < kept[:, :, None], w[:, None, :] * fx[:, :, :width], 0.0)
-    s["comp"] += uk_tail[kept]
+    s["comp"] += np.where(s["walled"], uk_tail[kept], 0.0)
     # the innermost kept node, where this level reached closer to the endpoint
-    r, k = np.nonzero(kept > 0)
-    j = kept[r, k] - 1
-    d = hs2[r] * q[j] / opq[j]
-    closer = d < s["d"][r, k]
-    r, k, j, d = r[closer], k[closer], j[closer], d[closer]
-    s["d"][r, k] = d
-    s["g"][r, k] = fx[r, k, j] * np.sqrt(d)
-    return terms.transpose(0, 2, 1)
+    j = np.maximum(kept - 1, 0)
+    d = hs2[:, None] * unit_d[j]
+    closer = (kept > 0) & (d < s["d"])
+    s["d"] = np.where(closer, d, s["d"])
+    inner = fx[np.arange(len(j))[:, None], [0, 1], j]
+    s["g"] = np.where(closer, inner * np.sqrt(d), s["g"])
+    width = int(kept.max(initial=0))
+    if not width:
+        return np.zeros(len(kept))
+    terms = hs_pi_2[:, None, None] * unit_w[:width] * fx[:, :, :width]  # 0 past kept
+    return np.cumsum(terms.reshape(len(kept), -1), axis=1)[:, -1]
 
 
 def _walk(f, nodes, s: dict, failed: dict, hs2: np.ndarray, hs_pi_2: np.ndarray):
-    """Evaluate one level's nodes toward each endpoint until they are walled (see _sweep).
+    """Evaluate one level's nodes toward each endpoint until they are dropped (see _sweep).
 
     Returns the number of kept nodes per row and side, shape (rows, 2),
     and f at them, shape (rows, 2, k), zero past them and on failed rows.
     """
-    q, opq, ch, opq2, _ = nodes
-    n, size = len(hs2), len(q)
+    unit_d, unit_w, _ = nodes
+    n, size = len(hs2), len(unit_d)
     end, dmin = s["end"], s["dmin"]
-    # from the first node inside every row's walls with a factor 2 to
-    # spare, every node is walled but for probes at an endpoint 0
-    past = q / opq <= np.min(0.5 * dmin.min(axis=1) / hs2)
+    # from the first node past every row's cut, every node is dropped but
+    # for probes at an endpoint 0
+    past = unit_d <= s["cut"].min()
     span = int(np.argmax(past)) + 1 if past.any() else size
-    dx = hs2[:, None] * q[:span] / opq[:span]  # the same on both sides
+    dx = hs2[:, None] * unit_d[:span]  # the same on both sides
     x = end[:, :, None] + _SIGN[:, None] * dx[:, None, :]
     on_end = x == end[:, :, None]
-    kept = _first(on_end | ~(dx[:, None, :] > dmin[:, :, None]))  # per row and side
+    # a node once dropped stays dropped along the level
+    kept = span - np.count_nonzero(on_end | (dx[:, None, :] <= dmin[:, :, None]), axis=2)
     # at an endpoint 0 the first node inside the wall is probed: evaluated,
     # and kept, with the next one probed, unless its term is negligible
     probe = (end == 0.0) & (kept < span)
@@ -279,14 +270,14 @@ def _walk(f, nodes, s: dict, failed: dict, hs2: np.ndarray, hs_pi_2: np.ndarray)
     r, k = np.nonzero(probe & alive[:, None])
     j = kept[r, k]
     while len(r):
-        term = hs_pi_2[r] * ch[j] * 4.0 * q[j] / opq2[j] * fx[r, k, j]
-        walled = ~(hs2[r] * q[j] / opq[j] > dmin[r, k]) & (np.abs(term) <= s["negligible"][r])
+        term = hs_pi_2[r] * unit_w[j] * fx[r, k, j]
+        walled = ~(hs2[r] * unit_d[j] > dmin[r, k]) & (np.abs(term) <= s["negligible"][r])
         fx[r[walled], k[walled], j[walled]] = 0.0
         kept[r, k] += ~walled
         # the next node, unless past the last of the level or on the endpoint
         r, k, j = r[~walled], k[~walled], j[~walled] + 1
         r, k, j = r[j < size], k[j < size], j[j < size]
-        xs = end[r, k] + _SIGN[k] * (hs2[r] * q[j] / opq[j])
+        xs = end[r, k] + _SIGN[k] * (hs2[r] * unit_d[j])
         off = xs != end[r, k]
         r, k, j, xs = r[off], k[off], j[off], xs[off]
         if not len(r):
@@ -314,21 +305,16 @@ def _reject(s: dict, failed: dict, alive: np.ndarray, values: np.ndarray, x: np.
             alive[rows[i]] = False
 
 
-def _first(mask: np.ndarray) -> np.ndarray:
-    """Index of the first True along the last axis of mask, or its length if none."""
-    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
-
-
 @functools.cache
 def _level_nodes(level: int) -> tuple[np.ndarray, ...]:
     """Tanh-sinh nodes first used at this level, by increasing t.
 
     Level 0 holds t = 1, 2, 3, ...; level k > 0 holds t = j*2^-k for odd j.
-    Returns arrays (q, 1 + q, cosh t, (1 + q)^2, uk_tail) over the nodes
-    with q = exp(-pi*sinh t): a node of a half-span hs lies 2*hs*q/(1 + q)
-    from its near endpoint and carries trapezoid weight
-    (pi/2)*hs*cosh(t)*4*q/(1 + q)^2 (before the step factor), both formed
-    left to right as written, which fixes their rounding.
+    Returns arrays (unit_d, unit_w, uk_tail) over the nodes, with
+    q = exp(-pi*sinh t): a node of a half-span hs lies 2*hs*unit_d from
+    its near endpoint, unit_d = q/(1 + q), and carries trapezoid weight
+    (pi/2)*hs*unit_w (before the step factor), unit_w =
+    cosh(t)*4*q/(1 + q)^2 formed left to right, which fixes its rounding.
     sqrt(hs)*uk_tail[i] is the summed wall-completion weight w/sqrt(d) of
     node i and every later one of the level, so a level's walled tail
     costs one lookup; uk_tail has one more entry, 0, for no walled node.
@@ -348,14 +334,14 @@ def _level_nodes(level: int) -> tuple[np.ndarray, ...]:
         if q == 0.0:
             break
         # w/sqrt(d) is written to survive underflow of q
-        rows.append((q, 1.0 + q, ch, (1.0 + q) * (1.0 + q),
+        rows.append((q / (1.0 + q), ch * 4.0 * q / ((1.0 + q) * (1.0 + q)),
                      pi_2 * ch * 2.0 * math.sqrt(2.0) * es / (1.0 + q) ** 1.5))
         j += stride
     tails = [0.0]
     for row in reversed(rows):  # smallest weights first
         tails.append(tails[-1] + row[-1])
     columns = [np.array(c) for c in zip(*rows)]
-    return (*columns[:4], np.array(tails[::-1]))
+    return (*columns[:2], np.array(tails[::-1]))
 
 
 def _evaluate(f, x: np.ndarray) -> np.ndarray:

@@ -125,7 +125,9 @@ def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
     mu = np.zeros(rs.shape)
     inner = rs > rm  # F(r_minus) = 0 takes no quadrature
     if inner.any():
-        mu[inner] = calculus.integrate_endpoint_singular(integrand, rm, rs[inner], tol)
+        # the integrand is singular at r_plus alone among the upper limits
+        mu[inner] = calculus.integrate_endpoint_singular(integrand, rm, rs[inner],
+                                                         rs[inner] >= rp, tol)
     return float(mu) if mu.ndim == 0 else mu
 
 

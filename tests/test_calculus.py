@@ -22,71 +22,82 @@ def arcsine(x):
     return 1.0 / np.sqrt(x * (2.0 - x))
 
 
-def integrate(f, iv, tol=DEFAULT_TOL):
+def integrate(f, iv, singular_hi=True, tol=DEFAULT_TOL):
     """The quadrature of f over one interval: a batch of one row."""
-    return float(integrate_endpoint_singular(f, iv.lo, [iv.hi], tol)[0])
+    return float(integrate_endpoint_singular(f, iv.lo, [iv.hi], singular_hi, tol)[0])
 
 
-def sweep_level(f, iv, level):
-    """One tanh-sinh level swept from scratch: every node's transcendentals
-    recomputed, f called at every node, the trapezoid terms summed in mesh
-    order. The reference that integrate_endpoint_singular must reproduce."""
-    lo, hi = iv.lo, iv.hi
-    hs = 0.5 * (hi - lo)
-    # an endpoint at 0 gets a wall scaled by the half-span, and a node
-    # inside it is walled only once its term is negligible; the sweep
-    # stops there, as the terms fall off monotonically toward the endpoint
-    dmin_lo = min(16384.0 * EPS * (abs(lo) if lo != 0.0 else hs), 0.05 * hs)
-    dmin_hi = min(16384.0 * EPS * (abs(hi) if hi != 0.0 else hs), 0.05 * hs)
+def sweep_level(f, iv, level, sides, negligible):
+    """One tanh-sinh level's new nodes swept from scratch: every node's
+    transcendentals recomputed, f called at every node, and the trapezoid
+    terms summed by increasing t, the hi side's and then the lo side's.
+    Returns that sum; updates each side's completion weight and innermost
+    node."""
     pi_2 = 0.5 * math.pi
+    hs = 0.5 * (iv.hi - iv.lo)
     h = 2.0 ** (-level)
-    center = pi_2 * hs * f(lo + hs)
-    negligible = EPS * abs(center)
-    total = center
-    comp_lo = comp_hi = g_lo = g_hi = 0.0
-    walled_lo = walled_hi = False
+    for side in sides:
+        side["open"] = True
+        side["terms"] = []
     j = 1
     while True:
         t = j * h
         es = math.exp(-pi_2 * math.sinh(t))
         q = es * es
-        d = hs * 2.0 * q / (1.0 + q)
-        w = hs * pi_2 * math.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q))
+        d = 2.0 * hs * (q / (1.0 + q))
+        w = hs * pi_2 * (math.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q)))
         if w == 0.0 and d == 0.0:
-            return h * (total + comp_hi * g_hi + comp_lo * g_lo)
+            level_sum = 0.0
+            for side in sides:
+                for term in side["terms"]:
+                    level_sum += term
+            return level_sum
         wk = pi_2 * math.cosh(t) * 2.0 * math.sqrt(2.0 * hs) * es / (1.0 + q) ** 1.5
-        if not walled_hi and hi - d < hi and (d > dmin_hi or hi == 0.0):
-            fx = f(hi - d)
-            if d > dmin_hi or abs(w * fx) > negligible:
-                total += w * fx
-                g_hi = fx * math.sqrt(d)
+        for side in sides:
+            # an endpoint at 0 gets a wall scaled by the half-span, and a
+            # node inside it is dropped only once its term is negligible;
+            # the side stops there, as the terms fall off monotonically
+            end, dmin = side["end"], side["dmin"]
+            x = end + side["sign"] * d
+            if side["open"] and x != end and (d > dmin or end == 0.0):
+                fx = f(x)
+                if d > dmin or abs(w * fx) > negligible:
+                    side["terms"].append(w * fx)
+                    if d < side["d"]:
+                        side["d"], side["g"] = d, fx * math.sqrt(d)
+                else:
+                    side["open"] = False
             else:
-                walled_hi = True
-        else:
-            walled_hi = True
-        if walled_hi:
-            comp_hi += wk
-        if not walled_lo and lo + d > lo and (d > dmin_lo or lo == 0.0):
-            fx = f(lo + d)
-            if d > dmin_lo or abs(w * fx) > negligible:
-                total += w * fx
-                g_lo = fx * math.sqrt(d)
-            else:
-                walled_lo = True
-        else:
-            walled_lo = True
-        if walled_lo:
-            comp_lo += wk
-        j += 1
+                side["open"] = False
+            if not side["open"] and side["walled"]:
+                side["comp"] += wk
+        j += 1 if level == 0 else 2
 
 
-def sweep_levels(f, iv, tol=DEFAULT_TOL):
-    """sweep_level under the convergence rule of integrate_endpoint_singular:
-    the estimate and the finest level it took."""
+def sweep_levels(f, iv, singular_hi=True, tol=DEFAULT_TOL):
+    """sweep_level level by level into a running total, under the
+    convergence rule of integrate_endpoint_singular: the estimate and the
+    finest level it took. The reference that integrate_endpoint_singular
+    must reproduce. The lower end and a singular or zero upper end are
+    walled; a regular upper end is swept until abscissas round onto it."""
+    lo, hi = iv.lo, iv.hi
+    hs = 0.5 * (hi - lo)
+    walled_hi = singular_hi or hi == 0.0
+    sides = [{"end": hi, "sign": -1.0, "walled": walled_hi,
+              "dmin": min(16384.0 * EPS * (abs(hi) if hi != 0.0 else hs), 0.05 * hs)
+              if walled_hi else 0.0},
+             {"end": lo, "sign": 1.0, "walled": True,
+              "dmin": min(16384.0 * EPS * (abs(lo) if lo != 0.0 else hs), 0.05 * hs)}]
+    for side in sides:
+        side.update(comp=0.0, g=0.0, d=math.inf)
+    total = 0.5 * math.pi * hs * f(lo + hs)
+    negligible = EPS * abs(total)
     prev = math.nan
     refine_once = False
     for level in range(13):
-        estimate = sweep_level(f, iv, level)
+        total += sweep_level(f, iv, level, sides, negligible)
+        estimate = 2.0 ** (-level) * (total + sides[0]["comp"] * sides[0]["g"]
+                                      + sides[1]["comp"] * sides[1]["g"])
         if refine_once:
             return estimate, level
         if level >= 2:
@@ -99,8 +110,8 @@ def sweep_levels(f, iv, tol=DEFAULT_TOL):
     raise ConvergenceError("reference did not converge", prev, err)
 
 
-def sweep_reference(f, iv, tol=DEFAULT_TOL):
-    return sweep_levels(f, iv, tol)[0]
+def sweep_reference(f, iv, singular_hi=True, tol=DEFAULT_TOL):
+    return sweep_levels(f, iv, singular_hi, tol)[0]
 
 
 class TestIntegrate:
@@ -116,16 +127,16 @@ class TestIntegrate:
         assert got == pytest.approx(math.pi, abs=1e-9)
 
     def test_constant(self):
-        got = integrate(np.ones_like, Interval(0.0, 1.0))
+        got = integrate(np.ones_like, Interval(0.0, 1.0), singular_hi=False)
         assert got == pytest.approx(1.0, abs=1e-11)
 
     def test_single_sided_singularity(self):
         # integral of 1/sqrt(x) over (0, 1) is 2
-        got = integrate(lambda x: 1.0 / np.sqrt(x), Interval(0.0, 1.0))
+        got = integrate(lambda x: 1.0 / np.sqrt(x), Interval(0.0, 1.0), singular_hi=False)
         assert got == pytest.approx(2.0, abs=1e-9)
 
     def test_smooth_integrand(self):
-        got = integrate(np.sin, Interval(0.0, math.pi))
+        got = integrate(np.sin, Interval(0.0, math.pi), singular_hi=False)
         assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_deterministic(self):
@@ -136,7 +147,7 @@ class TestIntegrate:
     @settings(max_examples=20)
     def test_additive_over_subintervals(self, split):
         whole = integrate(arcsine, Interval(0.0, 2.0))
-        left = integrate(arcsine, Interval(0.0, split))
+        left = integrate(arcsine, Interval(0.0, split), singular_hi=False)
         right = integrate(arcsine, Interval(split, 2.0))
         assert abs(left + right - whole) <= 2.0 * DEFAULT_TOL.abs_tol + 1e-12
 
@@ -165,7 +176,7 @@ class TestIntegrate:
             seen.extend(x.tolist())
             return np.sqrt(x)
 
-        got = integrate(f, Interval(0.0, 1.0))
+        got = integrate(f, Interval(0.0, 1.0), singular_hi=False)
         assert got == pytest.approx(2.0 / 3.0, abs=1e-10)
         assert min(seen) > 1e-100
 
@@ -173,7 +184,7 @@ class TestIntegrate:
         # violates the continuity precondition; refinement stalls and the
         # error must carry the running estimate and bound
         with pytest.raises(ConvergenceError) as exc:
-            integrate(lambda x: np.where(x < 0.37, 1.0, 0.0), Interval(0.0, 1.0))
+            integrate(lambda x: np.where(x < 0.37, 1.0, 0.0), Interval(0.0, 1.0), False)
         assert exc.value.estimate == pytest.approx(0.37, abs=0.01)
         assert exc.value.error_bound > 0.0
 
@@ -185,7 +196,7 @@ class TestIntegrate:
                 return 1.0 / x
 
         with pytest.raises(ValueError, match="non-finite"):
-            integrate(f, Interval(0.0, 1.0))
+            integrate(f, Interval(0.0, 1.0), singular_hi=False)
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -195,7 +206,9 @@ class TestIntegrate:
         (arcsine, Interval(0.0, 2.0)),
         (lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0)),
         # stalls, so every level up to the finest is evaluated; the interval
-        # keeps clear of zero, where distinct subnormal abscissas round together
+        # keeps clear of zero, where distinct subnormal abscissas round
+        # together, and both ends are walled: the finest levels' nodes
+        # within a few hundred ulps of an unwalled end round together too
         (lambda x: np.where(x < 0.87, 1.0, 0.0), Interval(0.5, 1.5)),
     ])
     def test_each_abscissa_evaluated_once(self, f, iv):
@@ -214,11 +227,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("split", [0.05, 0.3, 0.7, 1.0, 1.3, 1.95])
     def test_reproduces_level_sweeps_bit_for_bit(self, split):
+        # a wall and completion at a regular end are harmless, so the
+        # intervals with a regular upper end are swept both ways
         for f, iv in [(arcsine, Interval(0.0, split)), (arcsine, Interval(split, 2.0)),
                       (lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)),
                        Interval(0.2, 0.2 + 0.8 * split)),
                       (np.sin, Interval(-split, 2.0 * split))]:
-            assert integrate(f, iv) == sweep_reference(f, iv)
+            for singular_hi in ((True,) if iv.hi == 2.0 else (False, True)):
+                assert integrate(f, iv, singular_hi) == sweep_reference(f, iv, singular_hi)
 
     @given(a=st.floats(min_value=-1e3, max_value=1e3),
            rel_width=st.floats(min_value=1e-12, max_value=10.0),
@@ -245,14 +261,15 @@ class TestIntegrate:
         code = ("import numpy as np\n"
                 "from rnwarp.calculus import integrate_endpoint_singular\n"
                 "print(float(integrate_endpoint_singular("
-                "lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), 0.2, [1.0])[0]).hex())")
+                "lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), 0.2, [1.0], False)[0]).hex())")
         src = os.path.dirname(os.path.dirname(rnwarp.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                capture_output=True, text=True).stdout.strip()
         with pytest.raises(ConvergenceError):
             integrate(lambda x: np.where(x < 0.37, 1.0, 0.0), Interval(0.0, 1.0))
-        here = integrate(lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0))
+        here = integrate(lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0),
+                         singular_hi=False)
         assert here.hex() == fresh
 
     def test_interval_must_be_ordered(self):
@@ -279,29 +296,40 @@ class TestBatchedRows:
         (lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), 0.2, [1.8, 1.0, 0.2000001, 1.79, 0.9]),
         (np.sin, -0.7, [2.1, -0.6, 0.0, 1e3 * EPS, 0.4]),
     ]
+    # upper limits flagged singular, so that regular and singular upper
+    # ends share a batch: where a case's integrand is singular (2, 0 and
+    # 1.8; an end at 0 is walled whatever its flag), and 30, where
+    # 1/sqrt(x) is regular but walled (harmless) so that its rows do not
+    # all converge at one level
+    SINGULAR = [2.0, 0.0, 1.8, 30.0]
 
     @pytest.mark.parametrize("f, lo, his", CASES)
     def test_each_row_reproduces_its_level_sweep(self, f, lo, his):
-        got = integrate_endpoint_singular(f, lo, his)
-        want = [sweep_levels(f, Interval(lo, hi)) for hi in his]
+        singular = np.isin(his, self.SINGULAR)
+        got = integrate_endpoint_singular(f, lo, his, singular)
+        want = [sweep_levels(f, Interval(lo, hi), bool(s)) for hi, s in zip(his, singular)]
         assert got.tolist() == [w for w, _ in want]
         assert len({level for _, level in want}) > 1  # rows converge at different levels
 
     @pytest.mark.parametrize("f, lo, his", CASES)
     def test_row_independent_of_the_rest_of_the_batch(self, f, lo, his):
-        whole = integrate_endpoint_singular(f, lo, his)
+        his = np.array(his)
+        singular = np.isin(his, self.SINGULAR)
+        whole = integrate_endpoint_singular(f, lo, his, singular)
         order = np.random.default_rng(1).permutation(len(his))
-        shuffled = integrate_endpoint_singular(f, lo, np.array(his)[order])
+        shuffled = integrate_endpoint_singular(f, lo, his[order], singular[order])
         assert shuffled.tobytes() == whole[order].tobytes()
-        alone = [integrate_endpoint_singular(f, lo, [hi])[0] for hi in his]
+        alone = [integrate_endpoint_singular(f, lo, [hi], s)[0] for hi, s in zip(his, singular)]
         assert np.array(alone).tobytes() == whole.tobytes()
 
     def test_mixed_tolerance_rows_reproduce_their_sweeps(self):
         # a loose tolerance lets rows stop after the refine-once level or at once
         tol = Tolerance(1e-6, 1e-6)
         his = [2.0, 0.1, 1.0, 1.99999]
-        got = integrate_endpoint_singular(arcsine, 0.0, his, tol)
-        assert got.tolist() == [sweep_reference(arcsine, Interval(0.0, hi), tol) for hi in his]
+        singular = [hi == 2.0 for hi in his]
+        got = integrate_endpoint_singular(arcsine, 0.0, his, singular, tol)
+        assert got.tolist() == [sweep_reference(arcsine, Interval(0.0, hi), s, tol)
+                                for hi, s in zip(his, singular)]
 
     def test_each_row_evaluated_once_per_abscissa(self):
         seen = []
@@ -311,10 +339,11 @@ class TestBatchedRows:
             return arcsine(x)
 
         his = [2.0, 1.0, 0.5]
-        integrate_endpoint_singular(recording, 0.0, his)
+        integrate_endpoint_singular(recording, 0.0, his, [True, False, False])
         for hi in his:  # each row's abscissas are its own, whatever the others are
             alone = []
-            integrate(lambda x: alone.extend(x.tolist()) or arcsine(x), Interval(0.0, hi))
+            integrate(lambda x: alone.extend(x.tolist()) or arcsine(x), Interval(0.0, hi),
+                      hi == 2.0)
             assert set(alone) <= set(seen)
         assert len(set(seen)) == len(seen)
 
@@ -325,14 +354,15 @@ class TestBatchedRows:
             return np.where(x > 5.0, np.nan, np.where(x < 0.37, 1.0, 0.0))
 
         with pytest.raises(ConvergenceError):
-            integrate_endpoint_singular(f, 0.0, [0.3, 1.0, 10.0])
+            integrate_endpoint_singular(f, 0.0, [0.3, 1.0, 10.0], False)
         with pytest.raises(ValueError, match="non-finite"):
-            integrate_endpoint_singular(f, 0.0, [0.3, 10.0, 1.0])
+            integrate_endpoint_singular(f, 0.0, [0.3, 10.0, 1.0], False)
 
     @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (2.5, 2.475), (0.3, 0.0)])
     def test_mu_rows_reproduce_their_level_sweeps(self, m, q):
-        # the charged integrand walls both ends; at Q = 0 the lower end is
-        # r = 0 and its nodes inside the wall are probed
+        # the charged integrand walls the lower end, and the upper end only
+        # at r_plus; at Q = 0 the lower end is r = 0 and its nodes inside
+        # the wall are probed
         p = BlackHoleParams(m, q)
         hp = horizons(p)
         rp, rm = hp.r_plus, hp.r_minus
@@ -343,21 +373,26 @@ class TestBatchedRows:
             def f(x):
                 return np.sqrt(x / (rp - x))
         rs = interior_grid(p, 8) + [rp, rm + 1e-3 * hp.width, rp - 1e-7 * hp.width]
-        want = [sweep_levels(f, Interval(rm, r)) for r in rs]
+        want = [sweep_levels(f, Interval(rm, r), r >= rp) for r in rs]
         assert mu_of_r(p, np.array(rs)).tolist() == [w for w, _ in want]
         assert len({level for _, level in want}) > 1
 
     @pytest.mark.parametrize("his", [[], [[1.0]], [1.0, 0.0], [1.0, math.nan]])
     def test_limits_must_be_a_vector_above_lo(self, his):
         if len(his) == 0:
-            assert integrate_endpoint_singular(arcsine, 0.0, his).shape == (0,)
+            assert integrate_endpoint_singular(arcsine, 0.0, his, True).shape == (0,)
             return
         with pytest.raises(ValueError, match="lo < hi"):
-            integrate_endpoint_singular(arcsine, 0.0, his)
+            integrate_endpoint_singular(arcsine, 0.0, his, True)
+
+    def test_singular_flags_must_be_booleans(self):
+        # a tolerance passed where the flags go is refused, not taken as True
+        with pytest.raises(ValueError, match="booleans"):
+            integrate_endpoint_singular(arcsine, 0.0, [1.0], DEFAULT_TOL)
 
     def test_integrand_must_be_elementwise(self):
         with pytest.raises(ValueError, match="shape"):
-            integrate_endpoint_singular(lambda x: 1.0, 0.0, [1.0])
+            integrate_endpoint_singular(lambda x: 1.0, 0.0, [1.0], False)
 
 
 class TestFindRoot:

@@ -150,13 +150,23 @@ def test_reference_verify_quadrature_budget(monkeypatch):
     # one batched call. The round trip inverts with the Kepler inverse, so
     # verify runs no root search (273 quadratures when it checked the
     # quadrature's own root search)
-    rows, roots = [], [0]
+    rows, roots, abscissas, levels = [], [0], [0], [0]
     quad, r_of_mu, find_root = (calculus.integrate_endpoint_singular, rn.r_of_mu,
                                 calculus.find_root_bracketed)
+    level_nodes = calculus._level_nodes
 
-    def counted_quad(f, lo, hi, tol=calculus.DEFAULT_TOL):
+    def counted_quad(f, lo, hi, singular_hi, tol=calculus.DEFAULT_TOL):
         rows.append(len(hi))
-        return quad(f, lo, hi, tol)
+
+        def counted_f(x):
+            abscissas[0] += len(x)
+            return f(x)
+
+        return quad(counted_f, lo, hi, singular_hi, tol)
+
+    def counted_level(level):
+        levels[0] = max(levels[0], level + 1)
+        return level_nodes(level)
 
     def counted_root(fn):
         def wrapper(*args, **kwargs):
@@ -167,9 +177,14 @@ def test_reference_verify_quadrature_budget(monkeypatch):
     monkeypatch.setattr(calculus, "integrate_endpoint_singular", counted_quad)
     monkeypatch.setattr(rn, "r_of_mu", counted_root(r_of_mu))
     monkeypatch.setattr(calculus, "find_root_bracketed", counted_root(find_root))
+    monkeypatch.setattr(calculus, "_level_nodes", counted_level)
     assert run_verification(BlackHoleParams(1.0, 0.6), 64).overall
     assert rows == [165]
     assert roots == [0]
+    # only the outer-horizon row is walled at its upper end: 15808
+    # abscissas in 6 levels (22358 in 7 when every upper end was walled)
+    assert abscissas[0] <= 16000
+    assert levels[0] <= 6
 
 
 def test_roundtrip_inverse_is_the_kepler_inverse_against_the_quadrature(charged):
@@ -223,6 +238,16 @@ def test_steep_round_trip_no_longer_drives_the_quadrature_into_the_horizon():
     # the quadrature raised ConvergenceError
     m = 5.072915140196658
     rep = run_verification(BlackHoleParams(m, m * 0.999499544920172), 64)
+    assert rep.overall, [c for c in rep.checks if not c.passed]
+
+
+@pytest.mark.parametrize("mass, charge", [
+    (10.0, 9.9), (1.0, 1.0 - 1e-8), (1.0, 1.0 - 1e-10), (1.0, 1.0 - 1e-12),
+    (0.1428, 0.1428 * (1.0 - 5.4e-9)), (1.0, 0.9999999), (5.0, 4.9999995)])
+def test_passes_where_a_walled_regular_end_failed(mass, charge):
+    # with the regular upper end r walled like a horizon, each of these
+    # failed (roundtrip_inverse up to 54x) or raised ConvergenceError
+    rep = run_verification(BlackHoleParams(mass, charge), 64)
     assert rep.overall, [c for c in rep.checks if not c.passed]
 
 
