@@ -105,9 +105,8 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     order can be limited to roughly seven digits there. A regular upper
     end gets no wall and no completion: its nodes are evaluated until an
     abscissa rounds onto it, and the terms past that are below rounding.
-    An endpoint equal to 0 has no ulp scale and is always walled: its wall
-    is scaled by the half-span, and nodes inside it are evaluated until
-    the first whose term is negligible next to the t = 0 term (see _sweep).
+    An endpoint equal to 0 has no ulp scale and is always walled, with a
+    wall scaled by the half-span instead.
 
     A row fails with ValueError where f returns a non-finite value, and
     with ConvergenceError (carrying its last estimate and error bound) if
@@ -140,7 +139,6 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
         "row": np.arange(n),
         "hs": hs,
         "root_hs": np.sqrt(hs),
-        "negligible": EPS * np.abs(center),
         "end": np.column_stack([hi, np.full(n, float(lo))]),
         "walled": np.column_stack([walled_hi, np.ones(n, dtype=bool)]),
         "dmin": np.column_stack([np.where(walled_hi, dmin_hi, 0.0), dmin_lo]),
@@ -201,28 +199,39 @@ _SIGN = np.array([-1.0, 1.0])  # hi side, lo side: the direction from each endpo
 def _sweep(f, nodes, s: dict, failed: dict) -> np.ndarray:
     """One level's new nodes on both sides of every row in s.
 
-    On each side f is evaluated at end + sign*d, from the midpoint toward
-    the endpoint, until a node falls inside the wall dmin (0 at a regular
-    end) or rounds onto the endpoint; that node and every later one are
-    dropped, since distances shrink monotonically along the level. At an
-    endpoint equal to 0 a node inside the wall is still evaluated, and
-    dropped only once its term w*f is at most `negligible`: where the
-    terms keep mattering, as for a nonintegrable singularity, the sweep
-    runs on toward the endpoint, one node per call of f. Every other node
-    of the level, on every row and both sides, is evaluated in one call
-    of f.
+    On each side the nodes run from the midpoint toward the endpoint; the
+    first that falls inside the wall dmin (0 at a regular end) or rounds
+    onto the endpoint is dropped with every later one, since distances
+    shrink monotonically along the level. Every kept node of the level,
+    on every row and both sides, is evaluated in one call of f, at
+    end + sign*d.
 
     Adds the unit weight of each dropped tail at a walled end to the row's
     completion weight, moves the innermost node where this level reached
     closer to the endpoint, and enters rows where f is non-finite in
-    failed. Returns each row's sum of the trapezoid terms w*f of its kept
-    nodes, added sequentially: the hi side by increasing t, then the lo
-    side, so that the sum does not depend on the other rows.
+    failed, with the first such node of the row, the hi side's before the
+    lo side's. Returns each row's sum of the trapezoid terms w*f of its
+    kept nodes, added sequentially: the hi side by increasing t, then the
+    lo side, so that the sum does not depend on the other rows.
     """
     unit_d, unit_w, uk_tail = nodes
     hs2 = 2.0 * s["hs"]
-    hs_pi_2 = 0.5 * math.pi * s["hs"]
-    kept, fx = _walk(f, nodes, s, failed, hs2, hs_pi_2)
+    end = s["end"][:, :, None]
+    # from the first node past every row's cut, every node is dropped
+    past = unit_d <= s["cut"].min()
+    span = int(np.argmax(past)) + 1 if past.any() else len(unit_d)
+    dx = hs2[:, None] * unit_d[:span]  # the same on both sides
+    x = end + _SIGN[:, None] * dx[:, None, :]
+    # a node once dropped stays dropped along the level
+    kept = span - np.count_nonzero((x == end) | (dx[:, None, :] <= s["dmin"][:, :, None]), axis=2)
+    todo = np.arange(span) < kept[:, :, None]
+    fx = np.zeros(x.shape)
+    fx[todo] = _evaluate(f, x[todo])
+    bad = ~np.isfinite(fx)
+    for r in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
+        k, j = np.argwhere(bad[r])[0]
+        failed[int(s["row"][r])] = _non_finite(fx[r, k, j], x[r, k, j])
+        fx[r] = 0.0  # so that the failed row's last estimate raises no floating-point error
     s["comp"] += np.where(s["walled"], uk_tail[kept], 0.0)
     # the innermost kept node, where this level reached closer to the endpoint
     j = np.maximum(kept - 1, 0)
@@ -231,78 +240,8 @@ def _sweep(f, nodes, s: dict, failed: dict) -> np.ndarray:
     s["d"] = np.where(closer, d, s["d"])
     inner = fx[np.arange(len(j))[:, None], [0, 1], j]
     s["g"] = np.where(closer, inner * np.sqrt(d), s["g"])
-    width = int(kept.max(initial=0))
-    if not width:
-        return np.zeros(len(kept))
-    terms = hs_pi_2[:, None, None] * unit_w[:width] * fx[:, :, :width]  # 0 past kept
+    terms = (0.5 * math.pi * s["hs"])[:, None, None] * unit_w[:span] * fx  # 0 past kept
     return np.cumsum(terms.reshape(len(kept), -1), axis=1)[:, -1]
-
-
-def _walk(f, nodes, s: dict, failed: dict, hs2: np.ndarray, hs_pi_2: np.ndarray):
-    """Evaluate one level's nodes toward each endpoint until they are dropped (see _sweep).
-
-    Returns the number of kept nodes per row and side, shape (rows, 2),
-    and f at them, shape (rows, 2, k), zero past them and on failed rows.
-    """
-    unit_d, unit_w, _ = nodes
-    n, size = len(hs2), len(unit_d)
-    end, dmin = s["end"], s["dmin"]
-    # from the first node past every row's cut, every node is dropped but
-    # for probes at an endpoint 0
-    past = unit_d <= s["cut"].min()
-    span = int(np.argmax(past)) + 1 if past.any() else size
-    dx = hs2[:, None] * unit_d[:span]  # the same on both sides
-    x = end[:, :, None] + _SIGN[:, None] * dx[:, None, :]
-    on_end = x == end[:, :, None]
-    # a node once dropped stays dropped along the level
-    kept = span - np.count_nonzero(on_end | (dx[:, None, :] <= dmin[:, :, None]), axis=2)
-    # at an endpoint 0 the first node inside the wall is probed: evaluated,
-    # and kept, with the next one probed, unless its term is negligible
-    probe = (end == 0.0) & (kept < span)
-    probe[probe] = ~on_end[probe, kept[probe]]
-    todo = np.arange(span) < (kept + probe)[:, :, None]
-    fx = np.zeros((n, 2, span))
-    alive = np.ones(n, dtype=bool)
-    xs = x[todo]
-    fx[todo] = values = _evaluate(f, xs)
-    if not np.isfinite(values).all():
-        _reject(s, failed, alive, values, xs, np.nonzero(todo)[0])
-    r, k = np.nonzero(probe & alive[:, None])
-    j = kept[r, k]
-    while len(r):
-        term = hs_pi_2[r] * unit_w[j] * fx[r, k, j]
-        walled = ~(hs2[r] * unit_d[j] > dmin[r, k]) & (np.abs(term) <= s["negligible"][r])
-        fx[r[walled], k[walled], j[walled]] = 0.0
-        kept[r, k] += ~walled
-        # the next node, unless past the last of the level or on the endpoint
-        r, k, j = r[~walled], k[~walled], j[~walled] + 1
-        r, k, j = r[j < size], k[j < size], j[j < size]
-        xs = end[r, k] + _SIGN[k] * (hs2[r] * unit_d[j])
-        off = xs != end[r, k]
-        r, k, j, xs = r[off], k[off], j[off], xs[off]
-        if not len(r):
-            break
-        if j.max() >= fx.shape[2]:
-            fx = np.concatenate([fx, np.zeros((n, 2, size - fx.shape[2]))], axis=2)
-        fx[r, k, j] = values = _evaluate(f, xs)
-        if not np.isfinite(values).all():
-            _reject(s, failed, alive, values, xs, r)
-            r, k, j = r[alive[r]], k[alive[r]], j[alive[r]]
-    fx[~alive] = 0.0
-    return kept, fx
-
-
-def _reject(s: dict, failed: dict, alive: np.ndarray, values: np.ndarray, x: np.ndarray,
-            rows: np.ndarray) -> None:
-    """Enter each row with a non-finite value, the first it met, in failed.
-
-    values[i] is f at x[i] for row rows[i], in the order a per-row sweep
-    meets the nodes.
-    """
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        if alive[rows[i]]:
-            failed[int(s["row"][rows[i]])] = _non_finite(values[i], x[i])
-            alive[rows[i]] = False
 
 
 @functools.cache

@@ -187,60 +187,14 @@ class CurvaturePoint:
     scalar: float
 
 
-# invert4's 2x2 minors on the matrix flattened row by row: s0..s5 of rows
-# (0, 1) and c0..c5 of rows (2, 3), each over the column pairs (0, 1),
-# (0, 2), (0, 3), (1, 2), (1, 3), (2, 3); minor k is a[w]*a[x] - a[y]*a[z]
-# with (w, x, y, z) = _MINORS[:, k]
-_MINORS = np.array([[4 * r + p, 4 * (r + 1) + q, 4 * (r + 1) + p, 4 * r + q]
-                    for r in (0, 2) for p, q in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]).T
-# det = s0 c5 - s1 c4 + s2 c3 + s3 c2 - s4 c1 + s5 c0, term by term
-_DET_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
-
-
-def _cofactor_table():
-    """Each inverse entry as three signed terms a[row, col] * minor, in order.
-
-    Minors are numbered s0..s5 = 0..5, c0..c5 = 6..11. Returns the flat
-    matrix index 4*row + col, the minor and the sign of every term, each
-    of shape (16, 3), entry (i, j) in row 4*i + j.
-    """
-    s, c = range(6), range(6, 12)
-    terms = {  # (i, j): ((sign, row, col, minor), ...)
-        (0, 0): ((1, 1, 1, c[5]), (-1, 1, 2, c[4]), (1, 1, 3, c[3])),
-        (0, 1): ((-1, 0, 1, c[5]), (1, 0, 2, c[4]), (-1, 0, 3, c[3])),
-        (0, 2): ((1, 3, 1, s[5]), (-1, 3, 2, s[4]), (1, 3, 3, s[3])),
-        (0, 3): ((-1, 2, 1, s[5]), (1, 2, 2, s[4]), (-1, 2, 3, s[3])),
-        (1, 0): ((-1, 1, 0, c[5]), (1, 1, 2, c[2]), (-1, 1, 3, c[1])),
-        (1, 1): ((1, 0, 0, c[5]), (-1, 0, 2, c[2]), (1, 0, 3, c[1])),
-        (1, 2): ((-1, 3, 0, s[5]), (1, 3, 2, s[2]), (-1, 3, 3, s[1])),
-        (1, 3): ((1, 2, 0, s[5]), (-1, 2, 2, s[2]), (1, 2, 3, s[1])),
-        (2, 0): ((1, 1, 0, c[4]), (-1, 1, 1, c[2]), (1, 1, 3, c[0])),
-        (2, 1): ((-1, 0, 0, c[4]), (1, 0, 1, c[2]), (-1, 0, 3, c[0])),
-        (2, 2): ((1, 3, 0, s[4]), (-1, 3, 1, s[2]), (1, 3, 3, s[0])),
-        (2, 3): ((-1, 2, 0, s[4]), (1, 2, 1, s[2]), (-1, 2, 3, s[0])),
-        (3, 0): ((-1, 1, 0, c[3]), (1, 1, 1, c[1]), (-1, 1, 2, c[0])),
-        (3, 1): ((1, 0, 0, c[3]), (-1, 0, 1, c[1]), (1, 0, 2, c[0])),
-        (3, 2): ((-1, 3, 0, s[3]), (1, 3, 1, s[1]), (-1, 3, 2, s[0])),
-        (3, 3): ((1, 2, 0, s[3]), (-1, 2, 1, s[1]), (1, 2, 2, s[0])),
-    }
-    table = np.array([terms[divmod(k, 4)] for k in range(16)])
-    return 4 * table[..., 1] + table[..., 2], table[..., 3], table[..., 0].astype(float)
-
-
-_COF_ENTRY, _COF_MINOR, _COF_SIGN = _cofactor_table()
-
-
 def invert4(g: np.ndarray) -> np.ndarray:
-    """Inverse of each 4x4 matrix of g, shape (..., 4, 4), by cofactor expansion and a pivot check.
+    """Inverse of each 4x4 matrix of g, shape (..., 4, 4), by LAPACK after a pivot check.
 
-    The dimension is fixed and tiny, so the adjugate over 2x2 minors is
-    both exact in structure and faster than general linear algebra. Each
-    row is first divided by its largest magnitude, so the pivot check,
-    |det| <= 1e-12 of the row-normalized matrix, does not change when
-    the metric is scaled and no minor can overflow; the inverse divides
-    column j by row j's scale. The minors and cofactors are formed as a
-    few indexed array operations, each sum term by term from the left,
-    so every matrix of a batch gets the bits it gets alone. Raises
+    Each row is first divided by its largest magnitude, so the pivot
+    check, |det| <= 1e-12 of the row-normalized matrix, does not change
+    when the metric is scaled; the inverse divides column j by row j's
+    scale. numpy's det and inv factor each matrix of a batch on its own,
+    so every matrix gets the bits it gets alone. Raises
     SingularMetricError, naming the first failing matrix's normalized
     determinant.
     """
@@ -248,20 +202,16 @@ def invert4(g: np.ndarray) -> np.ndarray:
     rows = a.reshape(-1, 4, 4)
     scale = np.abs(rows).max(axis=2)
     scale[scale == 0.0] = 1.0  # a zero row stays zero and fails the check
-    flat = (rows / scale[:, :, None]).reshape(-1, 16)
-    f = flat[:, _MINORS]
-    minors = f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]
-    det = np.cumsum(minors[:, :6] * minors[:, :5:-1] * _DET_SIGNS, axis=1)[:, -1]
+    normed = rows / scale[:, :, None]
+    det = np.linalg.det(normed)
     singular = np.abs(det) <= _DET_FLOOR
     if singular.any():
         raise SingularMetricError(
             f"row-normalized metric determinant {det[np.argmax(singular)]!r} "
             f"below pivot floor {_DET_FLOOR}")
-    t = flat[:, _COF_ENTRY] * minors[:, _COF_MINOR] * _COF_SIGN
-    inv = ((t[:, :, 0] + t[:, :, 1]) + t[:, :, 2]) / det[:, None]
     # C order, as a single matrix has it (the division alone may not give
     # it): the BLAS kernel of a matmul, and its rounding, follow the layout
-    return np.ascontiguousarray((inv.reshape(-1, 4, 4) / scale[:, None, :]).reshape(a.shape))
+    return np.ascontiguousarray((np.linalg.inv(normed) / scale[:, None, :]).reshape(a.shape))
 
 
 def _require_domain(mf: MetricField, x: np.ndarray):

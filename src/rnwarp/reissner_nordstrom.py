@@ -205,10 +205,10 @@ def _kepler_angle(p: BlackHoleParams, mu):
     """The angle phi of mu = m*phi - c*sin(phi), and c = sqrt(m^2 - Q^2).
 
     mu is a float, an array or an oracle.Jet. phi is solved once per
-    distinct mu value; two Newton steps on phi - e*sin(phi) = mu/m,
-    e = c/m, then follow in the arithmetic of mu. Each step doubles the
-    number of exact orders, so a Jet of mu gets phi with exact first and
-    second derivatives. Each entry depends on its own mu alone.
+    entry; two Newton steps on phi - e*sin(phi) = mu/m, e = c/m, then
+    follow in the arithmetic of mu. Each step doubles the number of exact
+    orders, so a Jet of mu gets phi with exact first and second
+    derivatives. Each entry depends on its own mu alone.
     """
     m = p.mass
     c = math.sqrt(m * m - p.charge * p.charge)
@@ -217,7 +217,8 @@ def _kepler_angle(p: BlackHoleParams, mu):
     for bad in values[~((0.0 < values) & (values < mu_max))][:1].tolist():
         raise DomainError(f"mu={bad} outside the open interval (0, {mu_max})")
     ecc = c / m
-    phi = _per_distinct(values, lambda v: _kepler_phi(ecc, v / m, math.pi * v / mu_max))
+    phi = np.array([_kepler_phi(ecc, v / m, math.pi * v / mu_max)
+                    for v in values.ravel().tolist()]).reshape(values.shape)
     target = mu / m
     for _ in range(2):
         phi = phi - (phi - ecc * oracle.sin(phi) - target) / (1.0 - ecc * oracle.cos(phi))
@@ -305,17 +306,6 @@ def _floats_for(r: np.ndarray, *values) -> tuple:
 
 
 _LINE = (-math.inf, math.inf)  # an unbounded chart coordinate
-
-
-def _per_distinct(values: np.ndarray, fn) -> np.ndarray:
-    """fn applied once to each distinct float in values, spread back over values.
-
-    The result at an entry depends on its value alone, whatever else is
-    in the batch.
-    """
-    ordered = np.sort(values, axis=None)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    return np.array([fn(v) for v in distinct.tolist()])[np.searchsorted(distinct, values)]
 
 
 def static_chart(p: BlackHoleParams) -> MetricField:

@@ -27,7 +27,7 @@ def integrate(f, iv, singular_hi=True, tol=DEFAULT_TOL):
     return float(integrate_endpoint_singular(f, iv.lo, [iv.hi], singular_hi, tol)[0])
 
 
-def sweep_level(f, iv, level, sides, negligible):
+def sweep_level(f, iv, level, sides):
     """One tanh-sinh level's new nodes swept from scratch: every node's
     transcendentals recomputed, f called at every node, and the trapezoid
     terms summed by increasing t, the hi side's and then the lo side's.
@@ -54,19 +54,14 @@ def sweep_level(f, iv, level, sides, negligible):
             return level_sum
         wk = pi_2 * math.cosh(t) * 2.0 * math.sqrt(2.0 * hs) * es / (1.0 + q) ** 1.5
         for side in sides:
-            # an endpoint at 0 gets a wall scaled by the half-span, and a
-            # node inside it is dropped only once its term is negligible;
-            # the side stops there, as the terms fall off monotonically
-            end, dmin = side["end"], side["dmin"]
+            # the side stops at the first node inside the wall or on the end
+            end = side["end"]
             x = end + side["sign"] * d
-            if side["open"] and x != end and (d > dmin or end == 0.0):
+            if side["open"] and x != end and d > side["dmin"]:
                 fx = f(x)
-                if d > dmin or abs(w * fx) > negligible:
-                    side["terms"].append(w * fx)
-                    if d < side["d"]:
-                        side["d"], side["g"] = d, fx * math.sqrt(d)
-                else:
-                    side["open"] = False
+                side["terms"].append(w * fx)
+                if d < side["d"]:
+                    side["d"], side["g"] = d, fx * math.sqrt(d)
             else:
                 side["open"] = False
             if not side["open"] and side["walled"]:
@@ -91,11 +86,10 @@ def sweep_levels(f, iv, singular_hi=True, tol=DEFAULT_TOL):
     for side in sides:
         side.update(comp=0.0, g=0.0, d=math.inf)
     total = 0.5 * math.pi * hs * f(lo + hs)
-    negligible = EPS * abs(total)
     prev = math.nan
     refine_once = False
     for level in range(13):
-        total += sweep_level(f, iv, level, sides, negligible)
+        total += sweep_level(f, iv, level, sides)
         estimate = 2.0 ** (-level) * (total + sides[0]["comp"] * sides[0]["g"]
                                       + sides[1]["comp"] * sides[1]["g"])
         if refine_once:
@@ -168,8 +162,8 @@ class TestIntegrate:
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
     def test_zero_endpoint_stops_where_terms_vanish(self):
-        # the terms of a bounded integrand die out long before the subnormal
-        # range, so an endpoint at 0 gets a wall like any other
+        # an endpoint at 0 gets a wall scaled by the half-span, so no node
+        # comes near the subnormal range
         seen = []
 
         def f(x):
@@ -188,15 +182,14 @@ class TestIntegrate:
         assert exc.value.estimate == pytest.approx(0.37, abs=0.01)
         assert exc.value.error_bound > 0.0
 
-    def test_nonintegrable_singularity_rejected(self):
-        # 1/x overflows approaching the zero endpoint, where no
-        # representability wall exists
-        def f(x):
-            with np.errstate(over="ignore"):
-                return 1.0 / x
-
-        with pytest.raises(ValueError, match="non-finite"):
-            integrate(f, Interval(0.0, 1.0), singular_hi=False)
+    @pytest.mark.parametrize("pole, iv", [(0.0, Interval(0.0, 1.0)), (0.5, Interval(0.5, 1.5))],
+                             ids=["end_at_0", "end_off_0"])
+    def test_nonintegrable_singularity_rejected(self, pole, iv):
+        # a wall keeps the nodes off a 1/x pole at either kind of end, so
+        # the integrand stays finite, and the inverse-square-root completion
+        # cannot make the levels agree
+        with pytest.raises(ConvergenceError):
+            integrate(lambda x: 1.0 / (x - pole), iv, singular_hi=False)
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -286,8 +279,8 @@ def inverse_sqrt_neg(x):
 class TestBatchedRows:
     """integrate_endpoint_singular on many upper limits: each row as if alone."""
 
-    # (integrand, lower limit, upper limits): ends at 0 (probed nodes
-    # inside the wall, below or above), ends away from 0, a smooth
+    # (integrand, lower limit, upper limits): ends at 0 (walls scaled by
+    # the half-span, below or above), ends away from 0, a smooth
     # integrand, intervals from microscopic to wide
     CASES = [
         (arcsine, 0.0, [2.0, 1.5, 1e-3, 0.3, 1.999, 1e-9, 1.0]),
@@ -361,8 +354,7 @@ class TestBatchedRows:
     @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (2.5, 2.475), (0.3, 0.0)])
     def test_mu_rows_reproduce_their_level_sweeps(self, m, q):
         # the charged integrand walls the lower end, and the upper end only
-        # at r_plus; at Q = 0 the lower end is r = 0 and its nodes inside
-        # the wall are probed
+        # at r_plus; at Q = 0 the lower end is r = 0, walled by the half-span
         p = BlackHoleParams(m, q)
         hp = horizons(p)
         rp, rm = hp.r_plus, hp.r_minus
@@ -376,6 +368,26 @@ class TestBatchedRows:
         want = [sweep_levels(f, Interval(rm, r), r >= rp) for r in rs]
         assert mu_of_r(p, np.array(rs)).tolist() == [w for w, _ in want]
         assert len({level for _, level in want}) > 1
+
+    def test_mu_nodes_stay_outside_the_zero_end_wall(self, monkeypatch):
+        # at Q = 0 the lower end is r = 0: f is never called inside its wall,
+        # in the batch or row by row, and the batch calls it where the rows do
+        p = BlackHoleParams(1.0, 0.0)
+        rs = interior_grid(p, 64)
+        quadrature = calculus.integrate_endpoint_singular
+        seen = []
+
+        def recording(f, lo, hi, *args):
+            return quadrature(lambda x: seen.extend(x.tolist()) or f(x), lo, hi, *args)
+
+        monkeypatch.setattr(calculus, "integrate_endpoint_singular", recording)
+        mu_of_r(p, np.array(rs))
+        batch, seen[:] = sorted(seen), []
+        for r in rs:
+            start = len(seen)
+            mu_of_r(p, r)
+            assert min(seen[start:]) > calculus._WALL * EPS * 0.5 * r
+        assert batch == sorted(seen)
 
     @pytest.mark.parametrize("his", [[], [[1.0]], [1.0, 0.0], [1.0, math.nan]])
     def test_limits_must_be_a_vector_above_lo(self, his):

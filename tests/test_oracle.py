@@ -154,11 +154,17 @@ class TestInvert4:
         assert np.allclose(invert4(g), np.diag([-0.5, 2.0, 1.0 / 3.0, 0.25]))
 
     def test_matches_general_solver(self):
+        # referee: the inverse in 30-digit mpmath, rounded once to doubles;
+        # the error is relative to the largest entry, as small entries cancel
+        import mpmath
+
         rng = np.random.default_rng(7)
         for _ in range(20):
             a = rng.normal(size=(4, 4))
             g = a + a.T + 8.0 * np.eye(4)
-            assert np.allclose(invert4(g), np.linalg.inv(g), atol=1e-12)
+            with mpmath.workdps(30):
+                exact = np.array((mpmath.matrix(g.tolist()) ** -1).tolist(), dtype=float)
+            assert np.abs(invert4(g) - exact).max() <= 1e-14 * np.abs(exact).max()
 
     def test_singular_rejected(self):
         g = np.diag([1.0, 1.0, 1.0, 0.0])
