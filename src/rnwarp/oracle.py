@@ -51,7 +51,7 @@ class Jet:
         x = np.asarray(x, dtype=float)
         k = x.shape[-1]
         seed = np.eye(k).reshape((k,) + (1,) * (x.ndim - 1) + (k,))
-        return cls(x, np.broadcast_to(seed, (k,) + x.shape), np.zeros((k, k) + x.shape))
+        return cls(x, seed + np.zeros(x.shape), np.zeros((k, k) + x.shape))
 
     @property
     def shape(self) -> tuple:
@@ -106,23 +106,28 @@ class Jet:
 def _symmetric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i b_j + a_j b_i over the two leading axes, exactly symmetric."""
     t = a[:, None] * b
-    return t + np.swapaxes(t, 0, 1)
+    return t + t.swapaxes(0, 1)
+
+
+def chain(x: Jet, f, df, d2f) -> Jet:
+    """The Jet of a function of x from its value f and derivatives df, d2f at x.val."""
+    return Jet(f, df * x.grad, df * x.hess + d2f * (x.grad[:, None] * x.grad))
 
 
 def sin(x):
     """sin of a float, an array or a Jet."""
     if not isinstance(x, Jet):
         return np.sin(x)
-    s, c = np.sin(x.val), np.cos(x.val)
-    return Jet(s, c * x.grad, c * x.hess - s * (x.grad[:, None] * x.grad))
+    s = np.sin(x.val)
+    return chain(x, s, np.cos(x.val), -s)
 
 
 def cos(x):
     """cos of a float, an array or a Jet."""
     if not isinstance(x, Jet):
         return np.cos(x)
-    s, c = np.sin(x.val), np.cos(x.val)
-    return Jet(c, -s * x.grad, -s * x.hess - c * (x.grad[:, None] * x.grad))
+    c = np.cos(x.val)
+    return chain(x, c, -np.sin(x.val), -c)
 
 
 def points(x):
@@ -161,11 +166,11 @@ class MetricField:
     4-point gives one 4x4 matrix, an (n, 4) batch n of them. Each
     point's matrix must not depend on the rest of the batch. g must also
     take a Jet of points (see points()) and return a Jet of metrics, so
-    it may use only jet operations: +, -, *, / and this module's sin,
-    cos and diagonal_metric. domain holds one open interval (lo, hi) per
-    coordinate, infinite ends allowed; the chart is valid on their
-    product. g must be symmetric to 1e-14 and invertible (invert4's
-    pivot check) everywhere inside that box.
+    it may use only jet operations: +, -, *, /, this module's sin, cos
+    and diagonal_metric, and chain on a Jet. domain holds one open
+    interval (lo, hi) per coordinate, infinite ends allowed; the chart is
+    valid on their product. g must be symmetric to 1e-14 and invertible
+    (invert4's pivot check) everywhere inside that box.
     """
 
     g: Callable[[np.ndarray], np.ndarray]

@@ -64,15 +64,17 @@ class HorizonPair:
 
 
 def horizons(p: BlackHoleParams) -> HorizonPair:
-    """Horizon radii r_pm = m +- sqrt(m^2 - Q^2).
-
-    Raises DomainError when m^2 overflows.
-    """
-    m2 = p.mass * p.mass
-    if not math.isfinite(m2):
-        raise DomainError(f"mass {p.mass} too large: m^2 overflows a double")
-    c = math.sqrt(m2 - p.charge * p.charge)
+    """Horizon radii r_pm = m +- c, c = sqrt(m^2 - Q^2) (see _half_gap)."""
+    c = _half_gap(p)
     return HorizonPair(p.mass + c, p.mass - c)
+
+
+def _half_gap(p: BlackHoleParams) -> float:
+    """c = sqrt(m^2 - Q^2), r_pm = m +- c; DomainError unless c is finite and positive."""
+    c = math.sqrt(p.mass * p.mass - p.charge * p.charge)  # NaN if both squares overflow
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"mass {p.mass} out of range: m^2 - Q^2 overflows or underflows")
+    return c
 
 
 def _factored_lapse(hp: HorizonPair, r):
@@ -139,26 +141,25 @@ def mu_closed_form(p: BlackHoleParams, r):
     comparison and reporting only, never used as the definition of F.
     A float r gives a float, an array of r the array.
     """
-    return _mu_closed_form(p, r, lambda ratio: ratio)
+    hp = _require_closed_interior(p, r)
+    r = np.asarray(r, dtype=float)
+    mu = 2.0 * p.mass * np.arccos((hp.r_plus - r) / hp.width) - np.sqrt(
+        (hp.r_plus - r) * (r - hp.r_minus))
+    return mu if mu.ndim else float(mu)
 
 
 def mu_closed_form_sqrt(p: BlackHoleParams, r):
     """Closed-form candidate with arccos of the square root of the horizon ratio.
 
-    2m*arccos(sqrt((r_plus - r)/(r_plus - r_minus))) - sqrt((r_plus - r)(r - r_minus)).
-    Matches the quadrature definition of F at every tested point. A float
-    r gives a float, an array of r the array.
+    2m*arccos(sqrt((r_plus - r)/(r_plus - r_minus))) - sqrt((r_plus - r)(r - r_minus)),
+    evaluated as m*phi - c*sin(phi) at phi = 2*atan2(sqrt(r - r_minus), sqrt(r_plus - r)),
+    accurate next to either horizon; matches the quadrature definition of F
+    at every tested point. A float r gives a float, an array of r the array.
     """
-    return _mu_closed_form(p, r, np.sqrt)
-
-
-def _mu_closed_form(p: BlackHoleParams, r, arccos_argument):
     hp = _require_closed_interior(p, r)
     r = np.asarray(r, dtype=float)
-    x = arccos_argument((hp.r_plus - r) / hp.width)
-    # math.acos of each entry: np.arccos rounds some entries differently
-    acos = np.array([math.acos(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    mu = 2.0 * p.mass * acos - np.sqrt((hp.r_plus - r) * (r - hp.r_minus))
+    mu = _kepler_mu(p.mass, _half_gap(p),
+                    2.0 * np.arctan2(np.sqrt(r - hp.r_minus), np.sqrt(hp.r_plus - r)))
     return mu if mu.ndim else float(mu)
 
 
@@ -186,78 +187,69 @@ def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> floa
 
 
 def _kepler_inverse(p: BlackHoleParams, mu):
-    """Fast F^(-1) through the monotone reparametrization mu = m*phi - c*sin(phi).
+    """Fast F^(-1): r = m - c*cos(phi) at the angle phi of mu = m*phi - c*sin(phi).
 
-    With cos(phi) = (m - r)/c, c = sqrt(m^2 - Q^2), this is the same
-    function as r_of_mu (the reparametrization integrates the defining
-    quadrature exactly) but costs a few Newton steps instead of nested
-    quadratures. It is the r(mu) of the warped chart below and of the
-    warp identities in verify; verify's roundtrip_inverse check measures
-    mu_of_r at its output against the requested mu. mu is a float
-    (giving a float), an array or an oracle.Jet (giving one).
+    The same function as r_of_mu (the substitution integrates the defining
+    quadrature exactly) from Newton steps instead of nested quadratures: the
+    r(mu) of the warped chart and of verify, which checks it against mu_of_r.
+    mu is a float (giving a float), an array or an oracle.Jet (giving one).
     """
-    phi, c = _kepler_angle(p, mu)
-    r = p.mass - c * oracle.cos(phi)
+    r = _kepler_r(p.mass, _half_gap(p), _kepler_angle(p, mu))
     return r if isinstance(mu, oracle.Jet) or np.ndim(mu) else float(r)
 
 
+_NEWTON_STEPS = 3  # on the values of mu, before the two in its arithmetic
+
+# phi - sin(phi) = phi^3 * sum_k _SERIES[k] * phi^(2k), k = 0..12, the odd
+# Taylor series: within 3 ulps of the 40-digit value on all of [0, pi]
+_SERIES = np.array([(-1.0) ** k / math.factorial(2 * k + 3) for k in range(13)])
+
+
 def _kepler_angle(p: BlackHoleParams, mu):
-    """The angle phi of mu = m*phi - c*sin(phi), and c = sqrt(m^2 - Q^2).
+    """The angle phi of mu = m*phi - c*sin(phi), for a float, array or oracle.Jet mu.
 
-    mu is a float, an array or an oracle.Jet. phi is solved once per
-    entry; two Newton steps on phi - e*sin(phi) = mu/m, e = c/m, then
-    follow in the arithmetic of mu. Each step doubles the number of exact
-    orders, so a Jet of mu gets phi with exact first and second
-    derivatives. Each entry depends on its own mu alone.
+    The start, the real root of (1 - e)*phi + e*phi^3/6 = mu/m, e = c/m, lies
+    below phi (sin(phi) >= phi - phi^3/6); on [0, pi] the map is convex, so
+    Newton steps past phi once, then falls to it. Fixed steps on the values,
+    each clamped to pi, then two in the arithmetic of mu, each doubling the
+    exact orders: a Jet gets exact first and second derivatives.
     """
-    m = p.mass
-    c = math.sqrt(m * m - p.charge * p.charge)
-    mu_max = m * math.pi
+    m, c = p.mass, _half_gap(p)
     values = mu.val if isinstance(mu, oracle.Jet) else np.asarray(mu, dtype=float)
-    for bad in values[~((0.0 < values) & (values < mu_max))][:1].tolist():
-        raise DomainError(f"mu={bad} outside the open interval (0, {mu_max})")
-    ecc = c / m
-    phi = np.array([_kepler_phi(ecc, v / m, math.pi * v / mu_max)
-                    for v in values.ravel().tolist()]).reshape(values.shape)
-    target = mu / m
+    for bad in values[~((0.0 < values) & (values < m * math.pi))][:1].tolist():
+        raise DomainError(f"mu={bad} outside the open interval (0, {m * math.pi})")
+    # times 6/e the cubic is phi^3 + 3a*phi - 2h = 0; Cardano's root s - a/s,
+    # s^3 = h + sqrt(h^2 + a^3), is 2h/(s^2 + a + a^2/s^2), which does not cancel
+    a, h = 2.0 * (m - c) / c, 3.0 * values / c
+    s2 = np.cbrt(h + np.hypot(h, a * math.sqrt(a))) ** 2
+    phi = 2.0 * h / (s2 + a + a * a / s2)
+    for _ in range(_NEWTON_STEPS):
+        phi = np.minimum(phi - (_kepler_mu(m, c, phi) - values) / _kepler_r(m, c, phi), math.pi)
     for _ in range(2):
-        phi = phi - (phi - ecc * oracle.sin(phi) - target) / (1.0 - ecc * oracle.cos(phi))
-    return phi, c
-
-
-def _kepler_phi(ecc: float, target: float, phi: float) -> float:
-    """The root in (0, pi) of phi - ecc*sin(phi) = target, from the guess phi.
-
-    Newton with a bracket safeguard: the equation is monotone on [0, pi]
-    but its slope 1 - ecc*cos(phi) = r/m vanishes at phi = 0 in the
-    Q = 0 limit, where an unguarded step overshoots. Iterated until the
-    residual is exactly 0 or to a floating-point fixed point (or
-    2-cycle), so the root is a function of target alone down to the last
-    ulp. The equation is in mass units so the cancellation noise of the
-    residual does not grow with the geometry's scale.
-    """
-    lo, hi = 0.0, math.pi
-    prev = -1.0
-    for _ in range(200):
-        g = phi - ecc * math.sin(phi) - target
-        if g == 0.0:
-            break
-        if g > 0.0:
-            hi = phi
-        else:
-            lo = phi
-        dg = 1.0 - ecc * math.cos(phi)
-        nxt = phi - g / dg if dg > 0.0 else 0.5 * (lo + hi)
-        if nxt == phi:  # a Newton step below half an ulp: phi is a bracket end now
-            break
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if nxt == prev:
-            phi = min(phi, nxt)  # adjacent-float cycle; pick deterministically
-            break
-        prev = phi
-        phi = nxt
+        phi = phi - (_kepler_mu(m, c, phi) - mu) / _kepler_r(m, c, phi)
     return phi
+
+
+def _kepler_mu(m: float, c: float, phi):
+    """mu = (m - c)*phi + c*(phi - sin(phi)) at an array or oracle.Jet of angles in [0, pi].
+
+    phi - sin(phi) from _SERIES does not cancel below phi ~ 1 as the
+    difference does. A Jet gets dmu/dphi = r and d2mu/dphi2 = c*sin(phi).
+    """
+    jet = isinstance(phi, oracle.Jet)
+    x = phi.val if jet else phi
+    x2 = x * x
+    mu = x * ((m - c) + c * x2 * (x2[..., None] ** np.arange(_SERIES.size) * _SERIES).sum(axis=-1))
+    return oracle.chain(phi, mu, _kepler_r(m, c, x), c * np.sin(x)) if jet else mu
+
+
+def _kepler_r(m: float, c: float, phi):
+    """r = dmu/dphi = (m - c) + 2c*sin(phi/2)^2, where m - c*cos(phi) cancels; phi array or Jet."""
+    jet = isinstance(phi, oracle.Jet)
+    x = phi.val if jet else phi
+    half = np.sin(0.5 * x)
+    r = (m - c) + 2.0 * c * (half * half)
+    return oracle.chain(phi, r, c * np.sin(x), c * np.cos(x)) if jet else r
 
 
 def warp_state(p: BlackHoleParams, r) -> WarpState:
@@ -334,16 +326,16 @@ def warped_chart(p: BlackHoleParams) -> MetricField:
     g = diag(-1, f1(mu)^2, f2(mu)^2, f2(mu)^2 sin^2 theta). g takes
     points of shape (..., 4) and returns metrics of shape (..., 4, 4),
     or a Jet of points and returns a Jet of metrics; r(mu) is the Kepler
-    inverse, one scalar solve per distinct mu in the batch.
+    inverse, solved on the whole batch at once.
     """
+    c = _half_gap(p)
 
     def g(x):
         x = oracle.points(x)
-        phi, c = _kepler_angle(p, x[..., 0])
-        r, s = p.mass - c * oracle.cos(phi), oracle.sin(x[..., 2])
-        # f1 = N, with N^2 = (r_plus - r)(r - r_minus)/r^2 = (c sin(phi)/r)^2:
-        # next to either horizon a difference of radii cancels, the sine
-        # keeps its relative accuracy
+        phi = _kepler_angle(p, x[..., 0])
+        r, s = _kepler_r(p.mass, c, phi), oracle.sin(x[..., 2])
+        # f1 = N = c*sin(phi)/r: next to either horizon the difference of radii
+        # in N^2 = (r_plus - r)(r - r_minus)/r^2 cancels, the sine does not
         f1 = c * oracle.sin(phi) / r
         r2 = r * r
         return oracle.diagonal_metric(x, (-1.0, f1 * f1, r2, r2 * (s * s)))

@@ -50,6 +50,13 @@ class TestHorizons:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["horizons", "verify"])
+    def test_underflowing_mass_exits_2(self, capsys, command):
+        # m^2 rounds to 0: the horizons would coincide
+        code, out, err = run(capsys, command, "--mass", "1e-200", "--charge", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "underflow" in err and err.count("\n") == 1
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "horizons", "--mass", "1", "--charge", "0.6",
                            "--format", "csv")
@@ -103,6 +110,25 @@ class TestTransform:
         code, out, err = run(capsys, "transform", "--mass", "1", "--charge", "0", "--r", r)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "open interior" in err
+
+    def test_sqrt_closed_form_next_to_a_zero_inner_horizon(self, capsys):
+        # 50-digit mpmath: m*phi - c*sin(phi) = 1.49071198499985974e-29 at r =
+        # 1e-19; an arccos of a ratio next to 1 gives -4.47e-10 here
+        code, out, _ = run(capsys, "transform", "--mass", "1", "--charge", "0", "--r", "1e-19")
+        assert code == 0
+        got = json.loads(out)["mu_closed_form_sqrt"]
+        assert abs(got - 1.4907119849998597e-29) <= 1e-14 * 1.4907119849998597e-29
+
+    @pytest.mark.parametrize("mu, r", [("1e-30", 1.6509636244473133e-20),
+                                       ("1e-300", 1.6509636244473134e-200)])
+    def test_tiny_mu_at_zero_charge(self, capsys, mu, r):
+        # phi ~ 1.8e-10 and 1.8e-100: the Kepler guess takes the slope
+        # r/m = 2*sin(phi/2)^2, where 1 - cos(phi) is 0; r is (6 mu)^(2/3)/2 to
+        # 1e-20 relative. The root search accepts any r whose quadrature mu is
+        # within abs_tol, so here the Kepler guess alone decides r
+        code, out, err = run(capsys, "transform", "--mass", "1", "--charge", "0", "--mu", mu)
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["r"] - r) <= 1e-9 * r
 
     def test_csv_record(self, capsys):
         code, out, _ = run(capsys, "transform", "--mass", "1", "--charge", "0.6",
@@ -267,6 +293,16 @@ class TestTableMu:
         assert len(rows) == 64
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
+    def test_first_row_next_to_a_zero_inner_horizon(self, capsys):
+        # r = 2e-12; 50-digit mpmath gives mu = 1.33333333333373329e-18, the
+        # arccos of a ratio next to 1 gives 8.89e-11
+        code, out, _ = run(capsys, "curvature", "--mass", "1", "--charge", "0",
+                           "--guard", "1e-12", "--grid", "2")
+        assert code == 0
+        r, mu = map(float, out.splitlines()[1].split(",")[:2])
+        assert r == 2e-12
+        assert abs(mu - 1.3333333333337334e-18) <= 1e-14 * 1.3333333333337334e-18
+
     @pytest.mark.parametrize("mass, charge", list(EXACT_MU))
     def test_mu_against_exact(self, capsys, mass, charge):
         budget = (1e-12 if (mass - charge) / mass < 1e-4 else 1e-14) * mass
@@ -327,6 +363,18 @@ class TestVerifyCommand:
         checks = {c["name"]: c["pass"] for c in rep["checks"]}
         assert checks["closed_vs_oracle_ricci"] and all(checks.values())
         assert not any("skipped" in n for n in rep["notes"])
+
+    @pytest.mark.parametrize("guard", ["1e-8", "1e-9", "1e-10", "1e-11", "1e-12"])
+    def test_warp_identities_pass_at_small_guards(self, capsys, guard):
+        # the warp identities take mu from the square-root closed form, which
+        # must keep its relative accuracy next to the inner horizon (an arccos
+        # of a ratio next to 1 read up to 383x the threshold here). The oracle
+        # rows may fail at the smaller guards and are not asserted
+        code, out, _ = run(capsys, "verify", "--mass", "1", "--charge", "0.6",
+                           "--guard", guard)
+        assert code in (0, 1)
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["warp_identities"]["pass"] is True
 
     @pytest.mark.parametrize("mass, charge", [("1e150", "6e149"), ("1e150", "0"),
                                               ("1e100", "9.9e99")])
