@@ -2,16 +2,18 @@
 
 Plain-decimal flags, geometrized units (G = c = 1). Results go to stdout,
 diagnostics to stderr. Exit codes: 0 success, 1 verification failure,
-2 usage or domain error. CSV output is deterministic byte for byte:
-fixed column order, shortest round-trip float formatting, newline line
-endings.
+2 usage or domain error or a failed write. CSV output is deterministic
+byte for byte: fixed column order, shortest round-trip float formatting,
+newline line endings.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -25,31 +27,48 @@ FLUID_COLUMNS = ["r", "mu", "rho", "pressure", "res_mumu", "res_nunu", "res_thth
 VERIFY_COLUMNS = ["name", "max_abs_residual", "threshold", "pass"]
 
 
-def _fmt(v) -> str:
-    # repr of a Python float is the shortest string that round-trips
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
+def _write(text: str) -> None:
+    """Write text to stdout in full, or raise the OSError that stopped it.
+
+    With unbuffered stdout (python -u) a text stream hands a long string to
+    the file in one write and ignores the count written, so a pipe closed
+    part way through drops the rest without an error. Here the bytes go out
+    until none are left, and the write after a short one raises.
+    """
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:  # an in-memory text stream
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding))
+    while data:
+        data = data[buffer.write(data):]
+
+
+def _write_csv(header, rows) -> None:
+    # one template per table: %s of a Python float is its repr, the shortest
+    # string that round-trips
+    template = ",".join(["%s"] * len(header)) + "\n"
+    _write(",".join(header) + "\n" + "".join([template % tuple(row) for row in rows]))
+
+
+def _write_json(payload) -> None:
+    _write(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _emit_table(fmt: str, columns: list[str], rows: list[list]) -> None:
     if fmt == "csv":
-        sys.stdout.write(",".join(columns) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_csv(columns, rows)
     else:
-        payload = [dict(zip(columns, row)) for row in rows]
-        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
+        _write_json([dict(zip(columns, row)) for row in rows])
 
 
 def _emit_record(fmt: str, record: dict) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(record, allow_nan=False) + "\n")
+        _write_json(record)
     else:
-        sys.stdout.write(",".join(record.keys()) + "\n")
-        sys.stdout.write(",".join(_fmt(v) for v in record.values()) + "\n")
+        _write_csv(record.keys(), [record.values()])
 
 
 def _params(args: argparse.Namespace) -> rn.BlackHoleParams:
@@ -113,10 +132,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify.run_verification(_params(args), args.grid, args.guard, args.theta,
                                      _tol(args))
     if args.format == "json":
-        sys.stdout.write(json.dumps(report.to_dict(), allow_nan=False) + "\n")
+        _write_json(report.to_dict())
     else:
-        rows = [[c.name, c.max_abs_residual, c.threshold, c.passed] for c in report.checks]
-        _emit_table(args.format, VERIFY_COLUMNS, rows)
+        _write_csv(VERIFY_COLUMNS, [(c.name, c.max_abs_residual, c.threshold,
+                                     "true" if c.passed else "false") for c in report.checks])
         for note in report.notes:  # notes do not fit the table; keep them visible
             sys.stderr.write(f"note: {note}\n")
     return 0 if report.overall else 1
@@ -162,15 +181,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a parser without changing it, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:
         # numpy's floating-point errors raise, as Python's float operations do
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return args.run(args)
+            code = args.run(args)
+        sys.stdout.flush()  # a table is one write; its failure may wait for the flush
+        return code
+    except OSError as exc:  # a closed pipe or a full disk
+        _discard_stdout()
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return 2
     except (DomainError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -183,6 +212,23 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # e.g. a numerical cross-check that failed
         sys.stderr.write(f"error: {exc}\n")
         return 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at devnull after a failed write.
+
+    Python flushes stdout again at exit, and what its buffer still holds
+    would fail a second time, print "Exception ignored" and exit 120 (the
+    SIGPIPE note in the docs of the signal module). An in-memory stdout has
+    no descriptor and is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _floating_point_cause(exc: ArithmeticError) -> str:

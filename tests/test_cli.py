@@ -1,5 +1,10 @@
+import errno
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -514,3 +519,173 @@ class TestUsage:
         code, out, err = run(capsys, argv[0], "--mass", "1", "--charge", "0.6", *argv[1:])
         assert (code, out) == (2, "")
         assert "unrecognized arguments" in err
+
+
+# one config from each charge band of the benchmark pool: zero, low, steep
+# (0.98 <= Q/m < 1 - 1e-4) and near extremal ((m - Q)/m < 1e-4)
+BAND_CONFIGS = [
+    ("1", "0"),
+    ("7.937343156201144", "4.843070307581991"),
+    ("0.3486070955447274", "0.3448051857717322"),
+    ("0.10810660455688946", "0.10809595965137506"),
+]
+
+
+class TestTableFormat:
+    @pytest.mark.parametrize("command", ["curvature", "fluid"])
+    @pytest.mark.parametrize("mass, charge", BAND_CONFIGS)
+    def test_csv_is_the_per_cell_repr_of_the_json_table(self, capsys, command, mass, charge):
+        args = (command, "--mass", mass, "--charge", charge, "--grid", "256")
+        code, out_csv, _ = run(capsys, *args)
+        assert code == 0
+        code, out_json, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        rows = json.loads(out_json)
+        columns = list(rows[0])
+        referee = ",".join(columns) + "\n" + "".join(
+            ",".join(repr(v) for v in row.values()) + "\n" for row in rows)
+        assert out_csv == referee
+        cells = [c for line in out_csv.splitlines()[1:] for c in line.split(",")]
+        assert len(cells) == 256 * len(columns)
+        assert all(repr(float(c)) == c for c in cells)
+
+    def test_verify_pass_column(self, capsys):
+        code, out, _ = run(capsys, "verify", "--mass", "1", "--charge", "0.6",
+                           "--grid", "8", "--format", "csv")
+        assert code == 0
+        assert {line.rsplit(",", 1)[1] for line in out.splitlines()[1:]} == {"true"}
+
+
+class TestSharedParser:
+    def test_calls_in_one_process_do_not_interact(self, capsys):
+        assert cli._parser() is cli._parser()
+        curvature = ("curvature", "--mass", "1", "--charge", "0.6", "--grid", "8")
+        code, first, _ = run(capsys, *curvature)
+        assert code == 0 and first.startswith("r,mu,f1,")
+        code, out, err = run(capsys, "horizons", "--mass", "1", "--charge", "0.6",
+                             "--grid", "8")
+        assert (code, out) == (2, "") and "unrecognized arguments" in err
+        code, out, _ = run(capsys, "fluid", "--mass", "1", "--charge", "0.6", "--grid", "8")
+        assert code == 0 and out.startswith("r,mu,rho,")
+        code, out, _ = run(capsys, "verify", "--mass", "1", "--charge", "0.6", "--grid", "8",
+                           "--format", "csv")
+        assert code == 0 and out.startswith("name,max_abs_residual,")
+        code, second, _ = run(capsys, *curvature)
+        assert (code, second) == (0, first)
+        # the JSON commands keep their default after a --format csv call
+        code, out, _ = run(capsys, "verify", "--mass", "1", "--charge", "0.6", "--grid", "8")
+        assert code == 0 and json.loads(out)["overall_pass"] is True
+        code, out, _ = run(capsys, "horizons", "--mass", "1", "--charge", "0.6")
+        assert code == 0 and json.loads(out)["r_plus"] == pytest.approx(1.8)
+
+
+class FailingStdout:
+    """A text stdout whose write, or only its flush, raises."""
+
+    def __init__(self, exc, on_write=True):
+        self.exc, self.on_write = exc, on_write
+
+    def write(self, text):
+        if self.on_write:
+            raise self.exc
+        return len(text)
+
+    def flush(self):
+        raise self.exc
+
+
+class ShortBuffer:
+    """A byte buffer that takes part of the first write, then finds the pipe closed."""
+
+    def __init__(self):
+        self.taken = b""
+
+    def write(self, data):
+        if self.taken:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        self.taken = bytes(data[:10])
+        return 10
+
+
+class ShortWriteStdout:
+    encoding = "utf-8"
+
+    def __init__(self):
+        self.buffer = ShortBuffer()
+
+    def flush(self):
+        pass
+
+
+WRITE_ERRORS = [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                OSError(errno.ENOSPC, "No space left on device")]
+
+
+class TestWriteFailure:
+    """A failed stdout write exits 2 with one line; exit 1 stays a failed check."""
+
+    @pytest.mark.parametrize("exc", WRITE_ERRORS, ids=["pipe", "full"])
+    @pytest.mark.parametrize("on_write", [True, False], ids=["write", "flush"])
+    @pytest.mark.parametrize("argv", [
+        ("curvature", "--grid", "8"), ("fluid", "--grid", "8", "--format", "json"),
+        ("verify", "--grid", "8"), ("verify", "--grid", "8", "--format", "csv"),
+        ("horizons", "--format", "csv"),
+    ], ids=" ".join)
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, exc, on_write, argv):
+        monkeypatch.setattr(sys, "stdout", FailingStdout(exc, on_write))
+        code = cli.main([argv[0], "--mass", "1", "--charge", "0.6", *argv[1:]])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        # verify's CSV notes go to stderr before the flush fails
+        assert [line for line in err if not line.startswith("note: ")] == [
+            f"error: cannot write output: {exc}"]
+
+    def test_short_write_is_not_success(self, capsys, monkeypatch):
+        # a text stream would drop the rest of a write its buffer took in part
+        stdout = ShortWriteStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["curvature", "--mass", "1", "--charge", "0.6", "--grid", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
+        assert stdout.buffer.taken == b"r,mu,f1,f2"
+
+
+def rnwarp(*argv, unbuffered=False, **popen):
+    """Start `python -m rnwarp` with stdout buffered as a shell would, or unbuffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "rnwarp", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **popen)
+
+
+class TestWriteFailureProcess:
+    """No traceback and no "Exception ignored" from the flush at exit."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["horizons", "curvature"])
+    def test_full_device(self, command):
+        with open("/dev/full", "w") as full:
+            proc = rnwarp(command, "--mass", "1", "--charge", "0.6", stdout=full)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("argv, read, unbuffered", [
+        # the reader takes one byte of a table far larger than the pipe
+        (("curvature", "--grid", "20000"), 1, False),
+        # the same unbuffered, where the file takes the table in part
+        (("curvature", "--grid", "20000"), 1, True),
+        # the reader is gone before a record small enough to stay buffered
+        (("horizons",), 0, False),
+    ], ids=["table", "table-unbuffered", "record"])
+    def test_closed_pipe(self, argv, read, unbuffered):
+        proc = rnwarp(argv[0], "--mass", "1", "--charge", "0.6", *argv[1:],
+                      unbuffered=unbuffered, stdout=subprocess.PIPE)
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
