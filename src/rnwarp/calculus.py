@@ -133,78 +133,71 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     # at 0 has no ulp scale of its own, so its wall is scaled by the half-span
     dmin_hi = np.minimum(_WALL * EPS * np.where(hi != 0.0, np.abs(hi), hs), 0.05 * hs)
     dmin_lo = np.minimum(_WALL * EPS * (abs(lo) if lo != 0.0 else hs), 0.05 * hs)
-    # per-row state, each array indexed by the rows still refining; the
-    # per-side arrays have a column per endpoint, (hi, lo)
-    s = {
-        "row": np.arange(n),
-        "hs": hs,
-        "root_hs": np.sqrt(hs),
-        "end": np.column_stack([hi, np.full(n, float(lo))]),
-        "walled": np.column_stack([walled_hi, np.ones(n, dtype=bool)]),
-        "dmin": np.column_stack([np.where(walled_hi, dmin_hi, 0.0), dmin_lo]),
-        # every node of a level with unit distance unit_d <= cut (see
-        # _level_nodes) is dropped: inside the walls, or within EPS/8 of a
-        # regular end, where abscissas round onto it, with a factor 2 to spare
-        "cut": 0.25 * np.minimum(np.where(walled_hi, dmin_hi, 0.125 * EPS * np.abs(hi)),
-                                 dmin_lo) / hs,
-        "comp": np.zeros((n, 2)),  # summed unit completion weight of the walled tails
-        # innermost evaluated node: its distance and frozen coefficient
-        # f*sqrt(d) for the wall completion
-        "d": np.full((n, 2), math.inf),
-        "g": np.zeros((n, 2)),
-        "total": center,  # the running sum of the trapezoid terms
-        "prev": np.full(n, math.nan),
-        "err": np.full(n, math.inf),
-        "refine_once": np.zeros(n, dtype=bool),
-    }
-    s = _rows(s, np.ones(n, dtype=bool), failed)
+    # per-row state, the rows still refining on the last axis of each array:
+    # row index; scalars (2*hs, (pi/2)*hs, sqrt(hs), cut, running total,
+    # previous estimate, error); per side, (hi, lo), end, wall, summed unit
+    # completion weight of the walled tails, and the innermost evaluated
+    # node's distance and frozen coefficient f*sqrt(d); walled sides; rows
+    # to refine once more. A level drops every node with unit distance
+    # unit_d <= cut (see _level_nodes): inside the walls, or within EPS/8 of
+    # a regular end, where abscissas round onto it, with a factor 2 to spare
+    cut = 0.25 * np.minimum(np.where(walled_hi, dmin_hi, 0.125 * EPS * np.abs(hi)),
+                            dmin_lo) / hs
+    scalars = np.array([2.0 * hs, 0.5 * math.pi * hs, np.sqrt(hs), cut, center,
+                        np.full(n, math.nan), np.full(n, math.inf)])
+    sides = np.zeros((5, 2, n))
+    sides[0, 0], sides[0, 1] = hi, lo
+    sides[1, 0], sides[1, 1] = np.where(walled_hi, dmin_hi, 0.0), dmin_lo
+    sides[3] = math.inf
+    walled = np.array([walled_hi, np.ones(n, dtype=bool)])
+    state = _rows((np.arange(n), scalars, sides, walled, np.zeros(n, dtype=bool)),
+                  np.ones(n, dtype=bool), failed)
 
     for level in range(_MAX_LEVEL + 1):
-        if not len(s["row"]):
+        row, scalars, (_, _, comp, _, g), _, refine_once = state
+        if not len(row):
             break
-        h = 2.0 ** (-level)
-        s["total"] = s["total"] + _sweep(f, _level_nodes(level), s, failed)
-
-        comp, g = s["comp"], s["g"]
-        estimate = h * (s["total"] + s["root_hs"] * comp[:, 0] * g[:, 0]
-                        + s["root_hs"] * comp[:, 1] * g[:, 1])
-        done = s["refine_once"].copy()
+        _, _, root_hs, _, total, prev, err = scalars
+        total += _sweep(f, _level_nodes(level), state, failed)
+        estimate = 2.0 ** (-level) * (total + root_hs * comp[0] * g[0]
+                                      + root_hs * comp[1] * g[1])
+        done = refine_once.copy()
         if level >= 2:
-            s["err"] = np.abs(estimate - s["prev"])
-            ok = ~done & (s["err"] <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(estimate)))
-            final = ok & ((s["err"] <= 0.01 * tol.abs_tol) | (level == _MAX_LEVEL))
+            err[:] = np.abs(estimate - prev)
+            ok = ~done & (err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(estimate)))
+            final = ok & ((err <= 0.01 * tol.abs_tol) | (level == _MAX_LEVEL))
             done |= final
-            s["refine_once"] |= ok & ~final  # one extra halving buys ~2 digits at 2x cost
-        s["prev"] = estimate
-        out[s["row"][done]] = estimate[done]
-        s = _rows(s, ~done, failed)
-    for k, i in enumerate(s["row"].tolist()):
-        failed[i] = ConvergenceError("tanh-sinh quadrature did not converge",
-                                     float(s["prev"][k]), float(s["err"][k]))
+            refine_once |= ok & ~final  # one extra halving buys ~2 digits at 2x cost
+        prev[:] = estimate
+        out[row[done]] = estimate[done]
+        state = _rows(state, ~done, failed)
+    for i, last, err in zip(state[0].tolist(), *state[1][5:].tolist()):
+        failed[i] = ConvergenceError("tanh-sinh quadrature did not converge", last, err)
     if failed:
         raise failed[min(failed)]
     return out
 
 
-def _rows(s: dict, keep: np.ndarray, failed: dict) -> dict:
+def _rows(state: tuple, keep: np.ndarray, failed: dict) -> tuple:
     """The state of the rows in keep; rows after a failed one cannot change what is raised."""
     if failed:
-        keep = keep & (s["row"] < min(failed))
-    return s if keep.all() else {k: v[keep] for k, v in s.items()}
+        keep = keep & (state[0] < min(failed))
+    return state if keep.all() else tuple(a[..., keep] for a in state)
 
 
-_SIGN = np.array([-1.0, 1.0])  # hi side, lo side: the direction from each endpoint inward
+_SIGN = np.array([-1.0, 1.0])[:, None, None]  # hi side, lo side: from each end inward
 
 
-def _sweep(f, nodes, s: dict, failed: dict) -> np.ndarray:
-    """One level's new nodes on both sides of every row in s.
+def _sweep(f, nodes, state: tuple, failed: dict) -> np.ndarray:
+    """One level's new nodes on both sides of every row in state.
 
     On each side the nodes run from the midpoint toward the endpoint; the
-    first that falls inside the wall dmin (0 at a regular end) or rounds
-    onto the endpoint is dropped with every later one, since distances
-    shrink monotonically along the level. Every kept node of the level,
-    on every row and both sides, is evaluated in one call of f, at
-    end + sign*d.
+    first that falls inside the wall (0 at a regular end) or rounds onto
+    the endpoint is dropped with every later one, since distances shrink
+    monotonically along the level. Every kept node of the level, on every
+    row and both sides, is evaluated in one call of f, at hi - d or lo + d.
+    The arrays run (side, node, row), so every elementwise operation runs
+    along the long row axis.
 
     Adds the unit weight of each dropped tail at a walled end to the row's
     completion weight, moves the innermost node where this level reached
@@ -215,33 +208,40 @@ def _sweep(f, nodes, s: dict, failed: dict) -> np.ndarray:
     lo side, so that the sum does not depend on the other rows.
     """
     unit_d, unit_w, uk_tail = nodes
-    hs2 = 2.0 * s["hs"]
-    end = s["end"][:, :, None]
+    row, scalars, (end, wall, comp, d_in, g), walled, _ = state
+    hs2, whs, _, cut = scalars[:4]
+    n = len(row)
     # from the first node past every row's cut, every node is dropped
-    past = unit_d <= s["cut"].min()
+    past = unit_d <= cut.min()
     span = int(np.argmax(past)) + 1 if past.any() else len(unit_d)
-    dx = hs2[:, None] * unit_d[:span]  # the same on both sides
-    x = end + _SIGN[:, None] * dx[:, None, :]
-    # a node once dropped stays dropped along the level
-    kept = span - np.count_nonzero((x == end) | (dx[:, None, :] <= s["dmin"][:, :, None]), axis=2)
-    todo = np.arange(span) < kept[:, :, None]
+    dx = unit_d[:span, None] * hs2  # the same on both sides
+    x = end[:, None] + _SIGN * dx
+    # a node once dropped stays dropped, so todo holds each side's first kept nodes
+    todo = (x != end[:, None]) & (dx > wall[:, None])
+    kept = np.add.reduce(todo, axis=1, dtype=np.intp)
     fx = np.zeros(x.shape)
     fx[todo] = _evaluate(f, x[todo])
     bad = ~np.isfinite(fx)
-    for r in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
-        k, j = np.argwhere(bad[r])[0]
-        failed[int(s["row"][r])] = _non_finite(fx[r, k, j], x[r, k, j])
-        fx[r] = 0.0  # so that the failed row's last estimate raises no floating-point error
-    s["comp"] += np.where(s["walled"], uk_tail[kept], 0.0)
+    for r in np.flatnonzero(bad.any(axis=(0, 1))).tolist():
+        k, j = np.argwhere(bad[:, :, r])[0]
+        failed[int(row[r])] = _non_finite(fx[k, j, r], x[k, j, r])
+        fx[:, :, r] = 0.0  # so that the failed row's last estimate raises no floating-point error
+    comp += np.where(walled, uk_tail[kept], 0.0)
     # the innermost kept node, where this level reached closer to the endpoint
     j = np.maximum(kept - 1, 0)
-    d = hs2[:, None] * unit_d[j]
-    closer = (kept > 0) & (d < s["d"])
-    s["d"] = np.where(closer, d, s["d"])
-    inner = fx[np.arange(len(j))[:, None], [0, 1], j]
-    s["g"] = np.where(closer, inner * np.sqrt(d), s["g"])
-    terms = (0.5 * math.pi * s["hs"])[:, None, None] * unit_w[:span] * fx  # 0 past kept
-    return np.cumsum(terms.reshape(len(kept), -1), axis=1)[:, -1]
+    d = hs2 * unit_d[j]
+    closer = (kept > 0) & (d < d_in)
+    np.copyto(d_in, d, where=closer)
+    inner = fx[[[0], [1]], j, np.arange(n)]
+    np.copyto(g, inner * np.sqrt(d), where=closer)
+    terms = (whs * unit_w[:span, None] * fx).reshape(2 * span, n)  # 0 past kept
+    if n == 1:
+        # one column makes the node axis contiguous, and numpy then sums it
+        # pairwise, which rounds differently; cumsum adds node by node
+        return np.cumsum(terms, axis=0)[-1]
+    # across columns the reduction adds node by node; it starts from -0.0,
+    # the exact additive identity, so that the first term is kept as it is
+    return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
 @functools.cache

@@ -141,8 +141,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.overall else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose --help raises the OSError of a failed write.
+
+    argparse's own print_help ignores it, so --help into a full disk would
+    exit 0 having written nothing. Subparsers take the class of their parent.
+    """
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rnwarp",
         description="Interior Reissner-Nordstrom curvature calculator (geometrized units)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -189,7 +200,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
+        try:
+            sys.stdout.flush()  # a buffered --help fails only here
+        except OSError as err:
+            return _write_failed(err)
         return int(exc.code or 0)
+    except OSError as exc:  # an unbuffered --help fails in its write
+        return _write_failed(exc)
     try:
         # numpy's floating-point errors raise, as Python's float operations do
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -197,9 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a table is one write; its failure may wait for the flush
         return code
     except OSError as exc:  # a closed pipe or a full disk
-        _discard_stdout()
-        sys.stderr.write(f"error: cannot write output: {exc}\n")
-        return 2
+        return _write_failed(exc)
     except (DomainError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -212,6 +227,12 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # e.g. a numerical cross-check that failed
         sys.stderr.write(f"error: {exc}\n")
         return 2
+
+
+def _write_failed(exc: OSError) -> int:
+    _discard_stdout()
+    sys.stderr.write(f"error: cannot write output: {exc}\n")
+    return 2
 
 
 def _discard_stdout() -> None:

@@ -183,13 +183,16 @@ class CurvaturePoint:
 
     christoffel[a, b, c] = Gamma^a_bc (symmetric in b, c); ricci is the
     symmetric covariant Ricci matrix; scalar its trace with the inverse
-    metric.
+    metric; metric the chart's metric matrix there, the value part of the
+    jet the curvature was computed from (None where a CurvaturePoint is
+    built by hand).
     """
 
     point: np.ndarray
     christoffel: np.ndarray
     ricci: np.ndarray
     scalar: float
+    metric: np.ndarray | None = None
 
 
 def invert4(g: np.ndarray) -> np.ndarray:
@@ -233,6 +236,9 @@ def ricci_at(mf: MetricField, x) -> CurvaturePoint:
     carries the metric's first and second derivatives; _curvature
     contracts them into R_ab (sign conventions above) and g^ab R_ab.
 
+    The result's metric is that call's value part, the metric at x, so a
+    caller that needs it does not evaluate the chart again.
+
     x is one point of shape (4,) or a batch of shape (n, 4). A batch
     gives a CurvaturePoint whose fields carry a leading axis of n (scalar
     an array), each point's entries bit for bit those it gets alone.
@@ -249,9 +255,11 @@ def ricci_at(mf: MetricField, x) -> CurvaturePoint:
     dg = np.ascontiguousarray(g.grad.transpose(1, 0, 2, 3))         # dg[n, e, i, j] = d_e g_ij
     hess = np.ascontiguousarray(g.hess.transpose(2, 0, 1, 3, 4))    # hess[n, e, b, i, j]
     gamma, ricci, scalar = _curvature(ginv, dg, hess)
+    metric = g.val
     if x.ndim == 1:
-        gamma, ricci, scalar = gamma[0], ricci[0], float(scalar[0])
-    return CurvaturePoint(point=x, christoffel=gamma, ricci=ricci, scalar=scalar)
+        gamma, ricci, scalar, metric = gamma[0], ricci[0], float(scalar[0]), metric[0]
+    return CurvaturePoint(point=x, christoffel=gamma, ricci=ricci, scalar=scalar,
+                          metric=metric)
 
 
 def _curvature(ginv: np.ndarray, dg: np.ndarray, hess: np.ndarray):

@@ -315,6 +315,20 @@ class TestBatchedRows:
         alone = [integrate_endpoint_singular(f, lo, [hi], s)[0] for hi, s in zip(his, singular)]
         assert np.array(alone).tobytes() == whole.tobytes()
 
+    def test_each_row_sums_its_terms_node_by_node(self):
+        # at level 5 each side of these rows keeps dozens of terms, and a
+        # pairwise sum of more than 8 terms rounds differently from the
+        # reference's sequential one: a row alone sums one column, a batch
+        # of rows that reach the same level sums across columns
+        def f(x):
+            return np.cos(7.0 * x) / np.sqrt(x * (2.0 - x))
+
+        want = [sweep_levels(f, Interval(0.0, hi)) for hi in (2.0, 1.7)]
+        assert [level for _, level in want] == [5, 5]
+        assert integrate(f, Interval(0.0, 2.0)) == want[0][0]
+        assert integrate_endpoint_singular(f, 0.0, [2.0, 1.7], True).tolist() == \
+            [w for w, _ in want]
+
     def test_mixed_tolerance_rows_reproduce_their_sweeps(self):
         # a loose tolerance lets rows stop after the refine-once level or at once
         tol = Tolerance(1e-6, 1e-6)

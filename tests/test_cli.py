@@ -640,6 +640,15 @@ class TestWriteFailure:
         assert [line for line in err if not line.startswith("note: ")] == [
             f"error: cannot write output: {exc}"]
 
+    @pytest.mark.parametrize("on_write", [True, False], ids=["write", "flush"])
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")], ids=" ".join)
+    def test_help_exits_2_with_one_line(self, capsys, monkeypatch, on_write, argv):
+        # argparse itself would swallow the error and exit 0 having written nothing
+        exc = OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(sys, "stdout", FailingStdout(exc, on_write))
+        assert cli.main(list(argv)) == 2
+        assert capsys.readouterr().err == f"error: cannot write output: {exc}\n"
+
     def test_short_write_is_not_success(self, capsys, monkeypatch):
         # a text stream would drop the rest of a write its buffer took in part
         stdout = ShortWriteStdout()
@@ -668,6 +677,16 @@ class TestWriteFailureProcess:
     def test_full_device(self, command):
         with open("/dev/full", "w") as full:
             proc = rnwarp(command, "--mass", "1", "--charge", "0.6", stdout=full)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")], ids=" ".join)
+    def test_help_into_full_device(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = rnwarp(*argv, unbuffered=unbuffered, stdout=full)
             _, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
         assert err == "error: cannot write output: [Errno 28] No space left on device\n"

@@ -592,6 +592,19 @@ class TestBatchedPoints:
         assert mf.g(Jet.variables(pts)).val.tobytes() == mf.g(pts).tobytes()
 
     @pytest.mark.parametrize("chart", [warped_chart, static_chart])
+    def test_curvature_point_carries_the_float_metric(self, charged, chart):
+        # verify weights the off-diagonal entries with this field instead of
+        # evaluating the chart a second time
+        mf = chart(charged)
+        pts = _grid_points(charged, 64)[chart is static_chart]
+        batch = ricci_at(mf, pts)
+        assert batch.metric.shape == (64, 4, 4)
+        assert batch.metric.tobytes() == mf.g(pts).tobytes()
+        alone = ricci_at(mf, pts[17])
+        assert alone.metric.shape == (4, 4)
+        assert alone.metric.tobytes() == mf.g(pts[17]).tobytes()
+
+    @pytest.mark.parametrize("chart", [warped_chart, static_chart])
     def test_metric_point_independent_of_batch(self, charged, chart):
         mf = chart(charged)
         x = np.array([mu_of_r(charged, 1.2), 1.2, 1.0, 0.3])

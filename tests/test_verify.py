@@ -261,14 +261,14 @@ def test_a_non_finite_residual_raises_naming_the_check(charged, theta):
 
 
 def test_a_nan_in_any_entry_fails_its_check(charged, monkeypatch):
-    norm = verify._off_diagonal_norm
+    norm = verify._weighted_off_diagonal
 
     def one_nan(*args):
         out = norm(*args)
         out[3] = math.nan
         return out
 
-    monkeypatch.setattr(verify, "_off_diagonal_norm", one_nan)
+    monkeypatch.setattr(verify, "_weighted_off_diagonal", one_nan)
     with pytest.raises(ArithmeticError, match="check oracle_off_diagonal"):
         run_verification(charged, grid_points=8)
 
