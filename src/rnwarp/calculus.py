@@ -11,6 +11,7 @@ closed-form geometry elsewhere in the package.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -94,6 +95,11 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     and scaled by the half-span here. Endpoint distances are carried in a
     cancellation-free form, so f is never called at lo or hi.
 
+    No row can stop before level 2, so the first call of f serves the
+    t = 0 node and every node of levels 0-2, and each later level takes
+    one call. The levels are folded into the rows one by one, in level
+    order, so every row gets the bits of a sweep level by level.
+
     Double precision cannot place an abscissa closer to an endpoint than
     one ulp of it, and next to a singular endpoint abscissas within a few
     thousand ulps carry large argument-rounding noise. So a singular
@@ -108,26 +114,28 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     An endpoint equal to 0 has no ulp scale and is always walled, with a
     wall scaled by the half-span instead.
 
-    A row fails with ValueError where f returns a non-finite value, and
-    with ConvergenceError (carrying its last estimate and error bound) if
-    the mesh refinement is exhausted. The error of the first failing row
-    is raised, as a loop over the rows would raise it.
+    A row fails with ValueError where f returns a non-finite value, at its
+    first such node in (level, side, node) order, and with
+    ConvergenceError (carrying its last estimate and error bound) if the
+    mesh refinement is exhausted. The error of the first failing row is
+    raised, as a loop over the rows would raise it. An infinite limit
+    raises ValueError before f is called.
     """
     hi = np.asarray(hi, dtype=float)
     if hi.ndim != 1 or not np.all(lo < hi):
         raise ValueError(f"intervals require lo < hi, got lo={lo!r}, hi={hi!r}")
+    # lo < hi holds for an infinite limit too
+    if lo == -math.inf:
+        raise ValueError(f"the lower limit must be finite, got lo={float(lo)!r}")
+    for i in np.flatnonzero(hi == math.inf)[:1].tolist():
+        raise ValueError(f"the upper limits must be finite, got hi[{i}]={float(hi[i])!r}")
+    singular_hi = np.asarray(singular_hi)
+    if singular_hi.dtype != bool:
+        raise ValueError(f"singular_hi must be booleans, got {singular_hi!r}")
     n = len(hi)
     out = np.empty(n)
     failed: dict[int, Exception] = {}
     hs = 0.5 * (hi - lo)
-    mid = lo + hs
-    fx = _evaluate(f, mid)
-    for i in np.flatnonzero(~np.isfinite(fx)).tolist():
-        failed[i] = _non_finite(fx[i], mid[i])
-    center = 0.5 * math.pi * hs * fx  # t = 0 node
-    singular_hi = np.asarray(singular_hi)
-    if singular_hi.dtype != bool:
-        raise ValueError(f"singular_hi must be booleans, got {singular_hi!r}")
     walled_hi = np.broadcast_to(singular_hi, hi.shape) | (hi == 0.0)
     # the walls must leave room inside microscopic intervals; an endpoint
     # at 0 has no ulp scale of its own, so its wall is scaled by the half-span
@@ -140,37 +148,53 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     # node's distance and frozen coefficient f*sqrt(d); walled sides; rows
     # to refine once more. A level drops every node with unit distance
     # unit_d <= cut (see _level_nodes): inside the walls, or within EPS/8 of
-    # a regular end, where abscissas round onto it, with a factor 2 to spare
+    # a regular end, where abscissas round onto it, with a factor 2 to spare.
+    # The running total starts at the t = 0 node's term, once f is known there
     cut = 0.25 * np.minimum(np.where(walled_hi, dmin_hi, 0.125 * EPS * np.abs(hi)),
                             dmin_lo) / hs
-    scalars = np.array([2.0 * hs, 0.5 * math.pi * hs, np.sqrt(hs), cut, center,
+    scalars = np.array([2.0 * hs, 0.5 * math.pi * hs, np.sqrt(hs), cut, np.zeros(n),
                         np.full(n, math.nan), np.full(n, math.inf)])
     sides = np.zeros((5, 2, n))
     sides[0, 0], sides[0, 1] = hi, lo
     sides[1, 0], sides[1, 1] = np.where(walled_hi, dmin_hi, 0.0), dmin_lo
     sides[3] = math.inf
     walled = np.array([walled_hi, np.ones(n, dtype=bool)])
-    state = _rows((np.arange(n), scalars, sides, walled, np.zeros(n, dtype=bool)),
-                  np.ones(n, dtype=bool), failed)
+    state = (np.arange(n), scalars, sides, walled, np.zeros(n, dtype=bool))
 
+    swept: list = []  # each level evaluated ahead, as (kept-node mask, f there)
     for level in range(_MAX_LEVEL + 1):
+        if not swept and len(state[0]):
+            # one call of f serves the t = 0 node and levels 0-2, then one each level
+            first = level == 0
+            center, swept = _sweep(f, _FIRST_LEVELS if first else (level,), state, failed,
+                                   lo + hs if first else None)
+            if first:
+                state[1][4] = state[1][1] * center  # the t = 0 node's term
+            if failed:
+                state, swept = _rows(state, swept, np.ones(len(state[0]), dtype=bool), failed)
         row, scalars, (_, _, comp, _, g), _, refine_once = state
         if not len(row):
             break
         _, _, root_hs, _, total, prev, err = scalars
-        total += _sweep(f, _level_nodes(level), state, failed)
-        estimate = 2.0 ** (-level) * (total + root_hs * comp[0] * g[0]
-                                      + root_hs * comp[1] * g[1])
-        done = refine_once.copy()
-        if level >= 2:
-            err[:] = np.abs(estimate - prev)
-            ok = ~done & (err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(estimate)))
-            final = ok & ((err <= 0.01 * tol.abs_tol) | (level == _MAX_LEVEL))
-            done |= final
-            refine_once |= ok & ~final  # one extra halving buys ~2 digits at 2x cost
+        total += _fold(level, *swept.pop(0), state)
+        if level == 0:
+            continue  # level 1 overwrites this estimate before any test reads it
+        completion = root_hs * comp * g
+        estimate = 2.0 ** (-level) * (total + completion[0] + completion[1])
+        if level == 1:
+            prev[:] = estimate
+            continue
+        np.abs(estimate - prev, out=err)
+        ok = err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(estimate))
+        final = ok if level == _MAX_LEVEL else ok & (err <= 0.01 * tol.abs_tol)
+        done = refine_once | final
+        # a row within tolerance but not 100 times within refines once more:
+        # one extra halving buys ~2 digits at 2x cost. Rows already refining
+        # are done, so this is ok & ~final for every row that stays
+        np.not_equal(ok, final, out=refine_once)
         prev[:] = estimate
         out[row[done]] = estimate[done]
-        state = _rows(state, ~done, failed)
+        state, swept = _rows(state, swept, ~done, failed)
     for i, last, err in zip(state[0].tolist(), *state[1][5:].tolist()):
         failed[i] = ConvergenceError("tanh-sinh quadrature did not converge", last, err)
     if failed:
@@ -178,62 +202,96 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     return out
 
 
-def _rows(state: tuple, keep: np.ndarray, failed: dict) -> tuple:
-    """The state of the rows in keep; rows after a failed one cannot change what is raised."""
+_FIRST_LEVELS = (0, 1, 2)  # swept in one call: no row can stop before the test at level 2
+
+
+def _rows(state: tuple, swept: list, keep: np.ndarray, failed: dict) -> tuple[tuple, list]:
+    """The state and the swept levels of the rows in keep.
+
+    Rows after a failed one are dropped too: they cannot change what is raised.
+    """
     if failed:
         keep = keep & (state[0] < min(failed))
-    return state if keep.all() else tuple(a[..., keep] for a in state)
+    if keep.all():
+        return state, swept
+    return (tuple(a[..., keep] for a in state),
+            [(todo[..., keep], fx[..., keep]) for todo, fx in swept])
 
 
-_SIGN = np.array([-1.0, 1.0])[:, None, None]  # hi side, lo side: from each end inward
+def _sweep(f, levels, state: tuple, failed: dict, center=None) -> tuple[np.ndarray, list]:
+    """The new nodes of the given levels on both sides of every row in state, in one call of f.
 
+    On each side a level's nodes run from the midpoint toward the
+    endpoint; the first that falls inside the wall (0 at a regular end)
+    or rounds onto the endpoint is dropped with every later one, since
+    distances shrink monotonically along the level. Every kept node of
+    the levels, on every row and both sides, is evaluated in one call of
+    f, at hi - d or lo + d, after center, one abscissa per row (the t = 0
+    node), where it is given. The arrays run (side, node, row), the
+    levels one after another along the node axis, so every elementwise
+    operation runs along the long row axis.
 
-def _sweep(f, nodes, state: tuple, failed: dict) -> np.ndarray:
-    """One level's new nodes on both sides of every row in state.
-
-    On each side the nodes run from the midpoint toward the endpoint; the
-    first that falls inside the wall (0 at a regular end) or rounds onto
-    the endpoint is dropped with every later one, since distances shrink
-    monotonically along the level. Every kept node of the level, on every
-    row and both sides, is evaluated in one call of f, at hi - d or lo + d.
-    The arrays run (side, node, row), so every elementwise operation runs
-    along the long row axis.
-
-    Adds the unit weight of each dropped tail at a walled end to the row's
-    completion weight, moves the innermost node where this level reached
-    closer to the endpoint, and enters rows where f is non-finite in
-    failed, with the first such node of the row, the hi side's before the
-    lo side's. Returns each row's sum of the trapezoid terms w*f of its
-    kept nodes, added sequentially: the hi side by increasing t, then the
-    lo side, so that the sum does not depend on the other rows.
+    Returns f at center (empty where center is not given) and a
+    (kept-node mask, f there, 0 elsewhere) pair per level, each of shape
+    (2, nodes, rows). Enters rows where f is non-finite in failed, with
+    the first such node of the row in (level, side, node) order, center
+    first: the node at which a sweep level by level would fail the row.
     """
-    unit_d, unit_w, uk_tail = nodes
-    row, scalars, (end, wall, comp, d_in, g), walled, _ = state
-    hs2, whs, _, cut = scalars[:4]
+    row, scalars, (end, wall, *_), *_ = state
+    hs2, cut = scalars[0], scalars[3]
     n = len(row)
-    # from the first node past every row's cut, every node is dropped
-    past = unit_d <= cut.min()
-    span = int(np.argmax(past)) + 1 if past.any() else len(unit_d)
-    dx = unit_d[:span, None] * hs2  # the same on both sides
-    x = end[:, None] + _SIGN * dx
+    # from the first node past every row's cut, every node of a level is
+    # dropped; unit_d does not increase along a level, so a search finds it
+    unit_d = [_level_nodes(level)[0] for level in levels]
+    unit_d = [d[:np.searchsorted(-d, -cut.min()) + 1] for d in unit_d]
+    dx = (unit_d[0] if len(unit_d) == 1 else np.concatenate(unit_d))[:, None] * hs2
+    x = np.empty((2,) + dx.shape)  # the same distances on both sides, from each end inward
+    np.subtract(end[0], dx, out=x[0])
+    np.add(end[1], dx, out=x[1])
     # a node once dropped stays dropped, so todo holds each side's first kept nodes
     todo = (x != end[:, None]) & (dx > wall[:, None])
-    kept = np.add.reduce(todo, axis=1, dtype=np.intp)
     fx = np.zeros(x.shape)
-    fx[todo] = _evaluate(f, x[todo])
-    bad = ~np.isfinite(fx)
-    for r in np.flatnonzero(bad.any(axis=(0, 1))).tolist():
-        k, j = np.argwhere(bad[:, :, r])[0]
-        failed[int(row[r])] = _non_finite(fx[k, j, r], x[k, j, r])
-        fx[:, :, r] = 0.0  # so that the failed row's last estimate raises no floating-point error
+    lead = 0 if center is None else n
+    values = _evaluate(f, x[todo] if center is None else np.concatenate([center, x[todo]]))
+    fx[todo] = values[lead:]
+    stops = list(itertools.accumulate(map(len, unit_d), initial=0))
+    if not np.isfinite(values).all():
+        # each row's nodes in (level, side, node) order, center first
+        order = [(x[:, a:b].reshape(-1, n), fx[:, a:b].reshape(-1, n))
+                 for a, b in zip(stops, stops[1:])]
+        if center is not None:
+            order.insert(0, (center[None], values[None, :n]))
+        xs, fxs = (np.concatenate(c) for c in zip(*order))
+        bad = ~np.isfinite(fxs)
+        for r in np.flatnonzero(bad.any(axis=0)).tolist():
+            k = int(np.argmax(bad[:, r]))
+            failed[int(row[r])] = _non_finite(fxs[k, r], xs[k, r])
+    return values[:lead], [(todo[:, a:b], fx[:, a:b]) for a, b in zip(stops, stops[1:])]
+
+
+def _fold(level: int, todo: np.ndarray, fx: np.ndarray, state: tuple) -> np.ndarray:
+    """One swept level's kept nodes folded into the rows of state.
+
+    todo and fx are the level's kept-node mask and f values from _sweep,
+    shape (side, node, row). Adds the unit weight of each dropped tail at
+    a walled end to the row's completion weight and moves the innermost
+    node where this level reached closer to the endpoint. Returns each
+    row's sum of the trapezoid terms w*f of its kept nodes, added
+    sequentially: the hi side by increasing t, then the lo side, so that
+    the sum does not depend on the other rows.
+    """
+    unit_d, unit_w, uk_tail = _level_nodes(level)
+    row, scalars, (_, _, comp, d_in, g), walled, _ = state
+    hs2, whs = scalars[:2]
+    n, span = len(row), todo.shape[1]
+    kept = np.add.reduce(todo, axis=1, dtype=np.intp)
     comp += np.where(walled, uk_tail[kept], 0.0)
     # the innermost kept node, where this level reached closer to the endpoint
     j = np.maximum(kept - 1, 0)
     d = hs2 * unit_d[j]
     closer = (kept > 0) & (d < d_in)
     np.copyto(d_in, d, where=closer)
-    inner = fx[[[0], [1]], j, np.arange(n)]
-    np.copyto(g, inner * np.sqrt(d), where=closer)
+    np.multiply(fx[[[0], [1]], j, np.arange(n)], np.sqrt(d), out=g, where=closer)
     terms = (whs * unit_w[:span, None] * fx).reshape(2 * span, n)  # 0 past kept
     if n == 1:
         # one column makes the node axis contiguous, and numpy then sums it

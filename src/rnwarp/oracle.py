@@ -18,7 +18,7 @@ Sign conventions: R_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -84,6 +84,12 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.val * other, self.grad * other, self.hess * other)
         u, v = self, other
+        if u is v:
+            # a square: each sum of the general product adds two equal terms
+            # (the outer product of u.grad with itself is symmetric as it
+            # stands), and doubling is exact, so these are its bits
+            return Jet(u.val * u.val, 2.0 * (u.grad * u.val),
+                       2.0 * (u.hess * u.val + u.grad[:, None] * u.grad))
         return Jet(u.val * v.val, u.grad * v.val + u.val * v.grad,
                    u.hess * v.val + u.val * v.hess + _symmetric(u.grad, v.grad))
 
@@ -171,10 +177,25 @@ class MetricField:
     interval (lo, hi) per coordinate, infinite ends allowed; the chart is
     valid on their product. g must be symmetric to 1e-14 and invertible
     (invert4's pivot check) everywhere inside that box.
+
+    bounds is the box as a (2, 4) array of lower and upper ends, built
+    once here; a domain that is not four intervals of numbers with
+    lo < hi raises ValueError.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], ...] = ((-math.inf, math.inf),) * 4
+    bounds: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            bounds = np.array(self.domain, dtype=float).T
+        except (TypeError, ValueError):
+            bounds = None
+        if bounds is None or bounds.shape != (2, 4) or not np.all(bounds[0] < bounds[1]):
+            raise ValueError(
+                f"domain must be four intervals (lo, hi) with lo < hi, got {self.domain!r}")
+        object.__setattr__(self, "bounds", bounds)
 
 
 @dataclass(frozen=True)
@@ -223,7 +244,7 @@ def invert4(g: np.ndarray) -> np.ndarray:
 
 
 def _require_domain(mf: MetricField, x: np.ndarray):
-    lo, hi = np.array(mf.domain).T
+    lo, hi = mf.bounds
     inside = ((lo < x) & (x < hi)).all(axis=-1)
     if not inside.all():
         raise DomainError(f"point {x[np.argmin(inside)].tolist()} outside chart domain")

@@ -198,11 +198,12 @@ def _kepler_inverse(p: BlackHoleParams, mu):
     return r if isinstance(mu, oracle.Jet) or np.ndim(mu) else float(r)
 
 
-_NEWTON_STEPS = 3  # on the values of mu, before the two in its arithmetic
+_NEWTON_STEPS = 3  # clamped to pi, before two more on the values of mu
 
 # phi - sin(phi) = phi^3 * sum_k _SERIES[k] * phi^(2k), k = 0..12, the odd
 # Taylor series: within 3 ulps of the 40-digit value on all of [0, pi]
 _SERIES = np.array([(-1.0) ** k / math.factorial(2 * k + 3) for k in range(13)])
+_POWERS = np.arange(float(_SERIES.size))  # the k of phi^(2k)
 
 
 def _kepler_angle(p: BlackHoleParams, mu):
@@ -210,9 +211,10 @@ def _kepler_angle(p: BlackHoleParams, mu):
 
     The start, the real root of (1 - e)*phi + e*phi^3/6 = mu/m, e = c/m, lies
     below phi (sin(phi) >= phi - phi^3/6); on [0, pi] the map is convex, so
-    Newton steps past phi once, then falls to it. Fixed steps on the values,
-    each clamped to pi, then two in the arithmetic of mu, each doubling the
-    exact orders: a Jet gets exact first and second derivatives.
+    Newton steps past phi once, then falls to it. Five fixed steps on the
+    values, the first three clamped to pi. A Jet mu gets the derivatives of
+    the converged root by the implicit function theorem (_kepler_lift), not
+    by Newton steps in its arithmetic.
     """
     m, c = p.mass, _half_gap(p)
     values = mu.val if isinstance(mu, oracle.Jet) else np.asarray(mu, dtype=float)
@@ -226,21 +228,30 @@ def _kepler_angle(p: BlackHoleParams, mu):
     for _ in range(_NEWTON_STEPS):
         phi = np.minimum(phi - (_kepler_mu(m, c, phi) - values) / _kepler_r(m, c, phi), math.pi)
     for _ in range(2):
-        phi = phi - (_kepler_mu(m, c, phi) - mu) / _kepler_r(m, c, phi)
-    return phi
+        phi = phi - (_kepler_mu(m, c, phi) - values) / _kepler_r(m, c, phi)
+    return _kepler_lift(m, c, mu, phi) if isinstance(mu, oracle.Jet) else phi
+
+
+def _kepler_lift(m: float, c: float, mu: oracle.Jet, phi) -> oracle.Jet:
+    """The Jet of phi(mu) from the solved angles phi of mu.val, by the implicit function theorem.
+
+    mu = m*phi - c*sin(phi) gives dphi/dmu = 1/r and d2phi/dmu2 =
+    -c*sin(phi)/r^3, r = dmu/dphi (_kepler_r): exact derivatives of the
+    root, at the cost of one chain rule.
+    """
+    slope = 1.0 / _kepler_r(m, c, phi)
+    return oracle.chain(mu, phi, slope, -c * np.sin(phi) * slope ** 3)
 
 
 def _kepler_mu(m: float, c: float, phi):
-    """mu = (m - c)*phi + c*(phi - sin(phi)) at an array or oracle.Jet of angles in [0, pi].
+    """mu = (m - c)*phi + c*(phi - sin(phi)) at an array of angles in [0, pi].
 
     phi - sin(phi) from _SERIES does not cancel below phi ~ 1 as the
-    difference does. A Jet gets dmu/dphi = r and d2mu/dphi2 = c*sin(phi).
+    difference does.
     """
-    jet = isinstance(phi, oracle.Jet)
-    x = phi.val if jet else phi
-    x2 = x * x
-    mu = x * ((m - c) + c * x2 * (x2[..., None] ** np.arange(_SERIES.size) * _SERIES).sum(axis=-1))
-    return oracle.chain(phi, mu, _kepler_r(m, c, x), c * np.sin(x)) if jet else mu
+    x2 = phi * phi
+    series = (x2[..., None] ** _POWERS * _SERIES).sum(axis=-1)
+    return phi * ((m - c) + c * x2 * series)
 
 
 def _kepler_r(m: float, c: float, phi):
@@ -326,7 +337,9 @@ def warped_chart(p: BlackHoleParams) -> MetricField:
     g = diag(-1, f1(mu)^2, f2(mu)^2, f2(mu)^2 sin^2 theta). g takes
     points of shape (..., 4) and returns metrics of shape (..., 4, 4),
     or a Jet of points and returns a Jet of metrics; r(mu) is the Kepler
-    inverse, solved on the whole batch at once.
+    inverse, solved on the values of the whole batch at once, with a
+    Jet's mu-derivatives from the implicit function theorem
+    (_kepler_lift).
     """
     c = _half_gap(p)
 

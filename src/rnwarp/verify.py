@@ -128,17 +128,19 @@ def _weighted_off_diagonal(ricci: np.ndarray, g: np.ndarray, m: float):
     return norm if norm.ndim else float(norm)
 
 
-def _warp_identity_residuals(p, mu: np.ndarray, w: WarpState) -> np.ndarray:
+def _warp_identity_residuals(p, mu: np.ndarray, phi: np.ndarray, w: WarpState) -> np.ndarray:
     """Residuals of the derivative identities relating f1 to f2, shape (3, n).
 
-    The mu-derivatives come from the Kepler inverse r(mu) evaluated on a
-    jet of mu at every grid point at once: f1 = dr/dmu, so f1' is r's
-    second derivative, and f1'(mu) = -m/r^2 + Q^2/r^3 as a jet of r
-    gives f1''. Each is compared with the warp state w and scaled by the
-    local magnitudes, so the check is unit independent.
+    The mu-derivatives come from the Kepler inverse r(mu) at every grid
+    point at once: phi holds the Kepler angles already solved for the
+    values mu, lifted to a jet of mu by the implicit function theorem
+    (rn._kepler_lift). f1 = dr/dmu, so f1' is r's second derivative, and
+    f1'(mu) = -m/r^2 + Q^2/r^3 as a jet of r gives f1''. Each is compared
+    with the warp state w and scaled by the local magnitudes, so the check
+    is unit independent.
     """
-    m, q = p.mass, p.charge
-    r = rn._kepler_inverse(p, oracle.Jet.variables(mu[:, None])[..., 0])
+    m, q, c = p.mass, p.charge, rn._half_gap(p)
+    r = rn._kepler_r(m, c, rn._kepler_lift(m, c, oracle.Jet.variables(mu[:, None])[..., 0], phi))
     q_r = q / r
     f1p_of_mu = (q_r * q_r - m / r) / r  # -m/r^2 + Q^2/r^3, with no power of r to overflow
 
@@ -198,16 +200,19 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         checks.append(CheckResult(name, residual, th[name], residual <= th[name]))
 
     # the Kepler inverse is checked against the quadrature at fixed
-    # pseudorandom mu samples; every quadrature of the run (the grid, the
-    # outer horizon, the round trip) is one batch
+    # pseudorandom mu samples, and its derivatives against the warp state
+    # at the grid's closed-form mu: one Kepler solve for both. Every
+    # quadrature of the run (the grid, the outer horizon, the round trip)
+    # is one batch
     mu_max = m * math.pi
     mu_samples = mu_max * _ROUNDTRIP_FRACTIONS
-    r_samples = rn._kepler_inverse(p, mu_samples)
+    mu_sqrt = rn.mu_closed_form_sqrt(p, grid)
+    phi = rn._kepler_angle(p, np.concatenate([mu_samples, mu_sqrt]))
+    r_samples = rn._kepler_r(m, rn._half_gap(p), phi[:len(mu_samples)])
     mus = rn.mu_of_r(p, np.concatenate([grid, [hp.r_plus], r_samples]), tol)
     mu, mu_outer, mu_round = mus[:len(grid)], mus[len(grid)], mus[len(grid) + 1:]
 
     # every evaluator once on the whole grid
-    mu_sqrt = rn.mu_closed_form_sqrt(p, grid)
     w = rn.warp_state(p, grid)
     closed = _ricci_diagonal(rn.ricci_closed_form(p, grid, theta))
     wr = warped.ricci_from_warps(w, theta)
@@ -224,7 +229,8 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     add("mu_at_outer_horizon", abs(mu_outer - m * math.pi))
 
     # the Kepler inverse's exact mu-derivatives against the analytic warp state
-    add("warp_identities", np.max(_warp_identity_residuals(p, mu_sqrt, w)))
+    add("warp_identities",
+        np.max(_warp_identity_residuals(p, mu_sqrt, phi[len(mu_samples):], w)))
 
     # triple agreement and scalar flatness: the closed form against the
     # warp formulas, then against the oracle in the warped chart (mu, nu,

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +366,65 @@ class TestBatchedRows:
             integrate_endpoint_singular(f, 0.0, [0.3, 1.0, 10.0], False)
         with pytest.raises(ValueError, match="non-finite"):
             integrate_endpoint_singular(f, 0.0, [0.3, 10.0, 1.0], False)
+
+    @pytest.mark.parametrize("f, lo, his", CASES)
+    def test_one_call_of_f_for_levels_0_to_2_then_one_a_level(self, f, lo, his):
+        # no row can stop before level 2, so the t = 0 node and levels 0-2
+        # share the first call
+        singular = np.isin(his, self.SINGULAR)
+        finest = max(sweep_levels(f, Interval(lo, hi), bool(s))[1] for hi, s in zip(his, singular))
+        assert finest >= 3
+        calls = []
+        integrate_endpoint_singular(lambda x: calls.append(len(x)) or f(x), lo, his, singular)
+        assert len(calls) == finest - 1
+
+    @staticmethod
+    def node(lo, hi, level, side, j):
+        """Abscissa of node j of a level on the hi (0) or lo (1) side; level -1 is t = 0."""
+        hs = 0.5 * (hi - lo)
+        if level < 0:
+            return lo + hs
+        d = float(calculus._level_nodes(level)[0][j]) * (2.0 * hs)
+        return hi - d if side == 0 else lo + d
+
+    @pytest.mark.parametrize("bad", [
+        [(1, 1, 0), (2, 0, 0)],   # levels 1 and 2 share a call; level 1 comes first
+        [(2, 1, 0), (2, 0, 3)],   # within a level the hi side comes first
+        [(0, 1, 1), (-1, 0, 0)],  # the t = 0 node before level 0
+        [(2, 1, 2), (0, 1, 0), (1, 0, 1)],
+    ])
+    def test_first_bad_node_in_level_side_node_order_is_raised(self, bad):
+        # row 1 of three is non-finite at several nodes of the first call:
+        # the error names its first bad node, as a sweep level by level
+        # would meet it, and no RuntimeWarning is raised on the way
+        his = [1.5, 2.0, 1.7]
+        xs = [self.node(0.0, 2.0, *b) for b in bad]
+        first = xs[bad.index(min(bad))]
+
+        def f(x):
+            out = arcsine(x)
+            for k, bad_x in enumerate(xs):
+                out = np.where(x == bad_x, math.inf if k % 2 else math.nan, out)
+            return out
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as exc:
+                integrate_endpoint_singular(f, 0.0, his, True)
+        assert not caught
+        value = math.inf if xs.index(first) % 2 else math.nan
+        assert str(exc.value) == f"integrand returned non-finite value {value!r} at x={first!r}"
+
+    @pytest.mark.parametrize("lo, his, limit", [(0.0, [np.inf], "hi[0]=inf"),
+                                                (0.0, [1.0, 2.0, np.inf], "hi[2]=inf"),
+                                                (-np.inf, [1.0], "lo=-inf")])
+    def test_infinite_limits_rejected(self, lo, his, limit):
+        # lo < hi holds for an infinite limit; the rows must not reach f
+        def f(x):
+            raise AssertionError("f called")
+
+        with pytest.raises(ValueError, match=re.escape(limit)):
+            integrate_endpoint_singular(f, lo, his, True)
 
     @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (2.5, 2.475), (0.3, 0.0)])
     def test_mu_rows_reproduce_their_level_sweeps(self, m, q):

@@ -119,6 +119,17 @@ class TestJet:
             got = expr(x[..., 0], x[..., 1]).val[0]
             assert got == expr(np.float64(a), np.float64(b))
 
+    @given(ab=st.lists(st.tuples(coords, coords), min_size=1, max_size=5),
+           scale=st.sampled_from([1e-150, 1.0, 1e150]))
+    def test_square_is_the_general_product_bit_for_bit(self, ab, scale):
+        x = Jet.variables(ab)
+        u = (x[..., 0] * x[..., 1] + x[..., 0]) * scale  # a nonzero hessian
+        twin = Jet(u.val.copy(), u.grad.copy(), u.hess.copy())  # equal, not the same jet
+        square, product = u * u, u * twin
+        for a, b in ((square.val, product.val), (square.grad, product.grad),
+                     (square.hess, product.hess)):
+            assert a.tobytes() == b.tobytes()
+
     def test_sin_and_cos_pass_floats_and_arrays_through(self):
         assert oracle.sin(0.5) == np.sin(0.5)
         assert np.array_equal(oracle.cos(np.array([0.1, 0.2])), np.cos([0.1, 0.2]))
@@ -438,6 +449,24 @@ class TestDomainBox:
                                    (1e-300, -7.0, 1e6, 1e-300)])
     def test_default_domain_never_raises(self, x):
         assert not ricci_at(FLAT, x).ricci.any()
+
+    def test_bounds_built_once_from_the_domain(self):
+        chart = self.chart()
+        assert chart.bounds.tolist() == [[-1.0, 2.0, 0.0, -math.inf], [1.0, 3.0, math.pi, math.inf]]
+        assert dataclasses.replace(chart, domain=FLAT.domain).bounds.tolist() == \
+            [[-math.inf] * 4, [math.inf] * 4]
+
+    @pytest.mark.parametrize("domain", [
+        ((0.0, 1.0),) * 3,
+        ((0.0, 1.0, 2.0),) * 4,
+        ((0.0, 1.0),) * 3 + ((1.0, 1.0),),
+        ((0.0, 1.0),) * 3 + ((math.nan, 1.0),),
+        (("low", 1.0),) * 4,
+        ((0.0, 1.0), None, (0.0, 1.0), (0.0, 1.0)),
+    ], ids=["three_intervals", "triples", "empty", "nan", "text", "none"])
+    def test_malformed_domain_rejected_at_construction(self, domain):
+        with pytest.raises(ValueError, match="domain must be four intervals"):
+            MetricField(FLAT.g, domain)
 
     def test_charts_declare_their_boxes(self, charged):
         hp = horizons(charged)

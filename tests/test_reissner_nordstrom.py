@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -354,30 +355,63 @@ def _kepler_draws(n: int, seed: int) -> list[tuple[float, float, float]]:
     return list(zip(m.tolist(), (m * qr).tolist(), (m * math.pi * frac).tolist()))
 
 
+@functools.cache
+def _exact_kepler_roots() -> list[tuple[float, float, float, object, object]]:
+    """(m, Q, mu, c, phi) over _kepler_draws(3000, 2024), with c and phi in
+    40-digit mpmath: phi is the root of m*phi - c*sin(phi) = mu for the
+    double inputs, by bisection on [0, pi] and Newton from above, where the
+    map is convex."""
+    import mpmath
+
+    roots = []
+    for m, q, mu in _kepler_draws(3000, 2024):
+        with mpmath.workdps(40):
+            big_m, t = mpmath.mpf(m), mpmath.mpf(mu)
+            c = mpmath.sqrt(big_m * big_m - mpmath.mpf(q) ** 2)
+            lo, hi = mpmath.mpf(0), mpmath.pi
+            for _ in range(30):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if big_m * mid - c * mpmath.sin(mid) < t else (lo, mid)
+            phi = hi
+            for _ in range(8):
+                phi -= (big_m * phi - c * mpmath.sin(phi) - t) / (big_m - c * mpmath.cos(phi))
+        roots.append((m, q, mu, c, phi))
+    return roots
+
+
 class TestKeplerInverse:
     def test_within_5e_11_m_of_the_40_digit_root(self):
-        # the 40-digit root of m*phi - c*sin(phi) = mu for the double inputs,
-        # by bisection on [0, pi] and Newton from above, where the map is
-        # convex. The error is c's: m^2 - Q^2 cancels as Q/m -> 1, and c
-        # carries the rounding into r. Measured: worst 4.02e-11*m at Q/m =
-        # 1 - 1.6e-12, median 1.0e-16*m
+        # the error is c's: m^2 - Q^2 cancels as Q/m -> 1, and c carries the
+        # rounding into r. Measured: worst 4.02e-11*m at Q/m = 1 - 1.6e-12,
+        # median 1.0e-16*m
         import mpmath
 
         worst = 0.0
-        for m, q, mu in _kepler_draws(3000, 2024):
+        for m, q, mu, c, phi in _exact_kepler_roots():
             with mpmath.workdps(40):
-                big_m, t = mpmath.mpf(m), mpmath.mpf(mu)
-                c = mpmath.sqrt(big_m * big_m - mpmath.mpf(q) ** 2)
-                lo, hi = mpmath.mpf(0), mpmath.pi
-                for _ in range(30):
-                    mid = (lo + hi) / 2
-                    lo, hi = (mid, hi) if big_m * mid - c * mpmath.sin(mid) < t else (lo, mid)
-                phi = hi
-                for _ in range(8):
-                    phi -= (big_m * phi - c * mpmath.sin(phi) - t) / (big_m - c * mpmath.cos(phi))
-                exact = float(big_m - c * mpmath.cos(phi))
+                exact = float(mpmath.mpf(m) - c * mpmath.cos(phi))
             worst = max(worst, abs(_kepler_inverse(BlackHoleParams(m, q), mu) - exact) / m)
         assert worst <= 5.1e-11
+
+    def test_jet_within_5e_11_of_the_40_digit_derivatives(self):
+        # dr/dmu = c*sin(phi)/r and d2r/dmu2 = -m/r^2 + Q^2/r^3 at the
+        # 40-digit root, relative where they exceed 1 (in units of m for the
+        # second). Measured, the same with derivatives by Newton steps in jet
+        # arithmetic and by the implicit function theorem: worst 2.91e-11
+        # and 4.02e-11, c's rounding as Q/m -> 1; below Q/m = 0.999 both
+        # 6.6e-12, where m - c cancels next to r_minus
+        import mpmath
+
+        worst = [0.0, 0.0]
+        for m, q, mu, c, phi in _exact_kepler_roots():
+            with mpmath.workdps(40):
+                r = mpmath.mpf(m) - c * mpmath.cos(phi)
+                slope = float(c * mpmath.sin(phi) / r)
+                bend = float((mpmath.mpf(q) ** 2 / r - m) / r ** 2)
+            jet = _kepler_inverse(BlackHoleParams(m, q), Jet.variables([[mu]])[..., 0])
+            worst[0] = max(worst[0], abs(jet.grad[0, 0] - slope) / max(1.0, abs(slope)))
+            worst[1] = max(worst[1], m * abs(jet.hess[0, 0, 0] - bend) / max(1.0, m * abs(bend)))
+        assert max(worst) <= 5.1e-11
 
     def test_batch_and_jet_equal_each_float(self, charged):
         mus = np.linspace(0.01, 0.99, 41) * math.pi
