@@ -46,29 +46,42 @@ def _write(text: str) -> None:
         data = data[buffer.write(data):]
 
 
-def _write_csv(header, rows) -> None:
-    # one template per table: %s of a Python float is its repr, the shortest
-    # string that round-trips
-    template = ",".join(["%s"] * len(header)) + "\n"
-    _write(",".join(header) + "\n" + "".join([template % tuple(row) for row in rows]))
+def _write_csv(header, columns) -> None:
+    """Write a CSV table from its columns, each formatted in one pass.
+
+    A column is a float64 array or a sequence of values; str of a float
+    is its repr, the shortest string that round-trips. An array whose bytes
+    equal an earlier one's reuses its text; the key is the bytes, not ==, so
+    a -0.0 column stays apart from a 0.0 one.
+    """
+    texts, cells = {}, []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            key = column.tobytes()
+            if key not in texts:
+                texts[key] = list(map(str, column.tolist()))
+            cells.append(texts[key])
+        else:
+            cells.append(list(map(str, column)))
+    _write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
 def _write_json(payload) -> None:
     _write(json.dumps(payload, allow_nan=False) + "\n")
 
 
-def _emit_table(fmt: str, columns: list[str], rows: list[list]) -> None:
+def _emit_table(fmt: str, header: list[str], columns) -> None:
     if fmt == "csv":
-        _write_csv(columns, rows)
+        _write_csv(header, columns)
     else:
-        _write_json([dict(zip(columns, row)) for row in rows])
+        _write_json([dict(zip(header, row)) for row in zip(*[c.tolist() for c in columns])])
 
 
 def _emit_record(fmt: str, record: dict) -> None:
     if fmt == "json":
         _write_json(record)
     else:
-        _write_csv(record.keys(), [record.values()])
+        _write_csv(record.keys(), [[value] for value in record.values()])
 
 
 def _params(args: argparse.Namespace) -> rn.BlackHoleParams:
@@ -114,7 +127,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     rd = warped.ricci_from_warps(w, args.theta)
     columns = (r, rn.mu_closed_form_sqrt(p, r), w.f1, w.f2,
                rd.r_mumu, rd.r_nunu, rd.r_thth, rd.r_phph, rd.scalar)
-    _emit_table(args.format, CURVATURE_COLUMNS, np.column_stack(columns).tolist())
+    _emit_table(args.format, CURVATURE_COLUMNS, columns)
     return 0
 
 
@@ -124,7 +137,7 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     rho, pressure, res = fluid.fluid_balance(p.charge, rn.warp_state(p, r), args.theta)
     columns = (r, rn.mu_closed_form_sqrt(p, r), rho, pressure,
                res.mumu, res.nunu, res.thth, res.phph)
-    _emit_table(args.format, FLUID_COLUMNS, np.column_stack(columns).tolist())
+    _emit_table(args.format, FLUID_COLUMNS, columns)
     return 0
 
 
@@ -134,8 +147,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_json(report.to_dict())
     else:
-        _write_csv(VERIFY_COLUMNS, [(c.name, c.max_abs_residual, c.threshold,
-                                     "true" if c.passed else "false") for c in report.checks])
+        _write_csv(VERIFY_COLUMNS, zip(*[(c.name, c.max_abs_residual, c.threshold,
+                                          "true" if c.passed else "false") for c in report.checks]))
         for note in report.notes:  # notes do not fit the table; keep them visible
             sys.stderr.write(f"note: {note}\n")
     return 0 if report.overall else 1

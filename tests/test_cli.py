@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rnwarp import calculus, cli
@@ -554,6 +555,110 @@ class TestTableFormat:
                            "--grid", "8", "--format", "csv")
         assert code == 0
         assert {line.rsplit(",", 1)[1] for line in out.splitlines()[1:]} == {"true"}
+
+
+def row_template_csv(header, rows):
+    """The row-by-row writer that the column writer replaced, kept as its referee."""
+    template = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([template % tuple(row) for row in rows])
+
+
+def reference_rows(columns):
+    """Rows as the row writer got them: a table's arrays stacked, a record's values."""
+    if all(isinstance(c, np.ndarray) for c in columns):
+        return np.column_stack(columns).tolist()
+    return list(zip(*columns))
+
+
+def written(capsys, header, columns):
+    cli._write_csv(header, columns)
+    return capsys.readouterr().out
+
+
+WRITER_ARGV = {
+    "curvature": ("curvature", "--mass", "1", "--charge", "0.6", "--grid", "256"),
+    "fluid": ("fluid", "--mass", "1", "--charge", "0.6", "--grid", "256"),
+    # Q = 0: the fluid table's six value columns are one all-zero column
+    "curvature-q0": ("curvature", "--mass", "1", "--charge", "0", "--grid", "256"),
+    "fluid-q0": ("fluid", "--mass", "1", "--charge", "0", "--grid", "256"),
+    "curvature-theta": ("curvature", "--mass", "1", "--charge", "0.6", "--theta", "0.7"),
+    "fluid-theta": ("fluid", "--mass", "1", "--charge", "0.6", "--theta", "0.7"),
+    "curvature-grid2": ("curvature", "--mass", "1", "--charge", "0.6", "--grid", "2"),
+    "fluid-grid2": ("fluid", "--mass", "2", "--charge", "0", "--grid", "2"),
+    "horizons": ("horizons", "--mass", "1", "--charge", "0.6", "--format", "csv"),
+    "transform-r": ("transform", "--mass", "1", "--charge", "0.6", "--r", "1.1",
+                    "--format", "csv"),
+    "transform-mu": ("transform", "--mass", "1", "--charge", "0.6", "--mu", "2",
+                     "--format", "csv"),
+    "verify": ("verify", "--mass", "1", "--charge", "0.6", "--grid", "8", "--format", "csv"),
+}
+TABLE_ARGV = {k: v for k, v in WRITER_ARGV.items() if v[0] in ("curvature", "fluid")}
+
+
+class TestColumnWriter:
+    """The column writer prints what the row template printed, byte for byte."""
+
+    def test_repeated_columns(self, capsys):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=5), rng.normal(size=5) * 1e-300
+        columns = [a, b, a, a.copy(), b, np.ldexp(a, 1), a]
+        header = [f"c{i}" for i in range(len(columns))]
+        out = written(capsys, header, columns)
+        assert out == row_template_csv(header, reference_rows(columns))
+        x = float(a[0])
+        cells = out.splitlines()[1].split(",")
+        assert [cells[i] for i in (0, 2, 3, 5, 6)] == [repr(x)] * 3 + [repr(2 * x), repr(x)]
+
+    def test_zero_beside_negative_zero(self, capsys):
+        zero, negative = np.zeros(3), np.full(3, -0.0)
+        mixed = np.array([0.0, -0.0, 0.0])
+        columns = [zero, negative, zero, mixed, negative]
+        header = ["a", "b", "c", "d", "e"]
+        out = written(capsys, header, columns)
+        assert out == row_template_csv(header, reference_rows(columns))
+        assert out.splitlines()[1:] == ["0.0,-0.0,0.0,0.0,-0.0", "0.0,-0.0,0.0,-0.0,-0.0",
+                                        "0.0,-0.0,0.0,0.0,-0.0"]
+
+    def test_seeded_columns_with_shared_values(self, capsys):
+        rng = np.random.default_rng(11)
+        pool = np.array([0.0, -0.0, 1.0, 0.1, 5e-324, -1e300, np.pi, 2.0 ** -1074 * 3])
+        for _ in range(50):
+            base = [pool[rng.integers(len(pool), size=4)] for _ in range(3)]
+            columns = [base[i].copy() for i in rng.integers(3, size=int(rng.integers(1, 9)))]
+            header = [f"c{i}" for i in range(len(columns))]
+            out = written(capsys, header, columns)
+            assert out == row_template_csv(header, reference_rows(columns))
+
+    @pytest.mark.parametrize("argv", WRITER_ARGV.values(), ids=WRITER_ARGV)
+    def test_command_output(self, capsys, monkeypatch, argv):
+        calls = []
+        write_csv = cli._write_csv
+
+        def spy(header, columns):
+            calls.append((list(header), list(columns)))  # columns may be an iterator
+            write_csv(*calls[-1])
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == 1
+        header, columns = calls[0]
+        assert out == row_template_csv(header, reference_rows(columns))
+        if argv[0] in ("horizons", "transform"):
+            assert len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("argv", TABLE_ARGV.values(), ids=TABLE_ARGV)
+    def test_json_tables_unchanged(self, capsys, monkeypatch, argv):
+        tables = []
+        emit_table = cli._emit_table
+        monkeypatch.setattr(cli, "_emit_table",
+                            lambda fmt, header, columns: (tables.append((header, columns)),
+                                                          emit_table(fmt, header, columns)))
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        header, columns = tables[0]
+        rows = np.column_stack(columns).tolist()
+        assert out == json.dumps([dict(zip(header, row)) for row in rows],
+                                 allow_nan=False) + "\n"
 
 
 class TestSharedParser:
