@@ -115,14 +115,17 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     wall scaled by the half-span instead.
 
     A row fails with ValueError where f returns a non-finite value, at its
-    first such node in (level, side, node) order, and with
-    ConvergenceError (carrying its last estimate and error bound) if the
-    mesh refinement is exhausted. The error of the first failing row is
-    raised, as a loop over the rows would raise it. An infinite limit
-    raises ValueError before f is called.
+    first such node in (level, side, node) order, or where its estimate
+    overflows though f is finite (the running sum grows as 2^level times
+    the integral, so limits spanning nearly the double range can overflow
+    it), and with ConvergenceError (carrying its last estimate and error
+    bound) if the mesh refinement is exhausted. The error of the first
+    failing row is raised, as a loop over the rows would raise it. An
+    infinite limit, or limits whose difference overflows, raise ValueError
+    before f is called.
     """
     hi = np.asarray(hi, dtype=float)
-    if hi.ndim != 1 or not np.all(lo < hi):
+    if hi.ndim != 1 or not (lo < hi).all():
         raise ValueError(f"intervals require lo < hi, got lo={lo!r}, hi={hi!r}")
     # lo < hi holds for an infinite limit too
     if lo == -math.inf:
@@ -132,10 +135,14 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     singular_hi = np.asarray(singular_hi)
     if singular_hi.dtype != bool:
         raise ValueError(f"singular_hi must be booleans, got {singular_hi!r}")
+    with np.errstate(over="ignore"):
+        hs = 0.5 * (hi - lo)
+    for i in np.flatnonzero(hs == math.inf)[:1].tolist():
+        raise ValueError(f"the interval width overflows: hi[{i}] - lo = "
+                         f"{float(hi[i])!r} - {float(lo)!r} leaves the double range")
     n = len(hi)
     out = np.empty(n)
     failed: dict[int, Exception] = {}
-    hs = 0.5 * (hi - lo)
     walled_hi = np.broadcast_to(singular_hi, hi.shape) | (hi == 0.0)
     # the walls must leave room inside microscopic intervals; an endpoint
     # at 0 has no ulp scale of its own, so its wall is scaled by the half-span
@@ -176,15 +183,22 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
         if not len(row):
             break
         _, _, root_hs, _, total, prev, err = scalars
-        total += _fold(level, *swept.pop(0), state)
-        if level == 0:
-            continue  # level 1 overwrites this estimate before any test reads it
-        completion = root_hs * comp * g
-        estimate = 2.0 ** (-level) * (total + completion[0] + completion[1])
-        if level == 1:
-            prev[:] = estimate
-            continue
-        np.abs(estimate - prev, out=err)
+        # finite terms may sum past the double range; such a row fails below
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += _fold(level, *swept.pop(0), state)
+            if level == 0:
+                continue  # level 1 overwrites this estimate before any test reads it
+            completion = root_hs * comp * g
+            estimate = 2.0 ** (-level) * (total + completion[0] + completion[1])
+            if level == 1:
+                prev[:] = estimate
+                continue
+            np.abs(estimate - prev, out=err)
+        finite = np.isfinite(estimate)
+        if not finite.all():
+            for i in row[~finite].tolist():
+                failed[i] = ValueError(f"the quadrature sum overflows on the interval "
+                                       f"({float(lo)!r}, {float(hi[i])!r})")
         ok = err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(estimate))
         final = ok if level == _MAX_LEVEL else ok & (err <= 0.01 * tol.abs_tol)
         done = refine_once | final

@@ -17,6 +17,7 @@ Sign conventions: R_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -50,8 +51,7 @@ class Jet:
         """The entries along the last axis of x as the independent variables."""
         x = np.asarray(x, dtype=float)
         k = x.shape[-1]
-        seed = np.eye(k).reshape((k,) + (1,) * (x.ndim - 1) + (k,))
-        return cls(x, seed + np.zeros(x.shape), np.zeros((k, k) + x.shape))
+        return cls(x, _seed(k, x.ndim) + np.zeros(x.shape), np.zeros((k, k) + x.shape))
 
     @property
     def shape(self) -> tuple:
@@ -107,6 +107,17 @@ class Jet:
         q = other / self.val
         dq = -(q / self.val) * self.grad
         return Jet(q, dq, -(q * self.hess + _symmetric(dq, self.grad)) / self.val)
+
+
+@functools.cache
+def _seed(k: int, ndim: int) -> np.ndarray:
+    """The k x k identity shaped to broadcast to the gradient of k variables in ndim axes.
+
+    Read-only: every caller shares it.
+    """
+    seed = np.eye(k).reshape((k,) + (1,) * (ndim - 1) + (k,))
+    seed.flags.writeable = False
+    return seed
 
 
 def _symmetric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,7 +203,7 @@ class MetricField:
             bounds = np.array(self.domain, dtype=float).T
         except (TypeError, ValueError):
             bounds = None
-        if bounds is None or bounds.shape != (2, 4) or not np.all(bounds[0] < bounds[1]):
+        if bounds is None or bounds.shape != (2, 4) or not (bounds[0] < bounds[1]).all():
             raise ValueError(
                 f"domain must be four intervals (lo, hi) with lo < hi, got {self.domain!r}")
         object.__setattr__(self, "bounds", bounds)
@@ -245,9 +256,10 @@ def invert4(g: np.ndarray) -> np.ndarray:
 
 def _require_domain(mf: MetricField, x: np.ndarray):
     lo, hi = mf.bounds
-    inside = ((lo < x) & (x < hi)).all(axis=-1)
+    inside = (lo < x) & (x < hi)
     if not inside.all():
-        raise DomainError(f"point {x[np.argmin(inside)].tolist()} outside chart domain")
+        raise DomainError(f"point {x[np.argmin(inside.all(axis=-1))].tolist()} "
+                          "outside chart domain")
 
 
 def ricci_at(mf: MetricField, x) -> CurvaturePoint:
@@ -300,12 +312,12 @@ def _curvature(ginv: np.ndarray, dg: np.ndarray, hess: np.ndarray):
     dginv = -(ginv[:, None] @ dg @ ginv[:, None])                   # dginv[n, e, a, d]
     # g^cd d_c S_dab = t_ab + t_ba - g^cd d_c d_d g_ab, t_ab = g^cd d_a d_c g_db
     t = (g16[:, None] @ hess.reshape(n, 4, 16, 4)).reshape(n, 4, 4)
-    div_gamma = (np.trace(dginv, axis1=1, axis2=2)[:, None] @ s_low.reshape(n, 4, 16)
+    div_gamma = (dginv.trace(axis1=1, axis2=2)[:, None] @ s_low.reshape(n, 4, 16)
                  - g16 @ hess.reshape(n, 16, 16)).reshape(n, 4, 4) + t + t.transpose(0, 2, 1)
     grad_trace = (dginv.reshape(n, 4, 16) @ dg.reshape(n, 4, 16).transpose(0, 2, 1)
                   + (hess.reshape(n, 16, 16) @ g16.transpose(0, 2, 1)).reshape(n, 4, 4))
     swapped = gamma.transpose(0, 2, 1, 3).reshape(n, 4, 16)   # [n, a, c, d] = Gamma^c_ad
-    quadratic = ((np.trace(gamma, axis1=1, axis2=2)[:, None] @ gamma.reshape(n, 4, 16))
+    quadratic = ((gamma.trace(axis1=1, axis2=2)[:, None] @ gamma.reshape(n, 4, 16))
                  .reshape(n, 4, 4) - swapped @ swapped.reshape(n, 16, 4))
     ricci = 0.5 * (div_gamma - grad_trace) + quadratic
     return gamma, ricci, (g16 @ ricci.reshape(n, 16, 1)).reshape(n)

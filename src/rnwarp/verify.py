@@ -140,7 +140,7 @@ def _warp_identity_residuals(p, mu: np.ndarray, phi: np.ndarray, w: WarpState) -
     is unit independent.
     """
     m, q, c = p.mass, p.charge, rn._half_gap(p)
-    r = rn._kepler_r(m, c, rn._kepler_lift(m, c, oracle.Jet.variables(mu[:, None])[..., 0], phi))
+    r = rn._kepler_lift(m, c, oracle.Jet.variables(mu[:, None])[..., 0], phi)[0]
     q_r = q / r
     f1p_of_mu = (q_r * q_r - m / r) / r  # -m/r^2 + Q^2/r^3, with no power of r to overflow
 
@@ -246,7 +246,8 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     cw = oracle.ricci_at(wc, np.column_stack([mu, zero, polar, zero]))
     cs = oracle.ricci_at(sc, np.column_stack([zero, grid, polar, zero]))
     static = np.diagonal(cs.ricci, axis1=1, axis2=2).T
-    transformed = np.array([static[1] * rn.lapse_squared(p, grid), static[0], static[2], static[3]])
+    # N^2 is the static chart's g_tt, which its oracle call already evaluated
+    transformed = np.array([static[1] * cs.metric[:, 0, 0], static[0], static[2], static[3]])
     add("closed_vs_oracle_ricci",
         np.max(_rel(closed, np.diagonal(cw.ricci, axis1=1, axis2=2).T, floors)))
     add("chart_covariance", np.max(_rel(closed, transformed, floors)))

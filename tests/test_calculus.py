@@ -426,6 +426,27 @@ class TestBatchedRows:
         with pytest.raises(ValueError, match=re.escape(limit)):
             integrate_endpoint_singular(f, lo, his, True)
 
+    def test_overflowing_width_rejected(self):
+        # hi - lo overflows although both limits are finite; the rows must not reach f
+        def f(x):
+            raise AssertionError("f called")
+
+        with pytest.raises(ValueError, match=r"interval width overflows: hi\[0\] - lo"):
+            integrate_endpoint_singular(f, -1e308, [1e308], False)
+
+    @pytest.mark.parametrize("his", [[1.7e308], [1.0, 1.7e308]])
+    def test_overflowing_sum_fails_its_row(self, his):
+        # the integral is ~8.2e307, but the running trapezoid sum grows as
+        # 2^level times it and leaves the double range by level 2; the row
+        # fails by name, with no RuntimeWarning on the way, and does not
+        # pass off inf as converged
+        def f(x):
+            return np.exp(-x * 1e-308)
+
+        with pytest.raises(ValueError,
+                           match=re.escape("quadrature sum overflows on the interval (0.0, 1.7e+308)")):
+            integrate_endpoint_singular(f, 0.0, his, False)
+
     @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (2.5, 2.475), (0.3, 0.0)])
     def test_mu_rows_reproduce_their_level_sweeps(self, m, q):
         # the charged integrand walls the lower end, and the upper end only
