@@ -10,12 +10,13 @@ closed-form geometry elsewhere in the package.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -148,47 +149,47 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     # at 0 has no ulp scale of its own, so its wall is scaled by the half-span
     dmin_hi = np.minimum(_WALL * EPS * np.where(hi != 0.0, np.abs(hi), hs), 0.05 * hs)
     dmin_lo = np.minimum(_WALL * EPS * (abs(lo) if lo != 0.0 else hs), 0.05 * hs)
-    # per-row state, the rows still refining on the last axis of each array:
-    # row index; scalars (2*hs, (pi/2)*hs, sqrt(hs), cut, running total,
-    # previous estimate, error); per side, (hi, lo), end, wall, summed unit
-    # completion weight of the walled tails, and the innermost evaluated
-    # node's distance and frozen coefficient f*sqrt(d); walled sides; rows
-    # to refine once more. A level drops every node with unit distance
-    # unit_d <= cut (see _level_nodes): inside the walls, or within EPS/8 of
-    # a regular end, where abscissas round onto it, with a factor 2 to spare.
-    # The running total starts at the t = 0 node's term, once f is known there
-    cut = 0.25 * np.minimum(np.where(walled_hi, dmin_hi, 0.125 * EPS * np.abs(hi)),
-                            dmin_lo) / hs
-    scalars = np.array([2.0 * hs, 0.5 * math.pi * hs, np.sqrt(hs), cut, np.zeros(n),
-                        np.full(n, math.nan), np.full(n, math.inf)])
-    sides = np.zeros((5, 2, n))
-    sides[0, 0], sides[0, 1] = hi, lo
-    sides[1, 0], sides[1, 1] = np.where(walled_hi, dmin_hi, 0.0), dmin_lo
-    sides[3] = math.inf
-    walled = np.array([walled_hi, np.ones(n, dtype=bool)])
-    state = (np.arange(n), scalars, sides, walled, np.zeros(n, dtype=bool))
+    # per-row state, one row of the array per field (see _HS2 below), the
+    # rows still refining on its last axis. A side keeps a node while the
+    # node's distance d from the end exceeds both the wall (0 at a regular
+    # end) and the largest d that rounds onto the end, so that the node's
+    # abscissa differs from the end. A level drops every node with unit
+    # distance unit_d <= cut (see _level_nodes): inside the walls, or
+    # within EPS/8 of a regular end, with a factor 2 to spare. The running
+    # total starts at the t = 0 node's term, once f is known there
+    state = np.empty((_STATE_ROWS, n))
+    state[_HS2], state[_WHS], state[_ROOT_HS] = 2.0 * hs, 0.5 * math.pi * hs, np.sqrt(hs)
+    state[_CUT] = 0.25 * np.minimum(np.where(walled_hi, dmin_hi, 0.125 * EPS * np.abs(hi)),
+                                    dmin_lo) / hs
+    state[_TOTAL], state[_PREV], state[_ERR] = 0.0, math.nan, math.inf
+    state[_LIMIT] = 0.01 * tol.abs_tol
+    state[_END], state[_END + 1] = hi, lo
+    walls = np.where(walled_hi, dmin_hi, 0.0), dmin_lo
+    state[_BEYOND:_BEYOND + 2] = np.maximum(walls, _rounds_onto(state[_END:_END + 2], _INWARD))
+    state[_COMP:_COMP + 2], state[_D_IN:_D_IN + 2], state[_G:_G + 2] = 0.0, math.inf, 0.0
+    state[_WALLED], state[_WALLED + 1] = walled_hi, 1.0
+    row = np.arange(n)
 
-    swept: list = []  # each level evaluated ahead, as (kept-node mask, f there)
+    swept: list = []  # each level evaluated ahead, as _sweep returns it
     for level in range(_MAX_LEVEL + 1):
-        if not swept and len(state[0]):
+        if not swept and len(row):
             # one call of f serves the t = 0 node and levels 0-2, then one each level
             first = level == 0
-            center, swept = _sweep(f, _FIRST_LEVELS if first else (level,), state, failed,
+            center, swept = _sweep(f, _FIRST_LEVELS if first else (level,), row, state, failed,
                                    lo + hs if first else None)
             if first:
-                state[1][4] = state[1][1] * center  # the t = 0 node's term
+                state[_TOTAL] = state[_WHS] * center  # the t = 0 node's term
             if failed:
-                state, swept = _rows(state, swept, np.ones(len(state[0]), dtype=bool), failed)
-        row, scalars, (_, _, comp, _, g), _, refine_once = state
+                row, state, swept = _rows(row, state, swept, np.ones(len(row), dtype=bool), failed)
         if not len(row):
             break
-        _, _, root_hs, _, total, prev, err = scalars
+        total, prev, err, limit = state[_TOTAL], state[_PREV], state[_ERR], state[_LIMIT]
         # finite terms may sum past the double range; such a row fails below
         with np.errstate(over="ignore", invalid="ignore"):
             total += _fold(level, *swept.pop(0), state)
             if level == 0:
                 continue  # level 1 overwrites this estimate before any test reads it
-            completion = root_hs * comp * g
+            completion = state[_ROOT_HS] * state[_COMP:_COMP + 2] * state[_G:_G + 2]
             estimate = 2.0 ** (-level) * (total + completion[0] + completion[1])
             if level == 1:
                 prev[:] = estimate
@@ -200,16 +201,18 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
                 failed[i] = ValueError(f"the quadrature sum overflows on the interval "
                                        f"({float(lo)!r}, {float(hi[i])!r})")
         ok = err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(estimate))
-        final = ok if level == _MAX_LEVEL else ok & (err <= 0.01 * tol.abs_tol)
-        done = refine_once | final
-        # a row within tolerance but not 100 times within refines once more:
-        # one extra halving buys ~2 digits at 2x cost. Rows already refining
-        # are done, so this is ok & ~final for every row that stays
-        np.not_equal(ok, final, out=refine_once)
+        # a row is done within 1/100 of the tolerance. Within tolerance but
+        # not within that, it refines once more (one extra halving buys ~2
+        # digits at 2x cost): its limit becomes infinite, so the next test
+        # takes it. At the last level, within tolerance is enough
+        done = err <= limit
+        if level == _MAX_LEVEL:
+            done |= ok
+        np.copyto(limit, math.inf, where=ok)
         prev[:] = estimate
-        out[row[done]] = estimate[done]
-        state, swept = _rows(state, swept, ~done, failed)
-    for i, last, err in zip(state[0].tolist(), *state[1][5:].tolist()):
+        out[row] = estimate  # a row that stays overwrites its entry at a later level
+        row, state, swept = _rows(row, state, swept, ~done, failed)
+    for i, last, err in zip(row.tolist(), *state[_PREV:_ERR + 1].tolist()):
         failed[i] = ConvergenceError("tanh-sinh quadrature did not converge", last, err)
     if failed:
         raise failed[min(failed)]
@@ -218,57 +221,95 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
 
 _FIRST_LEVELS = (0, 1, 2)  # swept in one call: no row can stop before the test at level 2
 
+# The rows of the quadrature's per-row state array: the row scalars 2*hs,
+# (pi/2)*hs, sqrt(hs), cut, running total, previous estimate, error and the
+# error limit of the next test; then, as (hi, lo) pairs of rows, each
+# side's end, the distance a node must exceed to be kept, the summed unit
+# completion weight of the walled tails, the innermost evaluated node's
+# distance and frozen coefficient f*sqrt(d), and 1.0 where the side is
+# walled (0.0 where not)
+_HS2, _WHS, _ROOT_HS, _CUT, _TOTAL, _PREV, _ERR, _LIMIT = range(8)
+_END, _BEYOND, _COMP, _D_IN, _G, _WALLED = range(8, 20, 2)
+_STATE_ROWS = _WALLED + 2
 
-def _rows(state: tuple, swept: list, keep: np.ndarray, failed: dict) -> tuple[tuple, list]:
-    """The state and the swept levels of the rows in keep.
+
+_INWARD = np.array([[-math.inf], [math.inf]])  # from the (hi, lo) ends toward the interval
+
+
+def _rounds_onto(end: np.ndarray, toward: np.ndarray) -> np.ndarray:
+    """The largest distances d >= 0 for which end +- d, a step toward `toward`, rounds onto end.
+
+    Half the gap to end's neighbor that way, where that tie rounds (to
+    even) onto end; elsewhere the double just below the half-gap.
+    """
+    half = 0.5 * np.abs(np.nextafter(end, toward) - end)
+    return np.where(end + np.copysign(half, toward) == end, half, np.nextafter(half, 0.0))
+
+
+def _rows(row: np.ndarray, state: np.ndarray, swept: list, keep: np.ndarray,
+          failed: dict) -> tuple[np.ndarray, np.ndarray, list]:
+    """The indices, state and swept levels of the rows in keep.
 
     Rows after a failed one are dropped too: they cannot change what is raised.
     """
     if failed:
-        keep = keep & (state[0] < min(failed))
-    if keep.all():
-        return state, swept
-    return (tuple(a[..., keep] for a in state),
-            [(todo[..., keep], fx[..., keep]) for todo, fx in swept])
+        keep = keep & (row < min(failed))
+    index = np.flatnonzero(keep)
+    if len(index) == len(row):
+        return row, state, swept
+    return (row.take(index), state.take(index, axis=1),
+            [tuple(a.take(index, axis=-1) for a in level) for level in swept])
 
 
-def _sweep(f, levels, state: tuple, failed: dict, center=None) -> tuple[np.ndarray, list]:
+def _sweep(f, levels, row: np.ndarray, state: np.ndarray, failed: dict,
+           center=None) -> tuple[np.ndarray, list]:
     """The new nodes of the given levels on both sides of every row in state, in one call of f.
 
     On each side a level's nodes run from the midpoint toward the
-    endpoint; the first that falls inside the wall (0 at a regular end)
-    or rounds onto the endpoint is dropped with every later one, since
-    distances shrink monotonically along the level. Every kept node of
-    the levels, on every row and both sides, is evaluated in one call of
-    f, at hi - d or lo + d, after center, one abscissa per row (the t = 0
-    node), where it is given. The arrays run (side, node, row), the
-    levels one after another along the node axis, so every elementwise
-    operation runs along the long row axis.
+    endpoint; the first whose distance from the end does not exceed the
+    side's bound (the wall, or the largest distance that rounds onto the
+    end) is dropped with every later one, since distances shrink
+    monotonically along the level. Every kept node of the levels, on every
+    row and both sides, is evaluated in one call of f, at hi - d or lo + d,
+    after center, one abscissa per row (the t = 0 node), where it is
+    given. The arrays run (side, node, row), the levels one after another
+    along the node axis, so every elementwise operation runs along the
+    long row axis.
 
-    Returns f at center (empty where center is not given) and a
-    (kept-node mask, f there, 0 elsewhere) pair per level, each of shape
-    (2, nodes, rows). Enters rows where f is non-finite in failed, with
-    the first such node of the row in (level, side, node) order, center
-    first: the node at which a sweep level by level would fail the row.
+    Returns f at center (empty where center is not given) and, per level,
+    the number of kept nodes on each side of each row, f at the innermost
+    of them (any value where there is none), both of shape (2, rows), and
+    f at the level's nodes, 0 past the kept ones, of shape (2, nodes,
+    rows). Enters rows where f is non-finite in failed, with the first such
+    node of the row in (level, side, node) order, center first: the node
+    at which a sweep level by level would fail the row.
     """
-    row, scalars, (end, wall, *_), *_ = state
-    hs2, cut = scalars[0], scalars[3]
+    hs2, end, beyond = state[_HS2], state[_END:_END + 2], state[_BEYOND:_BEYOND + 2]
     n = len(row)
     # from the first node past every row's cut, every node of a level is
     # dropped; unit_d does not increase along a level, so a search finds it
-    unit_d = [_level_nodes(level)[0] for level in levels]
-    unit_d = [d[:np.searchsorted(-d, -cut.min()) + 1] for d in unit_d]
+    cut = -float(state[_CUT].min())
+    unit_d = [nodes.unit_d[:bisect.bisect_left(nodes.search, cut) + 1]
+              for nodes in map(_level_nodes, levels)]
+    stops = list(itertools.accumulate(map(len, unit_d), initial=0))
     dx = (unit_d[0] if len(unit_d) == 1 else np.concatenate(unit_d))[:, None] * hs2
     x = np.empty((2,) + dx.shape)  # the same distances on both sides, from each end inward
     np.subtract(end[0], dx, out=x[0])
     np.add(end[1], dx, out=x[1])
     # a node once dropped stays dropped, so todo holds each side's first kept nodes
-    todo = (x != end[:, None]) & (dx > wall[:, None])
+    todo = dx > beyond[:, None]
     fx = np.zeros(x.shape)
     lead = 0 if center is None else n
     values = _evaluate(f, x[todo] if center is None else np.concatenate([center, x[todo]]))
     fx[todo] = values[lead:]
-    stops = list(itertools.accumulate(map(len, unit_d), initial=0))
+    swept = []
+    # f at each side's innermost kept node, by flat index into fx: node
+    # a + kept - 1 of the level starting at node a, or the node before the
+    # level where the side keeps none (unused, see _fold)
+    base = np.arange(n) + [[-n], [(len(dx) - 1) * n]]
+    for a, b in zip(stops, stops[1:]):
+        kept = np.add.reduce(todo[:, a:b], axis=1, dtype=np.intp)
+        swept.append((kept, fx.take((kept + a) * n + base), fx[:, a:b]))
     if not np.isfinite(values).all():
         # each row's nodes in (level, side, node) order, center first
         order = [(x[:, a:b].reshape(-1, n), fx[:, a:b].reshape(-1, n))
@@ -280,33 +321,32 @@ def _sweep(f, levels, state: tuple, failed: dict, center=None) -> tuple[np.ndarr
         for r in np.flatnonzero(bad.any(axis=0)).tolist():
             k = int(np.argmax(bad[:, r]))
             failed[int(row[r])] = _non_finite(fxs[k, r], xs[k, r])
-    return values[:lead], [(todo[:, a:b], fx[:, a:b]) for a, b in zip(stops, stops[1:])]
+    return values[:lead], swept
 
 
-def _fold(level: int, todo: np.ndarray, fx: np.ndarray, state: tuple) -> np.ndarray:
+def _fold(level: int, kept: np.ndarray, f_in: np.ndarray, fx: np.ndarray,
+          state: np.ndarray) -> np.ndarray:
     """One swept level's kept nodes folded into the rows of state.
 
-    todo and fx are the level's kept-node mask and f values from _sweep,
-    shape (side, node, row). Adds the unit weight of each dropped tail at
-    a walled end to the row's completion weight and moves the innermost
-    node where this level reached closer to the endpoint. Returns each
-    row's sum of the trapezoid terms w*f of its kept nodes, added
-    sequentially: the hi side by increasing t, then the lo side, so that
-    the sum does not depend on the other rows.
+    kept, f_in and fx are the level's kept-node counts, f at the innermost
+    kept nodes and f at its nodes, from _sweep. Adds the unit weight of
+    each dropped tail at a walled end to the row's completion weight and
+    moves the innermost node where this level reached closer to the
+    endpoint. Returns each row's sum of the trapezoid terms w*f of its
+    kept nodes, added sequentially: the hi side by increasing t, then the
+    lo side, so that the sum does not depend on the other rows.
     """
-    unit_d, unit_w, uk_tail = _level_nodes(level)
-    row, scalars, (_, _, comp, d_in, g), walled, _ = state
-    hs2, whs = scalars[:2]
-    n, span = len(row), todo.shape[1]
-    kept = np.add.reduce(todo, axis=1, dtype=np.intp)
-    comp += np.where(walled, uk_tail[kept], 0.0)
-    # the innermost kept node, where this level reached closer to the endpoint
-    j = np.maximum(kept - 1, 0)
-    d = hs2 * unit_d[j]
-    closer = (kept > 0) & (d < d_in)
+    nodes = _level_nodes(level)
+    comp, d_in, g = state[_COMP:_COMP + 2], state[_D_IN:_D_IN + 2], state[_G:_G + 2]
+    span, n = fx.shape[1:]
+    comp += nodes.tail.take(kept) * state[_WALLED:_WALLED + 2]  # 0 at a regular end
+    # the innermost kept node, where this level reached closer to the
+    # endpoint; inner[0] is inf, so a side that kept none never did
+    d = state[_HS2] * nodes.inner.take(kept)
+    closer = d < d_in
     np.copyto(d_in, d, where=closer)
-    np.multiply(fx[[[0], [1]], j, np.arange(n)], np.sqrt(d), out=g, where=closer)
-    terms = (whs * unit_w[:span, None] * fx).reshape(2 * span, n)  # 0 past kept
+    np.multiply(f_in, np.sqrt(d), out=g, where=closer)
+    terms = (state[_WHS] * nodes.unit_w[:span, None] * fx).reshape(2 * span, n)  # 0 past kept
     if n == 1:
         # one column makes the node axis contiguous, and numpy then sums it
         # pairwise, which rounds differently; cumsum adds node by node
@@ -316,21 +356,32 @@ def _fold(level: int, todo: np.ndarray, fx: np.ndarray, state: tuple) -> np.ndar
     return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
+class _Nodes(NamedTuple):
+    """One level's tanh-sinh node tables; see _level_nodes."""
+
+    unit_d: np.ndarray
+    unit_w: np.ndarray
+    tail: np.ndarray
+    inner: np.ndarray
+    search: list[float]
+
+
 @functools.cache
-def _level_nodes(level: int) -> tuple[np.ndarray, ...]:
+def _level_nodes(level: int) -> _Nodes:
     """Tanh-sinh nodes first used at this level, by increasing t.
 
     Level 0 holds t = 1, 2, 3, ...; level k > 0 holds t = j*2^-k for odd j.
-    Returns arrays (unit_d, unit_w, uk_tail) over the nodes, with
-    q = exp(-pi*sinh t): a node of a half-span hs lies 2*hs*unit_d from
-    its near endpoint, unit_d = q/(1 + q), and carries trapezoid weight
-    (pi/2)*hs*unit_w (before the step factor), unit_w =
+    With q = exp(-pi*sinh t), a node of a half-span hs lies 2*hs*unit_d
+    from its near endpoint, unit_d = q/(1 + q), and carries trapezoid
+    weight (pi/2)*hs*unit_w (before the step factor), unit_w =
     cosh(t)*4*q/(1 + q)^2 formed left to right, which fixes its rounding.
-    sqrt(hs)*uk_tail[i] is the summed wall-completion weight w/sqrt(d) of
-    node i and every later one of the level, so a level's walled tail
-    costs one lookup; uk_tail has one more entry, 0, for no walled node.
-    The nodes end where q underflows and every later node has zero
-    distance and weight.
+    The other tables are indexed by a count k of leading nodes:
+    sqrt(hs)*tail[k] is the summed wall-completion weight w/sqrt(d) of
+    the nodes from k on, so a level's walled tail costs one lookup
+    (tail[len] = 0 for no walled node), and inner[k] is the unit_d of
+    node k - 1, the innermost of the k, with inner[0] = inf. search lists
+    -unit_d, increasing, for bisect. The nodes end where q underflows and
+    every later node has zero distance and weight.
     """
     pi_2 = 0.5 * math.pi
     h = 2.0 ** (-level)
@@ -351,8 +402,9 @@ def _level_nodes(level: int) -> tuple[np.ndarray, ...]:
     tails = [0.0]
     for row in reversed(rows):  # smallest weights first
         tails.append(tails[-1] + row[-1])
-    columns = [np.array(c) for c in zip(*rows)]
-    return (*columns[:2], np.array(tails[::-1]))
+    unit_d, unit_w = (np.array(c) for c in list(zip(*rows))[:2])
+    return _Nodes(unit_d, unit_w, np.array(tails[::-1]), np.concatenate([[math.inf], unit_d]),
+                  [-d for d in unit_d.tolist()])
 
 
 def _evaluate(f, x: np.ndarray) -> np.ndarray:

@@ -225,7 +225,14 @@ def _kepler_angle(p: BlackHoleParams, mu) -> np.ndarray:
     # s^3 = h + sqrt(h^2 + a^3), is 2h/(s2 + a + a^2/s2), which does not cancel
     a, h = 2.0 * (m - c) / c, 3.0 * values / c
     s2 = np.cbrt(h + np.hypot(h, a * math.sqrt(a))) ** 2
-    phi = 2.0 * h / (s2 + a + a * a / s2)
+    if a == 0.0:
+        # at Q = 0 the root is cbrt(2h) = 2h/s2, which is 0/0 where 3*mu/c
+        # underflows to 0 although phi does not: there it is formed from
+        # cube roots that do not underflow
+        zero = h == 0.0
+        phi = np.where(zero, np.cbrt(6.0 / c) * np.cbrt(values), 2.0 * h / np.where(zero, 1.0, s2))
+    else:
+        phi = 2.0 * h / (s2 + a + a * a / s2)
     phi = _halley(m, c, values, np.minimum(_halley(m, c, values, phi), math.pi))
     return phi - (_kepler_mu(m, c, phi) - values) / _kepler_r(m, c, phi)
 

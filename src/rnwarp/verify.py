@@ -122,10 +122,14 @@ def _weighted_off_diagonal(ricci: np.ndarray, g: np.ndarray, m: float):
     """
     root = np.sqrt(np.abs(np.diagonal(g, axis1=-2, axis2=-1)))
     weight = root[..., :, None] * root[..., None, :]
-    diagonal = np.zeros_like(ricci)
-    diagonal[..., range(4), range(4)] = np.diagonal(ricci, axis1=-2, axis2=-1)
-    norm = m * m * np.max(np.abs(ricci - diagonal) / weight, axis=(-2, -1))
+    norm = m * m * np.max(np.abs(ricci * _OFF_DIAGONAL) / weight, axis=(-2, -1))
     return norm if norm.ndim else float(norm)
+
+
+# 1 off the diagonal, 0 on it. Times ricci it leaves a finite diagonal entry
+# a signed 0 and a non-finite one NaN, and np.abs then makes each bit for bit
+# what ricci minus its own diagonal gives
+_OFF_DIAGONAL = 1.0 - np.eye(4)
 
 
 def _warp_identity_residuals(p, mu: np.ndarray, phi: np.ndarray, w: WarpState) -> np.ndarray:

@@ -17,7 +17,7 @@ from rnwarp.calculus import (DEFAULT_TOL, EPS, Interval, Tolerance, derivative,
 from rnwarp.errors import BracketError, ConvergenceError
 from rnwarp.reissner_nordstrom import BlackHoleParams, horizons, interior_grid, mu_of_r, \
     r_of_mu
-from rnwarp.verify import THRESHOLDS
+from rnwarp.verify import THRESHOLDS, run_verification
 
 
 def arcsine(x):
@@ -273,6 +273,20 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
 
+    def test_rounding_bound_is_the_last_distance_that_rounds_onto_the_end(self):
+        # a node at distance d from an end is dropped where end -+ d rounds
+        # onto the end, which _rounds_onto turns into d <= bound: zeros,
+        # subnormals, binade edges (where the gap differs on the two sides),
+        # even and odd significands, both signs
+        ends = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.0, -1.0, 1.0 + EPS, 2.0, 0.75,
+                -3.0 + 4 * EPS, 1e300, -1.7e308, 1.7e308, 2.0 ** -1021 + 5e-324]
+        ends += np.random.default_rng(5).normal(size=200).tolist()
+        ends = np.array(ends)
+        for toward, step in ((-math.inf, np.subtract), (math.inf, np.add)):
+            bound = calculus._rounds_onto(ends, toward)
+            assert (step(ends, bound) == ends).all()
+            assert (step(ends, np.nextafter(bound, math.inf)) != ends).all()
+
 
 def inverse_sqrt_neg(x):
     return 1.0 / np.sqrt(-x)
@@ -340,21 +354,53 @@ class TestBatchedRows:
         assert got.tolist() == [sweep_reference(arcsine, Interval(0.0, hi), s, tol)
                                 for hi, s in zip(his, singular)]
 
-    def test_each_row_evaluated_once_per_abscissa(self):
+    @staticmethod
+    def batch_abscissas(f, lo, his, singular, tol=DEFAULT_TOL):
+        """Every abscissa the batch passes to f, sorted."""
+        seen = []
+        integrate_endpoint_singular(lambda x: seen.append(x.copy()) or f(x), lo, his, singular,
+                                    tol)
+        return np.sort(np.concatenate(seen))
+
+    @staticmethod
+    def swept_abscissas(f, lo, his, singular, tol=DEFAULT_TOL):
+        """Every abscissa the level sweeps of the rows, one by one, evaluate, sorted."""
         seen = []
 
         def recording(x):
-            seen.extend(x.tolist())
-            return arcsine(x)
+            seen.append(float(x))
+            return f(x)
 
-        his = [2.0, 1.0, 0.5]
-        integrate_endpoint_singular(recording, 0.0, his, [True, False, False])
-        for hi in his:  # each row's abscissas are its own, whatever the others are
-            alone = []
-            integrate(lambda x: alone.extend(x.tolist()) or arcsine(x), Interval(0.0, hi),
-                      hi == 2.0)
-            assert set(alone) <= set(seen)
-        assert len(set(seen)) == len(seen)
+        for hi, s in zip(his, singular):
+            sweep_levels(recording, Interval(lo, float(hi)), bool(s), tol)
+        return np.sort(seen)
+
+    def test_each_row_evaluated_once_per_abscissa(self):
+        # the batch evaluates the multiset union of its rows' own nodes: no
+        # node twice, none past a row's kept ones, none of a level a row
+        # does not reach
+        his, singular = [2.0, 1.0, 0.5, 1.0], [True, False, False, False]
+        got = self.batch_abscissas(arcsine, 0.0, his, singular)
+        assert got.tobytes() == self.swept_abscissas(arcsine, 0.0, his, singular).tobytes()
+        assert len(np.unique(got)) < len(got)  # the repeated row's nodes, twice
+
+    @pytest.mark.parametrize("charge, count", [(0.6, 15808), (0.0, 14694)])
+    def test_verify_batch_evaluates_exactly_its_rows_nodes(self, monkeypatch, charge, count):
+        # verify's one call of 165 rows: 64 grid points, r_plus and 100
+        # round-trip samples, walled at r_plus alone (and at r_minus = 0)
+        calls = []
+
+        def recording(f, lo, hi, singular_hi, tol=DEFAULT_TOL):
+            calls.append((f, lo, np.array(hi), np.array(singular_hi), tol))
+            return integrate_endpoint_singular(f, lo, hi, singular_hi, tol)
+
+        monkeypatch.setattr(calculus, "integrate_endpoint_singular", recording)
+        run_verification(BlackHoleParams(1.0, charge), 64)
+        (f, lo, his, singular, tol), = calls
+        assert len(his) == 165
+        got = self.batch_abscissas(f, lo, his, singular, tol)
+        assert len(got) == count
+        assert got.tobytes() == self.swept_abscissas(f, lo, his, singular, tol).tobytes()
 
     def test_first_failing_row_decides_the_error(self):
         # a row stalls (ConvergenceError), another returns NaN (ValueError):

@@ -383,13 +383,14 @@ def _exact_kepler_roots() -> list[tuple[float, float, float, object, object]]:
 def _angle_draws() -> list[tuple[BlackHoleParams, np.ndarray]]:
     """(params, mu array): Q/m in {0, 0.6, 0.99, 1 - 1e-6, 1 - 1e-12} at three
     masses, mu/(m*pi) from 1e-300 to 1 - 1e-15, and mu = 5e-324 at m = 1,
-    where 3*mu/c in the cubic start stays above 0."""
+    where 3*mu/c in the cubic start stays above 0, and at m = 2.9e5, where
+    it underflows to 0."""
     fracs = [10.0 ** -k for k in range(300, 0, -7)] + [0.3, 0.5, 0.7]
     fracs += [1.0 - 10.0 ** -k for k in range(1, 16)]
     draws = []
     for m in (1.0, 3.7e-6, 2.9e5):
         for qr in (0.0, 0.6, 0.99, 1.0 - 1e-6, 1.0 - 1e-12):
-            mus = [m * math.pi * f for f in fracs] + ([5e-324] if m == 1.0 else [])
+            mus = [m * math.pi * f for f in fracs] + ([5e-324] if m != 3.7e-6 else [])
             draws.append((BlackHoleParams(m, m * qr), np.array(mus)))
     return draws
 
@@ -401,7 +402,8 @@ def _exact_angle(m: float, c: float, mu: float, start: float):
     on [0, pi], so the root it converges to is the root."""
     import mpmath
 
-    extra = int(-2.0 * math.log10(start)) if start < 1.0 else 0
+    # a start of 0 (phi below the smallest double) takes its first step to mu/(m - c)
+    extra = int(-2.0 * math.log10(start)) if 0.0 < start < 1.0 else 0
     with mpmath.workdps(50 + extra):
         big_m, c, mu, phi = (mpmath.mpf(v) for v in (m, c, mu, start))
         for _ in range(12):
@@ -414,9 +416,9 @@ def _exact_angle(m: float, c: float, mu: float, start: float):
 class TestKeplerInverse:
     def test_angle_within_4e_16_of_the_40_digit_root(self):
         # relative, with the smallest normal double as the floor: below it
-        # (mu = 5e-324 with Q > 0) phi itself is subnormal. Measured: worst
-        # 2.0e-16; five Newton steps read 2.3e-16 here, and a Halley step
-        # followed by two Newton steps 4.2e-14 at Q = 0
+        # (mu = 5e-324 with Q > 0) phi itself is subnormal, or 0 at m = 2.9e5.
+        # Measured: worst 2.0e-16; five Newton steps read 2.3e-16 here, and
+        # a Halley step followed by two Newton steps 4.2e-14 at Q = 0
         import mpmath
 
         worst = 0.0

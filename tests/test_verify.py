@@ -273,6 +273,37 @@ def test_a_nan_in_any_entry_fails_its_check(charged, monkeypatch):
         run_verification(charged, grid_points=8)
 
 
+def diagonal_subtracted_norm(ricci, g, m):
+    """The off-diagonal weight as ricci minus a copy of its diagonal: the reference."""
+    root = np.sqrt(np.abs(np.diagonal(g, axis1=-2, axis2=-1)))
+    diagonal = np.zeros_like(ricci)
+    diagonal[..., range(4), range(4)] = np.diagonal(ricci, axis1=-2, axis2=-1)
+    return m * m * np.max(np.abs(ricci - diagonal) / (root[..., :, None] * root[..., None, :]),
+                          axis=(-2, -1))
+
+
+def test_off_diagonal_weight_is_the_diagonal_subtraction_bit_for_bit(charged):
+    # signed zeros, infinities and NaNs (of either sign) on and off the
+    # diagonal, and zero weights, at one point and at batches
+    rng = np.random.default_rng(7)
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -1e308])
+    for k in range(400):
+        shape = (4, 4) if k % 2 else (3, 4, 4)
+        ricci, g = (rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=shape)
+                    for _ in range(2))
+        for a in (ricci, g):
+            mask = rng.random(shape) < 0.2
+            a[mask] = rng.choice(specials, size=int(mask.sum()))
+        with np.errstate(all="ignore"):
+            want = diagonal_subtracted_norm(ricci, g, 0.3)
+            got = verify._weighted_off_diagonal(ricci, g, 0.3)
+        assert np.asarray(got).tobytes() == want.tobytes()
+    # and on the oracle's own output
+    cw = oracle.ricci_at(rn.warped_chart(charged), [[1.0, 0.0, 1.2, 0.0], [2.0, 0.0, 0.4, 0.0]])
+    assert verify._weighted_off_diagonal(cw.ricci, cw.metric, 1.0).tobytes() == \
+        diagonal_subtracted_norm(cw.ricci, cw.metric, 1.0).tobytes()
+
+
 def test_check_order(charged):
     rep = run_verification(charged, grid_points=8)
     assert [c.name for c in rep.checks] == [
