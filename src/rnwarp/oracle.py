@@ -35,9 +35,9 @@ class Jet:
     val has the batch shape S, grad the shape (k,) + S and hess the shape
     (k, k) + S: the derivative axes lead, so a float or an array of shape
     S broadcasts against all three. +, -, *, / with floats or arrays on
-    either side, or with other jets over the same variables, and sin and
-    cos below carry the chain rule to second order. Each entry depends on
-    its own batch entry alone.
+    either side, or with other jets over the same variables, and sin below
+    carry the chain rule to second order. Each entry depends on its own
+    batch entry alone.
     """
 
     __slots__ = ("val", "grad", "hess")
@@ -139,14 +139,6 @@ def sin(x):
     return chain(x, s, np.cos(x.val), -s)
 
 
-def cos(x):
-    """cos of a float, an array or a Jet."""
-    if not isinstance(x, Jet):
-        return np.cos(x)
-    c = np.cos(x.val)
-    return chain(x, c, -np.sin(x.val), -c)
-
-
 def points(x):
     """x as a chart's metric takes it: a Jet as it is, anything else as a float array."""
     return x if isinstance(x, Jet) else np.asarray(x, dtype=float)
@@ -183,8 +175,9 @@ class MetricField:
     4-point gives one 4x4 matrix, an (n, 4) batch n of them. Each
     point's matrix must not depend on the rest of the batch. g must also
     take a Jet of points (see points()) and return a Jet of metrics, so
-    it may use only jet operations: +, -, *, /, this module's sin, cos
-    and diagonal_metric, and chain on a Jet. domain holds one open
+    it may use only jet operations: +, -, *, /, this module's sin and
+    diagonal_metric, and chain on a Jet (a cosine, say, is
+    chain(x, cos, -sin, -cos) at x's values). domain holds one open
     interval (lo, hi) per coordinate, infinite ends allowed; the chart is
     valid on their product. g must be symmetric to 1e-14 and invertible
     (invert4's pivot check) everywhere inside that box.

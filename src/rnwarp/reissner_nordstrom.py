@@ -91,8 +91,7 @@ def lapse_squared(p: BlackHoleParams, r):
     the direct form loses all significance to cancellation). A float r
     gives a float, an array of r the array of N^2.
     """
-    hp = _require_interior(p, r)
-    r = np.asarray(r, dtype=float)
+    hp, r = _require_interior(p, r)
     n2 = _factored_lapse(hp, r, r * r)
     direct = -1.0 + 2.0 * p.mass / r - (p.charge / r) ** 2
     disagree = np.abs(n2 - direct) > 1e-12 * np.maximum(1.0, np.abs(n2))
@@ -111,7 +110,7 @@ def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
     A float r gives a float; an array of r gives the array of F, from one
     batched quadrature, each entry bit for bit F at that entry alone.
     """
-    hp = _require_closed_interior(p, r)
+    hp, rs = _require_closed_interior(p, r)
     rp, rm = hp.r_plus, hp.r_minus
 
     if rm > 0.0:
@@ -123,7 +122,6 @@ def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
         def integrand(x):
             return np.sqrt(x / (rp - x))
 
-    rs = np.asarray(r, dtype=float)
     mu = np.zeros(rs.shape)
     inner = rs > rm  # F(r_minus) = 0 takes no quadrature
     if inner.any():
@@ -136,15 +134,16 @@ def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
 def mu_closed_form(p: BlackHoleParams, r):
     """Closed-form candidate with arccos of the plain horizon ratio.
 
-    2m*arccos((r_plus - r)/(r_plus - r_minus)) - sqrt((r_plus - r)(r - r_minus)).
-    Agrees with mu_of_r at both horizons but not between them; shipped for
-    comparison and reporting only, never used as the definition of F.
-    A float r gives a float, an array of r the array.
+    2m*arccos((r_plus - r)/(r_plus - r_minus)) - sqrt((r_plus - r)(r - r_minus)),
+    evaluated as 4m*arcsin(sin(phi/2)/sqrt(2)) - c*sin(phi) at the angle phi
+    of _forward_angle, where the ratio is cos(phi/2)^2, so no ratio is rounded
+    next to 1 and no two radii are subtracted. Agrees with mu_of_r at both
+    horizons but not between them; shipped for comparison and reporting only,
+    never used as the definition of F. A float r gives a float, an array of r
+    the array.
     """
-    hp = _require_closed_interior(p, r)
-    r = np.asarray(r, dtype=float)
-    mu = 2.0 * p.mass * np.arccos((hp.r_plus - r) / hp.width) - np.sqrt(
-        (hp.r_plus - r) * (r - hp.r_minus))
+    phi = _forward_angle(p, r)
+    mu = 4.0 * p.mass * np.arcsin(np.sin(0.5 * phi) / math.sqrt(2.0)) - _half_gap(p) * np.sin(phi)
     return mu if mu.ndim else float(mu)
 
 
@@ -152,22 +151,26 @@ def mu_closed_form_sqrt(p: BlackHoleParams, r):
     """Closed-form candidate with arccos of the square root of the horizon ratio.
 
     2m*arccos(sqrt((r_plus - r)/(r_plus - r_minus))) - sqrt((r_plus - r)(r - r_minus)),
-    evaluated as m*phi - c*sin(phi) at phi = 2*atan2(sqrt(r - r_minus), sqrt(r_plus - r)),
+    evaluated as m*phi - c*sin(phi) at the angle phi of _forward_angle,
     accurate next to either horizon; matches the quadrature definition of F
     at every tested point. A float r gives a float, an array of r the array.
     """
-    hp = _require_closed_interior(p, r)
-    r = np.asarray(r, dtype=float)
-    mu = _kepler_mu(p.mass, _half_gap(p),
-                    2.0 * np.arctan2(np.sqrt(r - hp.r_minus), np.sqrt(hp.r_plus - r)))
+    mu = _kepler_mu(p.mass, _half_gap(p), _forward_angle(p, r))
     return mu if mu.ndim else float(mu)
+
+
+def _forward_angle(p: BlackHoleParams, r):
+    """The angle phi = 2*atan2(sqrt(r - r_minus), sqrt(r_plus - r)) of r = m - c*cos(phi)."""
+    hp, r = _require_closed_interior(p, r)
+    return 2.0 * np.arctan2(np.sqrt(r - hp.r_minus), np.sqrt(hp.r_plus - r))
 
 
 def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Inverse coordinate map F^(-1), by bracketed root finding on mu_of_r.
 
-    Valid for 0 < mu < m*pi. F is strictly increasing with F(r_minus) = 0
-    and F(r_plus) = m*pi, so [r_minus, r_plus] always brackets the root;
+    Valid for 0 < mu < m*pi (checked by the Kepler guess, before any
+    quadrature). F is strictly increasing with F(r_minus) = 0 and
+    F(r_plus) = m*pi, so [r_minus, r_plus] always brackets the root;
     the improper quadrature converges at the closed endpoints. The
     search starts from the Kepler inverse (_kepler_inverse) and returns it
     when the quadrature agrees to abs_tol, so the root is always decided
@@ -175,9 +178,6 @@ def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> floa
     charts and the verification suite use _kepler_inverse directly.
     """
     hp = horizons(p)
-    mu_max = p.mass * math.pi
-    if not 0.0 < mu < mu_max:
-        raise DomainError(f"mu={mu} outside the open interval (0, {mu_max})")
 
     def g(r):
         return mu_of_r(p, r, tol) - mu
@@ -308,7 +308,7 @@ def ricci_closed_form(p: BlackHoleParams, r, theta: float) -> RicciDiag:
     The scalar curvature vanishes identically, charged or not. A float r
     gives floats, an array of r arrays; theta is one angle.
     """
-    _require_interior(p, r)
+    n2 = lapse_squared(p, r)  # checks r, before theta
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta must lie in (0, pi), got {theta}")
     r = np.asarray(r, dtype=float)
@@ -318,7 +318,7 @@ def ricci_closed_form(p: BlackHoleParams, r, theta: float) -> RicciDiag:
     return RicciDiag(*_floats_for(
         r,
         q2 / (r2 * r2),
-        -q2 * lapse_squared(p, r) / (r2 * r2),
+        -q2 * n2 / (r2 * r2),
         r_thth,
         r_thth * math.sin(theta) ** 2,
         np.zeros(r.shape),
@@ -399,23 +399,23 @@ def interior_grid(p: BlackHoleParams, n: int, guard_fraction: float = 0.05) -> l
     return [lo + i * step for i in range(n)]
 
 
-def _require_interior(p: BlackHoleParams, r) -> HorizonPair:
-    """The horizons, once every entry of r lies strictly between them; else DomainError."""
+def _require_interior(p: BlackHoleParams, r) -> tuple[HorizonPair, np.ndarray]:
+    """The horizons and r as floats, once all of r lies strictly between them; else DomainError."""
     hp = horizons(p)
     rs = np.asarray(r, dtype=float)
     inside = (hp.r_minus < rs) & (rs < hp.r_plus)
     if not inside.all():
         raise DomainError(
             f"r={rs[~inside].flat[0]} outside the open interior ({hp.r_minus}, {hp.r_plus})")
-    return hp
+    return hp, rs
 
 
-def _require_closed_interior(p: BlackHoleParams, r) -> HorizonPair:
-    """The horizons, once every entry of r lies between them or on one; else DomainError."""
+def _require_closed_interior(p: BlackHoleParams, r) -> tuple[HorizonPair, np.ndarray]:
+    """The horizons and r as floats, once all of r lies on or between them; else DomainError."""
     hp = horizons(p)
     rs = np.asarray(r, dtype=float)
     inside = (hp.r_minus <= rs) & (rs <= hp.r_plus)
     if not inside.all():
         raise DomainError(
             f"r={rs[~inside].flat[0]} outside the closed interior [{hp.r_minus}, {hp.r_plus}]")
-    return hp
+    return hp, rs

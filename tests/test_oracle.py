@@ -85,10 +85,6 @@ CASES = {
             lambda a, b: (math.sin(a * b), (b * math.cos(a * b), a * math.cos(a * b)),
                           ((-b * b * math.sin(a * b), math.cos(a * b) - a * b * math.sin(a * b)),
                            (math.cos(a * b) - a * b * math.sin(a * b), -a * a * math.sin(a * b))))),
-    "cos": (lambda a, b: oracle.cos(a * b),
-            lambda a, b: (math.cos(a * b), (-b * math.sin(a * b), -a * math.sin(a * b)),
-                          ((-b * b * math.cos(a * b), -math.sin(a * b) - a * b * math.cos(a * b)),
-                           (-math.sin(a * b) - a * b * math.cos(a * b), -a * a * math.cos(a * b))))),
 }
 
 
@@ -130,9 +126,9 @@ class TestJet:
                      (square.hess, product.hess)):
             assert a.tobytes() == b.tobytes()
 
-    def test_sin_and_cos_pass_floats_and_arrays_through(self):
+    def test_sin_passes_floats_and_arrays_through(self):
         assert oracle.sin(0.5) == np.sin(0.5)
-        assert np.array_equal(oracle.cos(np.array([0.1, 0.2])), np.cos([0.1, 0.2]))
+        assert np.array_equal(oracle.sin(np.array([0.1, 0.2])), np.sin([0.1, 0.2]))
 
     def test_seeding_and_indexing(self):
         x = Jet.variables(np.arange(8.0).reshape(2, 4))

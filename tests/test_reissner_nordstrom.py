@@ -272,7 +272,75 @@ class TestBatchedClosedForms:
             lapse_squared(charged, np.array([0.5, 1.25, 1.5]))
 
 
+@pytest.mark.parametrize("evaluate", [
+    lapse_squared, warp_state, lambda p, r: ricci_closed_form(p, r, 1.0), mu_of_r,
+    mu_closed_form, mu_closed_form_sqrt])
+@pytest.mark.parametrize("r", [1.0, np.array([0.5, 1.0, 1.5])])
+def test_each_call_checks_r_once(charged, monkeypatch, evaluate, r):
+    checks = []
+
+    def counted(check):
+        def wrapper(p, r):
+            checks.append(check.__name__)
+            return check(p, r)
+        return wrapper
+
+    for name in ("_require_interior", "_require_closed_interior"):
+        monkeypatch.setattr(rn, name, counted(getattr(rn, name)))
+    evaluate(charged, r)
+    assert len(checks) == 1
+
+
+def test_an_invalid_r_is_named_before_an_invalid_theta(charged):
+    with pytest.raises(DomainError, match=r"r=1\.9 outside the open interior"):
+        ricci_closed_form(charged, 1.9, 4.0)
+    with pytest.raises(DomainError, match="theta must lie in"):
+        ricci_closed_form(charged, 1.0, 4.0)
+
+
+def _plain_ratio_exact(p, r):
+    """2m*arccos((r_plus - r)/(r_plus - r_minus)) - sqrt((r_plus - r)(r - r_minus))
+    at the double mass, horizons and r, to 60 digits: the differences of
+    doubles are exact, and the ratio, next to 1 by as little as 5e-324/w,
+    gets extra digits so that its distance from 1 keeps 60."""
+    import mpmath
+
+    hp = horizons(p)
+    rp, rm, r = (mpmath.mpf(v) for v in (hp.r_plus, hp.r_minus, r))
+    below, above = mpmath.fsub(rp, r, exact=True), mpmath.fsub(r, rm, exact=True)
+    width = mpmath.fsub(rp, rm, exact=True)
+    extra = int(-mpmath.log10(above / width)) if above > 0 else 0
+    with mpmath.workdps(60 + extra):
+        return 2 * mpmath.mpf(p.mass) * mpmath.acos(below / width) - mpmath.sqrt(below * above)
+
+
 class TestClosedForms:
+    def test_plain_ratio_within_1e_14_of_the_60_digit_value(self):
+        # relative, with the smallest normal double as the floor, from r_minus
+        # (where it is 0) over its second double and 1e-12 of the gap above
+        # to r_plus. The arccos of the plain ratio, rounded to 1 next to
+        # r_minus, read -9.4e-9 for +7.2e-9 at (1, 0.6, 0.2) and -1.4e-104
+        # for +5.6e-105 at (2.9e5, 0, 3.17e-214). Measured: worst 3.3e-16,
+        # at the second double above r_minus at (2.9e5, 0.6)
+        import mpmath
+
+        worst = 0.0
+        for m in (1.0, 2.9e5):
+            for qr in (0.0, 0.6, 1.0 - 1e-6):
+                p = BlackHoleParams(m, m * qr)
+                hp = horizons(p)
+                rm, gap = hp.r_minus, hp.width
+                rs = [rm, math.nextafter(math.nextafter(rm, math.inf), math.inf),
+                      rm + 1e-12 * gap, rm + 0.5 * gap, hp.r_plus - 1e-12 * gap, hp.r_plus]
+                batch = mu_closed_form(p, np.array(rs))
+                for r, got in zip(rs, batch.tolist()):
+                    assert mu_closed_form(p, r).hex() == got.hex()
+                    assert got >= 0.0
+                    exact = _plain_ratio_exact(p, r)
+                    error = abs(mpmath.mpf(got) - exact) / max(abs(exact), sys.float_info.min)
+                    worst = max(worst, float(error))
+        assert worst <= 1e-14
+
     def test_plain_ratio_value(self, charged):
         # oracle: 2*arccos(0.5) - 0.8 by hand; deliberately differs from the
         # quadrature value between the horizons
@@ -328,10 +396,16 @@ class TestInverse:
             previous = r
         assert previous - hp.r_minus < 1e-3
 
-    def test_domain(self, charged):
-        for mu in (0.0, -0.5, math.pi, 4.0):
-            with pytest.raises(DomainError):
+    def test_domain(self, charged, monkeypatch):
+        # named before any quadrature runs
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(calculus, "integrate_endpoint_singular", no_quadrature)
+        for mu in (0.0, -0.5, math.pi, 4.0, math.nan, math.inf):
+            with pytest.raises(DomainError) as raised:
                 r_of_mu(charged, mu)
+            assert str(raised.value) == f"mu={mu} outside the open interval (0, {math.pi})"
 
     @given(m=masses, qr=st.floats(min_value=0.0, max_value=0.95),
            frac=st.floats(min_value=0.02, max_value=0.98))
