@@ -131,20 +131,21 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     # lo < hi holds for an infinite limit too
     if lo == -math.inf:
         raise ValueError(f"the lower limit must be finite, got lo={float(lo)!r}")
-    for i in np.flatnonzero(hi == math.inf)[:1].tolist():
+    for i in (hi == math.inf).nonzero()[0][:1].tolist():
         raise ValueError(f"the upper limits must be finite, got hi[{i}]={float(hi[i])!r}")
     singular_hi = np.asarray(singular_hi)
     if singular_hi.dtype != bool:
         raise ValueError(f"singular_hi must be booleans, got {singular_hi!r}")
     with np.errstate(over="ignore"):
         hs = 0.5 * (hi - lo)
-    for i in np.flatnonzero(hs == math.inf)[:1].tolist():
+    for i in (hs == math.inf).nonzero()[0][:1].tolist():
         raise ValueError(f"the interval width overflows: hi[{i}] - lo = "
                          f"{float(hi[i])!r} - {float(lo)!r} leaves the double range")
     n = len(hi)
     out = np.empty(n)
     failed: dict[int, Exception] = {}
-    walled_hi = np.broadcast_to(singular_hi, hi.shape) | (hi == 0.0)
+    # out= holds the flags to hi's shape, as broadcasting singular_hi to it would
+    walled_hi = np.logical_or(singular_hi, hi == 0.0, out=np.empty(hi.shape, dtype=bool))
     # the walls must leave room inside microscopic intervals; an endpoint
     # at 0 has no ulp scale of its own, so its wall is scaled by the half-span
     dmin_hi = np.minimum(_WALL * EPS * np.where(hi != 0.0, np.abs(hi), hs), 0.05 * hs)
@@ -254,7 +255,7 @@ def _rows(row: np.ndarray, state: np.ndarray, swept: list, keep: np.ndarray,
     """
     if failed:
         keep = keep & (row < min(failed))
-    index = np.flatnonzero(keep)
+    index = keep.nonzero()[0]
     if len(index) == len(row):
         return row, state, swept
     return (row.take(index), state.take(index, axis=1),

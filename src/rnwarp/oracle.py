@@ -233,7 +233,9 @@ def invert4(g: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(g, dtype=float)
     rows = a.reshape(-1, 4, 4)
-    scale = np.abs(rows).max(axis=2)
+    # each row's largest magnitude; np.maximum keeps a NaN as max(axis=2) does
+    mag = np.abs(rows)
+    scale = np.maximum(np.maximum(mag[..., 0], mag[..., 1]), np.maximum(mag[..., 2], mag[..., 3]))
     scale[scale == 0.0] = 1.0  # a zero row stays zero and fails the check
     normed = rows / scale[:, :, None]
     det = np.linalg.det(normed)

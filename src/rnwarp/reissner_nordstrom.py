@@ -95,7 +95,8 @@ def lapse_squared(p: BlackHoleParams, r):
     n2 = _factored_lapse(hp, r, r * r)
     direct = -1.0 + 2.0 * p.mass / r - (p.charge / r) ** 2
     disagree = np.abs(n2 - direct) > 1e-12 * np.maximum(1.0, np.abs(n2))
-    for k in np.flatnonzero(disagree)[:1].tolist():
+    if disagree.any():
+        k = disagree.argmax()  # the first disagreeing entry
         raise ArithmeticError(
             f"lapse forms disagree at r={r.flat[k].item()}: "
             f"{n2.flat[k].item()!r} vs {direct.flat[k].item()!r}")
@@ -142,26 +143,35 @@ def mu_closed_form(p: BlackHoleParams, r):
     never used as the definition of F. A float r gives a float, an array of r
     the array.
     """
-    phi = _forward_angle(p, r)
-    mu = 4.0 * p.mass * np.arcsin(np.sin(0.5 * phi) / math.sqrt(2.0)) - _half_gap(p) * np.sin(phi)
+    hp, r = _require_closed_interior(p, r)
+    mu = _plain_ratio_mu(p.mass, _half_gap(p), _forward_angle(hp, r))
     return mu if mu.ndim else float(mu)
+
+
+def _plain_ratio_mu(m: float, c: float, phi):
+    """mu_closed_form at the angles phi of _forward_angle."""
+    return 4.0 * m * np.arcsin(np.sin(0.5 * phi) / math.sqrt(2.0)) - c * np.sin(phi)
 
 
 def mu_closed_form_sqrt(p: BlackHoleParams, r):
     """Closed-form candidate with arccos of the square root of the horizon ratio.
 
     2m*arccos(sqrt((r_plus - r)/(r_plus - r_minus))) - sqrt((r_plus - r)(r - r_minus)),
-    evaluated as m*phi - c*sin(phi) at the angle phi of _forward_angle,
-    accurate next to either horizon; matches the quadrature definition of F
-    at every tested point. A float r gives a float, an array of r the array.
+    evaluated as m*phi - c*sin(phi) (_kepler_mu) at the angle phi of
+    _forward_angle, accurate next to either horizon; matches the quadrature
+    definition of F at every tested point. A float r gives a float, an
+    array of r the array.
     """
-    mu = _kepler_mu(p.mass, _half_gap(p), _forward_angle(p, r))
+    hp, r = _require_closed_interior(p, r)
+    mu = _kepler_mu(p.mass, _half_gap(p), _forward_angle(hp, r))
     return mu if mu.ndim else float(mu)
 
 
-def _forward_angle(p: BlackHoleParams, r):
-    """The angle phi = 2*atan2(sqrt(r - r_minus), sqrt(r_plus - r)) of r = m - c*cos(phi)."""
-    hp, r = _require_closed_interior(p, r)
+def _forward_angle(hp: HorizonPair, r: np.ndarray) -> np.ndarray:
+    """The angle phi = 2*atan2(sqrt(r - r_minus), sqrt(r_plus - r)) of r = m - c*cos(phi).
+
+    r is a float array already checked against the closed interior.
+    """
     return 2.0 * np.arctan2(np.sqrt(r - hp.r_minus), np.sqrt(hp.r_plus - r))
 
 
@@ -275,7 +285,7 @@ def _kepler_mu(m: float, c: float, phi):
     difference does.
     """
     x2 = phi * phi
-    series = (x2[..., None] ** _POWERS * _SERIES).sum(axis=-1)
+    series = np.add.reduce(x2[..., None] ** _POWERS * _SERIES, axis=-1)
     return phi * ((m - c) + c * x2 * series)
 
 
@@ -293,8 +303,13 @@ def warp_state(p: BlackHoleParams, r) -> WarpState:
     f1'' = -2 f1 f1'/r - Q^2 f1/r^4. No differencing is involved. A float
     r gives floats, an array of r arrays.
     """
-    f1 = np.sqrt(lapse_squared(p, r))
-    r = np.asarray(r, dtype=float)
+    n2 = lapse_squared(p, r)  # checks r
+    return _warp_state(p, np.asarray(r, dtype=float), n2)
+
+
+def _warp_state(p: BlackHoleParams, r: np.ndarray, n2) -> WarpState:
+    """warp_state at the checked float array r, from its lapse_squared n2."""
+    f1 = np.sqrt(n2)
     q2 = p.charge * p.charge
     f1p = -p.mass / (r * r) + q2 / (r * r * r)
     f1pp = -2.0 * f1 * f1p / r - q2 * f1 / (r * r * r * r)
@@ -309,9 +324,13 @@ def ricci_closed_form(p: BlackHoleParams, r, theta: float) -> RicciDiag:
     gives floats, an array of r arrays; theta is one angle.
     """
     n2 = lapse_squared(p, r)  # checks r, before theta
+    return _ricci_closed_form(p, np.asarray(r, dtype=float), n2, theta)
+
+
+def _ricci_closed_form(p: BlackHoleParams, r: np.ndarray, n2, theta: float) -> RicciDiag:
+    """ricci_closed_form at the checked float array r, from its lapse_squared n2."""
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta must lie in (0, pi), got {theta}")
-    r = np.asarray(r, dtype=float)
     q2 = p.charge * p.charge
     r2 = r * r
     r_thth = q2 / r2

@@ -120,9 +120,9 @@ def _weighted_off_diagonal(ricci: np.ndarray, g: np.ndarray, m: float):
     a float; at a batch of points (shape (n, 4, 4)) an array of one per
     point. The weight is a product of square roots, which cannot overflow.
     """
-    root = np.sqrt(np.abs(np.diagonal(g, axis1=-2, axis2=-1)))
+    root = np.sqrt(np.abs(g.diagonal(0, -2, -1)))
     weight = root[..., :, None] * root[..., None, :]
-    norm = m * m * np.max(np.abs(ricci * _OFF_DIAGONAL) / weight, axis=(-2, -1))
+    norm = m * m * np.maximum.reduce(np.abs(ricci * _OFF_DIAGONAL) / weight, axis=(-2, -1))
     return norm if norm.ndim else float(norm)
 
 
@@ -170,15 +170,19 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     Each evaluator runs once on the whole grid array (the quadrature mu,
     the square-root closed form, the warp state, the closed-form and warp
     Ricci, the oracle per chart), and each check is one array expression
-    reduced by its maximum. The quadratures of the run are one batched
-    call. A residual that is not finite (the oracle's inverse metric
+    reduced by its maximum. The grid's interior state is formed once: one
+    forward Kepler angle serves both closed-form mu, and one lapse_squared
+    call, the grid's one interior check, gives the N^2 that the warp state
+    and the closed-form Ricci share. The quadratures of the run are one
+    batched call. A residual that is not finite (the oracle's inverse metric
     overflows at a polar angle within ~1e-150 of the axis) raises
     ArithmeticError naming the check.
     """
     th = dict(THRESHOLDS)
     hp = rn.horizons(p)
     grid = np.array(rn.interior_grid(p, grid_points, guard_fraction))
-    m, q = p.mass, p.charge
+    m, q, c = p.mass, p.charge, rn._half_gap(p)
+    n = len(grid)
     checks: list[CheckResult] = []
     notes: list[str] = []
 
@@ -195,13 +199,22 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         # quadrature error, about 4*abs_tol at a gap of 1e-6 of m
         th["roundtrip_inverse"] = max(th["roundtrip_inverse"], 2.0 * tol.abs_tol / m)
 
-    def add(name, residual):
-        residual = float(residual)
+    def add(name, residuals) -> float:
+        # the largest entry: np.max without its Python-level wrapper, NaN where
+        # any entry is NaN (the builtin max() would drop it), and a residual
+        # that is no number fails loudly
+        residual = float(np.maximum.reduce(residuals, axis=None))
         if not math.isfinite(residual):
-            # max() would drop a NaN; a residual that is no number fails loudly
             raise ArithmeticError(f"check {name} has a non-finite residual {residual} "
                                   "at these inputs")
         checks.append(CheckResult(name, residual, th[name], residual <= th[name]))
+        return residual
+
+    # the forward Kepler angle, which both closed-form mu read; the grid
+    # lies strictly inside the horizons by construction, and lapse_squared
+    # below checks it
+    phi_grid = rn._forward_angle(hp, grid)
+    mu_sqrt = rn._kepler_mu(m, c, phi_grid)
 
     # the Kepler inverse is checked against the quadrature at fixed
     # pseudorandom mu samples, and its derivatives against the warp state
@@ -210,31 +223,31 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     # is one batch
     mu_max = m * math.pi
     mu_samples = mu_max * _ROUNDTRIP_FRACTIONS
-    mu_sqrt = rn.mu_closed_form_sqrt(p, grid)
     phi = rn._kepler_angle(p, np.concatenate([mu_samples, mu_sqrt]))
-    r_samples = rn._kepler_r(m, rn._half_gap(p), phi[:len(mu_samples)])
+    r_samples = rn._kepler_r(m, c, phi[:len(mu_samples)])
     mus = rn.mu_of_r(p, np.concatenate([grid, [hp.r_plus], r_samples]), tol)
-    mu, mu_outer, mu_round = mus[:len(grid)], mus[len(grid)], mus[len(grid) + 1:]
+    mu, mu_outer, mu_round = mus[:n], mus[n], mus[n + 1:]
 
-    # every evaluator once on the whole grid
-    w = rn.warp_state(p, grid)
-    closed = _ricci_diagonal(rn.ricci_closed_form(p, grid, theta))
+    # every evaluator once on the whole grid, from one N^2
+    n2 = rn.lapse_squared(p, grid)
+    w = rn._warp_state(p, grid, n2)
+    closed = _ricci_diagonal(rn._ricci_closed_form(p, grid, n2, theta))
     wr = warped.ricci_from_warps(w, theta)
     warp_diag = _ricci_diagonal(wr)
-    floors = np.array(np.broadcast_arrays(*_component_floors(w, theta, m)))
+    floors = np.empty((4, n))
+    floors[0], floors[1], floors[2], floors[3] = _component_floors(w, theta, m)
 
     # Vieta: r+ + r- = 2m, r+ r- = Q^2
-    add("horizon_vieta", max(
+    add("horizon_vieta", [
         abs(hp.r_plus + hp.r_minus - 2.0 * m) / (2.0 * m),
         abs(hp.r_plus * hp.r_minus - q * q) / max(q * q, m * m),
-    ))
+    ])
 
     # the coordinate map's value at the outer horizon; mu(r_minus) = 0 by definition
     add("mu_at_outer_horizon", abs(mu_outer - m * math.pi))
 
     # the Kepler inverse's exact mu-derivatives against the analytic warp state
-    add("warp_identities",
-        np.max(_warp_identity_residuals(p, mu_sqrt, phi[len(mu_samples):], w)))
+    add("warp_identities", _warp_identity_residuals(p, mu_sqrt, phi[len(mu_samples):], w))
 
     # triple agreement and scalar flatness: the closed form against the
     # warp formulas, then against the oracle in the warped chart (mu, nu,
@@ -243,27 +256,29 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     # The closed-form scalar is 0 by construction, so only the computed
     # scalars are tested; scalars carry length^-2, measured in curvature
     # units m^-2 so the checks are independent of the unit choice
-    add("closed_vs_warped_ricci", np.max(_rel(closed, warp_diag, floors)))
-    add("scalar_closed_and_warped", np.max(m * m * np.abs(wr.scalar)))
-    wc, sc = rn.warped_chart(p), rn.static_chart(p)
-    zero, polar = np.zeros_like(grid), np.full_like(grid, theta)
-    cw = oracle.ricci_at(wc, np.column_stack([mu, zero, polar, zero]))
-    cs = oracle.ricci_at(sc, np.column_stack([zero, grid, polar, zero]))
-    static = np.diagonal(cs.ricci, axis1=1, axis2=2).T
+    add("closed_vs_warped_ricci", _rel(closed, warp_diag, floors))
+    add("scalar_closed_and_warped", m * m * np.abs(wr.scalar))
+    # the oracle points: (mu, 0, theta, 0) in the warped chart and
+    # (0, r, theta, 0) in the static one
+    x = np.zeros((2, n, 4))
+    x[0, :, 0], x[1, :, 1], x[:, :, 2] = mu, grid, theta
+    cw = oracle.ricci_at(rn.warped_chart(p), x[0])
+    cs = oracle.ricci_at(rn.static_chart(p), x[1])
+    static = cs.ricci.diagonal(0, 1, 2).T
     # N^2 is the static chart's g_tt, which its oracle call already evaluated
     transformed = np.array([static[1] * cs.metric[:, 0, 0], static[0], static[2], static[3]])
-    add("closed_vs_oracle_ricci",
-        np.max(_rel(closed, np.diagonal(cw.ricci, axis1=1, axis2=2).T, floors)))
-    add("chart_covariance", np.max(_rel(closed, transformed, floors)))
-    add("scalar_oracle", np.max(m * m * np.abs([cw.scalar, cs.scalar])))
-    # weighted by the metric each oracle call already evaluated
-    add("oracle_off_diagonal", np.max([_weighted_off_diagonal(cw.ricci, cw.metric, m),
-                                       _weighted_off_diagonal(cs.ricci, cs.metric, m)]))
+    add("closed_vs_oracle_ricci", _rel(closed, cw.ricci.diagonal(0, 1, 2).T, floors))
+    add("chart_covariance", _rel(closed, transformed, floors))
+    add("scalar_oracle", m * m * np.abs([cw.scalar, cs.scalar]))
+    # both charts in one call, weighted by the metric each oracle call already evaluated
+    add("oracle_off_diagonal", _weighted_off_diagonal(
+        np.concatenate([cw.ricci, cs.ricci]), np.concatenate([cw.metric, cs.metric]), m))
     if q == 0.0:
-        add("schwarzschild_flatness", np.max(np.abs(warp_diag) / floors))
+        add("schwarzschild_flatness", np.abs(warp_diag) / floors)
 
-    # the Kepler inverse against the quadrature
-    add("roundtrip_inverse", np.max(np.abs(mu_round - mu_samples)) / mu_max)
+    # the Kepler inverse against the quadrature, in units of m*pi (division
+    # rounds monotonically, so the largest quotient is the largest error's)
+    add("roundtrip_inverse", np.abs(mu_round - mu_samples) / mu_max)
 
     # fluid extraction: three balances vanish, the mumu gap has a closed
     # form. The thth/phph balances are dimensionless; nunu and mumu carry
@@ -271,18 +286,17 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     _, _, res = fluid.fluid_balance(q, w, theta)
     scale_angular = np.maximum((q / w.f2) ** 2, 1.0)
     scale_time = np.maximum(q * q / w.f2 ** 4, 1.0 / (m * m))
-    add("fluid_residuals", np.max([np.abs(res.nunu) / scale_time,
-                                   np.abs(res.thth) / scale_angular,
-                                   np.abs(res.phph) / scale_angular]))
+    add("fluid_residuals", [np.abs(res.nunu) / scale_time,
+                            np.abs(res.thth) / scale_angular,
+                            np.abs(res.phph) / scale_angular])
     gap_expected = q * q / w.f2 ** 4 * (1.0 - w.f1 ** 2)
-    add("fluid_mumu_gap_identity", np.max(
-        np.abs(res.mumu - gap_expected) / np.maximum(scale_time, np.abs(gap_expected))))
+    add("fluid_mumu_gap_identity",
+        np.abs(res.mumu - gap_expected) / np.maximum(scale_time, np.abs(gap_expected)))
     mid = len(grid) // 2
 
     # the two closed-form candidates against the quadrature definition
-    worst = float(np.max(np.abs(mu_sqrt - mu)))
-    plain_gap = float(np.max(np.abs(rn.mu_closed_form(p, grid) - mu)))
-    add("closed_form_sqrt_vs_quadrature", worst)
+    worst = add("closed_form_sqrt_vs_quadrature", np.abs(mu_sqrt - mu))
+    plain_gap = float(np.maximum.reduce(np.abs(rn._plain_ratio_mu(m, c, phi_grid) - mu)))
 
     notes.append(
         f"plain-ratio closed form for mu deviates from quadrature by up to {plain_gap:.6g} "

@@ -10,7 +10,7 @@ analytic derivatives (geometry module) or finite-difference ones (tests).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class WarpState:
     f2pp: float
 
     def __post_init__(self):
-        if not (np.all(np.greater(self.f1, 0.0)) and np.all(np.greater(self.f2, 0.0))):
+        if not (np.greater(self.f1, 0.0).all() and np.greater(self.f2, 0.0).all()):
             raise DomainError(f"warping functions must be positive, got f1={self.f1}, f2={self.f2}")
 
 
@@ -68,9 +68,9 @@ def ricci_from_warps(w: WarpState, theta: float) -> RicciDiag:
     r_mumu = -w.f1pp / w.f1 - 2.0 * w.f2pp / w.f2
     r_nunu = 2.0 * w.f1 * w.f1p * w.f2p / w.f2 + w.f1 * w.f1pp
     r_thth = w.f1p * w.f2 * w.f2p / w.f1 + w.f2 * w.f2pp + w.f2p * w.f2p + 1.0
-    sin2 = math.sin(theta) ** 2
-    rd = RicciDiag(r_mumu, r_nunu, r_thth, r_thth * sin2, 0.0, theta)
-    return replace(rd, scalar=scalar_from_ricci(rd, w))
+    r_phph = r_thth * math.sin(theta) ** 2
+    return RicciDiag(r_mumu, r_nunu, r_thth, r_phph,
+                     _ricci_scalar(r_mumu, r_nunu, r_thth, r_phph, theta, w), theta)
 
 
 def scalar_from_ricci(rd: RicciDiag, w: WarpState) -> float:
@@ -81,11 +81,16 @@ def scalar_from_ricci(rd: RicciDiag, w: WarpState) -> float:
     At theta = 0 or pi the last term is taken as R_thth/f2^2, which is
     exact because r_phph carries the same sin^2 theta factor.
     """
+    return _ricci_scalar(rd.r_mumu, rd.r_nunu, rd.r_thth, rd.r_phph, rd.theta, w)
+
+
+def _ricci_scalar(r_mumu, r_nunu, r_thth, r_phph, theta: float, w: WarpState):
+    """scalar_from_ricci of the diagonal components at polar angle theta."""
     f1sq = w.f1 * w.f1
     f2sq = w.f2 * w.f2
-    sin2 = math.sin(rd.theta) ** 2
+    sin2 = math.sin(theta) ** 2
     if sin2 > 1e-30:
-        phph_term = rd.r_phph / (f2sq * sin2)
+        phph_term = r_phph / (f2sq * sin2)
     else:
-        phph_term = rd.r_thth / f2sq
-    return -rd.r_mumu + rd.r_nunu / f1sq + rd.r_thth / f2sq + phph_term
+        phph_term = r_thth / f2sq
+    return -r_mumu + r_nunu / f1sq + r_thth / f2sq + phph_term

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from rnwarp import calculus, oracle, verify, warped
+from rnwarp import calculus, cli, fluid, oracle, verify, warped
 from rnwarp import reissner_nordstrom as rn
 from rnwarp.errors import SingularMetricError
 from rnwarp.reissner_nordstrom import BlackHoleParams
@@ -224,6 +226,49 @@ def test_oracle_inverts_each_chart_grid_in_one_call(charged, monkeypatch):
     _oracle_checks_pass(rep)
 
 
+# numpy's and dataclasses' Python-level wrappers kept off the per-op path:
+# each has a ufunc, an ndarray method or a preallocated array in its place
+PER_OP_WRAPPERS = [(np, "broadcast_arrays"), (np, "broadcast_to"), (np, "column_stack"),
+                   (np, "max"), (np, "amax"), (dataclasses, "replace")]
+
+
+def test_each_op_forms_the_grid_state_once_without_python_level_wrappers(
+        charged, monkeypatch, capsys):
+    calls = []
+
+    def counted(name):
+        original = getattr(rn, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("lapse_squared", "_forward_angle"):
+        monkeypatch.setattr(rn, name, counted(name))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Python-level wrapper on the per-op path")
+
+    # every binding of each wrapper: the module's own and any imported by name
+    modules = [np, dataclasses] + [m for key, m in sys.modules.items()
+                                   if key == "rnwarp" or key.startswith("rnwarp.")]
+    for owner, name in PER_OP_WRAPPERS:
+        wrapped = getattr(owner, name)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is wrapped:
+                    monkeypatch.setattr(module, attr, refused)
+
+    rep = run_verification(charged, grid_points=64)
+    assert sorted(calls) == ["_forward_angle", "lapse_squared"]
+    assert rep.overall
+    oracle.ricci_at(rn.warped_chart(charged), [1.0, 0.0, PI_2, 0.0])
+    assert cli.main(["curvature", "--mass", "1", "--charge", "0.6"]) == 0
+    assert capsys.readouterr().out.startswith("r,mu,")
+
+
 def test_a_singular_chart_metric_is_an_error_not_a_skip(charged, monkeypatch):
     def singular(g):
         raise SingularMetricError("row-normalized metric determinant 0.0 below pivot floor")
@@ -260,16 +305,100 @@ def test_a_non_finite_residual_raises_naming_the_check(charged, theta):
         run_verification(charged, grid_points=64, theta=theta)
 
 
-def test_a_nan_in_any_entry_fails_its_check(charged, monkeypatch):
-    norm = verify._weighted_off_diagonal
+def _set_nan(array, index=3):
+    array[index] = math.nan
 
-    def one_nan(*args):
-        out = norm(*args)
-        out[3] = math.nan
+
+# (where the NaN goes; the function whose output carries it, the call of
+# that function in the run, and how it is put in; the check that must raise)
+NAN_INPUTS = [
+    ("warp state f1''", (rn, "_warp_state", 0, lambda w: _set_nan(w.f1pp)),
+     "warp_identities"),
+    ("closed-form R_nunu", (rn, "_ricci_closed_form", 0, lambda rd: _set_nan(rd.r_nunu)),
+     "closed_vs_warped_ricci"),
+    ("warp-formula R_thth", (warped, "ricci_from_warps", 0, lambda rd: _set_nan(rd.r_thth)),
+     "closed_vs_warped_ricci"),
+    ("warp-formula scalar", (warped, "ricci_from_warps", 0, lambda rd: _set_nan(rd.scalar)),
+     "scalar_closed_and_warped"),
+    ("warped-chart oracle R_nunu", (oracle, "ricci_at", 0,
+                                    lambda cp: _set_nan(cp.ricci, (3, 1, 1))),
+     "closed_vs_oracle_ricci"),
+    ("static-chart oracle R_tt", (oracle, "ricci_at", 1, lambda cp: _set_nan(cp.ricci, (3, 0, 0))),
+     "chart_covariance"),
+    ("warped-chart oracle scalar", (oracle, "ricci_at", 0, lambda cp: _set_nan(cp.scalar)),
+     "scalar_oracle"),
+    ("static-chart oracle scalar", (oracle, "ricci_at", 1, lambda cp: _set_nan(cp.scalar)),
+     "scalar_oracle"),
+    ("warped-chart oracle R_mu_nu", (oracle, "ricci_at", 0,
+                                     lambda cp: _set_nan(cp.ricci, (3, 0, 1))),
+     "oracle_off_diagonal"),
+    ("static-chart oracle R_theta_phi", (oracle, "ricci_at", 1,
+                                         lambda cp: _set_nan(cp.ricci, (3, 2, 3))),
+     "oracle_off_diagonal"),
+    ("off-diagonal weight", (verify, "_weighted_off_diagonal", 0, _set_nan),
+     "oracle_off_diagonal"),
+    # the quadrature's rows: the 8 grid points, r_plus, then the round trip
+    ("quadrature mu at r_plus", (rn, "mu_of_r", 0, lambda mu: _set_nan(mu, 8)),
+     "mu_at_outer_horizon"),
+    ("quadrature mu of a round-trip sample", (rn, "mu_of_r", 0, lambda mu: _set_nan(mu, 50)),
+     "roundtrip_inverse"),
+    ("fluid balance mumu", (fluid, "fluid_balance", 0, lambda out: _set_nan(out[2].mumu)),
+     "fluid_mumu_gap_identity"),
+] + [
+    (f"fluid balance {term}",
+     (fluid, "fluid_balance", 0, lambda out, term=term: _set_nan(getattr(out[2], term))),
+     "fluid_residuals")
+    for term in ("nunu", "thth", "phph")
+]
+
+
+def _with_nan(module, name: str, call: int, put):
+    """module.name, with put applied to its output at the given call."""
+    original, calls = getattr(module, name), []
+
+    def wrapper(*args):
+        out = original(*args)
+        if len(calls) == call:
+            put(out)
+        calls.append(name)
         return out
 
-    monkeypatch.setattr(verify, "_weighted_off_diagonal", one_nan)
-    with pytest.raises(ArithmeticError, match="check oracle_off_diagonal"):
+    return wrapper
+
+
+def test_a_nan_in_any_entry_fails_its_check(charged, monkeypatch):
+    # a NaN in one entry of any check's input makes that check's residual
+    # NaN, and the check raises: no reduction may drop the NaN, as the
+    # builtin max(1.0, nan) would
+    for label, (module, name, call, put), check in NAN_INPUTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, _with_nan(module, name, call, put))
+            try:
+                run_verification(charged, grid_points=8)
+            except ArithmeticError as exc:
+                assert str(exc).startswith(f"check {check} has a non-finite residual nan"), \
+                    (label, str(exc))
+            else:
+                pytest.fail(f"a NaN in the {label} raised nothing")
+
+
+def test_a_nan_in_the_grids_quadrature_mu_fails_the_closed_form_check(charged, monkeypatch):
+    # the warped chart's oracle points carry the same mu, and its domain
+    # check would refuse a NaN first; here the oracle gets the number
+    mu_of_r, ricci_at, kept = rn.mu_of_r, oracle.ricci_at, []
+
+    def nan_at_the_fourth_grid_point(p, r, tol):
+        mu = mu_of_r(p, r, tol)
+        kept.append(mu[3])
+        mu[3] = math.nan
+        return mu
+
+    def oracle_at_the_number(mf, x):
+        return ricci_at(mf, np.where(np.isnan(x), kept[0], x))
+
+    monkeypatch.setattr(rn, "mu_of_r", nan_at_the_fourth_grid_point)
+    monkeypatch.setattr(oracle, "ricci_at", oracle_at_the_number)
+    with pytest.raises(ArithmeticError, match="check closed_form_sqrt_vs_quadrature"):
         run_verification(charged, grid_points=8)
 
 
