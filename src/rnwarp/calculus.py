@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -96,10 +95,10 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     and scaled by the half-span here. Endpoint distances are carried in a
     cancellation-free form, so f is never called at lo or hi.
 
-    No row can stop before level 2, so the first call of f serves the
-    t = 0 node and every node of levels 0-2, and each later level takes
-    one call. The levels are folded into the rows one by one, in level
-    order, so every row gets the bits of a sweep level by level.
+    Each level takes one call of f for every row still refining, and
+    level 0's call serves the t = 0 node too. After each level's test the
+    converged and failed rows leave the batch, and so does every row after
+    a failed one, so f is never called again for them.
 
     Double precision cannot place an abscissa closer to an endpoint than
     one ulp of it, and next to a singular endpoint abscissas within a few
@@ -155,72 +154,61 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray], np.ndarray], lo: float
     # node's distance d from the end exceeds both the wall (0 at a regular
     # end) and the largest d that rounds onto the end, so that the node's
     # abscissa differs from the end. A level drops every node with unit
-    # distance unit_d <= cut (see _level_nodes): inside the walls, or
-    # within EPS/8 of a regular end, with a factor 2 to spare. The running
-    # total starts at the t = 0 node's term, once f is known there
+    # distance unit_d <= cut (see _level_nodes), half the smaller of those
+    # bounds, so a factor 2 spares the rounding of d. The running total
+    # starts at the t = 0 node's term, once f is known there
     state = np.empty((_STATE_ROWS, n))
     state[_HS2], state[_WHS], state[_ROOT_HS] = 2.0 * hs, 0.5 * math.pi * hs, np.sqrt(hs)
-    state[_CUT] = 0.25 * np.minimum(np.where(walled_hi, dmin_hi, 0.125 * EPS * np.abs(hi)),
-                                    dmin_lo) / hs
     state[_TOTAL], state[_PREV], state[_ERR] = 0.0, math.nan, math.inf
     state[_LIMIT] = 0.01 * tol.abs_tol
     state[_END], state[_END + 1] = hi, lo
     walls = np.where(walled_hi, dmin_hi, 0.0), dmin_lo
     state[_BEYOND:_BEYOND + 2] = np.maximum(walls, _rounds_onto(state[_END:_END + 2], _INWARD))
+    state[_CUT] = 0.5 * np.minimum(state[_BEYOND], state[_BEYOND + 1]) / state[_HS2]
     state[_COMP:_COMP + 2], state[_D_IN:_D_IN + 2], state[_G:_G + 2] = 0.0, math.inf, 0.0
     state[_WALLED], state[_WALLED + 1] = walled_hi, 1.0
     row = np.arange(n)
 
-    swept: list = []  # each level evaluated ahead, as _sweep returns it
     for level in range(_MAX_LEVEL + 1):
-        if not swept and len(row):
-            # one call of f serves the t = 0 node and levels 0-2, then one each level
-            first = level == 0
-            center, swept = _sweep(f, _FIRST_LEVELS if first else (level,), row, state, failed,
-                                   lo + hs if first else None)
-            if first:
-                state[_TOTAL] = state[_WHS] * center  # the t = 0 node's term
-            if failed:
-                row, state, swept = _rows(row, state, swept, np.ones(len(row), dtype=bool), failed)
         if not len(row):
             break
+        first = level == 0
+        center, kept, f_in, fx = _sweep(f, level, row, state, failed,
+                                        lo + hs if first else None)
+        if first:
+            state[_TOTAL] = state[_WHS] * center  # the t = 0 node's term
         total, prev, err, limit = state[_TOTAL], state[_PREV], state[_ERR], state[_LIMIT]
-        # finite terms may sum past the double range; such a row fails below
+        # finite terms may sum past the double range, and a failed row's
+        # terms are not finite; such a row fails below or already has
         with np.errstate(over="ignore", invalid="ignore"):
-            total += _fold(level, *swept.pop(0), state)
-            if level == 0:
-                continue  # level 1 overwrites this estimate before any test reads it
-            completion = state[_ROOT_HS] * state[_COMP:_COMP + 2] * state[_G:_G + 2]
-            estimate = 2.0 ** (-level) * (total + completion[0] + completion[1])
-            if level == 1:
+            total += _fold(level, kept, f_in, fx, state)
+            if level:
+                completion = state[_ROOT_HS] * state[_COMP:_COMP + 2] * state[_G:_G + 2]
+                estimate = 2.0 ** (-level) * (total + completion[0] + completion[1])
+                np.abs(estimate - prev, out=err)  # read from level 2 on
                 prev[:] = estimate
-                continue
-            np.abs(estimate - prev, out=err)
-        finite = np.isfinite(estimate)
-        if not finite.all():
-            for i in row[~finite].tolist():
-                failed[i] = ValueError(f"the quadrature sum overflows on the interval "
-                                       f"({float(lo)!r}, {float(hi[i])!r})")
-        ok = err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(estimate))
-        # a row is done within 1/100 of the tolerance. Within tolerance but
-        # not within that, it refines once more (one extra halving buys ~2
-        # digits at 2x cost): its limit becomes infinite, so the next test
-        # takes it. At the last level, within tolerance is enough
-        done = err <= limit
-        if level == _MAX_LEVEL:
-            done |= ok
-        np.copyto(limit, math.inf, where=ok)
-        prev[:] = estimate
-        out[row] = estimate  # a row that stays overwrites its entry at a later level
-        row, state, swept = _rows(row, state, swept, ~done, failed)
+        done = np.zeros(len(row), dtype=bool)  # no row stops before the test at level 2
+        if level >= 2:
+            for i in row[~np.isfinite(estimate)].tolist():
+                failed.setdefault(i, ValueError(f"the quadrature sum overflows on the interval "
+                                                f"({float(lo)!r}, {float(hi[i])!r})"))
+            ok = err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(estimate))
+            # a row is done within 1/100 of the tolerance. Within tolerance but
+            # not within that, it refines once more (one extra halving buys ~2
+            # digits at 2x cost): its limit becomes infinite, so the next test
+            # takes it. At the last level, within tolerance is enough
+            done = err <= limit
+            if level == _MAX_LEVEL:
+                done |= ok
+            np.copyto(limit, math.inf, where=ok)
+            out[row] = estimate  # a row that stays overwrites its entry at a later level
+        row, state = _rows(row, state, ~done, failed)
     for i, last, err in zip(row.tolist(), *state[_PREV:_ERR + 1].tolist()):
         failed[i] = ConvergenceError("tanh-sinh quadrature did not converge", last, err)
     if failed:
         raise failed[min(failed)]
     return out
 
-
-_FIRST_LEVELS = (0, 1, 2)  # swept in one call: no row can stop before the test at level 2
 
 # The rows of the quadrature's per-row state array: the row scalars 2*hs,
 # (pi/2)*hs, sqrt(hs), cut, running total, previous estimate, error and the
@@ -247,53 +235,50 @@ def _rounds_onto(end: np.ndarray, toward: np.ndarray) -> np.ndarray:
     return np.where(end + np.copysign(half, toward) == end, half, np.nextafter(half, 0.0))
 
 
-def _rows(row: np.ndarray, state: np.ndarray, swept: list, keep: np.ndarray,
-          failed: dict) -> tuple[np.ndarray, np.ndarray, list]:
-    """The indices, state and swept levels of the rows in keep.
+def _rows(row: np.ndarray, state: np.ndarray, keep: np.ndarray,
+          failed: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The indices and state of the rows in keep.
 
-    Rows after a failed one are dropped too: they cannot change what is raised.
+    Failed rows, and the rows after them, are dropped too: they cannot
+    change what is raised.
     """
     if failed:
         keep = keep & (row < min(failed))
     index = keep.nonzero()[0]
     if len(index) == len(row):
-        return row, state, swept
-    return (row.take(index), state.take(index, axis=1),
-            [tuple(a.take(index, axis=-1) for a in level) for level in swept])
+        return row, state
+    return row.take(index), state.take(index, axis=1)
 
 
-def _sweep(f, levels, row: np.ndarray, state: np.ndarray, failed: dict,
-           center=None) -> tuple[np.ndarray, list]:
-    """The new nodes of the given levels on both sides of every row in state, in one call of f.
+def _sweep(f, level: int, row: np.ndarray, state: np.ndarray, failed: dict,
+           center=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The level's new nodes on both sides of every row in state, in one call of f.
 
-    On each side a level's nodes run from the midpoint toward the
+    On each side the level's nodes run from the midpoint toward the
     endpoint; the first whose distance from the end does not exceed the
     side's bound (the wall, or the largest distance that rounds onto the
     end) is dropped with every later one, since distances shrink
-    monotonically along the level. Every kept node of the levels, on every
-    row and both sides, is evaluated in one call of f, at hi - d or lo + d,
-    after center, one abscissa per row (the t = 0 node), where it is
-    given. The arrays run (side, node, row), the levels one after another
-    along the node axis, so every elementwise operation runs along the
-    long row axis.
+    monotonically along the level. Every kept node, on every row and both
+    sides, is evaluated in one call of f, at hi - d or lo + d, after
+    center, one abscissa per row (the t = 0 node), where it is given. The
+    arrays run (side, node, row), so every elementwise operation runs
+    along the long row axis.
 
-    Returns f at center (empty where center is not given) and, per level,
-    the number of kept nodes on each side of each row, f at the innermost
-    of them (any value where there is none), both of shape (2, rows), and
-    f at the level's nodes, 0 past the kept ones, of shape (2, nodes,
-    rows). Enters rows where f is non-finite in failed, with the first such
-    node of the row in (level, side, node) order, center first: the node
-    at which a sweep level by level would fail the row.
+    Returns f at center (empty where center is not given), the number of
+    kept nodes on each side of each row and f at the innermost of them
+    (any value where there is none), both of shape (2, rows), and f at the
+    level's nodes, 0 past the kept ones, of shape (2, nodes, rows). Enters
+    rows where f is non-finite in failed, with the first such node of the
+    row in (side, node) order, center first: the node at which a sweep
+    node by node would fail the row.
     """
     hs2, end, beyond = state[_HS2], state[_END:_END + 2], state[_BEYOND:_BEYOND + 2]
     n = len(row)
-    # from the first node past every row's cut, every node of a level is
+    nodes = _level_nodes(level)
+    # from the first node past every row's cut, every node of the level is
     # dropped; unit_d does not increase along a level, so a search finds it
     cut = -float(state[_CUT].min())
-    unit_d = [nodes.unit_d[:bisect.bisect_left(nodes.search, cut) + 1]
-              for nodes in map(_level_nodes, levels)]
-    stops = list(itertools.accumulate(map(len, unit_d), initial=0))
-    dx = (unit_d[0] if len(unit_d) == 1 else np.concatenate(unit_d))[:, None] * hs2
+    dx = nodes.unit_d[:bisect.bisect_left(nodes.search, cut) + 1, None] * hs2
     x = np.empty((2,) + dx.shape)  # the same distances on both sides, from each end inward
     np.subtract(end[0], dx, out=x[0])
     np.add(end[1], dx, out=x[1])
@@ -303,31 +288,24 @@ def _sweep(f, levels, row: np.ndarray, state: np.ndarray, failed: dict,
     lead = 0 if center is None else n
     values = _evaluate(f, x[todo] if center is None else np.concatenate([center, x[todo]]))
     fx[todo] = values[lead:]
-    swept = []
+    kept = np.add.reduce(todo, axis=1, dtype=np.intp)
     # f at each side's innermost kept node, by flat index into fx: node
-    # a + kept - 1 of the level starting at node a, or the node before the
-    # level where the side keeps none (unused, see _fold)
-    base = np.arange(n) + [[-n], [(len(dx) - 1) * n]]
-    for a, b in zip(stops, stops[1:]):
-        kept = np.add.reduce(todo[:, a:b], axis=1, dtype=np.intp)
-        swept.append((kept, fx.take((kept + a) * n + base), fx[:, a:b]))
+    # kept - 1 of the side, or any node where it keeps none (unused, see _fold)
+    f_in = fx.take(kept * n + (np.arange(n) + [[-n], [(len(dx) - 1) * n]]))
     if not np.isfinite(values).all():
-        # each row's nodes in (level, side, node) order, center first
-        order = [(x[:, a:b].reshape(-1, n), fx[:, a:b].reshape(-1, n))
-                 for a, b in zip(stops, stops[1:])]
+        xs, fxs = x.reshape(-1, n), fx.reshape(-1, n)  # each row's nodes in (side, node) order
         if center is not None:
-            order.insert(0, (center[None], values[None, :n]))
-        xs, fxs = (np.concatenate(c) for c in zip(*order))
+            xs, fxs = np.vstack([center, xs]), np.vstack([values[:n], fxs])
         bad = ~np.isfinite(fxs)
         for r in np.flatnonzero(bad.any(axis=0)).tolist():
             k = int(np.argmax(bad[:, r]))
             failed[int(row[r])] = _non_finite(fxs[k, r], xs[k, r])
-    return values[:lead], swept
+    return values[:lead], kept, f_in, fx
 
 
 def _fold(level: int, kept: np.ndarray, f_in: np.ndarray, fx: np.ndarray,
           state: np.ndarray) -> np.ndarray:
-    """One swept level's kept nodes folded into the rows of state.
+    """One level's kept nodes folded into the rows of state.
 
     kept, f_in and fx are the level's kept-node counts, f at the innermost
     kept nodes and f at its nodes, from _sweep. Adds the unit weight of

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .reissner_nordstrom import BlackHoleParams, mu_of_r, warp_state
-from .warped import WarpState
+from .warped import WarpState, _require_theta
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -64,8 +64,9 @@ def fluid_balance(charge: float, w: WarpState,
     rho = Q^2 f1^2 / (8 pi f2^4) and P = Q^2 / (8 pi f2^4); the nunu,
     thth and phph residuals then vanish identically while the mumu one
     equals Q^2/f2^4 (1 - f1^2) and is returned as-is. A warp state of
-    arrays gives arrays, one entry per point.
+    arrays gives arrays, one entry per point. theta must lie in (0, pi).
     """
+    _require_theta(theta)
     q2 = charge * charge
     f1sq = w.f1 * w.f1
     f2sq = w.f2 * w.f2

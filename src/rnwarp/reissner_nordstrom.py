@@ -28,7 +28,7 @@ from . import calculus, oracle
 from .calculus import DEFAULT_TOL, Interval, Tolerance
 from .errors import DomainError, ExtremalError
 from .oracle import MetricField
-from .warped import RicciDiag, WarpState
+from .warped import RicciDiag, WarpState, _require_theta
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,9 @@ def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> floa
     the improper quadrature converges at the closed endpoints. The
     search starts from the Kepler inverse (_kepler_inverse) and returns it
     when the quadrature agrees to abs_tol, so the root is always decided
-    by mu_of_r. This is the inverse of `rnwarp transform --mu`; the
-    charts and the verification suite use _kepler_inverse directly.
+    by mu_of_r. This is the inverse of `rnwarp transform --mu`; the warped
+    chart and the verification suite solve the Kepler angle themselves
+    (_kepler_angle, _kepler_lift, _kepler_r).
     """
     hp = horizons(p)
 
@@ -201,8 +202,8 @@ def _kepler_inverse(p: BlackHoleParams, mu):
 
     The same function as r_of_mu (the substitution integrates the defining
     quadrature exactly) from three root-finding steps instead of nested
-    quadratures: the r(mu) of the warped chart and of verify, which checks
-    it against mu_of_r.
+    quadratures: r_of_mu's guess, which its root search checks against
+    mu_of_r.
     mu is a float (giving a float), an array or an oracle.Jet (giving one).
     """
     r = _kepler_lift(p.mass, _half_gap(p), mu, _kepler_angle(p, mu))[0]
@@ -329,8 +330,7 @@ def ricci_closed_form(p: BlackHoleParams, r, theta: float) -> RicciDiag:
 
 def _ricci_closed_form(p: BlackHoleParams, r: np.ndarray, n2, theta: float) -> RicciDiag:
     """ricci_closed_form at the checked float array r, from its lapse_squared n2."""
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"theta must lie in (0, pi), got {theta}")
+    _require_theta(theta)
     q2 = p.charge * p.charge
     r2 = r * r
     r_thth = q2 / r2

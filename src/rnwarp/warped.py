@@ -63,14 +63,19 @@ def ricci_from_warps(w: WarpState, theta: float) -> RicciDiag:
     R_thth = f1' f2 f2'/f1 + f2 f2'' + f2'^2 + 1
     R_phph = R_thth sin^2 theta
     """
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"theta must lie in (0, pi), got {theta}")
+    _require_theta(theta)
     r_mumu = -w.f1pp / w.f1 - 2.0 * w.f2pp / w.f2
     r_nunu = 2.0 * w.f1 * w.f1p * w.f2p / w.f2 + w.f1 * w.f1pp
     r_thth = w.f1p * w.f2 * w.f2p / w.f1 + w.f2 * w.f2pp + w.f2p * w.f2p + 1.0
     r_phph = r_thth * math.sin(theta) ** 2
     return RicciDiag(r_mumu, r_nunu, r_thth, r_phph,
                      _ricci_scalar(r_mumu, r_nunu, r_thth, r_phph, theta, w), theta)
+
+
+def _require_theta(theta: float) -> None:
+    """Raise DomainError unless the polar angle theta lies in (0, pi); NaN does not."""
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"theta must lie in (0, pi), got {theta}")
 
 
 def scalar_from_ricci(rd: RicciDiag, w: WarpState) -> float:

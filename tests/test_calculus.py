@@ -414,15 +414,14 @@ class TestBatchedRows:
             integrate_endpoint_singular(f, 0.0, [0.3, 10.0, 1.0], False)
 
     @pytest.mark.parametrize("f, lo, his", CASES)
-    def test_one_call_of_f_for_levels_0_to_2_then_one_a_level(self, f, lo, his):
-        # no row can stop before level 2, so the t = 0 node and levels 0-2
-        # share the first call
+    def test_one_call_of_f_per_level(self, f, lo, his):
+        # level 0's call serves the t = 0 node too
         singular = np.isin(his, self.SINGULAR)
         finest = max(sweep_levels(f, Interval(lo, hi), bool(s))[1] for hi, s in zip(his, singular))
         assert finest >= 3
         calls = []
         integrate_endpoint_singular(lambda x: calls.append(len(x)) or f(x), lo, his, singular)
-        assert len(calls) == finest - 1
+        assert len(calls) == finest + 1
 
     @staticmethod
     def node(lo, hi, level, side, j):
@@ -434,7 +433,7 @@ class TestBatchedRows:
         return hi - d if side == 0 else lo + d
 
     @pytest.mark.parametrize("bad", [
-        [(1, 1, 0), (2, 0, 0)],   # levels 1 and 2 share a call; level 1 comes first
+        [(1, 1, 0), (2, 0, 0)],   # level 1 comes first
         [(2, 1, 0), (2, 0, 3)],   # within a level the hi side comes first
         [(0, 1, 1), (-1, 0, 0)],  # the t = 0 node before level 0
         [(2, 1, 2), (0, 1, 0), (1, 0, 1)],
@@ -460,6 +459,39 @@ class TestBatchedRows:
         assert not caught
         value = math.inf if xs.index(first) % 2 else math.nan
         assert str(exc.value) == f"integrand returned non-finite value {value!r} at x={first!r}"
+
+    @staticmethod
+    def level_abscissas(lo, his, level):
+        """Every abscissa that any node of the level can take on the rows his, on both sides."""
+        seen = set()
+        for hi in his:
+            d = calculus._level_nodes(level).unit_d * (2.0 * (0.5 * (hi - lo)))
+            seen.update((hi - d).tolist() + (lo + d).tolist())
+        return seen
+
+    @pytest.mark.parametrize("f, his, singular, failing_level", [
+        # row 1 is non-finite at a node of level 0 or of level 3
+        (lambda x: np.where(x == TestBatchedRows.node(0.0, 2.0, 0, 1, 1), math.nan, arcsine(x)),
+         [1.5, 2.0, 1.7], True, 0),
+        (lambda x: np.where(x == TestBatchedRows.node(0.0, 2.0, 3, 0, 2), math.inf, arcsine(x)),
+         [1.5, 2.0, 1.7], True, 3),
+        # row 1's sum overflows at the test of level 2, as in test_overflowing_sum_fails_its_row
+        (lambda x: np.exp(-x * 1e-308) + 1.0 / np.sqrt(x), [2.0, 1.7e308, 1.0],
+         [False, False, False], 2),
+    ])
+    def test_a_failed_row_and_every_later_row_leave_the_batch(self, f, his, singular,
+                                                               failing_level):
+        # once row 1 fails, f is never called again at an abscissa of row 1
+        # or row 2, while row 0 refines on
+        calls = []
+        with pytest.raises(ValueError):
+            integrate_endpoint_singular(lambda x: calls.append(x.tolist()) or f(x), 0.0, his,
+                                        singular)
+        later = list(enumerate(calls))[failing_level + 1:]
+        assert later
+        for level, xs in later:
+            assert set(xs) <= self.level_abscissas(0.0, his[:1], level)
+            assert self.level_abscissas(0.0, his[1:], level).isdisjoint(xs)
 
     @pytest.mark.parametrize("lo, his, limit", [(0.0, [np.inf], "hi[0]=inf"),
                                                 (0.0, [1.0, 2.0, np.inf], "hi[2]=inf"),

@@ -509,6 +509,15 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err.startswith("error: guard_fraction must lie in") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["curvature", "fluid", "verify"])
+    @pytest.mark.parametrize("theta", ["nan", "0", "-0.7", "4", "3.141592653589793"])
+    def test_bad_theta(self, capsys, command, theta):
+        # no table of NaN or of a polar angle off the sphere, from any command
+        code, out, err = run(capsys, command, "--mass", "1", "--charge", "0.6",
+                             "--theta", theta)
+        assert (code, out) == (2, "")
+        assert err == f"error: theta must lie in (0, pi), got {float(theta)!r}\n"
+
     @pytest.mark.parametrize("argv", [
         ("horizons", "--grid", "8"), ("horizons", "--guard", "0.7"),
         ("horizons", "--tol", "1e-6"), ("horizons", "--theta", "1"),
