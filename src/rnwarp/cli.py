@@ -181,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"output format (default {fmt})")
         if tol:
             sp.add_argument("--tol", type=float, default=1e-10,
-                            help="absolute and relative tolerance for quadrature and root finding")
+                            help="absolute and relative tolerance for quadrature and root "
+                                 "finding; for the quadrature mu the absolute part is in units "
+                                 "of m")
         return sp
 
     command("horizons", cmd_horizons, "horizon radii and extremal margin", "json")

@@ -110,25 +110,45 @@ def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
     both horizons. F(r_minus) = 0 and F(r_plus) = m*pi. Strictly increasing.
     A float r gives a float; an array of r gives the array of F, from one
     batched quadrature, each entry bit for bit F at that entry alone.
+
+    The quadrature hands the integrand each node's distances a = x - r_minus
+    and b = r_plus - x, so neither horizon's factor is a rounded difference.
+    A row r <= m integrates over (r_minus, r); a row r > m is F(r_plus), the
+    integral over (r_minus, r_plus), minus the one over (r, r_plus). So a
+    horizon is an end of the interval or at least c = (r_plus - r_minus)/2
+    past it, and no row has a near-singular point just outside an end.
+    tol's absolute part is in units of m, so the stop does not depend on the
+    unit of length.
     """
     hp, rs = _require_closed_interior(p, r)
-    rp, rm = hp.r_plus, hp.r_minus
+    rp, rm, m = hp.r_plus, hp.r_minus, p.mass
 
     if rm > 0.0:
-        def integrand(x):
-            return x / np.sqrt((rp - x) * (x - rm))
+        # two roots, not the root of a product, which could overflow
+        def integrand(a, b):
+            return (rm + a) / (np.sqrt(a) * np.sqrt(b))
     else:
-        # the factor x cancels analytically; (rp - x)*x would underflow to
-        # zero at subnormal abscissas next to the r = 0 endpoint
-        def integrand(x):
-            return np.sqrt(x / (rp - x))
+        # r_minus = 0, so x = a, and x/sqrt(a) is sqrt(a)
+        def integrand(a, b):
+            return np.sqrt(a) / np.sqrt(b)
 
-    mu = np.zeros(rs.shape)
-    inner = rs > rm  # F(r_minus) = 0 takes no quadrature
-    if inner.any():
-        # the integrand is singular at r_plus alone among the upper limits
-        mu[inner] = calculus.integrate_endpoint_singular(integrand, rm, rs[inner],
-                                                         rs[inner] >= rp, tol)
+    mu = np.zeros(rs.shape)  # F(r_minus) = 0 takes no quadrature
+    if (rs > rm).any():
+        between = (rm < rs) & (rs < rp)
+        # a row for each r between the horizons, then the row of F(r_plus),
+        # which is r_minus's row taken from above
+        r_rows = np.concatenate([rs[between], [rm]])
+        below = r_rows <= m
+        below[-1] = False
+        # abs_tol in units of m, kept positive where the product underflows
+        abs_tol = max(tol.abs_tol * m, math.ulp(0.0))
+        rows = calculus.integrate_endpoint_singular(
+            integrand, np.where(below, rm, r_rows), np.where(below, r_rows, rp),
+            np.where(below, 0.0, r_rows - rm), np.where(below, rp - r_rows, 0.0),
+            Tolerance(abs_tol, tol.rel_tol))
+        f_plus = rows[-1]
+        mu[between] = np.where(below[:-1], rows[:-1], f_plus - rows[:-1])
+        mu[rs == rp] = f_plus
     return float(mu) if mu.ndim == 0 else mu
 
 

@@ -178,26 +178,12 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     overflows at a polar angle within ~1e-150 of the axis) raises
     ArithmeticError naming the check.
     """
-    th = dict(THRESHOLDS)
     hp = rn.horizons(p)
     grid = np.array(rn.interior_grid(p, grid_points, guard_fraction))
     m, q, c = p.mass, p.charge, rn._half_gap(p)
     n = len(grid)
     checks: list[CheckResult] = []
     notes: list[str] = []
-
-    near_extremal = (m - q) / m < NEAR_EXTREMAL_MARGIN
-    if near_extremal:
-        # the mu quadrature noise floor scales with 1/sqrt(horizon gap), so
-        # a 1e-10 request is unattainable there and would only raise
-        tol = Tolerance(abs_tol=max(tol.abs_tol, 2e-8 * m), rel_tol=tol.rel_tol)
-        # checks whose residual is quadrature error must track the relaxation
-        for name in ("mu_at_outer_horizon", "closed_form_sqrt_vs_quadrature"):
-            th[name] = max(th[name], 2.0 * tol.abs_tol)
-        # roundtrip_inverse is in units of m*pi, so its relaxation is the
-        # same at every mass: 2*pi*abs_tol in mu covers the round trip's
-        # quadrature error, about 4*abs_tol at a gap of 1e-6 of m
-        th["roundtrip_inverse"] = max(th["roundtrip_inverse"], 2.0 * tol.abs_tol / m)
 
     def add(name, residuals) -> float:
         # the largest entry: np.max without its Python-level wrapper, NaN where
@@ -207,7 +193,8 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         if not math.isfinite(residual):
             raise ArithmeticError(f"check {name} has a non-finite residual {residual} "
                                   "at these inputs")
-        checks.append(CheckResult(name, residual, th[name], residual <= th[name]))
+        threshold = THRESHOLDS[name]
+        checks.append(CheckResult(name, residual, threshold, residual <= threshold))
         return residual
 
     # the forward Kepler angle, which both closed-form mu read; the grid
@@ -306,10 +293,8 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         f"mumu fluid balance is not closed by the extracted isotropic pressure: residual "
         f"Q^2/f2^4 (1 - f1^2) = {float(res.mumu[mid]):.6g} at r = {grid[mid]:.6g}; "
         "reported, not failed")
-    if near_extremal:
-        notes.append(
-            f"near-extremal configuration: (m - Q)/m = {(m - q) / m:.3g}; guard band "
-            "absorbs the horizon proximity; quadrature tolerance relaxed to the "
-            f"double-precision noise floor ({2e-8 * m:.1g})")
+    if (m - q) / m < NEAR_EXTREMAL_MARGIN:
+        notes.append(f"near-extremal configuration: (m - Q)/m = {(m - q) / m:.3g}; guard band "
+                     "absorbs the horizon proximity")
 
     return VerifyReport(checks=checks, notes=notes)

@@ -1,3 +1,14 @@
+import os
+
+# The golden files under tests/data are recorded with numpy's SIMD dispatch
+# capped at AVX2 and OpenBLAS's Haswell kernels, which every x86-64-v3 CPU
+# runs; their bits would differ under AVX-512 kernels. Both variables are
+# read when numpy loads, so they are set before anything imports it. A CPU
+# without the disabled features runs as pinned already (numpy may say so in
+# an ImportWarning)
+os.environ["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+os.environ["OPENBLAS_CORETYPE"] = "Haswell"
+
 import math
 
 import pytest

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,125 +16,68 @@ from rnwarp import calculus
 from rnwarp.calculus import (DEFAULT_TOL, EPS, Interval, Tolerance, derivative,
                              find_root_bracketed, integrate_endpoint_singular)
 from rnwarp.errors import BracketError, ConvergenceError
-from rnwarp.reissner_nordstrom import BlackHoleParams, horizons, interior_grid, mu_of_r, \
-    r_of_mu
+from rnwarp.reissner_nordstrom import BlackHoleParams, mu_of_r, r_of_mu
 from rnwarp.verify import THRESHOLDS, run_verification
 
 
-def arcsine(x):
-    return 1.0 / np.sqrt(x * (2.0 - x))
+def arcsine(a, b):
+    """1/sqrt((x - s_lo)(s_hi - x)) from the distances to the singular points."""
+    return 1.0 / (np.sqrt(a) * np.sqrt(b))
 
 
-def integrate(f, iv, singular_hi=True, tol=DEFAULT_TOL):
+def integrate(f, iv, beyond=(0.0, 0.0), tol=DEFAULT_TOL):
     """The quadrature of f over one interval: a batch of one row."""
-    return float(integrate_endpoint_singular(f, iv.lo, [iv.hi], singular_hi, tol)[0])
+    return float(integrate_endpoint_singular(f, iv.lo, [iv.hi], *beyond, tol)[0])
 
 
-def sweep_level(f, iv, level, sides):
-    """One tanh-sinh level's new nodes swept from scratch: every node's
-    transcendentals recomputed, f called at every node, and the trapezoid
-    terms summed by increasing t, the hi side's and then the lo side's.
-    Returns that sum; updates each side's completion weight and innermost
-    node."""
-    pi_2 = 0.5 * math.pi
-    hs = 0.5 * (iv.hi - iv.lo)
-    h = 2.0 ** (-level)
-    for side in sides:
-        side["open"] = True
-        side["terms"] = []
-    j = 1
-    while True:
-        t = j * h
-        es = math.exp(-pi_2 * math.sinh(t))
-        q = es * es
-        d = 2.0 * hs * (q / (1.0 + q))
-        w = hs * pi_2 * (math.cosh(t) * 4.0 * q / ((1.0 + q) * (1.0 + q)))
-        if w == 0.0 and d == 0.0:
-            level_sum = 0.0
-            for side in sides:
-                for term in side["terms"]:
-                    level_sum += term
-            return level_sum
-        wk = pi_2 * math.cosh(t) * 2.0 * math.sqrt(2.0 * hs) * es / (1.0 + q) ** 1.5
-        for side in sides:
-            # the side stops at the first node inside the wall or on the end
-            end = side["end"]
-            x = end + side["sign"] * d
-            if side["open"] and x != end and d > side["dmin"]:
-                fx = f(x)
-                side["terms"].append(w * fx)
-                if d < side["d"]:
-                    side["d"], side["g"] = d, fx * math.sqrt(d)
-            else:
-                side["open"] = False
-            if not side["open"] and side["walled"]:
-                side["comp"] += wk
-        j += 1 if level == 0 else 2
+def recorded(f, seen):
+    """f, appending each call's distance arrays to seen."""
+    def g(a, b):
+        seen.append((a.copy(), b.copy()))
+        return f(a, b)
+    return g
 
 
-def sweep_levels(f, iv, singular_hi=True, tol=DEFAULT_TOL):
-    """sweep_level level by level into a running total, under the
-    convergence rule of integrate_endpoint_singular: the estimate and the
-    finest level it took. The reference that integrate_endpoint_singular
-    must reproduce. The lower end and a singular or zero upper end are
-    walled; a regular upper end is swept until abscissas round onto it."""
-    lo, hi = iv.lo, iv.hi
-    hs = 0.5 * (hi - lo)
-    walled_hi = singular_hi or hi == 0.0
-    sides = [{"end": hi, "sign": -1.0, "walled": walled_hi,
-              "dmin": min(16384.0 * EPS * (abs(hi) if hi != 0.0 else hs), 0.05 * hs)
-              if walled_hi else 0.0},
-             {"end": lo, "sign": 1.0, "walled": True,
-              "dmin": min(16384.0 * EPS * (abs(lo) if lo != 0.0 else hs), 0.05 * hs)}]
-    for side in sides:
-        side.update(comp=0.0, g=0.0, d=math.inf)
-    total = 0.5 * math.pi * hs * f(lo + hs)
-    prev = math.nan
-    refine_once = False
-    for level in range(13):
-        total += sweep_level(f, iv, level, sides)
-        estimate = 2.0 ** (-level) * (total + sides[0]["comp"] * sides[0]["g"]
-                                      + sides[1]["comp"] * sides[1]["g"])
-        if refine_once:
-            return estimate, level
-        if level >= 2:
-            err = abs(estimate - prev)
-            if err <= max(tol.abs_tol, tol.rel_tol * abs(estimate)):
-                if err <= 0.01 * tol.abs_tol or level == 12:
-                    return estimate, level
-                refine_once = True
-        prev = estimate
-    raise ConvergenceError("reference did not converge", prev, err)
+def pairs(seen):
+    """The distance pairs of the recorded calls, as one sorted structured array."""
+    a, b = (np.concatenate(d) if d else np.empty(0) for d in zip(*seen))
+    out = np.empty(len(a), dtype=[("a", float), ("b", float)])
+    out["a"], out["b"] = a, b
+    return np.sort(out)
 
 
-def sweep_reference(f, iv, singular_hi=True, tol=DEFAULT_TOL):
-    return sweep_levels(f, iv, singular_hi, tol)[0]
+def ulps(got, want):
+    return abs(got - want) / math.ulp(want)
 
 
 class TestIntegrate:
     def test_arcsine_kernel(self):
-        # exact arcsine integral, singular at both ends
-        got = integrate(arcsine, Interval(0.0, 2.0))
-        assert got == pytest.approx(math.pi, abs=1e-9)
+        # singular at both ends: the integral is pi
+        assert ulps(integrate(arcsine, Interval(0.0, 2.0)), math.pi) <= 1.0
 
     def test_weighted_arcsine_kernel(self):
-        # oracle: substituting x = 1 - cos(phi) turns the integrand into
+        # x/sqrt((2 - x) x) over (0, 2): x = 1 - cos(phi) turns it into
         # (1 - cos phi) d phi over (0, pi), which integrates to pi exactly
-        got = integrate(lambda x: x / np.sqrt((2.0 - x) * x), Interval(0.0, 2.0))
-        assert got == pytest.approx(math.pi, abs=1e-9)
+        f = lambda a, b: a / (np.sqrt(a) * np.sqrt(b))  # noqa: E731
+        assert ulps(integrate(f, Interval(0.0, 2.0)), math.pi) <= 1.0
 
     def test_constant(self):
-        got = integrate(np.ones_like, Interval(0.0, 1.0), singular_hi=False)
-        assert got == pytest.approx(1.0, abs=1e-11)
+        assert ulps(integrate(lambda a, b: np.ones_like(a), Interval(0.0, 1.0)), 1.0) <= 1.0
 
     def test_single_sided_singularity(self):
         # integral of 1/sqrt(x) over (0, 1) is 2
-        got = integrate(lambda x: 1.0 / np.sqrt(x), Interval(0.0, 1.0), singular_hi=False)
-        assert got == pytest.approx(2.0, abs=1e-9)
+        assert ulps(integrate(lambda a, b: 1.0 / np.sqrt(a), Interval(0.0, 1.0)), 2.0) <= 1.0
 
     def test_smooth_integrand(self):
-        got = integrate(np.sin, Interval(0.0, math.pi), singular_hi=False)
-        assert got == pytest.approx(2.0, abs=1e-12)
+        got = integrate(lambda a, b: np.sin(a), Interval(0.0, math.pi))
+        assert ulps(got, 2.0) <= 2.0
+
+    @pytest.mark.parametrize("order, want", [(0.5, 2.0), (0.75, 4.0), (0.9, 10.0), (0.95, 20.0)])
+    def test_endpoint_orders_up_to_nearly_nonintegrable(self, order, want):
+        # x^-order over (0, 1) is 1/(1 - order): each node's distance from
+        # the end is exact, so orders past the inverse square root converge
+        # to a few ulps too
+        assert ulps(integrate(lambda a, b: a ** -order, Interval(0.0, 1.0)), want) <= 16.0
 
     def test_deterministic(self):
         vals = {integrate(arcsine, Interval(0.0, 2.0)) for _ in range(3)}
@@ -142,10 +86,11 @@ class TestIntegrate:
     @given(st.floats(min_value=0.05, max_value=1.95))
     @settings(max_examples=20)
     def test_additive_over_subintervals(self, split):
+        # each part keeps the other end's singular point, past its own end
         whole = integrate(arcsine, Interval(0.0, 2.0))
-        left = integrate(arcsine, Interval(0.0, split), singular_hi=False)
-        right = integrate(arcsine, Interval(split, 2.0))
-        assert abs(left + right - whole) <= 2.0 * DEFAULT_TOL.abs_tol + 1e-12
+        left = integrate(arcsine, Interval(0.0, split), (0.0, 2.0 - split))
+        right = integrate(arcsine, Interval(split, 2.0), (split, 0.0))
+        assert abs(left + right - whole) <= 4 * math.ulp(math.pi)
 
     @given(a=st.floats(min_value=-3.0, max_value=1.0),
            width=st.floats(min_value=0.2, max_value=5.0),
@@ -156,99 +101,86 @@ class TestIntegrate:
         # integral of c1/sqrt((b-x)(x-a)) + c2 over (a, b) is c1*pi + c2*(b-a)
         b = a + width
 
-        def f(x):
-            return c1 / np.sqrt((b - x) * (x - a)) + c2
+        def f(da, db):
+            return c1 * arcsine(da, db) + c2
 
         got = integrate(f, Interval(a, b))
-        want = c1 * math.pi + c2 * width
-        assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+        want = c1 * math.pi + c2 * (b - a)
+        assert abs(got - want) <= 8 * EPS * max(1.0, abs(c1) * math.pi + abs(c2) * width)
 
-    def test_zero_endpoint_stops_where_terms_vanish(self):
-        # an endpoint at 0 gets a wall scaled by the half-span, so no node
-        # comes near the subnormal range
-        seen = []
+    @given(s=st.floats(min_value=-1.0, max_value=1.0),
+           gaps=st.lists(st.floats(min_value=1e-300, max_value=10.0), min_size=3, max_size=3))
+    @settings(max_examples=40)
+    def test_singular_points_past_both_ends(self, s, gaps):
+        # dx/sqrt((x - s)(t - x)) over (lo, hi), s <= lo < hi <= t, is
+        # asin((2x - s - t)/(t - s)) between lo and hi; here the singular
+        # points sit from 1e-300 to 10 past the ends
+        lo_gap, width, hi_gap = gaps
+        lo = s + lo_gap
+        hi = lo + width
+        t = hi + hi_gap
+        if not (s < lo < hi < t):
+            return
+        beyond = (lo - s, t - hi)
+        got = integrate(arcsine, Interval(lo, hi), beyond)
+        # the exact integral between the singular points the quadrature sees,
+        # lo - (lo - s) and hi + (t - hi) as the doubles pass them
+        mpmath.mp.dps = 50
+        s_, t_ = mpmath.mpf(lo) - mpmath.mpf(beyond[0]), mpmath.mpf(hi) + mpmath.mpf(beyond[1])
 
-        def f(x):
-            seen.extend(x.tolist())
-            return np.sqrt(x)
+        def angle(x):
+            return mpmath.asin((2 * mpmath.mpf(x) - s_ - t_) / (t_ - s_))
 
-        got = integrate(f, Interval(0.0, 1.0), singular_hi=False)
-        assert got == pytest.approx(2.0 / 3.0, abs=1e-10)
-        assert min(seen) > 1e-100
+        assert abs(got - float(angle(hi) - angle(lo))) <= 8 * EPS * math.pi
+
+    def test_zero_width_rounding_leaves_the_row_at_zero(self):
+        # hi - lo = 5e-324: every node's distance from the nearer end rounds
+        # to 0, so no node reaches f and the row integrates to 0
+        calls = []
+        got = integrate_endpoint_singular(recorded(arcsine, calls), 0.0, [5e-324])
+        assert got.tolist() == [0.0]
+        assert len(pairs(calls)) == 0
+
+    @pytest.mark.parametrize("order", [1.0, 0.99])
+    def test_nonintegrable_singularity_rejected(self, order):
+        # the mesh ends at t ~ 6; a singularity whose terms are still
+        # visible at its outermost nodes is refused after the first level
+        calls = []
+        with pytest.raises(ConvergenceError, match="too singular at an end"):
+            integrate(recorded(lambda a, b: a ** -order, calls), Interval(0.0, 1.0))
+        assert len(calls) == 1
 
     def test_discontinuous_integrand_fails_to_converge(self):
         # violates the continuity precondition; refinement stalls and the
         # error must carry the running estimate and bound
         with pytest.raises(ConvergenceError) as exc:
-            integrate(lambda x: np.where(x < 0.37, 1.0, 0.0), Interval(0.0, 1.0), False)
+            integrate(lambda a, b: np.where(a < 0.37, 1.0, 0.0), Interval(0.0, 1.0))
         assert exc.value.estimate == pytest.approx(0.37, abs=0.01)
         assert exc.value.error_bound > 0.0
 
-    @pytest.mark.parametrize("pole, iv", [(0.0, Interval(0.0, 1.0)), (0.5, Interval(0.5, 1.5))],
-                             ids=["end_at_0", "end_off_0"])
-    def test_nonintegrable_singularity_rejected(self, pole, iv):
-        # a wall keeps the nodes off a 1/x pole at either kind of end, so
-        # the integrand stays finite, and the inverse-square-root completion
-        # cannot make the levels agree
-        with pytest.raises(ConvergenceError):
-            integrate(lambda x: 1.0 / (x - pole), iv, singular_hi=False)
-
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            integrate(lambda x: np.full_like(x, math.nan), Interval(0.0, 1.0))
+            integrate(lambda a, b: np.full_like(a, math.nan), Interval(0.0, 1.0))
 
-    @pytest.mark.parametrize("f, iv", [
-        (arcsine, Interval(0.0, 2.0)),
-        (lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0)),
-        # stalls, so every level up to the finest is evaluated; the interval
-        # keeps clear of zero, where distinct subnormal abscissas round
-        # together, and both ends are walled: the finest levels' nodes
-        # within a few hundred ulps of an unwalled end round together too
-        (lambda x: np.where(x < 0.87, 1.0, 0.0), Interval(0.5, 1.5)),
+    @pytest.mark.parametrize("f, iv, tol", [
+        (arcsine, Interval(0.0, 2.0), DEFAULT_TOL),
+        (lambda a, b: (0.2 + a) / (np.sqrt(a) * np.sqrt(b)), Interval(0.2, 1.8), DEFAULT_TOL),
+        # x^(-1/2) + cos x over (0, 3) at a tight tolerance, where the
+        # abscissas of the walled quadrature repeated 532 of 24632 values
+        (lambda a, b: 1.0 / np.sqrt(a) + np.cos(a), Interval(0.0, 3.0), Tolerance(1e-15, 1e-15)),
+        # stalls, so every level up to the finest is evaluated
+        (lambda a, b: np.where(a < 0.37, 1.0, 0.0), Interval(0.5, 1.5), DEFAULT_TOL),
     ])
-    def test_each_abscissa_evaluated_once(self, f, iv):
+    def test_each_distance_pair_evaluated_once(self, f, iv, tol):
         seen = []
-
-        def recording(x):
-            seen.extend(x.tolist())
-            return f(x)
-
         try:
-            integrate(recording, iv)
+            integrate(recorded(f, seen), iv, tol=tol)
         except ConvergenceError:
             pass
-        assert len(seen) > 50
-        assert len(set(seen)) == len(seen)
-
-    @pytest.mark.parametrize("split", [0.05, 0.3, 0.7, 1.0, 1.3, 1.95])
-    def test_reproduces_level_sweeps_bit_for_bit(self, split):
-        # a wall and completion at a regular end are harmless, so the
-        # intervals with a regular upper end are swept both ways
-        for f, iv in [(arcsine, Interval(0.0, split)), (arcsine, Interval(split, 2.0)),
-                      (lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)),
-                       Interval(0.2, 0.2 + 0.8 * split)),
-                      (np.sin, Interval(-split, 2.0 * split))]:
-            for singular_hi in ((True,) if iv.hi == 2.0 else (False, True)):
-                assert integrate(f, iv, singular_hi) == sweep_reference(f, iv, singular_hi)
-
-    @given(a=st.floats(min_value=-1e3, max_value=1e3),
-           rel_width=st.floats(min_value=1e-12, max_value=10.0),
-           c=st.floats(min_value=0.0, max_value=2.0))
-    def test_agrees_with_level_sweeps_to_rounding(self, a, rel_width, c):
-        # the wall completion is summed in another order than the
-        # reference's, which moves the last bits where it carries a sizable
-        # share of the integral: on intervals narrow next to |a|
-        b = a + max(abs(a), 1.0) * rel_width
-
-        def f(x):
-            return 1.0 / (np.sqrt(b - x) * np.sqrt(x - a)) + c
-
-        try:
-            want = sweep_reference(f, Interval(a, b))
-        except ConvergenceError:
-            return
-        assert integrate(f, Interval(a, b)) == pytest.approx(
-            want, rel=64 * EPS, abs=0.0)
+        got = pairs(seen)
+        assert len(got) > 50
+        assert len(np.unique(got)) == len(got)
+        assert (got["a"] > 0.0).all() and (got["b"] > 0.0).all()
 
     def test_result_independent_of_node_table_history(self):
         # a fresh process builds only the levels this call needs; here the
@@ -256,15 +188,16 @@ class TestIntegrate:
         code = ("import numpy as np\n"
                 "from rnwarp.calculus import integrate_endpoint_singular\n"
                 "print(float(integrate_endpoint_singular("
-                "lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), 0.2, [1.0], False)[0]).hex())")
+                "lambda a, b: (0.2 + a) / (np.sqrt(a) * np.sqrt(b)), 0.2, [1.0], 0.0, 0.8)[0])"
+                ".hex())")
         src = os.path.dirname(os.path.dirname(rnwarp.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                capture_output=True, text=True).stdout.strip()
         with pytest.raises(ConvergenceError):
-            integrate(lambda x: np.where(x < 0.37, 1.0, 0.0), Interval(0.0, 1.0))
-        here = integrate(lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), Interval(0.2, 1.0),
-                         singular_hi=False)
+            integrate(lambda a, b: np.where(a < 0.37, 1.0, 0.0), Interval(0.0, 1.0))
+        here = integrate(lambda a, b: (0.2 + a) / (np.sqrt(a) * np.sqrt(b)),
+                         Interval(0.2, 1.0), (0.0, 0.8))
         assert here.hex() == fresh
 
     def test_interval_must_be_ordered(self):
@@ -273,312 +206,263 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
 
-    def test_rounding_bound_is_the_last_distance_that_rounds_onto_the_end(self):
-        # a node at distance d from an end is dropped where end -+ d rounds
-        # onto the end, which _rounds_onto turns into d <= bound: zeros,
-        # subnormals, binade edges (where the gap differs on the two sides),
-        # even and odd significands, both signs
-        ends = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.0, -1.0, 1.0 + EPS, 2.0, 0.75,
-                -3.0 + 4 * EPS, 1e300, -1.7e308, 1.7e308, 2.0 ** -1021 + 5e-324]
-        ends += np.random.default_rng(5).normal(size=200).tolist()
-        ends = np.array(ends)
-        for toward, step in ((-math.inf, np.subtract), (math.inf, np.add)):
-            bound = calculus._rounds_onto(ends, toward)
-            assert (step(ends, bound) == ends).all()
-            assert (step(ends, np.nextafter(bound, math.inf)) != ends).all()
+
+def inverse_sqrt_neg(a, b):
+    return 1.0 / np.sqrt(b)
 
 
-def inverse_sqrt_neg(x):
-    return 1.0 / np.sqrt(-x)
+def kepler(x):
+    """The coordinate map's antiderivative m*phi - c*sin(phi) at m = 1, c = 0.8."""
+    phi = 2.0 * math.asin(math.sqrt((x - 0.2) / 1.6))
+    return phi - 0.8 * math.sin(phi)
 
 
 class TestBatchedRows:
-    """integrate_endpoint_singular on many upper limits: each row as if alone."""
+    """integrate_endpoint_singular on many intervals: each row as if alone."""
 
-    # (integrand, lower limit, upper limits): ends at 0 (walls scaled by
-    # the half-span, below or above), ends away from 0, a smooth
-    # integrand, intervals from microscopic to wide
+    # (integrand, lower limit, upper limits, the singular points below and
+    # above every row, the antiderivative): an integrand singular at both
+    # ends, at the lower end alone, at an upper end of 0, the coordinate
+    # map's integrand, and a smooth one; intervals from microscopic to wide
     CASES = [
-        (arcsine, 0.0, [2.0, 1.5, 1e-3, 0.3, 1.999, 1e-9, 1.0]),
-        (lambda x: 1.0 / np.sqrt(x), 0.0, [1.0, 1e-6, 30.0, 0.5]),
-        (inverse_sqrt_neg, -1.0, [-0.5, 0.0, -1e-3, -0.999]),
-        (lambda x: x / np.sqrt((1.8 - x) * (x - 0.2)), 0.2, [1.8, 1.0, 0.2000001, 1.79, 0.9]),
-        (np.sin, -0.7, [2.1, -0.6, 0.0, 1e3 * EPS, 0.4]),
+        (arcsine, 0.0, [2.0, 1.5, 1e-3, 0.3, 1.999, 1e-9, 1.0], 0.0, 2.0,
+         lambda x: 2.0 * math.asin(math.sqrt(0.5 * x))),
+        (lambda a, b: 1.0 / np.sqrt(a), 0.0, [1.0, 1e-6, 30.0, 0.5], 0.0, 30.0,
+         lambda x: 2.0 * math.sqrt(x)),
+        (inverse_sqrt_neg, -1.0, [-0.5, 0.0, -1e-3, -0.999], -1.0, 0.0,
+         lambda x: -2.0 * math.sqrt(-x)),
+        (lambda a, b: (0.2 + a) / (np.sqrt(a) * np.sqrt(b)), 0.2,
+         [1.8, 1.0, 0.2000001, 1.79, 0.9], 0.2, 1.8, lambda x: kepler(x)),
+        (lambda a, b: np.sin(a - 0.7), -0.7, [2.1, -0.6, 0.0, 1e3 * EPS, 0.4], -0.7, 2.1,
+         lambda x: -math.cos(x)),
     ]
-    # upper limits flagged singular, so that regular and singular upper
-    # ends share a batch: where a case's integrand is singular (2, 0 and
-    # 1.8; an end at 0 is walled whatever its flag), and 30, where
-    # 1/sqrt(x) is regular but walled (harmless) so that its rows do not
-    # all converge at one level
-    SINGULAR = [2.0, 0.0, 1.8, 30.0]
 
-    @pytest.mark.parametrize("f, lo, his", CASES)
-    def test_each_row_reproduces_its_level_sweep(self, f, lo, his):
-        singular = np.isin(his, self.SINGULAR)
-        got = integrate_endpoint_singular(f, lo, his, singular)
-        want = [sweep_levels(f, Interval(lo, hi), bool(s)) for hi, s in zip(his, singular)]
-        assert got.tolist() == [w for w, _ in want]
-        assert len({level for _, level in want}) > 1  # rows converge at different levels
-
-    @pytest.mark.parametrize("f, lo, his", CASES)
-    def test_row_independent_of_the_rest_of_the_batch(self, f, lo, his):
+    @staticmethod
+    def batch(f, lo, his, s_lo, s_hi, tol=DEFAULT_TOL):
         his = np.array(his)
-        singular = np.isin(his, self.SINGULAR)
-        whole = integrate_endpoint_singular(f, lo, his, singular)
+        return integrate_endpoint_singular(f, lo, his, lo - s_lo, s_hi - his, tol)
+
+    @pytest.mark.parametrize("f, lo, his, s_lo, s_hi, antiderivative", CASES)
+    def test_each_row_within_budget_of_its_antiderivative(self, f, lo, his, s_lo, s_hi,
+                                                          antiderivative):
+        got = self.batch(f, lo, his, s_lo, s_hi)
+        for hi, value in zip(his, got.tolist()):
+            want = antiderivative(hi) - antiderivative(lo)
+            assert abs(value - want) <= 8 * EPS * max(1.0, abs(want)), hi
+
+    @pytest.mark.parametrize("f, lo, his, s_lo, s_hi, antiderivative", CASES + [
+        # a kink stalls the rows until the last level, whose 25032 nodes a
+        # row numpy sums in blocks
+        (lambda a, b: np.sqrt(np.abs(a - 0.37)), 0.0, [1.0, 0.9, 1.1, 0.5, 2.0], 0.0, 2.0,
+         None),
+    ])
+    def test_row_independent_of_the_rest_of_the_batch(self, f, lo, his, s_lo, s_hi,
+                                                      antiderivative):
+        tol = DEFAULT_TOL if antiderivative else Tolerance(1e-6, 1e-6)
+        his = np.array(his)
+        seen = []
+        whole = self.batch(recorded(f, seen), lo, his, s_lo, s_hi, tol)
         order = np.random.default_rng(1).permutation(len(his))
-        shuffled = integrate_endpoint_singular(f, lo, his[order], singular[order])
+        shuffled = self.batch(f, lo, his[order], s_lo, s_hi, tol)
         assert shuffled.tobytes() == whole[order].tobytes()
-        alone = [integrate_endpoint_singular(f, lo, [hi], s)[0] for hi, s in zip(his, singular)]
+        alone, seen_alone = [], []
+        for hi in his:
+            alone.append(self.batch(recorded(f, seen_alone), lo, [hi], s_lo, s_hi, tol)[0])
         assert np.array(alone).tobytes() == whole.tobytes()
+        # the batch evaluates the multiset union of its rows' own nodes
+        assert pairs(seen).tobytes() == pairs(seen_alone).tobytes()
 
-    def test_each_row_sums_its_terms_node_by_node(self):
-        # at level 5 each side of these rows keeps dozens of terms, and a
-        # pairwise sum of more than 8 terms rounds differently from the
-        # reference's sequential one: a row alone sums one column, a batch
-        # of rows that reach the same level sums across columns
-        def f(x):
-            return np.cos(7.0 * x) / np.sqrt(x * (2.0 - x))
-
-        want = [sweep_levels(f, Interval(0.0, hi)) for hi in (2.0, 1.7)]
-        assert [level for _, level in want] == [5, 5]
-        assert integrate(f, Interval(0.0, 2.0)) == want[0][0]
-        assert integrate_endpoint_singular(f, 0.0, [2.0, 1.7], True).tolist() == \
-            [w for w, _ in want]
-
-    def test_mixed_tolerance_rows_reproduce_their_sweeps(self):
-        # a loose tolerance lets rows stop after the refine-once level or at once
-        tol = Tolerance(1e-6, 1e-6)
-        his = [2.0, 0.1, 1.0, 1.99999]
-        singular = [hi == 2.0 for hi in his]
-        got = integrate_endpoint_singular(arcsine, 0.0, his, singular, tol)
-        assert got.tolist() == [sweep_reference(arcsine, Interval(0.0, hi), s, tol)
-                                for hi, s in zip(his, singular)]
-
-    @staticmethod
-    def batch_abscissas(f, lo, his, singular, tol=DEFAULT_TOL):
-        """Every abscissa the batch passes to f, sorted."""
-        seen = []
-        integrate_endpoint_singular(lambda x: seen.append(x.copy()) or f(x), lo, his, singular,
-                                    tol)
-        return np.sort(np.concatenate(seen))
-
-    @staticmethod
-    def swept_abscissas(f, lo, his, singular, tol=DEFAULT_TOL):
-        """Every abscissa the level sweeps of the rows, one by one, evaluate, sorted."""
-        seen = []
-
-        def recording(x):
-            seen.append(float(x))
-            return f(x)
-
-        for hi, s in zip(his, singular):
-            sweep_levels(recording, Interval(lo, float(hi)), bool(s), tol)
-        return np.sort(seen)
-
-    def test_each_row_evaluated_once_per_abscissa(self):
-        # the batch evaluates the multiset union of its rows' own nodes: no
-        # node twice, none past a row's kept ones, none of a level a row
-        # does not reach
-        his, singular = [2.0, 1.0, 0.5, 1.0], [True, False, False, False]
-        got = self.batch_abscissas(arcsine, 0.0, his, singular)
-        assert got.tobytes() == self.swept_abscissas(arcsine, 0.0, his, singular).tobytes()
-        assert len(np.unique(got)) < len(got)  # the repeated row's nodes, twice
-
-    @pytest.mark.parametrize("charge, count", [(0.6, 15808), (0.0, 14694)])
-    def test_verify_batch_evaluates_exactly_its_rows_nodes(self, monkeypatch, charge, count):
-        # verify's one call of 165 rows: 64 grid points, r_plus and 100
-        # round-trip samples, walled at r_plus alone (and at r_minus = 0)
+    def test_verify_batch_evaluates_exactly_its_rows_nodes(self, monkeypatch):
+        # verify's one call of 165 rows: 64 grid points, 100 round-trip
+        # samples and the row of F(r_plus)
         calls = []
 
-        def recording(f, lo, hi, singular_hi, tol=DEFAULT_TOL):
-            calls.append((f, lo, np.array(hi), np.array(singular_hi), tol))
-            return integrate_endpoint_singular(f, lo, hi, singular_hi, tol)
+        def recording(*args):
+            calls.append(args)
+            return integrate_endpoint_singular(*args)
 
         monkeypatch.setattr(calculus, "integrate_endpoint_singular", recording)
-        run_verification(BlackHoleParams(1.0, charge), 64)
-        (f, lo, his, singular, tol), = calls
-        assert len(his) == 165
-        got = self.batch_abscissas(f, lo, his, singular, tol)
-        assert len(got) == count
-        assert got.tobytes() == self.swept_abscissas(f, lo, his, singular, tol).tobytes()
+        run_verification(BlackHoleParams(1.0, 0.6), 64)
+        (f, lo, hi, beyond_lo, beyond_hi, tol), = calls
+        assert len(hi) == 165
+        seen, seen_alone = [], []
+        integrate_endpoint_singular(recorded(f, seen), lo, hi, beyond_lo, beyond_hi, tol)
+        for row in zip(lo, hi, beyond_lo, beyond_hi):
+            integrate_endpoint_singular(recorded(f, seen_alone), *([v] for v in row), tol)
+        got = pairs(seen)
+        assert len(got) == 17181
+        assert got.tobytes() == pairs(seen_alone).tobytes()
 
     def test_first_failing_row_decides_the_error(self):
         # a row stalls (ConvergenceError), another returns NaN (ValueError):
         # the earlier row's error is raised, as a loop over the rows would
-        def f(x):
-            return np.where(x > 5.0, np.nan, np.where(x < 0.37, 1.0, 0.0))
+        def f(a, b):
+            return np.where(a > 5.0, np.nan, np.where(a < 0.37, 1.0, 0.0))
 
         with pytest.raises(ConvergenceError):
-            integrate_endpoint_singular(f, 0.0, [0.3, 1.0, 10.0], False)
+            integrate_endpoint_singular(f, 0.0, [0.3, 1.0, 10.0])
         with pytest.raises(ValueError, match="non-finite"):
-            integrate_endpoint_singular(f, 0.0, [0.3, 10.0, 1.0], False)
+            integrate_endpoint_singular(f, 0.0, [0.3, 10.0, 1.0])
 
-    @pytest.mark.parametrize("f, lo, his", CASES)
-    def test_one_call_of_f_per_level(self, f, lo, his):
-        # level 0's call serves the t = 0 node too
-        singular = np.isin(his, self.SINGULAR)
-        finest = max(sweep_levels(f, Interval(lo, hi), bool(s))[1] for hi, s in zip(his, singular))
-        assert finest >= 3
+    @pytest.mark.parametrize("f, lo, his, s_lo, s_hi, antiderivative", CASES)
+    def test_one_call_of_f_per_level(self, f, lo, his, s_lo, s_hi, antiderivative):
+        # the batch calls f once a level; call k holds level k's nodes of
+        # every row that reaches level k, and a row alone takes one call a
+        # level up to the level where it stops
+        levels = []
+        for hi in his:
+            calls = []
+            self.batch(recorded(f, calls), lo, [hi], s_lo, s_hi)
+            levels.append(len(calls))
+        assert max(levels) >= 4
         calls = []
-        integrate_endpoint_singular(lambda x: calls.append(len(x)) or f(x), lo, his, singular)
-        assert len(calls) == finest + 1
+        self.batch(recorded(f, calls), lo, his, s_lo, s_hi)
+        assert len(calls) == max(levels)
+        for k, (a, _) in enumerate(calls):
+            assert len(a) == len(calculus._level_nodes(k).to_lo) * sum(n > k for n in levels)
 
     @staticmethod
-    def node(lo, hi, level, side, j):
-        """Abscissa of node j of a level on the hi (0) or lo (1) side; level -1 is t = 0."""
-        hs = 0.5 * (hi - lo)
-        if level < 0:
-            return lo + hs
-        d = float(calculus._level_nodes(level)[0][j]) * (2.0 * hs)
-        return hi - d if side == 0 else lo + d
+    def node(width, level, j):
+        """Distances of node j of a level from the lo and hi ends of a row of width."""
+        nodes = calculus._level_nodes(level)
+        return float(nodes.to_lo[j] * width), float(nodes.to_hi[j] * width)
 
     @pytest.mark.parametrize("bad", [
-        [(1, 1, 0), (2, 0, 0)],   # level 1 comes first
-        [(2, 1, 0), (2, 0, 3)],   # within a level the hi side comes first
-        [(0, 1, 1), (-1, 0, 0)],  # the t = 0 node before level 0
-        [(2, 1, 2), (0, 1, 0), (1, 0, 1)],
+        [(1, 1), (2, 0)],    # level 1 comes first
+        [(2, 14), (2, 3)],   # within a level the hi side comes first
+        [(0, 8), (0, 0)],    # the t = 0 node first
+        [(2, 13), (0, 7), (1, 2)],
     ])
-    def test_first_bad_node_in_level_side_node_order_is_raised(self, bad):
-        # row 1 of three is non-finite at several nodes of the first call:
-        # the error names its first bad node, as a sweep level by level
-        # would meet it, and no RuntimeWarning is raised on the way
+    def test_first_bad_node_in_level_node_order_is_raised(self, bad):
+        # row 1 of three is non-finite at several nodes: the error names its
+        # first bad node in (level, node) order, and no RuntimeWarning is
+        # raised on the way
         his = [1.5, 2.0, 1.7]
-        xs = [self.node(0.0, 2.0, *b) for b in bad]
-        first = xs[bad.index(min(bad))]
+        pairs_bad = [self.node(2.0, *b) for b in bad]
+        first = pairs_bad[bad.index(min(bad))]
 
-        def f(x):
-            out = arcsine(x)
-            for k, bad_x in enumerate(xs):
-                out = np.where(x == bad_x, math.inf if k % 2 else math.nan, out)
+        def f(a, b):
+            out = arcsine(a, b)
+            for k, (bad_a, bad_b) in enumerate(pairs_bad):
+                out = np.where((a == bad_a) & (b == bad_b), math.inf if k % 2 else math.nan, out)
             return out
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError) as exc:
-                integrate_endpoint_singular(f, 0.0, his, True)
+                integrate_endpoint_singular(f, 0.0, his)
         assert not caught
-        value = math.inf if xs.index(first) % 2 else math.nan
-        assert str(exc.value) == f"integrand returned non-finite value {value!r} at x={first!r}"
+        value = math.inf if pairs_bad.index(first) % 2 else math.nan
+        assert str(exc.value) == (f"integrand returned non-finite value {value!r} at distances "
+                                  f"a={first[0]!r}, b={first[1]!r} from the singular points")
 
     @staticmethod
-    def level_abscissas(lo, his, level):
-        """Every abscissa that any node of the level can take on the rows his, on both sides."""
-        seen = set()
-        for hi in his:
-            d = calculus._level_nodes(level).unit_d * (2.0 * (0.5 * (hi - lo)))
-            seen.update((hi - d).tolist() + (lo + d).tolist())
-        return seen
+    def level_pairs(his, level):
+        """Every distance pair that a node of the level takes on the rows his (lo = 0)."""
+        nodes = calculus._level_nodes(level)
+        return {(float(a), float(b)) for hi in his
+                for a, b in zip(nodes.to_lo * hi, nodes.to_hi * hi)}
 
-    @pytest.mark.parametrize("f, his, singular, failing_level", [
-        # row 1 is non-finite at a node of level 0 or of level 3
-        (lambda x: np.where(x == TestBatchedRows.node(0.0, 2.0, 0, 1, 1), math.nan, arcsine(x)),
-         [1.5, 2.0, 1.7], True, 0),
-        (lambda x: np.where(x == TestBatchedRows.node(0.0, 2.0, 3, 0, 2), math.inf, arcsine(x)),
-         [1.5, 2.0, 1.7], True, 3),
-        # row 1's sum overflows at the test of level 2, as in test_overflowing_sum_fails_its_row
-        (lambda x: np.exp(-x * 1e-308) + 1.0 / np.sqrt(x), [2.0, 1.7e308, 1.0],
-         [False, False, False], 2),
+    @pytest.mark.parametrize("f, his, failing_level", [
+        # row 1 is non-finite at a node of level 0 or of level 2
+        (lambda a, b: np.where((a == TestBatchedRows.node(2.0, 0, 8)[0])
+                               & (b == TestBatchedRows.node(2.0, 0, 8)[1]), math.nan,
+                               arcsine(a, b)), [1.5, 2.0, 1.7], 0),
+        (lambda a, b: np.where((a == TestBatchedRows.node(2.0, 2, 2)[0])
+                               & (b == TestBatchedRows.node(2.0, 2, 2)[1]), math.inf,
+                               arcsine(a, b)), [1.5, 2.0, 1.7], 2),
+        # rows 1 and 2 are too singular at an end, from the first level on
+        (lambda a, b: np.where(a + b > 1.6, 1.0 / a, arcsine(a, b)), [1.5, 2.0, 1.7], 0),
     ])
-    def test_a_failed_row_and_every_later_row_leave_the_batch(self, f, his, singular,
-                                                               failing_level):
-        # once row 1 fails, f is never called again at an abscissa of row 1
-        # or row 2, while row 0 refines on
+    def test_a_failed_row_and_every_later_row_leave_the_batch(self, f, his, failing_level):
+        # once row 1 fails, f is never called again at a node of row 1 or
+        # row 2, while row 0 refines on
         calls = []
-        with pytest.raises(ValueError):
-            integrate_endpoint_singular(lambda x: calls.append(x.tolist()) or f(x), 0.0, his,
-                                        singular)
+        with pytest.raises((ValueError, ConvergenceError)):
+            integrate_endpoint_singular(recorded(f, calls), 0.0, his)
         later = list(enumerate(calls))[failing_level + 1:]
         assert later
-        for level, xs in later:
-            assert set(xs) <= self.level_abscissas(0.0, his[:1], level)
-            assert self.level_abscissas(0.0, his[1:], level).isdisjoint(xs)
+        for level, (a, b) in later:
+            got = set(zip(a.tolist(), b.tolist()))
+            assert got <= self.level_pairs(his[:1], level)
+            assert self.level_pairs(his[1:], level).isdisjoint(got)
 
     @pytest.mark.parametrize("lo, his, limit", [(0.0, [np.inf], "hi[0]=inf"),
                                                 (0.0, [1.0, 2.0, np.inf], "hi[2]=inf"),
-                                                (-np.inf, [1.0], "lo=-inf")])
+                                                (-np.inf, [1.0], "lo[0]=-inf")])
     def test_infinite_limits_rejected(self, lo, his, limit):
         # lo < hi holds for an infinite limit; the rows must not reach f
-        def f(x):
+        def f(a, b):
             raise AssertionError("f called")
 
         with pytest.raises(ValueError, match=re.escape(limit)):
-            integrate_endpoint_singular(f, lo, his, True)
+            integrate_endpoint_singular(f, lo, his)
 
     def test_overflowing_width_rejected(self):
         # hi - lo overflows although both limits are finite; the rows must not reach f
-        def f(x):
+        def f(a, b):
             raise AssertionError("f called")
 
-        with pytest.raises(ValueError, match=r"interval width overflows: hi\[0\] - lo"):
-            integrate_endpoint_singular(f, -1e308, [1e308], False)
+        with pytest.raises(ValueError, match=r"interval width overflows: hi\[0\] - lo\[0\]"):
+            integrate_endpoint_singular(f, -1e308, [1e308])
 
-    @pytest.mark.parametrize("his", [[1.7e308], [1.0, 1.7e308]])
-    def test_overflowing_sum_fails_its_row(self, his):
-        # the integral is ~8.2e307, but the running trapezoid sum grows as
-        # 2^level times it and leaves the double range by level 2; the row
-        # fails by name, with no RuntimeWarning on the way, and does not
-        # pass off inf as converged
-        def f(x):
-            return np.exp(-x * 1e-308)
+    @pytest.mark.parametrize("beyond", [-1.0, math.inf, math.nan])
+    def test_offsets_must_be_finite_and_nonnegative(self, beyond):
+        def f(a, b):
+            raise AssertionError("f called")
 
-        with pytest.raises(ValueError,
-                           match=re.escape("quadrature sum overflows on the interval (0.0, 1.7e+308)")):
-            integrate_endpoint_singular(f, 0.0, his, False)
+        for offsets in ((beyond, 0.0), (0.0, beyond)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                integrate_endpoint_singular(f, 0.0, [1.0], *offsets)
 
-    @pytest.mark.parametrize("m, q", [(1.0, 0.6), (1.0, 0.0), (2.5, 2.475), (0.3, 0.0)])
-    def test_mu_rows_reproduce_their_level_sweeps(self, m, q):
-        # the charged integrand walls the lower end, and the upper end only
-        # at r_plus; at Q = 0 the lower end is r = 0, walled by the half-span
-        p = BlackHoleParams(m, q)
-        hp = horizons(p)
-        rp, rm = hp.r_plus, hp.r_minus
-        if rm > 0.0:
-            def f(x):
-                return x / np.sqrt((rp - x) * (x - rm))
-        else:
-            def f(x):
-                return np.sqrt(x / (rp - x))
-        rs = interior_grid(p, 8) + [rp, rm + 1e-3 * hp.width, rp - 1e-7 * hp.width]
-        want = [sweep_levels(f, Interval(rm, r), r >= rp) for r in rs]
-        assert mu_of_r(p, np.array(rs)).tolist() == [w for w, _ in want]
-        assert len({level for _, level in want}) > 1
+    @pytest.mark.parametrize("his", [[1e10], [1.0, 1e10]])
+    def test_overflowing_sum_fails_its_row_at_the_first_level(self, his):
+        # f is finite, but the integral, 1e310, leaves the double range from
+        # the first level on: the row fails by name there, with no
+        # RuntimeWarning on the way even where warnings are errors, and f
+        # never sees it again
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "quadrature sum overflows on the interval (0.0, 10000000000.0)")):
+                integrate_endpoint_singular(recorded(lambda a, b: np.full(a.shape, 1e300), calls),
+                                            0.0, his)
+        assert all((a + b <= 1.0).all() for a, b in calls[1:])
 
-    def test_mu_nodes_stay_outside_the_zero_end_wall(self, monkeypatch):
-        # at Q = 0 the lower end is r = 0: f is never called inside its wall,
-        # in the batch or row by row, and the batch calls it where the rows do
-        p = BlackHoleParams(1.0, 0.0)
-        rs = interior_grid(p, 64)
-        quadrature = calculus.integrate_endpoint_singular
-        seen = []
+    def test_a_row_one_subnormal_wide_beside_a_wide_one(self):
+        # hi - lo = 5e-324 leaves the row no node; each row gets its lone
+        # result, with no RuntimeWarning on the way even where warnings are
+        # errors
+        def f(a, b):
+            return np.cos(a)
 
-        def recording(f, lo, hi, *args):
-            return quadrature(lambda x: seen.extend(x.tolist()) or f(x), lo, hi, *args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate_endpoint_singular(f, 0.0, [2.0, 5e-324])
+            alone = [integrate_endpoint_singular(f, 0.0, [hi])[0] for hi in (2.0, 5e-324)]
+        assert got.tolist() == alone
+        assert ulps(got[0], math.sin(2.0)) <= 2.0 and got[1] == 0.0
 
-        monkeypatch.setattr(calculus, "integrate_endpoint_singular", recording)
-        mu_of_r(p, np.array(rs))
-        batch, seen[:] = sorted(seen), []
-        for r in rs:
-            start = len(seen)
-            mu_of_r(p, r)
-            assert min(seen[start:]) > calculus._WALL * EPS * 0.5 * r
-        assert batch == sorted(seen)
-
-    @pytest.mark.parametrize("his", [[], [[1.0]], [1.0, 0.0], [1.0, math.nan]])
-    def test_limits_must_be_a_vector_above_lo(self, his):
+    @pytest.mark.parametrize("lo, his", [(0.0, []), (0.0, [[1.0]]), (0.0, [1.0, 0.0]),
+                                         (0.0, [1.0, math.nan]), ([0.0, 2.0], [1.0, 1.0])])
+    def test_limits_must_be_a_vector_above_lo(self, lo, his):
         if len(his) == 0:
-            assert integrate_endpoint_singular(arcsine, 0.0, his, True).shape == (0,)
+            assert integrate_endpoint_singular(arcsine, lo, his).shape == (0,)
             return
         with pytest.raises(ValueError, match="lo < hi"):
-            integrate_endpoint_singular(arcsine, 0.0, his, True)
+            integrate_endpoint_singular(arcsine, lo, his)
 
-    def test_singular_flags_must_be_booleans(self):
-        # a tolerance passed where the flags go is refused, not taken as True
-        with pytest.raises(ValueError, match="booleans"):
+    def test_limits_and_offsets_must_be_floats_of_one_shape(self):
+        # a tolerance passed where the offsets go is refused, not read as one
+        with pytest.raises(ValueError, match="floats of one shape"):
             integrate_endpoint_singular(arcsine, 0.0, [1.0], DEFAULT_TOL)
+        with pytest.raises(ValueError, match="floats of one shape"):
+            integrate_endpoint_singular(arcsine, 0.0, [1.0, 2.0], [0.0, 0.0, 0.0])
 
     def test_integrand_must_be_elementwise(self):
         with pytest.raises(ValueError, match="shape"):
-            integrate_endpoint_singular(lambda x: 1.0, 0.0, [1.0], False)
+            integrate_endpoint_singular(lambda a, b: 1.0, 0.0, [1.0])
 
 
 class TestFindRoot:

@@ -117,6 +117,31 @@ class TestTransform:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "open interior" in err
 
+    @pytest.mark.parametrize("charge, r, want", [
+        # the second double above r_minus = 0.19999999999999996, where the
+        # abscissas of the old quadrature rounded onto a few doubles and its mu
+        # was 1.6989e-9; 60-digit mpmath gives 2.35608e-9
+        ("0.6", "0.2", 2.3560804576936207e-09),
+        # a horizon gap of 1.4e-6 of m at the default --tol, which raised
+        # ConvergenceError; m*phi - c*sin(phi) in 50-digit mpmath
+        ("0.999999999999", "1.0", 1.5707949125969767),
+    ])
+    def test_quadrature_mu_next_to_a_horizon(self, capsys, charge, r, want):
+        code, out, err = run(capsys, "transform", "--mass", "1", "--charge", charge, "--r", r)
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["mu"] - want) <= 4 * math.ulp(math.pi)
+
+    def test_tolerance_in_units_of_m_below_the_double_range(self, capsys):
+        # --tol times m underflows to 0; the quadrature still gets a positive
+        # absolute tolerance
+        mass = "1e-150"
+        code, out, err = run(capsys, "transform", "--mass", mass, "--charge", "0",
+                             "--r", mass, "--tol", "1e-200")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert abs(record["mu"] - record["mu_closed_form_sqrt"]) <= \
+            4 * math.ulp(float(mass) * math.pi)
+
     def test_sqrt_closed_form_next_to_a_zero_inner_horizon(self, capsys):
         # 50-digit mpmath: m*phi - c*sin(phi) = 1.49071198499985974e-29 at r =
         # 1e-19; an arccos of a ratio next to 1 gives -4.47e-10 here
@@ -294,7 +319,7 @@ class TestTableMu:
     @pytest.mark.parametrize("command", ["curvature", "fluid"])
     @pytest.mark.parametrize("charge", [0.999999999, 0.99999999999])
     def test_near_extremal(self, capsys, command, charge):
-        # the quadrature mu does not converge at these gaps (1e-9, 1e-11 of m)
+        # horizon gaps of 1e-9 and 1e-11 of m
         rows = table(capsys, command, 1.0, charge, 64)
         assert len(rows) == 64
         assert all(math.isfinite(float(v)) for row in rows for v in row)
@@ -343,9 +368,18 @@ class TestVerifyCommand:
         assert rep["overall_pass"] is True
         assert any("near-extremal" in n for n in rep["notes"])
 
+    def test_tiny_mass_round_trip_passes(self, capsys):
+        # the quadrature's absolute tolerance is in units of m: at m = 1e-8 a
+        # fixed 1e-10 let the round trip read 260 times its threshold
+        code, out, _ = run(capsys, "verify", "--mass", "1e-8", "--charge", "0")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 0
+        assert checks["roundtrip_inverse"]["pass"] is True
+        assert checks["roundtrip_inverse"]["max_abs_residual"] <= 1e-14
+
     def test_small_schwarzschild_runs(self, capsys):
-        # Q = 0 puts the inner horizon at r = 0, where quadrature abscissas
-        # go subnormal
+        # Q = 0 puts the inner horizon at r = 0, from which the quadrature's
+        # distances go down to 1e-300 and below
         code, out, _ = run(capsys, "verify", "--mass", "0.02", "--charge", "0",
                            "--grid", "8")
         assert code == 0

@@ -3,19 +3,21 @@
 Each file under tests/data holds the stdout of one run. A change to
 how the numbers are computed (batching, reordering, caching) must leave
 every byte of it as it is. The files were written with numpy 2.4.6 and
-its bundled OpenBLAS on x86-64 (AVX-512). The oracle's contractions are
-matmuls, which BLAS computes with a kernel chosen for the CPU, so their
-sums may be ordered or fused (FMA) differently on another CPU or BLAS
-build; numpy's own reductions may add in another order under another SIMD
-width, and libm's sin and exp may round differently elsewhere. On such a
-platform the files are regenerated from a commit whose numbers are
-trusted, never edited by hand.
+its bundled OpenBLAS on x86-64, under the dispatch that tests/conftest.py
+pins: numpy's SIMD loops capped at AVX2 (NPY_DISABLE_CPU_FEATURES) and
+OpenBLAS's Haswell kernels (OPENBLAS_CORETYPE), which any x86-64-v3 CPU
+runs. Under AVX-512 some of numpy's transcendental functions (arctan2,
+power, cbrt, arcsin) round differently, and the oracle's matmuls, which
+BLAS computes with a kernel chosen for the CPU, may sum in another order
+or fuse differently. On another numpy version or BLAS build the files are
+regenerated from a commit whose numbers are trusted, never edited by hand.
 """
 
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rnwarp import cli
@@ -29,13 +31,20 @@ GOLDEN = [
     # Q/m ~ 0.989, in the steep band (0.98 <= Q/m < 1 - 1e-4): a narrow
     # horizon gap with the base tolerance and thresholds
     ("steep", "0.3486070955447274", "0.3448051857717322"),
-    # (m - Q)/m < 1e-4: quadrature tolerance and thresholds relaxed
+    # (m - Q)/m < 1e-4: the report carries the near-extremal note, with the
+    # base tolerance and thresholds
     ("near_extremal", "0.10810660455688946", "0.10809595965137506"),
     # small uncharged mass (r_minus = 0): the static chart's metric entries
     # are small in these units, and the oracle's row-normalized pivot check
     # passes them
     ("pivot_floor", "0.16523791279038202", "0"),
 ]
+
+
+def test_dispatch_is_pinned_below_avx512():
+    # tests/conftest.py caps numpy's dispatch before numpy loads; on a CPU
+    # without AVX-512 the feature reads False anyway
+    assert np._core._multiarray_umath.__cpu_features__["AVX512_SKX"] is False
 
 
 @pytest.mark.parametrize("name, mass, charge", GOLDEN, ids=[g[0] for g in GOLDEN])

@@ -80,14 +80,18 @@ def test_scalar_closed_and_warped_is_the_warp_formulas_scalar(mass, charge):
     assert check.max_abs_residual == want
 
 
-@pytest.mark.parametrize("mass", [0.238, 5.0])
-def test_near_extremal_roundtrip_threshold_is_the_same_at_every_mass(mass):
-    # the residual is in units of m*pi, so its relaxation is too: 2*pi
-    # times the relaxed abs_tol 2e-8*m, over m*pi
+@pytest.mark.parametrize("mass", [1e-8, 0.238, 5.0])
+def test_near_extremal_keeps_every_pinned_threshold(mass):
+    # the quadrature mu is within a few ulps of m*pi next to extremality
+    # too, so no threshold or tolerance is relaxed there. The round trip's
+    # residual is the Kepler radius's rounding times dmu/dr ~ m/c
     rep = run_verification(BlackHoleParams(mass, mass * (1.0 - 5e-5)), grid_points=8)
-    check = {c.name: c for c in rep.checks}["roundtrip_inverse"]
-    assert check.threshold == pytest.approx(4e-8, rel=1e-15)
-    assert check.passed
+    assert rep.overall, [c for c in rep.checks if not c.passed]
+    checks = {c.name: c for c in rep.checks}
+    assert {name: c.threshold for name, c in checks.items()} == \
+        {name: THRESHOLDS[name] for name in checks}
+    assert checks["roundtrip_inverse"].max_abs_residual <= 1e-12
+    assert checks["mu_at_outer_horizon"].max_abs_residual <= 4 * math.ulp(mass * math.pi)
 
 
 def test_every_check_carries_its_pinned_threshold(charged):
@@ -115,7 +119,8 @@ def test_near_extremal_runs_the_oracle_and_warns():
     rep = run_verification(BlackHoleParams(1.0, 0.999999), grid_points=8)
     assert rep.overall, [c for c in rep.checks if not c.passed]
     _oracle_checks_pass(rep)
-    assert any("near-extremal" in n for n in rep.notes)
+    note, = [n for n in rep.notes if "near-extremal" in n]
+    assert "relaxed" not in note
 
 
 def test_small_mass_schwarzschild_runs_the_oracle():
@@ -147,28 +152,25 @@ def test_oracle_checks_pass_at_every_mass_and_charge(mass, ratio):
 
 
 def test_reference_verify_quadrature_budget(monkeypatch):
-    # one quadrature mu per grid point shared by every check, the outer
-    # horizon, and one per round-trip sample: 64 + 1 + 100 rows, all in
-    # one batched call. The round trip inverts with the Kepler inverse, so
-    # verify runs no root search (273 quadratures when it checked the
-    # quadrature's own root search)
-    rows, roots, abscissas, levels = [], [0], [0], [0]
+    # one quadrature mu per grid point shared by every check and one per
+    # round-trip sample, plus the row of F(r_plus), which serves the outer
+    # horizon and every row above m: 64 + 100 + 1 rows, all in one batched
+    # call. The round trip inverts with the Kepler inverse, so verify runs no
+    # root search (273 quadratures when it checked the quadrature's own root
+    # search)
+    rows, roots, pairs, calls = [], [0], [0], [0]
     quad, r_of_mu, find_root = (calculus.integrate_endpoint_singular, rn.r_of_mu,
                                 calculus.find_root_bracketed)
-    level_nodes = calculus._level_nodes
 
-    def counted_quad(f, lo, hi, singular_hi, tol=calculus.DEFAULT_TOL):
+    def counted_quad(f, lo, hi, *args):
         rows.append(len(hi))
 
-        def counted_f(x):
-            abscissas[0] += len(x)
-            return f(x)
+        def counted_f(a, b):
+            pairs[0] += len(a)
+            calls[0] += 1
+            return f(a, b)
 
-        return quad(counted_f, lo, hi, singular_hi, tol)
-
-    def counted_level(level):
-        levels[0] = max(levels[0], level + 1)
-        return level_nodes(level)
+        return quad(counted_f, lo, hi, *args)
 
     def counted_root(fn):
         def wrapper(*args, **kwargs):
@@ -179,14 +181,13 @@ def test_reference_verify_quadrature_budget(monkeypatch):
     monkeypatch.setattr(calculus, "integrate_endpoint_singular", counted_quad)
     monkeypatch.setattr(rn, "r_of_mu", counted_root(r_of_mu))
     monkeypatch.setattr(calculus, "find_root_bracketed", counted_root(find_root))
-    monkeypatch.setattr(calculus, "_level_nodes", counted_level)
     assert run_verification(BlackHoleParams(1.0, 0.6), 64).overall
     assert rows == [165]
     assert roots == [0]
-    # only the outer-horizon row is walled at its upper end: 15808
-    # abscissas in 6 levels (22358 in 7 when every upper end was walled)
-    assert abscissas[0] <= 16000
-    assert levels[0] <= 6
+    # 17181 distance pairs in 5 calls of f, one per level (15808 abscissas
+    # in 6 calls when the walls kept nodes off the ends)
+    assert pairs[0] <= 17500
+    assert calls[0] <= 5
 
 
 def test_roundtrip_inverse_is_the_kepler_inverse_against_the_quadrature(charged):
