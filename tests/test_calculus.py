@@ -114,7 +114,10 @@ class TestIntegrate:
     def test_singular_points_past_both_ends(self, s, gaps):
         # dx/sqrt((x - s)(t - x)) over (lo, hi), s <= lo < hi <= t, is
         # asin((2x - s - t)/(t - s)) between lo and hi; here the singular
-        # points sit from 1e-300 to 10 past the ends
+        # points sit from 1e-300 to 10 past the ends. At least a width past
+        # the ends, as mu_of_r keeps them, the result is good to a few
+        # ulps; closer, a near-singular integrand converges more slowly, and
+        # the stop meets the tolerance
         lo_gap, width, hi_gap = gaps
         lo = s + lo_gap
         hi = lo + width
@@ -131,7 +134,8 @@ class TestIntegrate:
         def angle(x):
             return mpmath.asin((2 * mpmath.mpf(x) - s_ - t_) / (t_ - s_))
 
-        assert abs(got - float(angle(hi) - angle(lo))) <= 8 * EPS * math.pi
+        budget = 8 * EPS * math.pi if min(beyond) >= hi - lo else DEFAULT_TOL.abs_tol
+        assert abs(got - float(angle(hi) - angle(lo))) <= budget
 
     def test_zero_width_rounding_leaves_the_row_at_zero(self):
         # hi - lo = 5e-324: every node's distance from the nearer end rounds
