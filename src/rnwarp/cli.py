@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import fluid, reissner_nordstrom as rn, verify, warped
-from .calculus import Tolerance
 from .errors import ConvergenceError, DomainError
 
 CURVATURE_COLUMNS = ["r", "mu", "f1", "f2", "R_mumu", "R_nunu", "R_thth", "R_phph", "scalar"]
@@ -88,10 +87,6 @@ def _params(args: argparse.Namespace) -> rn.BlackHoleParams:
     return rn.BlackHoleParams(args.mass, abs(args.charge))  # every formula depends on Q^2 only
 
 
-def _tol(args: argparse.Namespace) -> Tolerance:
-    return Tolerance(abs_tol=args.tol, rel_tol=args.tol)
-
-
 def cmd_horizons(args: argparse.Namespace) -> int:
     p = _params(args)
     hp = rn.horizons(p)
@@ -104,13 +99,13 @@ def cmd_horizons(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    p, tol = _params(args), _tol(args)
+    p = _params(args)
     r, mu = args.r, args.mu
     if mu is None:
         rn._require_interior(p, r)  # the horizons themselves are not interior points
-        mu = rn.mu_of_r(p, r, tol)
+        mu = rn.mu_of_r(p, r)
     else:
-        r = rn.r_of_mu(p, mu, tol)
+        r = rn.r_of_mu(p, mu)
     _emit_record(args.format, {
         "r": r,
         "mu": mu,
@@ -142,8 +137,7 @@ def cmd_fluid(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = verify.run_verification(_params(args), args.grid, args.guard, args.theta,
-                                     _tol(args))
+    report = verify.run_verification(_params(args), args.grid, args.guard, args.theta)
     if args.format == "json":
         _write_json(report.to_dict())
     else:
@@ -171,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Interior Reissner-Nordstrom curvature calculator (geometrized units)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, fmt, tol=False):
+    def command(name, run, summary, fmt):
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(run=run)
         sp.add_argument("--mass", type=float, required=True, help="mass m > 0 (length units)")
@@ -179,16 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="charge Q (length units; sign is ignored)")
         sp.add_argument("--format", choices=["csv", "json"], default=fmt,
                         help=f"output format (default {fmt})")
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-10,
-                            help="absolute and relative tolerance for quadrature and root "
-                                 "finding; for the quadrature mu the absolute part is in units "
-                                 "of m")
         return sp
 
     command("horizons", cmd_horizons, "horizon radii and extremal margin", "json")
     tr = command("transform", cmd_transform,
-                 "convert between r and the proper-time coordinate mu", "json", tol=True)
+                 "convert between r and the proper-time coordinate mu", "json")
     which = tr.add_mutually_exclusive_group(required=True)
     which.add_argument("--r", type=float, help="interior radius")
     which.add_argument("--mu", type=float, help="proper-time coordinate in (0, m*pi)")
@@ -196,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("curvature", cmd_curvature, "Ricci components over the interior grid", "csv"),
             ("fluid", cmd_fluid, "perfect-fluid extraction over the interior grid", "csv"),
             ("verify", cmd_verify, "run the full cross-validation suite", "json")):
-        # curvature and fluid take mu from its closed form: no quadrature, no --tol
-        sp = command(name, run, summary, fmt, tol=name == "verify")
+        sp = command(name, run, summary, fmt)
         sp.add_argument("--grid", type=int, default=64,
                         help="grid points across the guarded interior (default 64)")
         sp.add_argument("--guard", type=float, default=0.05,
@@ -230,11 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except OSError as exc:  # a closed pipe or a full disk
         return _write_failed(exc)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}; rerun with a looser --tol\n")
         return 2
     except (OverflowError, FloatingPointError) as exc:
         sys.stderr.write(f"error: {_floating_point_cause(exc)}\n")

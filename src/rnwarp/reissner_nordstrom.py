@@ -103,7 +103,16 @@ def lapse_squared(p: BlackHoleParams, r):
     return n2 if n2.ndim else float(n2)
 
 
-def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
+def _tolerance(m: float) -> Tolerance:
+    """The accuracy of mu_of_r and r_of_mu: DEFAULT_TOL with its absolute part in units of m.
+
+    Both tolerances then scale with the unit of length, as mu does. m*abs_tol
+    does not underflow: horizons() refuses every m below ~1.5e-162.
+    """
+    return Tolerance(DEFAULT_TOL.abs_tol * m, DEFAULT_TOL.rel_tol)
+
+
+def mu_of_r(p: BlackHoleParams, r):
     """The coordinate map mu = F(r), by quadrature of the defining integral.
 
     Defined for r_minus <= r <= r_plus; the improper integral converges at
@@ -117,8 +126,7 @@ def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
     integral over (r_minus, r_plus), minus the one over (r, r_plus). So a
     horizon is an end of the interval or at least c = (r_plus - r_minus)/2
     past it, and no row has a near-singular point just outside an end.
-    tol's absolute part is in units of m, so the stop does not depend on the
-    unit of length.
+    The quadrature stops at _tolerance(m).
     """
     hp, rs = _require_closed_interior(p, r)
     rp, rm, m = hp.r_plus, hp.r_minus, p.mass
@@ -140,12 +148,10 @@ def mu_of_r(p: BlackHoleParams, r, tol: Tolerance = DEFAULT_TOL):
         r_rows = np.concatenate([rs[between], [rm]])
         below = r_rows <= m
         below[-1] = False
-        # abs_tol in units of m, kept positive where the product underflows
-        abs_tol = max(tol.abs_tol * m, math.ulp(0.0))
         rows = calculus.integrate_endpoint_singular(
             integrand, np.where(below, rm, r_rows), np.where(below, r_rows, rp),
             np.where(below, 0.0, r_rows - rm), np.where(below, rp - r_rows, 0.0),
-            Tolerance(abs_tol, tol.rel_tol))
+            _tolerance(m))
         f_plus = rows[-1]
         mu[between] = np.where(below[:-1], rows[:-1], f_plus - rows[:-1])
         mu[rs == rp] = f_plus
@@ -195,7 +201,7 @@ def _forward_angle(hp: HorizonPair, r: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(np.sqrt(r - hp.r_minus), np.sqrt(hp.r_plus - r))
 
 
-def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def r_of_mu(p: BlackHoleParams, mu: float) -> float:
     """Inverse coordinate map F^(-1), by bracketed root finding on mu_of_r.
 
     Valid for 0 < mu < m*pi (checked by the Kepler guess, before any
@@ -203,18 +209,20 @@ def r_of_mu(p: BlackHoleParams, mu: float, tol: Tolerance = DEFAULT_TOL) -> floa
     F(r_plus) = m*pi, so [r_minus, r_plus] always brackets the root;
     the improper quadrature converges at the closed endpoints. The
     search starts from the Kepler inverse (_kepler_inverse) and returns it
-    when the quadrature agrees to abs_tol, so the root is always decided
-    by mu_of_r. This is the inverse of `rnwarp transform --mu`; the warped
-    chart and the verification suite solve the Kepler angle themselves
-    (_kepler_angle, _kepler_lift, _kepler_r).
+    when the quadrature agrees to the absolute part of _tolerance(m), in
+    units of m as mu is, so the root is always decided by mu_of_r. This is
+    the inverse of `rnwarp transform --mu`; the warped chart and the
+    verification suite solve the Kepler angle themselves (_kepler_angle,
+    _kepler_lift, _kepler_r).
     """
     hp = horizons(p)
 
     def g(r):
-        return mu_of_r(p, r, tol) - mu
+        return mu_of_r(p, r) - mu
 
-    return calculus.find_root_bracketed(g, Interval(hp.r_minus, hp.r_plus), tol,
-                                        guess=_kepler_inverse(p, mu))
+    # next to mu = m*pi the Kepler r, (m - c) + 2c*sin(phi/2)^2, can round past r_plus = m + c
+    return calculus.find_root_bracketed(g, Interval(hp.r_minus, hp.r_plus), _tolerance(p.mass),
+                                        guess=min(_kepler_inverse(p, mu), hp.r_plus))
 
 
 def _kepler_inverse(p: BlackHoleParams, mu):

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import calculus, fluid, oracle, reissner_nordstrom as rn, warped
-from .calculus import Tolerance
+from . import fluid, oracle, reissner_nordstrom as rn, warped
 from .warped import RicciDiag, WarpState
 
 # Thresholds are part of the artifact contract; tests pin them.
@@ -163,8 +162,7 @@ def _ricci_diagonal(rd: RicciDiag) -> np.ndarray:
 
 
 def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
-                     guard_fraction: float = 0.05, theta: float = 0.5 * math.pi,
-                     tol: Tolerance = calculus.DEFAULT_TOL) -> VerifyReport:
+                     guard_fraction: float = 0.05, theta: float = 0.5 * math.pi) -> VerifyReport:
     """Run every cross-check for one parameter set and collect a report.
 
     Each evaluator runs once on the whole grid array (the quadrature mu,
@@ -212,7 +210,7 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     mu_samples = mu_max * _ROUNDTRIP_FRACTIONS
     phi = rn._kepler_angle(p, np.concatenate([mu_samples, mu_sqrt]))
     r_samples = rn._kepler_r(m, c, phi[:len(mu_samples)])
-    mus = rn.mu_of_r(p, np.concatenate([grid, [hp.r_plus], r_samples]), tol)
+    mus = rn.mu_of_r(p, np.concatenate([grid, [hp.r_plus], r_samples]))
     mu, mu_outer, mu_round = mus[:n], mus[n], mus[n + 1:]
 
     # every evaluator once on the whole grid, from one N^2

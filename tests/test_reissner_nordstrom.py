@@ -417,6 +417,21 @@ class TestInverse:
             mu = math.pi * rng.uniform(0.01, 0.99)
             assert mu_of_r(charged, r_of_mu(charged, mu)) == pytest.approx(mu, abs=1e-8)
 
+    def test_root_search_referees_a_bad_guess_at_small_mass(self, monkeypatch):
+        # a guess 1e-6 off must be refined to the tolerance in units of m:
+        # an absolute 1e-10 on |mu(r) - mu| stopped 1.4e-8 off r here
+        m = 1e-3
+        p, mu = BlackHoleParams(m, 0.6 * m), 0.5 * m * math.pi
+        exact = _kepler_inverse(p, mu)
+        monkeypatch.setattr(rn, "_kepler_inverse", lambda p, mu: exact * (1.0 + 1e-6))
+        assert abs(r_of_mu(p, mu) - exact) <= 1e-10 * exact
+
+    def test_kepler_guess_one_ulp_past_the_outer_horizon(self):
+        # the guess rounds to the double above r_plus; the search starts at r_plus
+        p, mu = BlackHoleParams(3.7938181643841387, 3.7930057103806347), 11.918631274188876
+        assert _kepler_inverse(p, mu) > horizons(p).r_plus
+        assert r_of_mu(p, mu) == horizons(p).r_plus
+
     def test_small_mu_approaches_inner_horizon(self, charged):
         hp = horizons(charged)
         previous = hp.r_plus

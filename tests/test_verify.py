@@ -388,8 +388,8 @@ def test_a_nan_in_the_grids_quadrature_mu_fails_the_closed_form_check(charged, m
     # check would refuse a NaN first; here the oracle gets the number
     mu_of_r, ricci_at, kept = rn.mu_of_r, oracle.ricci_at, []
 
-    def nan_at_the_fourth_grid_point(p, r, tol):
-        mu = mu_of_r(p, r, tol)
+    def nan_at_the_fourth_grid_point(p, r):
+        mu = mu_of_r(p, r)
         kept.append(mu[3])
         mu[3] = math.nan
         return mu
