@@ -131,6 +131,29 @@ class TestTransform:
         assert (code, err) == (0, "")
         assert abs(json.loads(out)["mu"] - want) <= 4 * math.ulp(math.pi)
 
+    def test_tolerance_in_units_of_m_at_the_smallest_mass(self, capsys):
+        # m^2 underflows below ~1.5e-162, so horizons() refuses the mass before
+        # the quadrature's 1e-10*m could; at 2.3e-162 that tolerance is 2.3e-172
+        code, _, err = run(capsys, "transform", "--mass", "1.5e-162", "--charge", "0",
+                           "--r", "1.5e-162")
+        assert code == 2 and err.startswith("error: mass 1.5e-162 out of range")
+        mass = "2.3e-162"
+        code, out, err = run(capsys, "transform", "--mass", mass, "--charge", "0",
+                             "--r", mass)
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert abs(record["mu"] - record["mu_closed_form_sqrt"]) <= \
+            4 * math.ulp(float(mass) * math.pi)
+
+    @pytest.mark.parametrize("m", [1e-100, 1e-8, 1e8, 1e100])
+    def test_inverse_at_any_mass_scale(self, capsys, m):
+        # r_of_mu's tolerance is in units of m: Q = 0.6m, mu = m*pi/2
+        code, out, err = run(capsys, "transform", "--mass", repr(m), "--charge", repr(0.6 * m),
+                             "--mu", repr(0.5 * m * math.pi))
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert abs(record["mu_closed_form_sqrt"] - record["mu"]) <= 1e-14 * m * math.pi
+
     def test_sqrt_closed_form_next_to_a_zero_inner_horizon(self, capsys):
         # 50-digit mpmath: m*phi - c*sin(phi) = 1.49071198499985974e-29 at r =
         # 1e-19; an arccos of a ratio next to 1 gives -4.47e-10 here
