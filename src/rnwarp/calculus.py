@@ -1,7 +1,10 @@
 """Numeric primitives: batched quadrature, bracketed root finding, differentiation.
 
-The quadrature integrates a whole array of intervals in one call; the
-root search and the difference quotient work on one float at a time.
+The quadrature integrates a whole array of intervals, each with an
+inverse-square-root singular point at or past either end, by one fixed
+Gauss-Legendre rule per interval and one call of the integrand for them
+all; the root search and the difference quotient work on one float at a
+time.
 
 Everything here is a pure function of its arguments and deterministic for
 fixed inputs, so the routines can serve as independent referees for the
@@ -10,11 +13,10 @@ closed-form geometry elsewhere in the package.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +24,9 @@ from .errors import BracketError, ConvergenceError
 
 EPS = sys.float_info.epsilon
 
-_MAX_LEVEL = 12  # finer tanh-sinh meshes cannot help in double precision
-_MAX_HALVINGS = 1100  # enough for any finite bracket: 2^1025 wide down to 2^-52
+# enough for any finite bracket: 2^1025 wide down to the relative stop at a
+# root as small as the least subnormal, 2^-1074
+_MAX_HALVINGS = 2200
 
 # per-step growth of the window that find_root_bracketed opens about a guess
 _WINDOW_GROWTH = 8.0
@@ -31,7 +34,7 @@ _WINDOW_GROWTH = 8.0
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy request for the iterative routines."""
+    """Accuracy request for the quadrature's check and the root search."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -57,59 +60,88 @@ class Interval:
 DEFAULT_TOL = Tolerance()
 
 
+# Gauss-Legendre rules of 20 and 12 points on [0, 1]: the nodes below 1/2,
+# (1 - u)/2 for the positive roots u of the Legendre polynomial, increasing,
+# and their weights on [-1, 1], each the double nearest its 40-digit value.
+# The nodes above 1/2 mirror them
+_GAUSS_20 = (
+    (0.0034357004074525377, 0.018014036361043106, 0.04388278587433705, 0.0804415140888906,
+     0.1268340467699246, 0.1819731596367425, 0.24456649902458646, 0.3131469556422902,
+     0.38610707442917747, 0.46173673943325133),
+    (0.017614007139152118, 0.04060142980038694, 0.06267204833410907, 0.08327674157670475,
+     0.10193011981724044, 0.11819453196151841, 0.13168863844917664, 0.14209610931838204,
+     0.14917298647260374, 0.15275338713072584),
+)
+_GAUSS_12 = (
+    (0.009219682876640375, 0.04794137181476257, 0.11504866290284765, 0.2063410228566913,
+     0.3160842505009099, 0.43738329574426554),
+    (0.04717533638651183, 0.10693932599531843, 0.16007832854334622, 0.20316742672306592,
+     0.2334925365383548, 0.24914704581340277),
+)
+
+
+def _mirrored(half: tuple) -> tuple[list, list]:
+    """A rule's nodes on [0, 1] and weights, increasing, from the half below 1/2."""
+    nodes, weights = half
+    return ([*nodes, *(1.0 - v for v in reversed(nodes))], [*weights, *reversed(weights)])
+
+
+# both rules as columns: the 20-point rule's nodes first, then the 12-point rule's
+_NODES, _WEIGHTS = (np.array(fine + coarse)[:, None]
+                    for fine, coarse in zip(_mirrored(_GAUSS_20), _mirrored(_GAUSS_12)))
+_FINE = 2 * len(_GAUSS_20[0])
+
+
 def integrate_endpoint_singular(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
                                 beyond_lo=0.0, beyond_hi=0.0,
                                 tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Integrate f over each open interval (lo[i], hi[i]), tolerating singular points at its ends.
+    """Integrate f(a, b)/sqrt(a*b) over each open interval (lo[i], hi[i]).
 
     Each row i has a singular point at or below its lower limit, at
     s_lo = lo[i] - beyond_lo[i], and one at or above its upper limit, at
-    s_hi = hi[i] + beyond_hi[i], where the integrand may blow up
-    integrably (like an inverse square root, or up to about the power
-    -0.95 of the distance). f never sees an abscissa x: it
+    s_hi = hi[i] + beyond_hi[i], where the integrand blows up like an
+    inverse square root. The quadrature applies that weight, 1/sqrt(a*b),
+    itself, and f is the regular part: it never sees an abscissa x, but
     takes two arrays, the distances a = x - s_lo and b = s_hi - x of each
     node from the two singular points, and maps them elementwise to the
-    values of the integrand there. Each distance is the row's beyond
-    offset plus the node's distance from that end of the interval, which
-    tanh-sinh forms without cancellation, so a node next to an end keeps
-    its full relative precision however large the end is. lo, hi and the
-    offsets broadcast to one 1-D array of rows, with lo < hi and
-    nonnegative finite offsets; entry i of the result is the integral over
-    (lo[i], hi[i]). The rows are integrated side by side, each call of f
-    serving every row still refining, and a row leaves the batch once it
-    has converged. Each row keeps its own level count and stopping rule,
-    so its result, bit for bit, and the distances f sees for it do not
-    depend on the other rows.
+    regular part there. lo, hi and the offsets broadcast to one 1-D array
+    of rows, with lo < hi and nonnegative finite offsets; entry i of the
+    result is the integral over (lo[i], hi[i]). One call of f serves every
+    row, and a row's result, bit for bit, and the distances f sees for it
+    do not depend on the other rows.
 
-    Uses the tanh-sinh (double exponential) transformation: the node at
-    t on the trapezoid mesh lies 2*hs*q/(1 + q) from the nearer end and
-    2*hs/(1 + q) from the farther one, with q = exp(-pi*sinh|t|) and hs
-    the half-span, and the mesh in t is halved until two successive
-    levels agree to tolerance. The levels are nested: level 0 takes t = 0
-    and every integer t, and each later level adds only the odd multiples
-    of its step, so every node is evaluated once. A node is kept while its
-    distance from the nearer end is nonzero for its row; its weight then
-    is too. The transcendental parts of distances and weights depend on
-    the level alone; they are tabulated once per process (see
-    _level_nodes) and scaled by the row's width here. Each row keeps a
-    running sum of its weighted values, to which a level adds the
-    pairwise sum of its own, so the rounding depends on the row alone.
-
-    Each level takes one call of f for every row still refining. After
-    each level's test the converged and failed rows leave the batch, and
-    so does every row after a failed one, so f is never called again for
-    them.
+    A row whose farther singular point lies less than its width past its
+    end is first split at its midpoint, so that each half has its farther
+    singular point at least its own width past it. Each (sub-)row of width
+    w is then substituted x = s + L*tau^2 (s - L*tau^2 on the upper side)
+    from its nearer singular point s, an offset d past its end, with
+    L = d + w and tau from sqrt(d/L) to 1. The weight's 1/sqrt of the
+    distance from s cancels against dx = 2*L*tau*dtau, and so does a
+    singular point just past the end: what is left, 2*sqrt(L)*f/sqrt(the
+    distance to the far point), is analytic in tau inside a Bernstein
+    ellipse of parameter at least (2*sqrt(2) - 1) + sqrt((2*sqrt(2) - 1)^2 - 1)
+    ~ 3.36 (d = 0 with the far point one width away; Trefethen,
+    Approximation Theory and Approximation Practice, 2013, Thm 19.3). A
+    node's distance from s is L*tau^2, which keeps its relative precision
+    however far s lies from 0, and its distance from the far point is that
+    point's offset plus L*(1 - tau^2), which the offset, at least w, keeps
+    from cancelling. A 20-point Gauss-Legendre sum in tau is the value
+    (an error of ~3.36^-40 of the integral), and a 12-point sum on the
+    same sub-row the check; a row's halves add up in order.
 
     A row fails with ValueError where f returns a non-finite value, at its
-    first such node in (level, node) order, or where its estimate
-    overflows though f is finite, and with ConvergenceError (carrying its
-    last estimate and error bound) if the mesh refinement is exhausted,
-    or at the first level if its terms at the mesh's outermost nodes
-    exceed the tolerance: a singularity the mesh cannot resolve, such as
-    1/x. The error of the first failing row is raised, as a loop over the rows
-    would raise it. Infinite limits, limits whose difference overflows
-    and offsets that are negative or not finite raise ValueError before f
-    is called.
+    first such node (sub-rows in order, the 20-point rule's nodes first),
+    or where its sum overflows though f is finite, and with
+    ConvergenceError (carrying the 20-point value and the difference)
+    where the two sums differ by more than the tolerance: a regular part
+    that is not analytic there, such as one more singular than the weight
+    at an end (x^-3/4 or 1/x in place of x^-1/2) or a discontinuous one.
+    The error of the first failing row is raised, as a loop over the rows
+    would raise it. A node whose distance from either singular point
+    rounds to 0, as in a row a few subnormals wide, is dropped: f does
+    not see it and it adds 0. Infinite limits, limits whose difference
+    overflows and offsets that are negative or not finite raise
+    ValueError before f is called.
     """
     try:
         limits = np.empty((4,) + np.broadcast(lo, hi, beyond_lo, beyond_hi).shape)
@@ -133,175 +165,73 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray, np.ndarray], np.ndarray
         raise ValueError(f"the interval width overflows: hi[{i}] - lo[{i}] = "
                          f"{float(hi[i])!r} - {float(lo[i])!r} leaves the double range")
     n = len(hi)
-    out = np.empty(n)
-    failed: dict[int, Exception] = {}
-    # per-row state, one row of the array per field (see _WIDTH below), the
-    # rows still refining on its last axis
-    state = np.empty((_STATE_ROWS, n))
-    state[_WIDTH] = width
-    state[_BEYOND_LO], state[_BEYOND_HI] = beyond_lo, beyond_hi
-    state[_TOTAL], state[_PREV], state[_ERR] = 0.0, math.nan, math.inf
-    state[_LIMIT] = 0.01 * tol.abs_tol
-    row = np.arange(n)
 
-    for level in range(_MAX_LEVEL + 1):
-        if not len(row):
-            break
-        fx = _sweep(f, level, row, state, failed)
-        total, prev, err, limit = state[_TOTAL], state[_PREV], state[_ERR], state[_LIMIT]
-        # finite values may sum past the double range, and a failed row's
-        # values are not finite; such a row fails below or already has
-        with np.errstate(over="ignore", invalid="ignore"):
-            total += _fold(level, fx)
-            estimate = (2.0 ** (-level) * state[_WIDTH]) * total
-            np.abs(estimate - prev, out=err)  # read from level 2 on
-            if level == 0:
-                # past the outermost nodes, at t = 6, the terms of an integrable
-                # singularity fall off double exponentially: a term there that
-                # the tolerance, or the estimate's last bit, can see means one
-                # the mesh cannot resolve
-                edge = np.maximum(np.abs(fx[:, fx.shape[1] // 2]), np.abs(fx[:, -1]))
-                edge *= _level_nodes(0).weight[-1] * state[_WIDTH]
-                bound = np.maximum(tol.abs_tol, max(tol.rel_tol, EPS) * np.abs(estimate))
-                for k in (edge > bound).nonzero()[0].tolist():
-                    failed.setdefault(int(row[k]), ConvergenceError(
-                        "tanh-sinh quadrature did not converge: the integrand is too "
-                        "singular at an end", float(estimate[k]), float(edge[k])))
-        prev[:] = estimate
-        for i in row[~np.isfinite(estimate)].tolist():
-            failed.setdefault(i, ValueError(f"the quadrature sum overflows on the interval "
-                                            f"({float(lo[i])!r}, {float(hi[i])!r})"))
-        done = np.zeros(len(row), dtype=bool)  # no row stops before the test at level 2
-        if level >= 2:
-            ok = err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(estimate))
-            # a row is done within 1/100 of the tolerance. Within tolerance but
-            # not within that, it refines once more (one extra halving buys
-            # many digits at 2x cost): its limit becomes infinite, so the next
-            # test takes it. At the last level, within tolerance is enough
-            done = err <= limit
-            if level == _MAX_LEVEL:
-                done |= ok
-            np.copyto(limit, math.inf, where=ok)
-            out[row] = estimate  # a row that stays overwrites its entry at a later level
-        row, state = _rows(row, state, ~done, failed)
-    for i, last, err in zip(row.tolist(), *state[_PREV:_ERR + 1].tolist()):
-        failed[i] = ConvergenceError("tanh-sinh quadrature did not converge", last, err)
-    if failed:
-        raise failed[min(failed)]
-    return out
+    # the sub-rows, a split row's lower half first: each half has the other
+    # one's width more room past its inner end. A row one subnormal wide has
+    # no half and is not split
+    split = (np.maximum(beyond_lo, beyond_hi) < width) & (0.5 * width > 0.0)
+    row = np.repeat(np.arange(n), 1 + split)
+    upper = np.zeros(len(row), dtype=bool)
+    upper[1:] = row[1:] == row[:-1]
+    w = np.where(split, 0.5 * width, width)[row]
+    off_lo = beyond_lo[row] + np.where(upper, w, 0.0)
+    off_hi = beyond_hi[row] + np.where(split[row] & ~upper, w, 0.0)
+    from_lo = off_lo <= off_hi
+    near, far = np.minimum(off_lo, off_hi), np.maximum(off_lo, off_hi)
+    length = near + w
+    tau0 = np.sqrt(near / length)
+    span = (w / length) / (1.0 + tau0)  # 1 - tau0, which is exactly 1 at near = 0
 
-
-# The rows of the quadrature's per-row state array: the width hi - lo, the
-# offsets past the lo and hi ends, the running sum of weighted values (the
-# estimate before the step and width factors), the previous estimate, its
-# error and the error limit of the next test
-_WIDTH, _BEYOND_LO, _BEYOND_HI, _TOTAL, _PREV, _ERR, _LIMIT = range(7)
-_STATE_ROWS = 7
-
-
-def _rows(row: np.ndarray, state: np.ndarray, keep: np.ndarray,
-          failed: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The indices and state of the rows in keep.
-
-    Failed rows, and the rows after them, are dropped too: they cannot
-    change what is raised.
-    """
-    if failed:
-        keep = keep & (row < min(failed))
-    index = keep.nonzero()[0]
-    if len(index) == len(row):
-        return row, state
-    return row.take(index), state.take(index, axis=1)
-
-
-def _sweep(f, level: int, row: np.ndarray, state: np.ndarray, failed: dict) -> np.ndarray:
-    """f at the level's nodes of every row in state, in one call of f; shape (rows, nodes).
-
-    A row's node whose distance from the nearer end rounds to 0 is
-    dropped, and its entry is 0; f sees only the kept nodes. Enters rows
-    where f is non-finite in failed, with the row's first such node in
-    the order of _level_nodes.
-    """
-    nodes = _level_nodes(level)
-    width = state[_WIDTH, :, None]
-    a = width * nodes.to_lo
-    b = width * nodes.to_hi
-    a += state[_BEYOND_LO, :, None]
-    b += state[_BEYOND_HI, :, None]
-    if nodes.near_min * width.min() > 0.0:  # rounding is monotone: every node is kept
+    # one column per sub-row, one row per node
+    tau = tau0 + span * _NODES
+    tau2 = tau * tau
+    to_near = length * tau2
+    to_far = far + length * (1.0 - tau2)
+    a = np.where(from_lo, to_near, to_far)
+    b = np.where(from_lo, to_far, to_near)
+    keep = (to_near > 0.0) & (to_far > 0.0)
+    if keep.all():
         fx = _evaluate(f, a.reshape(-1), b.reshape(-1)).reshape(a.shape)
     else:
-        keep = width * nodes.near > 0.0
         fx = np.zeros(a.shape)
         fx[keep] = _evaluate(f, a[keep], b[keep])
+        to_far = np.where(keep, to_far, 1.0)  # a dropped node adds 0/1
+    failed: dict[int, Exception] = {}
     if not np.isfinite(fx).all():
         bad = ~np.isfinite(fx)
-        for r in np.flatnonzero(bad.any(axis=1)).tolist():
-            k = int(np.argmax(bad[r]))
-            failed[int(row[r])] = ValueError(
-                f"integrand returned non-finite value {float(fx[r, k])!r} at distances "
-                f"a={float(a[r, k])!r}, b={float(b[r, k])!r} from the singular points")
-    return fx
+        for s in np.flatnonzero(bad.any(axis=0)).tolist():
+            k = int(np.argmax(bad[:, s]))
+            failed.setdefault(int(row[s]), ValueError(
+                f"integrand returned non-finite value {float(fx[k, s])!r} at distances "
+                f"a={float(a[k, s])!r}, b={float(b[k, s])!r} from the singular points"))
+    # the weights on [-1, 1] carry the 2 of 2*sqrt(L), as they sum to 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = fx / np.sqrt(to_far) * _WEIGHTS
+        scale = np.sqrt(length) * span
+        fine = np.bincount(row, scale * _pairwise(terms[:_FINE]), n)
+        coarse = np.bincount(row, scale * _pairwise(terms[_FINE:]), n)
+        err = np.abs(fine - coarse)
+    for i in (~np.isfinite(fine)).nonzero()[0].tolist():
+        failed.setdefault(i, ValueError(f"the quadrature sum overflows on the interval "
+                                        f"({float(lo[i])!r}, {float(hi[i])!r})"))
+    for i in (err > np.maximum(tol.abs_tol, tol.rel_tol * np.abs(fine))).nonzero()[0].tolist():
+        failed.setdefault(i, ConvergenceError(
+            "Gauss-Legendre quadrature did not converge: its 20- and 12-point sums differ "
+            "by more than the tolerance", float(fine[i]), float(err[i])))
+    if failed:
+        raise failed[min(failed)]
+    return fine
 
 
-def _fold(level: int, fx: np.ndarray) -> np.ndarray:
-    """Each row's sum of its level's weighted values, fx as _sweep returns it.
-
-    Each row's nodes are contiguous, and numpy sums them pairwise, the
-    same way for any number of rows, so the sum does not depend on the
-    other rows.
-    """
-    return np.add.reduce(fx * _level_nodes(level).weight, axis=1)
-
-
-class _Nodes(NamedTuple):
-    """One level's tanh-sinh node tables; see _level_nodes."""
-
-    to_lo: np.ndarray
-    to_hi: np.ndarray
-    near: np.ndarray
-    weight: np.ndarray
-    near_min: float
-
-
-@functools.cache
-def _level_nodes(level: int) -> _Nodes:
-    """Tanh-sinh nodes first used at this level, for a row of unit width.
-
-    Level 0 holds t = 0 and then t = 1, 2, 3, ...; level k > 0 holds
-    t = j*2^-k for odd j. Each t > 0 gives a node on the hi side and its
-    mirror on the lo side; the hi side's nodes come first, by increasing
-    t. With q = exp(-pi*sinh t), a hi-side node lies q/(1 + q) below hi
-    and 1/(1 + q) above lo: to_lo and to_hi hold each node's distances
-    from the two ends, and near the smaller of them, with near_min the
-    smallest. Its trapezoid weight, before the step factor, is
-    (pi/2)*hs*cosh(t)*4*q/(1 + q)^2, so weight holds
-    pi*cosh(t)*q/(1 + q)^2; the t = 0 node lies 1/2 from both ends with
-    weight pi/4. The nodes end where q leaves the normal range, at
-    t ~ 6.1: past it q carries fewer than 53 bits, and the terms of an
-    inverse-square-root singularity are below 1e-150 of the integral.
-    """
-    pi_2 = 0.5 * math.pi
-    h = 2.0 ** (-level)
-    stride = 1 if level == 0 else 2
-    near, far, weight = [], [], []
-    j = 1
-    while True:
-        t = j * h
-        q = math.exp(-pi_2 * math.sinh(t)) ** 2
-        if q < sys.float_info.min:
-            break
-        near.append(q / (1.0 + q))
-        far.append(1.0 / (1.0 + q))
-        weight.append(math.pi * (math.cosh(t) * q / ((1.0 + q) * (1.0 + q))))
-        j += stride
-    center = [0.5] if level == 0 else []
-    to_lo = center + far + near
-    to_hi = center + near + far
-    closer = np.minimum(to_lo, to_hi)
-    return _Nodes(np.array(to_lo), np.array(to_hi), closer,
-                  np.array(([0.25 * math.pi] if level == 0 else []) + weight * 2),
-                  float(closer.min()))
+def _pairwise(x: np.ndarray) -> np.ndarray:
+    """The sums of x's columns, halving the rows pairwise: one tree for any number of columns."""
+    while len(x) > 1:
+        half = len(x) // 2
+        y = x[:half] + x[half:2 * half]
+        if len(x) % 2:
+            y[0] += x[-1]
+        x = y
+    return x[0]
 
 
 def _evaluate(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -318,7 +248,7 @@ def find_root_bracketed(g: Callable[[float], float], iv: Interval,
     Bisection, so convergence is guaranteed even where g has unbounded
     slope at the bracket ends. Each halving first tests the end with the
     smaller |g| and returns it when |g| <= abs_tol or the half-width is
-    within rel_tol of it (plus a machine-epsilon floor, see _xtol). The
+    within rel_tol of it (plus 2 ulps of it, see _xtol). The
     result always lies within the input bracket.
 
     An optional guess inside [lo, hi] is tried first and returned as is
@@ -349,15 +279,22 @@ def find_root_bracketed(g: Callable[[float], float], iv: Interval,
 
 
 def _xtol(x: float, tol: Tolerance) -> float:
-    """Half the bracket width at which a root search near x stops."""
-    return 0.5 * (tol.rel_tol * abs(x) + 2.0 * EPS * max(1.0, abs(x)))
+    """Half the bracket width at which a root search near x stops, relative to x.
+
+    The 2*EPS keeps the stop above the spacing of doubles where rel_tol is
+    below it. It scales with |x| as rel_tol does, so a root of any size is
+    found to the same relative accuracy; the least subnormal keeps the
+    width positive at x = 0.
+    """
+    return max(0.5 * (tol.rel_tol + 2.0 * EPS) * abs(x), math.ulp(0.0))
 
 
 def _window(g, iv, x0, f0, tol):
     """A window [a, b] about x0, with g(a) and g(b), across which g changes sign.
 
     The window steps out from x0 on one side by a width that starts at
-    the bracket tolerance _xtol(x0) and grows by _WINDOW_GROWTH per step,
+    the bracket tolerance _xtol(x0) (at x0 = 0, that of the interval's
+    width) and grows by _WINDOW_GROWTH per step,
     clipped to the interval. A first step that finds the sign change
     leaves a window within that tolerance, which bisection returns
     without calling g again. The first side is the one where an
@@ -368,7 +305,8 @@ def _window(g, iv, x0, f0, tol):
     """
     positive = f0 > 0.0
     for end in (iv.lo, iv.hi) if positive else (iv.hi, iv.lo):
-        inner, f_inner, width = x0, f0, _xtol(x0, tol)
+        # a guess at 0 has no scale of its own; the interval's width gives one
+        inner, f_inner, width = x0, f0, _xtol(x0 or iv.hi - iv.lo, tol)
         while inner != end:
             x = max(end, x0 - width) if end < x0 else min(end, x0 + width)
             fx = g(x)

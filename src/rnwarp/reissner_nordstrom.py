@@ -120,25 +120,23 @@ def mu_of_r(p: BlackHoleParams, r):
     A float r gives a float; an array of r gives the array of F, from one
     batched quadrature, each entry bit for bit F at that entry alone.
 
-    The quadrature hands the integrand each node's distances a = x - r_minus
-    and b = r_plus - x, so neither horizon's factor is a rounded difference.
-    A row r <= m integrates over (r_minus, r); a row r > m is F(r_plus), the
-    integral over (r_minus, r_plus), minus the one over (r, r_plus). So a
-    horizon is an end of the interval or at least c = (r_plus - r_minus)/2
-    past it, and no row has a near-singular point just outside an end.
-    The quadrature stops at _tolerance(m).
+    The quadrature applies the weight 1/sqrt((x - r_minus)(r_plus - x))
+    itself and hands the integrand each node's distance a = x - r_minus,
+    so the integrand is the regular part x = r_minus + a, and neither
+    horizon's factor is a rounded difference. A row r <= m integrates over
+    (r_minus, r); a row r > m is F(r_plus), the integral over
+    (r_minus, r_plus), minus the one over (r, r_plus). So one horizon is an
+    end of the row and the other at least c = (r_plus - r_minus)/2, a row
+    width, past it: each row is one Gauss-Legendre sub-row, and only
+    F(r_plus)'s row is split, at m. Its 20- and 12-point sums must agree
+    to _tolerance(m).
     """
     hp, rs = _require_closed_interior(p, r)
     rp, rm, m = hp.r_plus, hp.r_minus, p.mass
 
-    if rm > 0.0:
-        # two roots, not the root of a product, which could overflow
-        def integrand(a, b):
-            return (rm + a) / (np.sqrt(a) * np.sqrt(b))
-    else:
-        # r_minus = 0, so x = a, and x/sqrt(a) is sqrt(a)
-        def integrand(a, b):
-            return np.sqrt(a) / np.sqrt(b)
+    def integrand(a, b):
+        # the regular part x of x/sqrt(ab); the quadrature applies 1/sqrt(ab)
+        return rm + a
 
     mu = np.zeros(rs.shape)  # F(r_minus) = 0 takes no quadrature
     if (rs > rm).any():

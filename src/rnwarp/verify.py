@@ -135,12 +135,12 @@ def _warp_identity_residuals(p, mu: np.ndarray, phi: np.ndarray, w: WarpState) -
     """Residuals of the derivative identities relating f1 to f2, shape (3, n).
 
     The mu-derivatives come from the Kepler inverse r(mu) at every grid
-    point at once: phi holds the Kepler angles already solved for the
-    values mu, lifted to a jet of mu by the implicit function theorem
-    (rn._kepler_lift). f1 = dr/dmu, so f1' is r's second derivative, and
-    f1'(mu) = -m/r^2 + Q^2/r^3 as a jet of r gives f1''. Each is compared
-    with the warp state w and scaled by the local magnitudes, so the check
-    is unit independent.
+    point at once: phi holds the Kepler angles of the values mu (the
+    grid's forward angles, of which mu is the closed form), lifted to a
+    jet of mu by the implicit function theorem (rn._kepler_lift).
+    f1 = dr/dmu, so f1' is r's second derivative, and f1'(mu) = -m/r^2 +
+    Q^2/r^3 as a jet of r gives f1''. Each is compared with the warp state
+    w and scaled by the local magnitudes, so the check is unit independent.
     """
     m, q, c = p.mass, p.charge, rn._half_gap(p)
     r = rn._kepler_lift(m, c, oracle.Jet.variables(mu[:, None])[..., 0], phi)[0]
@@ -169,12 +169,13 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     the square-root closed form, the warp state, the closed-form and warp
     Ricci, the oracle per chart), and each check is one array expression
     reduced by its maximum. The grid's interior state is formed once: one
-    forward Kepler angle serves both closed-form mu, and one lapse_squared
-    call, the grid's one interior check, gives the N^2 that the warp state
-    and the closed-form Ricci share. The quadratures of the run are one
-    batched call. A residual that is not finite (the oracle's inverse metric
-    overflows at a polar angle within ~1e-150 of the axis) raises
-    ArithmeticError naming the check.
+    forward Kepler angle serves both closed-form mu and the warp
+    identities' Kepler inverse, and one lapse_squared call, the grid's one
+    interior check, gives the N^2 that the warp state and the closed-form
+    Ricci share. The quadratures of the run are one batched call. A
+    residual that is not finite (the oracle's inverse metric overflows at
+    a polar angle within ~1e-150 of the axis) raises ArithmeticError
+    naming the check.
     """
     hp = rn.horizons(p)
     grid = np.array(rn.interior_grid(p, grid_points, guard_fraction))
@@ -195,21 +196,20 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         checks.append(CheckResult(name, residual, threshold, residual <= threshold))
         return residual
 
-    # the forward Kepler angle, which both closed-form mu read; the grid
-    # lies strictly inside the horizons by construction, and lapse_squared
-    # below checks it
+    # the forward Kepler angle, which both closed-form mu and the warp
+    # identities read; the grid lies strictly inside the horizons by
+    # construction, and lapse_squared below checks it
     phi_grid = rn._forward_angle(hp, grid)
     mu_sqrt = rn._kepler_mu(m, c, phi_grid)
 
     # the Kepler inverse is checked against the quadrature at fixed
-    # pseudorandom mu samples, and its derivatives against the warp state
-    # at the grid's closed-form mu: one Kepler solve for both. Every
-    # quadrature of the run (the grid, the outer horizon, the round trip)
-    # is one batch
+    # pseudorandom mu samples, the one Kepler solve of the run; its
+    # derivatives are checked against the warp state at the grid, whose
+    # angles phi_grid already are. Every quadrature of the run (the grid,
+    # the outer horizon, the round trip) is one batch
     mu_max = m * math.pi
     mu_samples = mu_max * _ROUNDTRIP_FRACTIONS
-    phi = rn._kepler_angle(p, np.concatenate([mu_samples, mu_sqrt]))
-    r_samples = rn._kepler_r(m, c, phi[:len(mu_samples)])
+    r_samples = rn._kepler_r(m, c, rn._kepler_angle(p, mu_samples))
     mus = rn.mu_of_r(p, np.concatenate([grid, [hp.r_plus], r_samples]))
     mu, mu_outer, mu_round = mus[:n], mus[n], mus[n + 1:]
 
@@ -232,7 +232,7 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     add("mu_at_outer_horizon", abs(mu_outer - m * math.pi))
 
     # the Kepler inverse's exact mu-derivatives against the analytic warp state
-    add("warp_identities", _warp_identity_residuals(p, mu_sqrt, phi[len(mu_samples):], w))
+    add("warp_identities", _warp_identity_residuals(p, mu_sqrt, phi_grid, w))
 
     # triple agreement and scalar flatness: the closed form against the
     # warp formulas, then against the oracle in the warped chart (mu, nu,

@@ -184,10 +184,11 @@ def test_reference_verify_quadrature_budget(monkeypatch):
     assert run_verification(BlackHoleParams(1.0, 0.6), 64).overall
     assert rows == [165]
     assert roots == [0]
-    # 17181 distance pairs in 5 calls of f, one per level (15808 abscissas
-    # in 6 calls when the walls kept nodes off the ends)
-    assert pairs[0] <= 17500
-    assert calls[0] <= 5
+    # one call of f: 32 nodes (20 + 12) for each of 166 sub-rows, the row of
+    # F(r_plus) split at m (17181 distance pairs in 5 calls of tanh-sinh
+    # levels before)
+    assert pairs[0] == 166 * 32
+    assert calls[0] == 1
 
 
 def test_roundtrip_inverse_is_the_kepler_inverse_against_the_quadrature(charged):
