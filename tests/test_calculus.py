@@ -310,6 +310,21 @@ class TestBatchedRows:
         with pytest.raises(ValueError, match="non-finite"):
             integrate_endpoint_singular(f, 0.0, [0.3, 10.0, 1.0])
 
+    def test_a_failing_row_raises_what_it_raises_alone(self):
+        # row 1 has a step at a = 0.37 and fails the check; the error the
+        # batch raises carries the 20-point value and the difference of
+        # row 1 alone, bit for bit, whatever rows come before it
+        def f(a, b):
+            return np.where(a < 0.37, 1.0, 0.0)
+
+        with pytest.raises(ConvergenceError) as alone:
+            integrate_endpoint_singular(f, 0.0, [1.0])
+        for his in ([0.3, 1.0], [0.3, 1.0, 0.2], [0.1, 0.3, 1.0]):
+            with pytest.raises(ConvergenceError) as batch:
+                integrate_endpoint_singular(f, 0.0, his)
+            assert (batch.value.estimate, batch.value.error_bound) == (
+                alone.value.estimate, alone.value.error_bound), his
+
     @pytest.mark.parametrize("f, lo, his, s_lo, s_hi, antiderivative", CASES)
     def test_one_call_of_f_per_batch(self, f, lo, his, s_lo, s_hi, antiderivative):
         # f sees 32 nodes (20 + 12) of each sub-row, all in one call
@@ -334,6 +349,7 @@ class TestBatchedRows:
         [(1, 0), (0, 5)],     # the lower half comes first
         [(0, 25), (0, 3)],    # within a sub-row the 20-point rule's nodes come first
         [(1, 31), (1, 30), (0, 19)],
+        [(1, 3), (0, 28)],    # the lower half's 12-point nodes before the upper half's 20
     ])
     def test_first_bad_node_in_sub_row_node_order_is_raised(self, bad):
         # row 1 of three is non-finite at several nodes: the error names its
