@@ -1,7 +1,8 @@
 """Numeric primitives: batched quadrature, bracketed root finding, differentiation.
 
 The quadrature integrates a whole array of intervals, each with an
-inverse-square-root singular point at or past either end, by one fixed
+inverse-square-root singular point at or past one end and the other about
+a width past its other end, as the caller cuts them, by one fixed
 Gauss-Legendre rule per interval and one call of the integrand for them
 all; the root search and the difference quotient work on one float at a
 time.
@@ -110,32 +111,32 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray, np.ndarray], np.ndarray
     row, and a row's result, bit for bit, and the distances f sees for it
     do not depend on the other rows.
 
-    A row whose farther singular point lies less than its width past its
-    end is first split at its midpoint, so that each half has its farther
-    singular point at least its own width past it. Each (sub-)row of width
-    w is then substituted x = s + L*tau^2 (s - L*tau^2 on the upper side)
-    from its nearer singular point s, an offset d past its end, with
-    L = d + w and tau from sqrt(d/L) to 1. The weight's 1/sqrt of the
-    distance from s cancels against dx = 2*L*tau*dtau, and so does a
-    singular point just past the end: what is left, 2*sqrt(L)*f/sqrt(the
-    distance to the far point), is analytic in tau inside a Bernstein
-    ellipse of parameter at least (2*sqrt(2) - 1) + sqrt((2*sqrt(2) - 1)^2 - 1)
-    ~ 3.36 (d = 0 with the far point one width away; Trefethen,
-    Approximation Theory and Approximation Practice, 2013, Thm 19.3). A
-    node's distance from s is L*tau^2, which keeps its relative precision
-    however far s lies from 0, and its distance from the far point is that
-    point's offset plus L*(1 - tau^2), which the offset, at least w, keeps
-    from cancelling. A 20-point Gauss-Legendre sum in tau is the value
-    (an error of ~3.36^-40 of the integral), and a 12-point sum on the
-    same sub-row the check; a row's halves add up in order.
+    The caller keeps each row's farther singular point about the row's
+    width w or more past its end. Each row is then substituted
+    x = s + L*tau^2 (s - L*tau^2 on the upper side) from its nearer
+    singular point s, an offset d past its end, with L = d + w and tau
+    from sqrt(d/L) to 1. The weight's 1/sqrt of the distance from s
+    cancels against dx = 2*L*tau*dtau, and so does a singular point just
+    past the end: what is left, 2*sqrt(L)*f/sqrt(the distance to the far
+    point), is analytic in tau inside a Bernstein ellipse of parameter at
+    least (2*sqrt(2) - 1) + sqrt((2*sqrt(2) - 1)^2 - 1) ~ 3.36 (d = 0 with
+    the far point one width away; Trefethen, Approximation Theory and
+    Approximation Practice, 2013, Thm 19.3). A node's distance from s is
+    L*tau^2, which keeps its relative precision however far s lies from 0,
+    and its distance from the far point is that point's offset plus
+    L*(1 - tau^2), which the offset, about w, keeps from cancelling. A
+    20-point Gauss-Legendre sum in tau is the value (an error of ~3.36^-40
+    of the integral), and a 12-point sum on the same row the check. A row
+    with the far point nearer converges more slowly, and one with a
+    singular point at each end fails the check: cut it in two first.
 
     A row fails with ValueError where f returns a non-finite value, at its
-    first such node (sub-rows in order, the 20-point rule's nodes first),
-    or where its sum overflows though f is finite, and with
-    ConvergenceError (carrying the 20-point value and the difference)
-    where the two sums differ by more than the tolerance: a regular part
-    that is not analytic there, such as one more singular than the weight
-    at an end (x^-3/4 or 1/x in place of x^-1/2) or a discontinuous one.
+    first such node (the 20-point rule's nodes first), or where its sum
+    overflows though f is finite, and with ConvergenceError (carrying the
+    20-point value and the difference) where the two sums differ by more
+    than the tolerance: a regular part that is not analytic there, such as
+    one more singular than the weight at an end (x^-3/4 or 1/x in place of
+    x^-1/2) or a discontinuous one, or a row singular at both its ends.
     The error of the first failing row is raised, as a loop over the rows
     would raise it. A node whose distance from either singular point
     rounds to 0, as in a row a few subnormals wide, is dropped: f does
@@ -164,25 +165,13 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray, np.ndarray], np.ndarray
     for i in (width == math.inf).nonzero()[0][:1].tolist():
         raise ValueError(f"the interval width overflows: hi[{i}] - lo[{i}] = "
                          f"{float(hi[i])!r} - {float(lo[i])!r} leaves the double range")
-    n = len(hi)
-
-    # the sub-rows, a split row's lower half first: each half has the other
-    # one's width more room past its inner end. A row one subnormal wide has
-    # no half and is not split
-    split = (np.maximum(beyond_lo, beyond_hi) < width) & (0.5 * width > 0.0)
-    row = np.repeat(np.arange(n), 1 + split)
-    upper = np.zeros(len(row), dtype=bool)
-    upper[1:] = row[1:] == row[:-1]
-    w = np.where(split, 0.5 * width, width)[row]
-    off_lo = beyond_lo[row] + np.where(upper, w, 0.0)
-    off_hi = beyond_hi[row] + np.where(split[row] & ~upper, w, 0.0)
-    from_lo = off_lo <= off_hi
-    near, far = np.minimum(off_lo, off_hi), np.maximum(off_lo, off_hi)
-    length = near + w
+    from_lo = beyond_lo <= beyond_hi
+    near, far = np.minimum(beyond_lo, beyond_hi), np.maximum(beyond_lo, beyond_hi)
+    length = near + width
     tau0 = np.sqrt(near / length)
-    span = (w / length) / (1.0 + tau0)  # 1 - tau0, which is exactly 1 at near = 0
+    span = (width / length) / (1.0 + tau0)  # 1 - tau0, which is exactly 1 at near = 0
 
-    # one column per sub-row, one row per node
+    # one column per row, one row per node
     tau = tau0 + span * _NODES
     tau2 = tau * tau
     to_near = length * tau2
@@ -198,18 +187,19 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray, np.ndarray], np.ndarray
         to_far = np.where(keep, to_far, 1.0)  # a dropped node adds 0/1
     failed: dict[int, Exception] = {}
     if not np.isfinite(fx).all():
+        # the first row with a bad node: no later row's error is raised
         bad = ~np.isfinite(fx)
-        for s in np.flatnonzero(bad.any(axis=0)).tolist():
-            k = int(np.argmax(bad[:, s]))
-            failed.setdefault(int(row[s]), ValueError(
-                f"integrand returned non-finite value {float(fx[k, s])!r} at distances "
-                f"a={float(a[k, s])!r}, b={float(b[k, s])!r} from the singular points"))
+        i = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, i]))
+        failed[i] = ValueError(
+            f"integrand returned non-finite value {float(fx[k, i])!r} at distances "
+            f"a={float(a[k, i])!r}, b={float(b[k, i])!r} from the singular points")
     # the weights on [-1, 1] carry the 2 of 2*sqrt(L), as they sum to 2
     with np.errstate(over="ignore", invalid="ignore"):
         terms = fx / np.sqrt(to_far) * _WEIGHTS
         scale = np.sqrt(length) * span
-        fine = np.bincount(row, scale * _pairwise(terms[:_FINE]), n)
-        coarse = np.bincount(row, scale * _pairwise(terms[_FINE:]), n)
+        fine = scale * _pairwise(terms[:_FINE])
+        coarse = scale * _pairwise(terms[_FINE:])
         err = np.abs(fine - coarse)
     for i in (~np.isfinite(fine)).nonzero()[0].tolist():
         failed.setdefault(i, ValueError(f"the quadrature sum overflows on the interval "

@@ -124,12 +124,12 @@ def mu_of_r(p: BlackHoleParams, r):
     itself and hands the integrand each node's distance a = x - r_minus,
     so the integrand is the regular part x = r_minus + a, and neither
     horizon's factor is a rounded difference. A row r <= m integrates over
-    (r_minus, r); a row r > m is F(r_plus), the integral over
-    (r_minus, r_plus), minus the one over (r, r_plus). So one horizon is an
-    end of the row and the other at least c = (r_plus - r_minus)/2, a row
-    width, past it: each row is one Gauss-Legendre sub-row, and only
-    F(r_plus)'s row is split, at m. Its 20- and 12-point sums must agree
-    to _tolerance(m).
+    (r_minus, r); a row r > m, r_plus's among them, is F(m), the row
+    (r_minus, m), plus the integral over (m, r). So one horizon is an end
+    of the row, or past it, and the other about c = (r_plus - r_minus)/2, a
+    row width, past its other end, as the quadrature requires. F(m) is a
+    quadrature row, no closed form, and F does not step back across m.
+    Every row's 20- and 12-point sums must agree to _tolerance(m).
     """
     hp, rs = _require_closed_interior(p, r)
     rp, rm, m = hp.r_plus, hp.r_minus, p.mass
@@ -140,19 +140,14 @@ def mu_of_r(p: BlackHoleParams, r):
 
     mu = np.zeros(rs.shape)  # F(r_minus) = 0 takes no quadrature
     if (rs > rm).any():
-        between = (rm < rs) & (rs < rp)
-        # a row for each r between the horizons, then the row of F(r_plus),
-        # which is r_minus's row taken from above
-        r_rows = np.concatenate([rs[between], [rm]])
-        below = r_rows <= m
-        below[-1] = False
+        # a row for each r above r_minus, then the row of F(m)
+        inside = rs > rm
+        r_rows = np.concatenate([rs[inside], [m]])
+        above = r_rows > m
+        lo = np.where(above, m, rm)
         rows = calculus.integrate_endpoint_singular(
-            integrand, np.where(below, rm, r_rows), np.where(below, r_rows, rp),
-            np.where(below, 0.0, r_rows - rm), np.where(below, rp - r_rows, 0.0),
-            _tolerance(m))
-        f_plus = rows[-1]
-        mu[between] = np.where(below[:-1], rows[:-1], f_plus - rows[:-1])
-        mu[rs == rp] = f_plus
+            integrand, lo, r_rows, lo - rm, rp - r_rows, _tolerance(m))
+        mu[inside] = np.where(above[:-1], rows[-1] + rows[:-1], rows[:-1])
     return float(mu) if mu.ndim == 0 else mu
 
 

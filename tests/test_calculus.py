@@ -35,6 +35,29 @@ def integrate(f, iv, beyond=(0.0, 0.0), tol=DEFAULT_TOL):
     return float(integrate_endpoint_singular(f, iv.lo, [iv.hi], *beyond, tol)[0])
 
 
+def integrate_halves(f, lo, hi, beyond_lo=0.0, beyond_hi=0.0, tol=DEFAULT_TOL):
+    """The quadrature of f over rows (lo, hi) singular at or near both ends.
+
+    Each row is cut at its midpoint, the lower halves and then the upper ones
+    integrated as one batch, and the halves added. Each half has the other's
+    width more room past its inner end, so its farther singular point lies at
+    least its own width past it.
+    """
+    lo, hi, beyond_lo, beyond_hi = np.broadcast_arrays(lo, hi, beyond_lo, beyond_hi)
+    mid = 0.5 * lo + 0.5 * hi
+    rows = integrate_endpoint_singular(
+        f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+        np.concatenate([beyond_lo, beyond_lo + (mid - lo)]),
+        np.concatenate([beyond_hi + (hi - mid), beyond_hi]), tol)
+    lower, upper = np.split(rows, 2)
+    return lower + upper
+
+
+def integrate_both_ends(f, iv, beyond=(0.0, 0.0), tol=DEFAULT_TOL):
+    """integrate_halves over one interval: a batch of its two halves."""
+    return float(integrate_halves(f, iv.lo, [iv.hi], *beyond, tol)[0])
+
+
 def recorded(f, seen):
     """f, appending each call's distance arrays to seen."""
     def g(a, b):
@@ -53,6 +76,12 @@ def pairs(seen):
 
 def ulps(got, want):
     return abs(got - want) / math.ulp(want)
+
+
+def gauss_20(h):
+    """The 20-point Gauss-Legendre sum of h over [0, 1], from the quadrature's own table."""
+    nodes, weights = calculus._mirrored(calculus._GAUSS_20)
+    return math.fsum(0.5 * w * h(t) for t, w in zip(nodes, weights))
 
 
 def gauss_legendre_40_digits(n):
@@ -80,13 +109,24 @@ class TestIntegrate:
         assert abs(2.0 * math.fsum(weights) - 2.0) <= 4 * EPS
 
     def test_arcsine_kernel(self):
-        # singular at both ends: the integral is pi
-        assert ulps(integrate(arcsine, Interval(0.0, 2.0)), math.pi) <= 1.0
+        # singular at both ends, so taken in halves: the integral is pi
+        assert ulps(integrate_both_ends(arcsine, Interval(0.0, 2.0)), math.pi) <= 1.0
 
     def test_weighted_arcsine_kernel(self):
         # x/sqrt((2 - x) x) over (0, 2): x = 1 - cos(phi) turns it into
         # (1 - cos phi) d phi over (0, pi), which integrates to pi exactly
-        assert ulps(integrate(lambda a, b: a, Interval(0.0, 2.0)), math.pi) <= 1.0
+        assert ulps(integrate_both_ends(lambda a, b: a, Interval(0.0, 2.0)), math.pi) <= 1.0
+
+    def test_a_row_singular_at_both_ends_fails_closed(self):
+        # handed over whole, arcsine over (0, 2) breaks the precondition:
+        # after x = 2*tau^2 its regular part is 2/sqrt(1 - tau^2), singular at
+        # tau = 1, and the two sums disagree. The error carries the 20-point
+        # sum, ~0.06 short of pi
+        with pytest.raises(ConvergenceError, match="20- and 12-point sums differ") as exc:
+            integrate(arcsine, Interval(0.0, 2.0))
+        want = gauss_20(lambda t: 2.0 / math.sqrt(1.0 - t * t))
+        assert ulps(exc.value.estimate, want) <= 4.0
+        assert exc.value.error_bound > 1e-2
 
     def test_constant(self):
         assert ulps(integrate(flat, Interval(0.0, 1.0)), 1.0) <= 1.0
@@ -117,16 +157,16 @@ class TestIntegrate:
         assert len(calls) == 1
 
     def test_deterministic(self):
-        vals = {integrate(arcsine, Interval(0.0, 2.0)) for _ in range(3)}
+        vals = {integrate_both_ends(arcsine, Interval(0.0, 2.0)) for _ in range(3)}
         assert len(vals) == 1
 
     @given(st.floats(min_value=0.05, max_value=1.95))
     @settings(max_examples=20)
     def test_additive_over_subintervals(self, split):
         # each part keeps the other end's singular point, past its own end
-        whole = integrate(arcsine, Interval(0.0, 2.0))
-        left = integrate(arcsine, Interval(0.0, split), (0.0, 2.0 - split))
-        right = integrate(arcsine, Interval(split, 2.0), (split, 0.0))
+        whole = integrate_both_ends(arcsine, Interval(0.0, 2.0))
+        left = integrate_both_ends(arcsine, Interval(0.0, split), (0.0, 2.0 - split))
+        right = integrate_both_ends(arcsine, Interval(split, 2.0), (split, 0.0))
         assert abs(left + right - whole) <= 4 * math.ulp(math.pi)
 
     @given(a=st.floats(min_value=-3.0, max_value=1.0),
@@ -141,7 +181,7 @@ class TestIntegrate:
         def f(da, db):
             return c1 + c2 * flat(da, db)
 
-        got = integrate(f, Interval(a, b))
+        got = integrate_both_ends(f, Interval(a, b))
         want = c1 * math.pi + c2 * (b - a)
         assert abs(got - want) <= 8 * EPS * max(1.0, abs(c1) * math.pi + abs(c2) * width)
 
@@ -152,8 +192,9 @@ class TestIntegrate:
         # dx/sqrt((x - s)(t - x)) over (lo, hi), s <= lo < hi <= t, is
         # asin((2x - s - t)/(t - s)) between lo and hi; here the singular
         # points sit from 1e-300 to 10 past the ends. The substitution from
-        # the nearer one resolves it at any offset, and a split keeps the
-        # farther one a width away, so every row is good to a few ulps
+        # the nearer one resolves it at any offset, and taking the row in
+        # halves keeps the farther one a width away, so every row is good
+        # to a few ulps
         lo_gap, width, hi_gap = gaps
         lo = s + lo_gap
         hi = lo + width
@@ -161,7 +202,7 @@ class TestIntegrate:
         if not (s < lo < hi < t):
             return
         beyond = (lo - s, t - hi)
-        got = integrate(arcsine, Interval(lo, hi), beyond)
+        got = integrate_both_ends(arcsine, Interval(lo, hi), beyond)
         # the exact integral between the singular points the quadrature sees,
         # lo - (lo - s) and hi + (t - hi) as the doubles pass them, in
         # enough digits to tell gaps of 1e-300 apart
@@ -185,31 +226,33 @@ class TestIntegrate:
 
     def test_discontinuous_integrand_fails_to_converge(self):
         # violates the analyticity precondition; the two sums disagree and
-        # the error must carry the 20-point estimate and their difference
+        # the error must carry the 20-point estimate and their difference.
+        # After x = tau^2 the integrand is 2*tau below tau^2 = 0.37, 0 above
         with pytest.raises(ConvergenceError) as exc:
             integrate(lambda a, b: np.where(a < 0.37, 1.0, 0.0) * flat(a, b), Interval(0.0, 1.0))
-        assert exc.value.estimate == pytest.approx(0.37, abs=0.02)
-        assert exc.value.error_bound > 0.0
+        assert ulps(exc.value.estimate, gauss_20(lambda t: 2.0 * t * (t * t < 0.37))) <= 4.0
+        assert exc.value.error_bound > 1e-2
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             integrate(lambda a, b: np.full_like(a, math.nan), Interval(0.0, 1.0))
 
-    @pytest.mark.parametrize("f, iv, beyond", [
-        (arcsine, Interval(0.0, 2.0), (0.0, 0.0)),
-        (lambda a, b: 0.2 + a, Interval(0.2, 1.8), (0.0, 0.0)),
-        (lambda a, b: np.sqrt(b) + np.cos(a) * flat(a, b), Interval(0.0, 3.0), (0.0, 0.0)),
+    @pytest.mark.parametrize("quad, rows, f, iv, beyond", [
+        (integrate_both_ends, 2, arcsine, Interval(0.0, 2.0), (0.0, 0.0)),
+        (integrate_both_ends, 2, lambda a, b: 0.2 + a, Interval(0.2, 1.8), (0.0, 0.0)),
+        (integrate_both_ends, 2, lambda a, b: np.sqrt(b) + np.cos(a) * flat(a, b),
+         Interval(0.0, 3.0), (0.0, 0.0)),
         # a near singular point 1e-300 past the lower end, the farther one
-        # a width past the upper end: one unsplit row
-        (arcsine, Interval(0.0, 1.0), (1e-300, 1.0)),
+        # a width past the upper end: one row, whole
+        (integrate, 1, arcsine, Interval(0.0, 1.0), (1e-300, 1.0)),
     ])
-    def test_each_distance_pair_evaluated_once(self, f, iv, beyond):
-        # 32 nodes a sub-row (20 + 12, no node shared), 2 sub-rows where
-        # the row is split
+    def test_each_distance_pair_evaluated_once(self, quad, rows, f, iv, beyond):
+        # 32 nodes a row (20 + 12, no node shared), the two halves of a row
+        # singular at both ends sharing none either
         seen = []
-        integrate(recorded(f, seen), iv, beyond)
+        quad(recorded(f, seen), iv, beyond)
         got = pairs(seen)
-        assert len(got) == (32 if beyond[1] else 64)
+        assert len(got) == 32 * rows
         assert len(np.unique(got)) == len(got)
         assert (got["a"] > 0.0).all() and (got["b"] > 0.0).all()
         assert (got["a"] + got["b"] <= (iv.hi - iv.lo + sum(beyond)) * (1.0 + 4 * EPS)).all()
@@ -234,7 +277,8 @@ class TestBatchedRows:
     # and above every row, the antiderivative): an integrand singular at
     # both ends, at the lower end alone, at an upper end of 0, the
     # coordinate map's integrand, and a smooth one; intervals from
-    # microscopic to wide
+    # microscopic to wide. Some rows reach both singular points, so every
+    # row is taken in halves
     CASES = [
         (arcsine, 0.0, [2.0, 1.5, 1e-3, 0.3, 1.999, 1e-9, 1.0], 0.0, 2.0,
          lambda x: 2.0 * math.asin(math.sqrt(0.5 * x))),
@@ -251,7 +295,7 @@ class TestBatchedRows:
     @staticmethod
     def batch(f, lo, his, s_lo, s_hi, tol=DEFAULT_TOL):
         his = np.array(his)
-        return integrate_endpoint_singular(f, lo, his, lo - s_lo, s_hi - his, tol)
+        return integrate_halves(f, lo, his, lo - s_lo, s_hi - his, tol)
 
     @pytest.mark.parametrize("f, lo, his, s_lo, s_hi, antiderivative", CASES)
     def test_each_row_within_budget_of_its_antiderivative(self, f, lo, his, s_lo, s_hi,
@@ -278,8 +322,8 @@ class TestBatchedRows:
         assert pairs(seen).tobytes() == pairs(seen_alone).tobytes()
 
     def test_verify_batch_evaluates_exactly_its_rows_nodes(self, monkeypatch):
-        # verify's one call of 165 rows: 64 grid points, 100 round-trip
-        # samples and the row of F(r_plus), the one row split
+        # verify's one call of 166 rows: 64 grid points, r_plus, 100
+        # round-trip samples and the row of F(m)
         calls = []
 
         def recording(*args):
@@ -289,7 +333,7 @@ class TestBatchedRows:
         monkeypatch.setattr(calculus, "integrate_endpoint_singular", recording)
         run_verification(BlackHoleParams(1.0, 0.6), 64)
         (f, lo, hi, beyond_lo, beyond_hi, tol), = calls
-        assert len(hi) == 165
+        assert len(hi) == 166
         seen, seen_alone = [], []
         integrate_endpoint_singular(recorded(f, seen), lo, hi, beyond_lo, beyond_hi, tol)
         for row in zip(lo, hi, beyond_lo, beyond_hi):
@@ -301,14 +345,14 @@ class TestBatchedRows:
     def test_first_failing_row_decides_the_error(self):
         # a row is discontinuous (ConvergenceError), another returns NaN
         # (ValueError): the earlier row's error is raised, as a loop over
-        # the rows would
+        # the rows would. Each row's upper singular point lies a width past it
         def f(a, b):
             return np.where(a > 5.0, np.nan, np.where(a < 0.37, 1.0, 0.0))
 
         with pytest.raises(ConvergenceError):
-            integrate_endpoint_singular(f, 0.0, [0.3, 1.0, 10.0])
+            integrate_endpoint_singular(f, 0.0, [0.3, 1.0, 10.0], 0.0, [0.3, 1.0, 10.0])
         with pytest.raises(ValueError, match="non-finite"):
-            integrate_endpoint_singular(f, 0.0, [0.3, 10.0, 1.0])
+            integrate_endpoint_singular(f, 0.0, [0.3, 10.0, 1.0], 0.0, [0.3, 10.0, 1.0])
 
     def test_a_failing_row_raises_what_it_raises_alone(self):
         # row 1 has a step at a = 0.37 and fails the check; the error the
@@ -318,46 +362,43 @@ class TestBatchedRows:
             return np.where(a < 0.37, 1.0, 0.0)
 
         with pytest.raises(ConvergenceError) as alone:
-            integrate_endpoint_singular(f, 0.0, [1.0])
+            integrate_endpoint_singular(f, 0.0, [1.0], 0.0, 1.0)
         for his in ([0.3, 1.0], [0.3, 1.0, 0.2], [0.1, 0.3, 1.0]):
             with pytest.raises(ConvergenceError) as batch:
-                integrate_endpoint_singular(f, 0.0, his)
+                integrate_endpoint_singular(f, 0.0, his, 0.0, his)
             assert (batch.value.estimate, batch.value.error_bound) == (
                 alone.value.estimate, alone.value.error_bound), his
 
     @pytest.mark.parametrize("f, lo, his, s_lo, s_hi, antiderivative", CASES)
     def test_one_call_of_f_per_batch(self, f, lo, his, s_lo, s_hi, antiderivative):
-        # f sees 32 nodes (20 + 12) of each sub-row, all in one call
+        # f sees 32 nodes (20 + 12) of each row, here two halves a row, all
+        # in one call
         calls = []
         self.batch(recorded(f, calls), lo, his, s_lo, s_hi)
         assert len(calls) == 1
-        his = np.array(his)
-        split = np.maximum(lo - s_lo, s_hi - his) < his - lo
-        assert len(calls[0][0]) == 32 * (len(his) + split.sum())
+        assert len(calls[0][0]) == 32 * 2 * len(his)
 
     @staticmethod
     def lone_nodes(hi):
-        """The distance pairs of the row (0, hi) alone, as (sub-row, node) -> (a, b)."""
+        """The distance pairs of the row (0, hi) alone, its upper singular point a width past,
+        by node."""
         seen = []
-        integrate_endpoint_singular(recorded(arcsine, seen), 0.0, [hi])
+        integrate_endpoint_singular(recorded(arcsine, seen), 0.0, [hi], 0.0, hi)
         (a, b), = seen
-        rows = 2  # the row has both singular points at its ends, so it is split
-        return {(s, k): (float(a[k * rows + s]), float(b[k * rows + s]))
-                for s in range(rows) for k in range(32)}
+        return [(float(x), float(y)) for x, y in zip(a, b)]
 
     @pytest.mark.parametrize("bad", [
-        [(1, 0), (0, 5)],     # the lower half comes first
-        [(0, 25), (0, 3)],    # within a sub-row the 20-point rule's nodes come first
-        [(1, 31), (1, 30), (0, 19)],
-        [(1, 3), (0, 28)],    # the lower half's 12-point nodes before the upper half's 20
+        [(2, 0), (1, 5)],     # an earlier row comes first
+        [(1, 25), (1, 3)],    # within a row the 20-point rule's nodes come first
+        [(1, 31), (1, 30), (1, 19)],
+        [(2, 3), (1, 28)],    # a row's 12-point nodes before a later row's 20-point ones
     ])
-    def test_first_bad_node_in_sub_row_node_order_is_raised(self, bad):
-        # row 1 of three is non-finite at several nodes: the error names its
-        # first bad node in (sub-row, node) order, and no RuntimeWarning is
+    def test_first_bad_node_in_row_node_order_is_raised(self, bad):
+        # rows are non-finite at several (row, node) pairs: the error names
+        # the first bad node in (row, node) order, and no RuntimeWarning is
         # raised on the way
         his = [1.5, 2.0, 1.7]
-        nodes = self.lone_nodes(2.0)
-        pairs_bad = [nodes[k] for k in bad]
+        pairs_bad = [self.lone_nodes(his[row])[k] for row, k in bad]
         first = pairs_bad[bad.index(min(bad))]
 
         def f(a, b):
@@ -369,7 +410,7 @@ class TestBatchedRows:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError) as exc:
-                integrate_endpoint_singular(f, 0.0, his)
+                integrate_endpoint_singular(f, 0.0, his, 0.0, his)
         assert not caught
         value = math.inf if pairs_bad.index(first) % 2 else math.nan
         assert str(exc.value) == (f"integrand returned non-finite value {value!r} at distances "

@@ -130,9 +130,9 @@ class TestCoordinateMap:
     def test_within_4_ulps_of_m_pi_of_the_50_digit_antiderivative(self):
         # a seeded set: m from 1e-150 to 1e150, Q/m from 0 up to 1 - 1e-12,
         # and r on both horizons, 1 and 2 ulps inside each, on both sides of
-        # the split at m and at random between. The reference is
+        # the cut at m and at random between. The reference is
         # m*phi - c*sin(phi) in 50-digit mpmath at the double horizons.
-        # Measured: worst 3.4 ulps over 300 such configs (2.6 with tanh-sinh)
+        # Measured: worst 2.8 ulps over 300 such configs
         import mpmath
 
         mpmath.mp.dps = 50
@@ -160,6 +160,20 @@ class TestCoordinateMap:
                 exact = (big_rp + big_rm) / 2 * phi - (big_rp - big_rm) / 2 * mpmath.sin(phi)
                 worst = max(worst, float(abs(mu - exact)) / math.ulp(m * math.pi))
         assert worst <= 4.0
+
+    def test_non_decreasing_across_the_seam_at_m(self):
+        # rows up to m run from r_minus, rows above it from m and add F(m):
+        # over the 7 doubles around r = m, mu must not step back, on a seeded
+        # set from m = 1e-100 to 1e100 and Q/m from 0 up to 1 - 1e-12
+        rng = random.Random(29)
+        for _ in range(200):
+            m = 10.0 ** rng.uniform(-100.0, 100.0)
+            qr = rng.choice([0.0, rng.uniform(0.0, 0.99), 1.0 - 10.0 ** rng.uniform(-12.0, -2.0)])
+            rs = [m]
+            for _ in range(3):
+                rs = [math.nextafter(rs[0], 0.0), *rs, math.nextafter(rs[-1], math.inf)]
+            mus = mu_of_r(BlackHoleParams(m, m * qr), np.array(rs))
+            assert (np.diff(mus) >= 0.0).all(), (m, qr, mus.tolist())
 
     @pytest.mark.parametrize("r, want", [
         # the second double above r_minus = 0.19999999999999996, and 1e-9 of
@@ -221,8 +235,8 @@ class TestBatchedMu:
         assert batch[len(rs) - 2] == 0.0  # F(r_minus), no quadrature
 
     def test_one_quadrature_per_batch(self, charged, monkeypatch):
-        # a row per r between the horizons and one for F(r_plus): rows r <= m
-        # run from r_minus, rows r > m are F(r_plus) less the rest up to r_plus
+        # a row per r above r_minus and one for F(m): rows r <= m run from
+        # r_minus, rows r > m from m and add F(m), r_plus's row among them
         calls = []
         quad = calculus.integrate_endpoint_singular
 
@@ -234,12 +248,12 @@ class TestBatchedMu:
         hp = horizons(charged)
         mu = mu_of_r(charged, np.array([hp.r_minus, 1.0, 1.5, hp.r_plus]))
         (f, lo, hi, beyond_lo, beyond_hi, tol), = calls
-        rm, rp = hp.r_minus, hp.r_plus
-        assert lo.tolist() == [rm, 1.5, rm] and hi.tolist() == [1.0, rp, rp]
-        assert beyond_lo.tolist() == [0.0, 1.5 - rm, 0.0]
-        assert beyond_hi.tolist() == [rp - 1.0, 0.0, 0.0]
+        rm, rp, m = hp.r_minus, hp.r_plus, charged.mass
+        assert lo.tolist() == [rm, m, m, rm] and hi.tolist() == [1.0, 1.5, rp, m]
+        assert beyond_lo.tolist() == [0.0, m - rm, m - rm, 0.0]
+        assert beyond_hi.tolist() == [rp - 1.0, rp - 1.5, 0.0, rp - m]
         rows = quad(f, lo, hi, beyond_lo, beyond_hi, tol)
-        assert mu.tolist() == [0.0, rows[0], rows[2] - rows[1], rows[2]]
+        assert mu.tolist() == [0.0, rows[0], rows[3] + rows[1], rows[3] + rows[2]]
 
     def test_scalar_gives_a_python_float(self, charged):
         # repr of a numpy float would change the CLI's CSV and JSON text

@@ -152,10 +152,10 @@ def test_oracle_checks_pass_at_every_mass_and_charge(mass, ratio):
 
 
 def test_reference_verify_quadrature_budget(monkeypatch):
-    # one quadrature mu per grid point shared by every check and one per
-    # round-trip sample, plus the row of F(r_plus), which serves the outer
-    # horizon and every row above m: 64 + 100 + 1 rows, all in one batched
-    # call. The round trip inverts with the Kepler inverse, so verify runs no
+    # one quadrature mu per grid point shared by every check, one for the
+    # outer horizon and one per round-trip sample, plus the row of F(m),
+    # which every row above m adds to: 64 + 1 + 100 + 1 rows, all in one
+    # batched call. The round trip inverts with the Kepler inverse, so verify runs no
     # root search (273 quadratures when it checked the quadrature's own root
     # search)
     rows, roots, pairs, calls = [], [0], [0], [0]
@@ -182,11 +182,10 @@ def test_reference_verify_quadrature_budget(monkeypatch):
     monkeypatch.setattr(rn, "r_of_mu", counted_root(r_of_mu))
     monkeypatch.setattr(calculus, "find_root_bracketed", counted_root(find_root))
     assert run_verification(BlackHoleParams(1.0, 0.6), 64).overall
-    assert rows == [165]
+    assert rows == [166]
     assert roots == [0]
-    # one call of f: 32 nodes (20 + 12) for each of 166 sub-rows, the row of
-    # F(r_plus) split at m (17181 distance pairs in 5 calls of tanh-sinh
-    # levels before)
+    # one call of f: 32 nodes (20 + 12) for each of the 166 rows (17181
+    # distance pairs in 5 calls of tanh-sinh levels before)
     assert pairs[0] == 166 * 32
     assert calls[0] == 1
 
