@@ -177,7 +177,11 @@ class MetricField:
     take a Jet of points (see points()) and return a Jet of metrics, so
     it may use only jet operations: +, -, *, /, this module's sin and
     diagonal_metric, and chain on a Jet (a cosine, say, is
-    chain(x, cos, -sin, -cos) at x's values). domain holds one open
+    chain(x, cos, -sin, -cos) at x's values). ricci_at hands g a lone
+    point as a Jet of shape (4,), whose values are numpy scalars. A power
+    of values in g is a ufunc (np.square, np.power): it rounds a scalar as
+    it rounds a batch entry, where a numpy scalar's ** calls libm's pow,
+    which may not under AVX-512. domain holds one open
     interval (lo, hi) per coordinate, infinite ends allowed; the chart is
     valid on their product. g must be symmetric to 1e-14 and invertible
     (invert4's pivot check) everywhere inside that box.
@@ -260,9 +264,12 @@ def _require_domain(mf: MetricField, x: np.ndarray):
 def ricci_at(mf: MetricField, x) -> CurvaturePoint:
     """Ricci tensor and scalar at x from the metric's exact derivatives.
 
-    mf.g is called once, on the points seeded as jets, and its result
-    carries the metric's first and second derivatives; _curvature
-    contracts them into R_ab (sign conventions above) and g^ab R_ab.
+    mf.g is called once, on the points seeded as jets in x's shape, and
+    its result carries the metric's first and second derivatives;
+    _curvature contracts them into R_ab (sign conventions above) and
+    g^ab R_ab. A lone point reaches mf.g as shape (4,), not as a batch of
+    one, so its jet values are numpy scalars; the jet is then reshaped to
+    the point axis that invert4 and _curvature take.
 
     The result's metric is that call's value part, the metric at x, so a
     caller that needs it does not evaluate the chart again.
@@ -277,13 +284,15 @@ def ricci_at(mf: MetricField, x) -> CurvaturePoint:
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 4)
     _require_domain(mf, pts)
-    g = mf.g(Jet.variables(pts))
-    ginv = invert4(g.val)
-    # the point axis first, in C order as for ginv
-    dg = np.ascontiguousarray(g.grad.transpose(1, 0, 2, 3))         # dg[n, e, i, j] = d_e g_ij
-    hess = np.ascontiguousarray(g.hess.transpose(2, 0, 1, 3, 4))    # hess[n, e, b, i, j]
+    g = mf.g(Jet.variables(x))  # in x's shape: a lone point's values are numpy scalars
+    n = len(pts)
+    metric = g.val.reshape(n, 4, 4)
+    ginv = invert4(metric)
+    # the point axis first, in C order as for ginv: dg[n, e, i, j] = d_e g_ij
+    # and hess[n, e, b, i, j] = d_e d_b g_ij
+    dg = np.ascontiguousarray(g.grad.reshape(4, n, 4, 4).transpose(1, 0, 2, 3))
+    hess = np.ascontiguousarray(g.hess.reshape(4, 4, n, 4, 4).transpose(2, 0, 1, 3, 4))
     gamma, ricci, scalar = _curvature(ginv, dg, hess)
-    metric = g.val
     if x.ndim == 1:
         gamma, ricci, scalar, metric = gamma[0], ricci[0], float(scalar[0]), metric[0]
     return CurvaturePoint(point=x, christoffel=gamma, ricci=ricci, scalar=scalar,

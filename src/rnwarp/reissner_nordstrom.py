@@ -256,7 +256,8 @@ def _kepler_angle(p: BlackHoleParams, mu) -> np.ndarray:
     # times 6/e the cubic is phi^3 + 3a*phi - 2h = 0; Cardano's root s - a/s,
     # s^3 = h + sqrt(h^2 + a^3), is 2h/(s2 + a + a^2/s2), which does not cancel
     a, h = 2.0 * (m - c) / c, 3.0 * values / c
-    s2 = np.cbrt(h + np.hypot(h, a * math.sqrt(a))) ** 2
+    # a ufunc: a lone mu gives numpy scalars, whose ** calls libm's pow, not numpy's loop
+    s2 = np.square(np.cbrt(h + np.hypot(h, a * math.sqrt(a))))
     if a == 0.0:
         # at Q = 0 the root is cbrt(2h) = 2h/s2, which is 0/0 where 3*mu/c
         # underflows to 0 although phi does not: there it is formed from
@@ -296,7 +297,8 @@ def _kepler_lift(m: float, c: float, mu, phi) -> tuple:
     if not isinstance(mu, oracle.Jet):
         return r, sin
     cos, slope = np.cos(phi), 1.0 / r
-    angle = oracle.chain(mu, phi, slope, -c * sin * slope ** 3)
+    # a ufunc: a lone mu gives numpy scalars, whose ** calls libm's pow, not numpy's loop
+    angle = oracle.chain(mu, phi, slope, -c * sin * np.power(slope, 3.0))
     return oracle.chain(angle, r, c * sin, c * cos), oracle.chain(angle, sin, cos, -sin)
 
 

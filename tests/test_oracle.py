@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,10 @@ class TestJet:
         assert np.array_equal(theta.grad, [[0, 0], [0, 0], [1, 1], [0, 0]])
         assert not theta.hess.any()
         assert np.array_equal(x[1].grad, np.eye(4))
+        # a lone point: 0-d coordinates, and numpy scalars from any operation on them
+        lone = Jet.variables(np.arange(4.0))[..., 2]
+        assert lone.shape == () and np.array_equal(lone.grad, [0, 0, 1, 0])
+        assert type((lone * lone).val) is np.float64 and (lone * lone).grad.shape == (4,)
 
     def test_diagonal_metric_follows_the_points(self):
         x = np.array([[0.0, 1.5, 1.0, 0.0]])
@@ -592,6 +600,41 @@ def _grid_points(p, n, theta=PI_2):
             np.array([[0.0, r, theta, 0.0] for r in grid]))
 
 
+# run by test_lone_point_is_its_batch_entry_under_the_default_dispatch in a
+# child interpreter: m from 0.3 to 10, Q/m up to 0.98, points 1e-6 of the
+# gap from each horizon and inside, then 2000 seeded mu of the Kepler inverse
+_LONE_POINTS = """
+import math
+import numpy as np
+from rnwarp.oracle import ricci_at
+from rnwarp.reissner_nordstrom import (BlackHoleParams, _kepler_inverse, horizons, mu_of_r,
+                                       static_chart, warped_chart)
+
+rng = np.random.default_rng(30)
+configs = [(0.3, 0.0), (10.0, 9.8)] + [(m, m * rng.uniform(0.0, 0.98))
+                                       for m in 0.3 * (10.0 / 0.3) ** rng.uniform(size=22)]
+for m, q in configs:
+    p = BlackHoleParams(m, q)
+    hp = horizons(p)
+    r = hp.r_minus + hp.width * np.concatenate([[1e-6, 1.0 - 1e-6], rng.uniform(0.05, 0.95, 4)])
+    theta = rng.uniform(0.3, 2.8)
+    for chart, pts in ((warped_chart(p), [[mu, 0.0, theta, 0.0] for mu in mu_of_r(p, r)]),
+                       (static_chart(p), [[0.0, x, theta, 0.0] for x in r])):
+        batch = ricci_at(chart, pts)
+        for k, x in enumerate(pts):
+            alone = ricci_at(chart, x)
+            for field in ("christoffel", "ricci", "metric", "scalar"):
+                got, want = np.float64(getattr(alone, field)), getattr(batch, field)[k]
+                assert got.tobytes() == want.tobytes(), (m, q, x, field)
+for m, q in configs[:20]:
+    p = BlackHoleParams(m, q)
+    mus = m * math.pi * np.concatenate([[1e-6, 1.0 - 1e-6], rng.uniform(size=98)])
+    batch = _kepler_inverse(p, mus)
+    for k, mu in enumerate(mus.tolist()):
+        assert _kepler_inverse(p, mu) == batch[k], (m, q, mu)
+"""
+
+
 class TestBatchedPoints:
     @pytest.mark.parametrize("chart", [warped_chart, static_chart])
     def test_metric_shapes(self, charged, chart):
@@ -615,6 +658,19 @@ class TestBatchedPoints:
             hp.r_minus + hp.width * rng.uniform(0.05, 0.95, n),
             rng.uniform(0.3, 2.8, n), rng.uniform(-1.0, 1.0, n)])
         assert mf.g(Jet.variables(pts)).val.tobytes() == mf.g(pts).tobytes()
+        # ricci_at seeds a lone point in its own shape: a Jet of shape (4,),
+        # whose values are numpy scalars
+        for x in pts[:50]:
+            jet = mf.g(Jet.variables(x))
+            assert jet.val.shape == (4, 4) and jet.grad.shape == (4, 4, 4)
+            assert jet.val.tobytes() == mf.g(x).tobytes()
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, -0.0, math.pi, 4.0, math.inf, math.nan])
+    def test_lone_jet_mu_outside_the_chart_raises(self, charged, mu):
+        # a lone point's mu reaches the Kepler solve as a 0-d value
+        with pytest.raises(DomainError) as raised:
+            warped_chart(charged).g(Jet.variables(np.array([mu, 0.0, 1.0, 0.0])))
+        assert str(raised.value) == f"mu={mu} outside the open interval (0, {math.pi})"
 
     @pytest.mark.parametrize("chart", [warped_chart, static_chart])
     def test_curvature_point_carries_the_float_metric(self, charged, chart):
@@ -681,7 +737,8 @@ class TestBatchedPoints:
         mf, calls = _counting(chart(charged))
         ricci_at(mf, _grid_points(charged, 20)[chart is static_chart])
         ricci_at(mf, [mu_of_r(charged, 1.0), 1.0, 1.0, 0.0])
-        assert calls == [(20, 4), (1, 4)]
+        # a lone point reaches g in its own shape, not as a batch of one
+        assert calls == [(20, 4), (4,)]
 
     @pytest.mark.parametrize("m, q", [(0.1, 0.0), (0.16523791279038202, 0.0), (1.0, 0.6),
                                       (0.3, 0.2)])
@@ -703,6 +760,24 @@ class TestBatchedPoints:
                 else:
                     assert batch is SingularMetricError
                 assert (guard == 0.0) == bool(kinds)  # only the horizons are outside
+
+    def test_lone_point_is_its_batch_entry_under_the_default_dispatch(self):
+        """A lone point and a scalar Kepler inverse are their batch entries, unpinned.
+
+        conftest.py caps numpy's SIMD dispatch at AVX2 and OpenBLAS at
+        Haswell, so the rest of the suite never runs the AVX-512 kernels
+        that an unpinned process gets. A lone point's jet values are numpy
+        scalars, whose ** is libm's pow where an array's is numpy's SIMD
+        loop, so the two can differ there alone. This runs the check in a
+        child interpreter with both variables removed. On a CPU without
+        AVX-512 the child runs the kernels of the pinned suite.
+        """
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+        env["PYTHONPATH"] = str(Path(oracle.__file__).parents[1])
+        child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _LONE_POINTS],
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
 
     def test_invert4_batch_equals_each_matrix(self):
         rng = np.random.default_rng(4)
