@@ -41,16 +41,20 @@ def integrate_halves(f, lo, hi, beyond_lo=0.0, beyond_hi=0.0, tol=DEFAULT_TOL):
     Each row is cut at its midpoint, the lower halves and then the upper ones
     integrated as one batch, and the halves added. Each half has the other's
     width more room past its inner end, so its farther singular point lies at
-    least its own width past it.
+    least its own width past it. A row one ulp wide, whose midpoint rounds
+    onto an end, has no halves and is integrated whole.
     """
     lo, hi, beyond_lo, beyond_hi = np.broadcast_arrays(lo, hi, beyond_lo, beyond_hi)
     mid = 0.5 * lo + 0.5 * hi
+    cut = (lo < mid) & (mid < hi)
+    lower_hi = np.where(cut, mid, hi)
     rows = integrate_endpoint_singular(
-        f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-        np.concatenate([beyond_lo, beyond_lo + (mid - lo)]),
-        np.concatenate([beyond_hi + (hi - mid), beyond_hi]), tol)
-    lower, upper = np.split(rows, 2)
-    return lower + upper
+        f, np.concatenate([lo, mid[cut]]), np.concatenate([lower_hi, hi[cut]]),
+        np.concatenate([beyond_lo, (beyond_lo + (mid - lo))[cut]]),
+        np.concatenate([beyond_hi + (hi - lower_hi), beyond_hi[cut]]), tol)
+    out = rows[:len(lo)]
+    out[cut] += rows[len(lo):]
+    return out
 
 
 def integrate_both_ends(f, iv, beyond=(0.0, 0.0), tol=DEFAULT_TOL):
