@@ -23,7 +23,6 @@ from .errors import ConvergenceError, DomainError
 
 CURVATURE_COLUMNS = ["r", "mu", "f1", "f2", "R_mumu", "R_nunu", "R_thth", "R_phph", "scalar"]
 FLUID_COLUMNS = ["r", "mu", "rho", "pressure", "res_mumu", "res_nunu", "res_thth", "res_phph"]
-VERIFY_COLUMNS = ["name", "max_abs_residual", "threshold", "pass"]
 
 
 def _write(text: str) -> None:
@@ -49,7 +48,8 @@ def _write_csv(header, columns) -> None:
     """Write a CSV table from its columns, each formatted in one pass.
 
     A column is a float64 array or a sequence of values; str of a float
-    is its repr, the shortest string that round-trips. An array whose bytes
+    is its repr, the shortest string that round-trips, and a bool is
+    written as JSON writes it (true, false). An array whose bytes
     equal an earlier one's reuses its text; the key is the bytes, not ==, so
     a -0.0 column stays apart from a 0.0 one.
     """
@@ -61,7 +61,7 @@ def _write_csv(header, columns) -> None:
                 texts[key] = list(map(str, column.tolist()))
             cells.append(texts[key])
         else:
-            cells.append(list(map(str, column)))
+            cells.append([json.dumps(v) if isinstance(v, bool) else str(v) for v in column])
     _write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
@@ -141,8 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_json(report.to_dict())
     else:
-        _write_csv(VERIFY_COLUMNS, zip(*[(c.name, c.max_abs_residual, c.threshold,
-                                          "true" if c.passed else "false") for c in report.checks]))
+        _write_csv(verify.VERIFY_COLUMNS, zip(*report.rows()))
         for note in report.notes:  # notes do not fit the table; keep them visible
             sys.stderr.write(f"note: {note}\n")
     return 0 if report.overall else 1

@@ -51,12 +51,23 @@ def _roundtrip_fractions() -> np.ndarray:
 _ROUNDTRIP_FRACTIONS = _roundtrip_fractions()
 
 
+# the report's row format, one row per check, which its JSON and CSV forms both read
+VERIFY_COLUMNS = ("name", "max_abs_residual", "threshold", "pass")
+
+
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's largest residual against its threshold.
+
+    worst_at, the r or mu of that residual (None for a check with no point
+    axis), is not in the row format, so the JSON and CSV leave it out.
+    """
+
     name: str
     max_abs_residual: float
     threshold: float
     passed: bool
+    worst_at: float | None = None
 
 
 @dataclass(frozen=True)
@@ -68,20 +79,34 @@ class VerifyReport:
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def rows(self) -> list[tuple]:
+        """One tuple per check, its values in VERIFY_COLUMNS' order."""
+        return [(c.name, c.max_abs_residual, c.threshold, c.passed) for c in self.checks]
+
     def to_dict(self) -> dict:
         return {
-            "checks": [
-                {
-                    "name": c.name,
-                    "max_abs_residual": c.max_abs_residual,
-                    "threshold": c.threshold,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [dict(zip(VERIFY_COLUMNS, row)) for row in self.rows()],
             "notes": list(self.notes),
             "overall_pass": self.overall,
         }
+
+
+def _reduce(name: str, residuals, at: np.ndarray | None) -> CheckResult:
+    """Check name's record: its largest residual against THRESHOLDS, and where it lies.
+
+    The last axis of residuals is the point axis and at holds its
+    coordinates (None where there is none), so flat index k lies at
+    at[k % len(at)]. argmax takes the first NaN as the largest entry (the
+    builtin max() would drop it); a residual that is no number raises.
+    """
+    residuals = np.asarray(residuals)
+    k = int(residuals.argmax())
+    residual = float(residuals.flat[k])
+    if not math.isfinite(residual):
+        raise ArithmeticError(f"check {name} has a non-finite residual {residual} at these inputs")
+    threshold = THRESHOLDS[name]
+    return CheckResult(name, residual, threshold, residual <= threshold,
+                       None if at is None else float(at[k % len(at)]))
 
 
 def _rel(a, b, floor):
@@ -165,48 +190,27 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
                      guard_fraction: float = 0.05, theta: float = 0.5 * math.pi) -> VerifyReport:
     """Run every cross-check for one parameter set and collect a report.
 
-    Each evaluator runs once on the whole grid array (the quadrature mu,
-    the square-root closed form, the warp state, the closed-form and warp
-    Ricci, the oracle per chart), and each check is one array expression
-    reduced by its maximum. The grid's interior state is formed once: one
-    forward Kepler angle serves both closed-form mu and the warp
-    identities' Kepler inverse, and one lapse_squared call, the grid's one
-    interior check, gives the N^2 that the warp state and the closed-form
-    Ricci share. The quadratures of the run are one batched call. A
-    residual that is not finite (the oracle's inverse metric overflows at
-    a polar angle within ~1e-150 of the axis) raises ArithmeticError
-    naming the check.
+    Each evaluator runs once on the whole grid array, and each check is
+    one array expression, a row of the table that _reduce makes into its
+    record; a residual that is not finite raises ArithmeticError naming
+    the check. The grid's interior state is formed once: one forward
+    Kepler angle serves both closed-form mu and the warp identities'
+    Kepler inverse, and one lapse_squared call gives the N^2 that the
+    warp state and the closed-form Ricci share.
     """
     hp = rn.horizons(p)
     grid = np.array(rn.interior_grid(p, grid_points, guard_fraction))
     m, q, c = p.mass, p.charge, rn._half_gap(p)
     n = len(grid)
-    checks: list[CheckResult] = []
-    notes: list[str] = []
 
-    def add(name, residuals) -> float:
-        # the largest entry: np.max without its Python-level wrapper, NaN where
-        # any entry is NaN (the builtin max() would drop it), and a residual
-        # that is no number fails loudly
-        residual = float(np.maximum.reduce(residuals, axis=None))
-        if not math.isfinite(residual):
-            raise ArithmeticError(f"check {name} has a non-finite residual {residual} "
-                                  "at these inputs")
-        threshold = THRESHOLDS[name]
-        checks.append(CheckResult(name, residual, threshold, residual <= threshold))
-        return residual
-
-    # the forward Kepler angle, which both closed-form mu and the warp
-    # identities read; the grid lies strictly inside the horizons by
-    # construction, and lapse_squared below checks it
+    # the grid lies strictly inside the horizons by construction, and
+    # lapse_squared below checks it
     phi_grid = rn._forward_angle(hp, grid)
     mu_sqrt = rn._kepler_mu(m, c, phi_grid)
 
-    # the Kepler inverse is checked against the quadrature at fixed
-    # pseudorandom mu samples, the one Kepler solve of the run; its
-    # derivatives are checked against the warp state at the grid, whose
-    # angles phi_grid already are. Every quadrature of the run (the grid,
-    # the outer horizon, the round trip) is one batch
+    # the Kepler inverse against the quadrature at fixed pseudorandom mu
+    # samples, the one Kepler solve of the run; every quadrature of the run
+    # (the grid, the outer horizon, the round trip) is one batch
     mu_max = m * math.pi
     mu_samples = mu_max * _ROUNDTRIP_FRACTIONS
     r_samples = rn._kepler_r(m, c, rn._kepler_angle(p, mu_samples))
@@ -222,27 +226,6 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     floors = np.empty((4, n))
     floors[0], floors[1], floors[2], floors[3] = _component_floors(w, theta, m)
 
-    # Vieta: r+ + r- = 2m, r+ r- = Q^2
-    add("horizon_vieta", [
-        abs(hp.r_plus + hp.r_minus - 2.0 * m) / (2.0 * m),
-        abs(hp.r_plus * hp.r_minus - q * q) / max(q * q, m * m),
-    ])
-
-    # the coordinate map's value at the outer horizon; mu(r_minus) = 0 by definition
-    add("mu_at_outer_horizon", abs(mu_outer - m * math.pi))
-
-    # the Kepler inverse's exact mu-derivatives against the analytic warp state
-    add("warp_identities", _warp_identity_residuals(p, mu_sqrt, phi_grid, w))
-
-    # triple agreement and scalar flatness: the closed form against the
-    # warp formulas, then against the oracle in the warped chart (mu, nu,
-    # theta, phi) and in the static chart (t, r, theta, phi), whose
-    # components map to the warped ones by R_mumu = N^2 R_rr, R_nunu = R_tt.
-    # The closed-form scalar is 0 by construction, so only the computed
-    # scalars are tested; scalars carry length^-2, measured in curvature
-    # units m^-2 so the checks are independent of the unit choice
-    add("closed_vs_warped_ricci", _rel(closed, warp_diag, floors))
-    add("scalar_closed_and_warped", m * m * np.abs(wr.scalar))
     # the oracle points: (mu, 0, theta, 0) in the warped chart and
     # (0, r, theta, 0) in the static one
     x = np.zeros((2, n, 4))
@@ -252,18 +235,6 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     static = cs.ricci.diagonal(0, 1, 2).T
     # N^2 is the static chart's g_tt, which its oracle call already evaluated
     transformed = np.array([static[1] * cs.metric[:, 0, 0], static[0], static[2], static[3]])
-    add("closed_vs_oracle_ricci", _rel(closed, cw.ricci.diagonal(0, 1, 2).T, floors))
-    add("chart_covariance", _rel(closed, transformed, floors))
-    add("scalar_oracle", m * m * np.abs([cw.scalar, cs.scalar]))
-    # both charts in one call, weighted by the metric each oracle call already evaluated
-    add("oracle_off_diagonal", _weighted_off_diagonal(
-        np.concatenate([cw.ricci, cs.ricci]), np.concatenate([cw.metric, cs.metric]), m))
-    if q == 0.0:
-        add("schwarzschild_flatness", np.abs(warp_diag) / floors)
-
-    # the Kepler inverse against the quadrature, in units of m*pi (division
-    # rounds monotonically, so the largest quotient is the largest error's)
-    add("roundtrip_inverse", np.abs(mu_round - mu_samples) / mu_max)
 
     # fluid extraction: three balances vanish, the mumu gap has a closed
     # form. The thth/phph balances are dimensionless; nunu and mumu carry
@@ -271,26 +242,55 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     _, _, res = fluid.fluid_balance(q, w, theta)
     scale_angular = np.maximum((q / w.f2) ** 2, 1.0)
     scale_time = np.maximum(q * q / w.f2 ** 4, 1.0 / (m * m))
-    add("fluid_residuals", [np.abs(res.nunu) / scale_time,
-                            np.abs(res.thth) / scale_angular,
-                            np.abs(res.phph) / scale_angular])
     gap_expected = q * q / w.f2 ** 4 * (1.0 - w.f1 ** 2)
-    add("fluid_mumu_gap_identity",
-        np.abs(res.mumu - gap_expected) / np.maximum(scale_time, np.abs(gap_expected)))
-    mid = len(grid) // 2
 
-    # the two closed-form candidates against the quadrature definition
-    worst = add("closed_form_sqrt_vs_quadrature", np.abs(mu_sqrt - mu))
+    # one row per check: (name, residuals, the coordinates of their point axis)
+    checks = [_reduce(*row) for row in [
+        # Vieta: r+ + r- = 2m, r+ r- = Q^2
+        ("horizon_vieta", [abs(hp.r_plus + hp.r_minus - 2.0 * m) / (2.0 * m),
+                           abs(hp.r_plus * hp.r_minus - q * q) / max(q * q, m * m)], None),
+        # the coordinate map's value at the outer horizon; mu(r_minus) = 0 by definition
+        ("mu_at_outer_horizon", abs(mu_outer - m * math.pi), None),
+        # the Kepler inverse's exact mu-derivatives against the analytic warp state
+        ("warp_identities", _warp_identity_residuals(p, mu_sqrt, phi_grid, w), grid),
+        # triple agreement and scalar flatness: the closed form against the
+        # warp formulas, then against the oracle in the warped chart (mu, nu,
+        # theta, phi) and in the static chart (t, r, theta, phi), whose
+        # components map to the warped ones by R_mumu = N^2 R_rr, R_nunu = R_tt.
+        # The closed-form scalar is 0 by construction, so only the computed
+        # scalars are tested; scalars carry length^-2, measured in curvature
+        # units m^-2 so the checks are independent of the unit choice
+        ("closed_vs_warped_ricci", _rel(closed, warp_diag, floors), grid),
+        ("scalar_closed_and_warped", m * m * np.abs(wr.scalar), grid),
+        ("closed_vs_oracle_ricci", _rel(closed, cw.ricci.diagonal(0, 1, 2).T, floors), grid),
+        ("chart_covariance", _rel(closed, transformed, floors), grid),
+        ("scalar_oracle", m * m * np.abs([cw.scalar, cs.scalar]), grid),
+        # both charts in one call, weighted by the metric each oracle call
+        # already evaluated: 2n points, each chart's n at the grid's r
+        ("oracle_off_diagonal", _weighted_off_diagonal(np.concatenate([cw.ricci, cs.ricci]),
+                                                       np.concatenate([cw.metric, cs.metric]), m),
+         grid),
+        # at Q = 0 alone: Ricci flatness, each warp component over its floor
+        *([("schwarzschild_flatness", np.abs(warp_diag) / floors, grid)] if q == 0.0 else []),
+        # the Kepler inverse against the quadrature, in units of m*pi (division
+        # rounds monotonically, so the largest quotient is the largest error's)
+        ("roundtrip_inverse", np.abs(mu_round - mu_samples) / mu_max, mu_samples),
+        ("fluid_residuals", [np.abs(res.nunu) / scale_time, np.abs(res.thth) / scale_angular,
+                             np.abs(res.phph) / scale_angular], grid),
+        ("fluid_mumu_gap_identity",
+         np.abs(res.mumu - gap_expected) / np.maximum(scale_time, np.abs(gap_expected)), grid),
+        # the two closed-form candidates against the quadrature definition
+        ("closed_form_sqrt_vs_quadrature", np.abs(mu_sqrt - mu), grid),
+    ]]
     plain_gap = float(np.maximum.reduce(np.abs(rn._plain_ratio_mu(m, c, phi_grid) - mu)))
 
-    notes.append(
+    notes = [
         f"plain-ratio closed form for mu deviates from quadrature by up to {plain_gap:.6g} "
-        f"on this grid (square-root variant matches to {worst:.3g}); "
-        "quadrature is authoritative")
-    notes.append(
+        f"on this grid (square-root variant matches to {checks[-1].max_abs_residual:.3g}); "
+        "quadrature is authoritative",
         f"mumu fluid balance is not closed by the extracted isotropic pressure: residual "
-        f"Q^2/f2^4 (1 - f1^2) = {float(res.mumu[mid]):.6g} at r = {grid[mid]:.6g}; "
-        "reported, not failed")
+        f"Q^2/f2^4 (1 - f1^2) = {float(res.mumu[n // 2]):.6g} at r = {grid[n // 2]:.6g}; "
+        "reported, not failed"]
     if (m - q) / m < NEAR_EXTREMAL_MARGIN:
         notes.append(f"near-extremal configuration: (m - Q)/m = {(m - q) / m:.3g}; guard band "
                      "absorbs the horizon proximity")

@@ -3,8 +3,8 @@
 The manifold is R^1 x_{f1} R^1 x_{f2} S^2 with metric
 ds^2 = -dmu^2 + f1(mu)^2 dnu^2 + f2(mu)^2 (dtheta^2 + sin^2 theta dphi^2),
 signature (-,+,+,+). Curvature is expressed purely in terms of the warp
-values and their mu-derivatives at a point, so the same formulas accept
-analytic derivatives (geometry module) or finite-difference ones (tests).
+values and their mu-derivatives at a point, so the same formulas take any
+positive warps: RN's (geometry module) or random analytic ones (tests).
 """
 
 from __future__ import annotations

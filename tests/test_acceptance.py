@@ -205,7 +205,7 @@ def test_criterion_10_cli_determinism_and_exit_codes(capsys, monkeypatch):
         capsys.readouterr()
 
         # exit 1: a failing check propagates
-        failing = VerifyReport([CheckResult("synthetic", 1.0, 0.5, False)])
+        failing = VerifyReport([CheckResult("synthetic", 1.0, 0.5, False, 1.0)])
         monkeypatch.setattr(cli.verify, "run_verification", lambda *a, **k: failing)
         assert cli.main(["verify", "--mass", "1", "--charge", "0.6"]) == 1
         capsys.readouterr()

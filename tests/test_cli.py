@@ -465,7 +465,7 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_check_failure_exits_1(self, capsys, monkeypatch):
-        failing = VerifyReport([CheckResult("synthetic", 1.0, 0.5, False)])
+        failing = VerifyReport([CheckResult("synthetic", 1.0, 0.5, False, 1.0)])
         monkeypatch.setattr(cli.verify, "run_verification",
                             lambda *a, **k: failing)
         code, out, _ = run(capsys, "verify", "--mass", "1", "--charge", "0.6")
@@ -606,9 +606,14 @@ class TestTableFormat:
 
 
 def row_template_csv(header, rows):
-    """The row-by-row writer that the column writer replaced, kept as its referee."""
+    """The row-by-row writer that the column writer replaced, kept as its referee.
+
+    A bool is written as JSON writes it, as verify's pass column is.
+    """
     template = ",".join(["%s"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join([template % tuple(row) for row in rows])
+    return ",".join(header) + "\n" + "".join(
+        [template % tuple(json.dumps(v) if isinstance(v, bool) else v for v in row)
+         for row in rows])
 
 
 def reference_rows(columns):
@@ -820,6 +825,27 @@ def rnwarp(*argv, unbuffered=False, **popen):
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "rnwarp", *argv], env=env,
                             stderr=subprocess.PIPE, text=True, **popen)
+
+
+@pytest.mark.parametrize("theta", ["1e-160", "1e-150"])
+def test_non_finite_residual_is_an_error_under_the_default_dispatch(theta):
+    """python -W error -m rnwarp verify next to the axis exits 2 with one line.
+
+    Run in a child interpreter with numpy's dispatch and OpenBLAS's kernels
+    left to the CPU (tests/conftest.py pins both for this process), as
+    users run it. The oracle overflows this close to the axis; the run may
+    not report its checks as passed.
+    """
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    child = subprocess.run([sys.executable, "-W", "error", "-m", "rnwarp", "verify", "--mass", "1",
+                            "--charge", "0.6", "--theta", theta],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+    if theta == "1e-150":
+        assert child.stderr.startswith("error: floating-point overflow")
 
 
 class TestWriteFailureProcess:

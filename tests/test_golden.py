@@ -14,13 +14,15 @@ regenerated from a commit whose numbers are trusted, never edited by hand.
 """
 
 import io
+import json
+import struct
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rnwarp import cli
+from rnwarp import cli, verify
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,6 +56,28 @@ def test_verify_report_is_byte_identical(name, mass, charge):
         code = cli.main(["verify", "--mass", mass, "--charge", charge, "--format", "json"])
     assert code == 0
     assert out.getvalue() == (DATA / f"verify_{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name, mass, charge", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_verify_csv_carries_the_json_report(capsys, name, mass, charge):
+    # the same names, the same floats bit for bit and the same pass values,
+    # in the row format both read
+    out = {}
+    for fmt in ("csv", "json"):
+        assert cli.main(["verify", "--mass", mass, "--charge", charge, "--format", fmt]) == 0
+        out[fmt] = capsys.readouterr().out
+    header, *lines = out["csv"].splitlines()
+    checks = json.loads(out["json"])["checks"]
+    assert header.split(",") == list(verify.VERIFY_COLUMNS) == list(checks[0])
+    assert len(lines) == len(checks)
+    for line, check in zip(lines, checks):
+        for text, value in zip(line.split(","), check.values(), strict=True):
+            if isinstance(value, bool):
+                assert text == json.dumps(value)
+            elif isinstance(value, float):
+                assert struct.pack("<d", float(text)) == struct.pack("<d", value)
+            else:
+                assert text == value
 
 
 TABLES = [

@@ -246,21 +246,32 @@ def _jet_inputs(mf, pts):
             np.ascontiguousarray(g.hess.transpose(2, 0, 1, 3, 4)))
 
 
-# a few subnormal steps: where the curvature unit is itself subnormal, tol
-# times it rounds to 0, and the two contractions may still differ by a step
-SUBNORMAL_FLOOR = 4 * 5e-324
-
-
 def _assert_matches_reference(ginv, dg, hess, tol):
-    # curvature units per point: the size of g^-1 d2g and of (g^-1 dg)^2,
-    # what each term of R_ab is made of; the scalar carries one more g^-1
+    # Each point is compared in its coordinates scaled by 2^-k, k >= 0:
+    # that multiplies dg by 2^k, the Hessian by 2^2k, Gamma by 2^k and R_ab
+    # and R by 2^2k, exactly, since the scaled entries stay at most 1. k is
+    # the least with max(|dg|, |hess|^(1/2)) * 2^k >= 1/2, so the curvature
+    # unit below (the size of g^-1 d2g and of (g^-1 dg)^2, what each term of
+    # R_ab is made of; the scalar carries one more g^-1) is at least
+    # min(gi / 4, gi^2 / 4) with gi the largest |g^-1| entry, a normal
+    # number. Unscaled, a unit below 2^-1022 rounds tol times it to 0, while
+    # every product of the two contractions that falls below 2^-1022 rounds
+    # to a subnormal step, and the two sum different numbers of them (5
+    # steps apart at g00 + 0.05 with every dg 1.9e-157). Scaled, each
+    # such rounding is at most 2^-1075 absolute, some 290 orders below tol
+    # times the unit, so no floor is needed.
+    scale = np.maximum(np.abs(dg).reshape(len(dg), -1).max(axis=1),
+                       np.sqrt(np.abs(hess).reshape(len(hess), -1).max(axis=1)))
+    k = np.maximum(-np.frexp(scale)[1], 0)
+    dg = np.ldexp(dg, k[:, None, None, None])
+    hess = np.ldexp(hess, 2 * k[:, None, None, None, None])
     gi, d1, d2 = (np.abs(a).reshape(len(a), -1).max(axis=1) for a in (ginv, dg, hess))
     unit = gi * d2 + (gi * d1) ** 2
     got, want = oracle._curvature(ginv, dg, hess), reference_curvature(ginv, dg, hess)
     for err, bound in ((got[0] - want[0], tol * (gi * d1)[:, None, None, None]),
                        (got[1] - want[1], tol * unit[:, None, None]),
                        (got[2] - want[2], tol * gi * unit)):
-        assert np.all(np.abs(err) <= np.maximum(bound, SUBNORMAL_FLOOR))
+        assert np.all(np.abs(err) <= bound)
 
 
 entries = st.floats(min_value=-1.0, max_value=1.0)
@@ -278,9 +289,13 @@ def general_jets(draw):
 class TestAssembly:
     @given(general_jets())
     @settings(max_examples=100)
-    # a flat metric whose derivatives are all 1.94e-157: the curvature unit
-    # (g^-1 dg)^2 is subnormal, and the two Ricci sums differ by one step
+    # metrics whose derivatives are all ~1e-157, where the curvature unit
+    # (g^-1 dg)^2 is subnormal unscaled: flat, where the two Ricci sums
+    # differ by one step, and g00 + 0.05, where they differ by 5 (the
+    # scalars by 10)
     @example((np.zeros((1, 4, 4)), np.full((1, 4, 4, 4), 1.94156381e-157),
+              np.zeros((1, 4, 4, 4, 4))))
+    @example((np.diag([0.025, 0.0, 0.0, 0.0])[None], np.full((1, 4, 4, 4), 9.5e-158),
               np.zeros((1, 4, 4, 4, 4))))
     def test_general_metrics_match_the_reference(self, jets):
         # both charts are diagonal, so only a metric with every entry filled

@@ -22,19 +22,22 @@ def _diagonal(rd):
 
 
 def test_overall_is_conjunction():
-    good = CheckResult("a", 0.0, 1.0, True)
-    bad = CheckResult("b", 2.0, 1.0, False)
+    good = CheckResult("a", 0.0, 1.0, True, None)
+    bad = CheckResult("b", 2.0, 1.0, False, 0.5)
     assert VerifyReport([good]).overall
     assert not VerifyReport([good, bad]).overall
     assert VerifyReport([]).overall
 
 
 def test_report_serialization():
-    rep = VerifyReport([CheckResult("a", 0.5, 1.0, True)], notes=["n"])
+    # the row format leaves out where the worst residual lies
+    rep = VerifyReport([CheckResult("a", 0.5, 1.0, True, 0.25)], notes=["n"])
     d = rep.to_dict()
     assert d["overall_pass"] is True
     assert d["checks"][0] == {"name": "a", "max_abs_residual": 0.5,
                               "threshold": 1.0, "pass": True}
+    assert list(d["checks"][0]) == list(verify.VERIFY_COLUMNS)
+    assert rep.rows() == [("a", 0.5, 1.0, True)]
     assert d["notes"] == ["n"]
 
 
@@ -104,7 +107,21 @@ def test_threshold_override_can_fail(charged, monkeypatch):
     monkeypatch.setitem(THRESHOLDS, "closed_vs_oracle_ricci", 1e-30)
     rep = run_verification(charged, grid_points=8)
     assert not rep.overall
-    assert [c.name for c in rep.checks if not c.passed] == ["closed_vs_oracle_ricci"]
+    failing, = [c for c in rep.checks if not c.passed]
+    assert failing.name == "closed_vs_oracle_ricci" and failing.threshold == 1e-30
+    assert failing.worst_at in rn.interior_grid(charged, 8)
+
+
+def test_each_check_records_where_its_worst_residual_lies(charged):
+    # a grid check's at the grid's r, the round trip's at a mu sample, and
+    # the two with no point axis at none
+    rep = run_verification(charged, grid_points=8)
+    grid = rn.interior_grid(charged, 8)
+    mu_samples = (charged.mass * math.pi * verify._ROUNDTRIP_FRACTIONS).tolist()
+    at = {c.name: c.worst_at for c in rep.checks}
+    assert at.pop("horizon_vieta") is None and at.pop("mu_at_outer_horizon") is None
+    assert at.pop("roundtrip_inverse") in mu_samples
+    assert all(r in grid for r in at.values()), at
 
 
 def _oracle_checks_pass(rep):
@@ -306,61 +323,53 @@ def test_a_non_finite_residual_raises_naming_the_check(charged, theta):
         run_verification(charged, grid_points=64, theta=theta)
 
 
-def _set_nan(array, index=3):
-    array[index] = math.nan
-
-
-# (where the NaN goes; the function whose output carries it, the call of
-# that function in the run, and how it is put in; the check that must raise)
-NAN_INPUTS = [
-    ("warp state f1''", (rn, "_warp_state", 0, lambda w: _set_nan(w.f1pp)),
-     "warp_identities"),
-    ("closed-form R_nunu", (rn, "_ricci_closed_form", 0, lambda rd: _set_nan(rd.r_nunu)),
+# (where the value goes; the function whose output carries it, the call of
+# that function in the run, the array of that output that takes it and the
+# index there; the check that must raise or fail)
+INJECTIONS = [
+    ("warp state f1''", (rn, "_warp_state", 0, lambda w: w.f1pp, 3), "warp_identities"),
+    ("closed-form R_nunu", (rn, "_ricci_closed_form", 0, lambda rd: rd.r_nunu, 3),
      "closed_vs_warped_ricci"),
-    ("warp-formula R_thth", (warped, "ricci_from_warps", 0, lambda rd: _set_nan(rd.r_thth)),
+    ("warp-formula R_thth", (warped, "ricci_from_warps", 0, lambda rd: rd.r_thth, 3),
      "closed_vs_warped_ricci"),
-    ("warp-formula scalar", (warped, "ricci_from_warps", 0, lambda rd: _set_nan(rd.scalar)),
+    ("warp-formula scalar", (warped, "ricci_from_warps", 0, lambda rd: rd.scalar, 3),
      "scalar_closed_and_warped"),
-    ("warped-chart oracle R_nunu", (oracle, "ricci_at", 0,
-                                    lambda cp: _set_nan(cp.ricci, (3, 1, 1))),
+    ("warped-chart oracle R_nunu", (oracle, "ricci_at", 0, lambda cp: cp.ricci, (3, 1, 1)),
      "closed_vs_oracle_ricci"),
-    ("static-chart oracle R_tt", (oracle, "ricci_at", 1, lambda cp: _set_nan(cp.ricci, (3, 0, 0))),
+    ("static-chart oracle R_tt", (oracle, "ricci_at", 1, lambda cp: cp.ricci, (3, 0, 0)),
      "chart_covariance"),
-    ("warped-chart oracle scalar", (oracle, "ricci_at", 0, lambda cp: _set_nan(cp.scalar)),
+    ("warped-chart oracle scalar", (oracle, "ricci_at", 0, lambda cp: cp.scalar, 3),
      "scalar_oracle"),
-    ("static-chart oracle scalar", (oracle, "ricci_at", 1, lambda cp: _set_nan(cp.scalar)),
+    ("static-chart oracle scalar", (oracle, "ricci_at", 1, lambda cp: cp.scalar, 3),
      "scalar_oracle"),
-    ("warped-chart oracle R_mu_nu", (oracle, "ricci_at", 0,
-                                     lambda cp: _set_nan(cp.ricci, (3, 0, 1))),
+    ("warped-chart oracle R_mu_nu", (oracle, "ricci_at", 0, lambda cp: cp.ricci, (3, 0, 1)),
      "oracle_off_diagonal"),
-    ("static-chart oracle R_theta_phi", (oracle, "ricci_at", 1,
-                                         lambda cp: _set_nan(cp.ricci, (3, 2, 3))),
+    ("static-chart oracle R_theta_phi", (oracle, "ricci_at", 1, lambda cp: cp.ricci, (3, 2, 3)),
      "oracle_off_diagonal"),
-    ("off-diagonal weight", (verify, "_weighted_off_diagonal", 0, _set_nan),
+    ("off-diagonal weight", (verify, "_weighted_off_diagonal", 0, lambda norm: norm, 3),
      "oracle_off_diagonal"),
     # the quadrature's rows: the 8 grid points, r_plus, then the round trip
-    ("quadrature mu at r_plus", (rn, "mu_of_r", 0, lambda mu: _set_nan(mu, 8)),
-     "mu_at_outer_horizon"),
-    ("quadrature mu of a round-trip sample", (rn, "mu_of_r", 0, lambda mu: _set_nan(mu, 50)),
+    ("quadrature mu at r_plus", (rn, "mu_of_r", 0, lambda mu: mu, 8), "mu_at_outer_horizon"),
+    ("quadrature mu of a round-trip sample", (rn, "mu_of_r", 0, lambda mu: mu, 50),
      "roundtrip_inverse"),
-    ("fluid balance mumu", (fluid, "fluid_balance", 0, lambda out: _set_nan(out[2].mumu)),
+    ("fluid balance mumu", (fluid, "fluid_balance", 0, lambda out: out[2].mumu, 3),
      "fluid_mumu_gap_identity"),
 ] + [
     (f"fluid balance {term}",
-     (fluid, "fluid_balance", 0, lambda out, term=term: _set_nan(getattr(out[2], term))),
+     (fluid, "fluid_balance", 0, lambda out, term=term: getattr(out[2], term), 3),
      "fluid_residuals")
     for term in ("nunu", "thth", "phph")
 ]
 
 
-def _with_nan(module, name: str, call: int, put):
-    """module.name, with put applied to its output at the given call."""
+def _with_value(module, name: str, call: int, get, index, value):
+    """module.name, with value put at get(output)[index] of the given call."""
     original, calls = getattr(module, name), []
 
     def wrapper(*args):
         out = original(*args)
         if len(calls) == call:
-            put(out)
+            get(out)[index] = value
         calls.append(name)
         return out
 
@@ -371,9 +380,9 @@ def test_a_nan_in_any_entry_fails_its_check(charged, monkeypatch):
     # a NaN in one entry of any check's input makes that check's residual
     # NaN, and the check raises: no reduction may drop the NaN, as the
     # builtin max(1.0, nan) would
-    for label, (module, name, call, put), check in NAN_INPUTS:
+    for label, injection, check in INJECTIONS:
         with monkeypatch.context() as patch:
-            patch.setattr(module, name, _with_nan(module, name, call, put))
+            patch.setattr(injection[0], injection[1], _with_value(*injection, math.nan))
             try:
                 run_verification(charged, grid_points=8)
             except ArithmeticError as exc:
@@ -381,6 +390,24 @@ def test_a_nan_in_any_entry_fails_its_check(charged, monkeypatch):
                     (label, str(exc))
             else:
                 pytest.fail(f"a NaN in the {label} raised nothing")
+
+
+def test_a_large_entry_fails_its_check_where_it_lies(charged, monkeypatch):
+    # the same entries set to a large finite value: the check fails, and it
+    # and every other check the entry reaches record its point as their worst
+    grid = rn.interior_grid(charged, 8)
+    mu_samples = charged.mass * math.pi * verify._ROUNDTRIP_FRACTIONS
+    for label, injection, check in INJECTIONS:
+        # the fourth grid point's r, but r_plus's mu lies on no point axis,
+        # and the quadrature's row 50 is the round trip's mu sample 41
+        where = {"quadrature mu at r_plus": None,
+                 "quadrature mu of a round-trip sample": float(mu_samples[41])}.get(label, grid[3])
+        with monkeypatch.context() as patch:
+            patch.setattr(injection[0], injection[1], _with_value(*injection, 1e3))
+            rep = run_verification(charged, grid_points=8)
+        failing = {c.name: c.worst_at for c in rep.checks if not c.passed}
+        assert check in failing, (label, failing)
+        assert set(failing.values()) == {where}, (label, failing)
 
 
 def test_a_nan_in_the_grids_quadrature_mu_fails_the_closed_form_check(charged, monkeypatch):
