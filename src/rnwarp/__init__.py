@@ -14,7 +14,7 @@ from .oracle import CurvaturePoint, MetricField, ricci_at
 from .reissner_nordstrom import BlackHoleParams, HorizonPair, horizons, interior_grid, \
     lapse_squared, mu_closed_form, mu_closed_form_sqrt, mu_of_r, r_of_mu, ricci_closed_form, \
     static_chart, warp_state, warped_chart
-from .warped import RicciDiag, WarpState, ricci_from_warps, scalar_from_ricci
+from .warped import RicciDiag, WarpState, ricci_from_warps
 
 __all__ = [
     "BlackHoleParams",
@@ -47,7 +47,6 @@ __all__ = [
     "ricci_at",
     "ricci_closed_form",
     "ricci_from_warps",
-    "scalar_from_ricci",
     "static_chart",
     "warp_state",
     "warped_chart",

@@ -102,7 +102,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     p = _params(args)
     r, mu = args.r, args.mu
     if mu is None:
-        rn._require_interior(p, r)  # the horizons themselves are not interior points
+        rn._require_interior(p, r, closed=False)  # the horizons themselves are not interior points
         mu = rn.mu_of_r(p, r)
     else:
         r = rn.r_of_mu(p, mu)

@@ -91,7 +91,7 @@ def lapse_squared(p: BlackHoleParams, r):
     the direct form loses all significance to cancellation). A float r
     gives a float, an array of r the array of N^2.
     """
-    hp, r = _require_interior(p, r)
+    hp, r = _require_interior(p, r, closed=False)
     n2 = _factored_lapse(hp, r, r * r)
     direct = -1.0 + 2.0 * p.mass / r - (p.charge / r) ** 2
     disagree = np.abs(n2 - direct) > 1e-12 * np.maximum(1.0, np.abs(n2))
@@ -131,7 +131,7 @@ def mu_of_r(p: BlackHoleParams, r):
     quadrature row, no closed form, and F does not step back across m.
     Every row's 20- and 12-point sums must agree to _tolerance(m).
     """
-    hp, rs = _require_closed_interior(p, r)
+    hp, rs = _require_interior(p, r, closed=True)
     rp, rm, m = hp.r_plus, hp.r_minus, p.mass
 
     def integrand(a, b):
@@ -162,7 +162,7 @@ def mu_closed_form(p: BlackHoleParams, r):
     never used as the definition of F. A float r gives a float, an array of r
     the array.
     """
-    hp, r = _require_closed_interior(p, r)
+    hp, r = _require_interior(p, r, closed=True)
     mu = _plain_ratio_mu(p.mass, _half_gap(p), _forward_angle(hp, r))
     return mu if mu.ndim else float(mu)
 
@@ -181,7 +181,7 @@ def mu_closed_form_sqrt(p: BlackHoleParams, r):
     definition of F at every tested point. A float r gives a float, an
     array of r the array.
     """
-    hp, r = _require_closed_interior(p, r)
+    hp, r = _require_interior(p, r, closed=True)
     mu = _kepler_mu(p.mass, _half_gap(p), _forward_angle(hp, r))
     return mu if mu.ndim else float(mu)
 
@@ -441,23 +441,18 @@ def interior_grid(p: BlackHoleParams, n: int, guard_fraction: float = 0.05) -> l
     return [lo + i * step for i in range(n)]
 
 
-def _require_interior(p: BlackHoleParams, r) -> tuple[HorizonPair, np.ndarray]:
-    """The horizons and r as floats, once all of r lies strictly between them; else DomainError."""
+def _require_interior(p: BlackHoleParams, r, closed: bool) -> tuple[HorizonPair, np.ndarray]:
+    """The horizons and r as floats, once all of r lies in the interior; else DomainError.
+
+    closed says whether the horizons count: the interior is then [r_minus, r_plus],
+    else (r_minus, r_plus).
+    """
     hp = horizons(p)
     rs = np.asarray(r, dtype=float)
-    inside = (hp.r_minus < rs) & (rs < hp.r_plus)
+    within = np.less_equal if closed else np.less
+    inside = within(hp.r_minus, rs) & within(rs, hp.r_plus)
     if not inside.all():
+        interval = "closed interior [{}, {}]" if closed else "open interior ({}, {})"
         raise DomainError(
-            f"r={rs[~inside].flat[0]} outside the open interior ({hp.r_minus}, {hp.r_plus})")
-    return hp, rs
-
-
-def _require_closed_interior(p: BlackHoleParams, r) -> tuple[HorizonPair, np.ndarray]:
-    """The horizons and r as floats, once all of r lies on or between them; else DomainError."""
-    hp = horizons(p)
-    rs = np.asarray(r, dtype=float)
-    inside = (hp.r_minus <= rs) & (rs <= hp.r_plus)
-    if not inside.all():
-        raise DomainError(
-            f"r={rs[~inside].flat[0]} outside the closed interior [{hp.r_minus}, {hp.r_plus}]")
+            f"r={rs[~inside].flat[0]} outside the " + interval.format(hp.r_minus, hp.r_plus))
     return hp, rs

@@ -78,19 +78,14 @@ def _require_theta(theta: float) -> None:
         raise DomainError(f"theta must lie in (0, pi), got {theta}")
 
 
-def scalar_from_ricci(rd: RicciDiag, w: WarpState) -> float:
+def _ricci_scalar(r_mumu, r_nunu, r_thth, r_phph, theta: float, w: WarpState):
     """Scalar curvature: the Ricci trace with the inverse warped metric.
 
     R = -R_mumu + R_nunu/f1^2 + R_thth/f2^2 + R_phph/(f2^2 sin^2 theta).
 
-    At theta = 0 or pi the last term is taken as R_thth/f2^2, which is
-    exact because r_phph carries the same sin^2 theta factor.
+    Where sin^2 theta <= 1e-30 the last term is taken as R_thth/f2^2, which
+    is exact because r_phph carries the same sin^2 theta factor.
     """
-    return _ricci_scalar(rd.r_mumu, rd.r_nunu, rd.r_thth, rd.r_phph, rd.theta, w)
-
-
-def _ricci_scalar(r_mumu, r_nunu, r_thth, r_phph, theta: float, w: WarpState):
-    """scalar_from_ricci of the diagonal components at polar angle theta."""
     f1sq = w.f1 * w.f1
     f2sq = w.f2 * w.f2
     sin2 = math.sin(theta) ** 2

@@ -6,14 +6,16 @@ import os
 # read when numpy loads, so they are set before anything imports it. A CPU
 # without the disabled features runs as pinned already (numpy may say so in
 # an ImportWarning)
-os.environ["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
-os.environ["OPENBLAS_CORETYPE"] = "Haswell"
+PIN = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Haswell"}
+os.environ.update(PIN)
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import rnwarp
 from rnwarp import BlackHoleParams
 
 settings.register_profile(
@@ -36,3 +38,14 @@ def charged():
 @pytest.fixture
 def schwarzschild():
     return BlackHoleParams(1.0, 0.0)
+
+
+@pytest.fixture(scope="session")
+def unpinned_env():
+    """The environment of a child interpreter that imports rnwarp from src, without the pin.
+
+    numpy's dispatch and OpenBLAS's kernels are then the CPU's, as users get them.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in PIN}
+    env["PYTHONPATH"] = str(Path(rnwarp.__file__).parents[1])
+    return env

@@ -1,9 +1,12 @@
 import errno
+import functools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -817,35 +820,158 @@ class TestWriteFailure:
         assert stdout.buffer.taken == b"r,mu,f1,f2"
 
 
-def rnwarp(*argv, unbuffered=False, **popen):
-    """Start `python -m rnwarp` with stdout buffered as a shell would, or unbuffered."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+def rnwarp(env, *argv, unbuffered=False, **popen):
+    """Start `python -W error -m rnwarp` with stdout buffered as a shell would, or unbuffered."""
+    env = {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen([sys.executable, "-m", "rnwarp", *argv], env=env,
+    return subprocess.Popen([sys.executable, "-W", "error", "-m", "rnwarp", *argv], env=env,
                             stderr=subprocess.PIPE, text=True, **popen)
 
 
-@pytest.mark.parametrize("theta", ["1e-160", "1e-150"])
-def test_non_finite_residual_is_an_error_under_the_default_dispatch(theta):
-    """python -W error -m rnwarp verify next to the axis exits 2 with one line.
+# Runs each argv of the JSON list on stdin through cli.main, or an example
+# script's main, and writes their (exit code, stdout, stderr) as one JSON list.
+# An exception is a None exit code, its traceback the stderr.
+_CHILD = """
+import contextlib, io, json, runpy, sys, traceback
+from rnwarp import cli
 
-    Run in a child interpreter with numpy's dispatch and OpenBLAS's kernels
-    left to the CPU (tests/conftest.py pins both for this process), as
-    users run it. The oracle overflows this close to the axis; the run may
-    not report its checks as passed.
+runs = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            if argv[0].endswith(".py"):
+                code = runpy.run_path(sys.argv[1] + "/" + argv[0])["main"](argv[1:])
+            else:
+                code = cli.main(argv)
+        except Exception:
+            code = None
+            traceback.print_exc()
+    runs.append((code, out.getvalue(), err.getvalue()))
+json.dump(runs, sys.stdout)
+"""
+
+
+Run = namedtuple("Run", "code out err")
+
+
+def exits(code):
+    def check(run, runs):
+        assert run.code == code, run.err
+    return check
+
+
+def record(predicate):
+    """Exit 0 with a JSON record that satisfies predicate."""
+    def check(run, runs):
+        assert run.code == 0, run.err
+        value = json.loads(run.out)
+        assert predicate(value), value
+    return check
+
+
+def passes(name, codes=(0,)):
+    """verify exits with one of codes and reports the check name as passed."""
+    def check(run, runs):
+        assert run.code in codes, run.err
+        passed = {c["name"]: c["pass"] for c in json.loads(run.out)["checks"]}
+        assert passed.get(name) is True, passed
+    return check
+
+
+def same_floats_as(json_call):
+    """Exit 0 with the header and, bit for bit, the floats of json_call's table."""
+    def check(run, runs):
+        assert run.code == 0, run.err
+        lines = run.out.splitlines()
+        rows = json.loads(runs[json_call].out)
+        assert lines[0].split(",") == list(rows[0]) and len(lines) == len(rows) + 1
+        bits = functools.partial(struct.pack, "<d")
+        assert [bits(float(c)) for line in lines[1:] for c in line.split(",")] == \
+            [bits(v) for row in rows for v in row.values()]
+    return check
+
+
+def one_error_line(start):
+    def check(run, runs):
+        assert (run.code, run.out) == (2, "")
+        assert run.err.startswith(start) and run.err.count("\n") == 1, run.err
+    return check
+
+
+# CLI calls and example-script runs at the edges of the domain: near-extremal
+# and tiny-guard tables, CSV against JSON, and the quadrature and Kepler edges
+DEFAULT_DISPATCH = {
+    "charge_sweep.py": exits(0),
+    # the last two are one-point ricci_at calls at the edges of the oracle bands
+    **{f"oracle_comparison.py --mass {m} --charge {q} --grid 8": exits(0)
+       for m, q in [("1", "0.6"), ("1", "0"), ("1", "0.97"), ("0.3", "0")]},
+    "curvature --mass 1 --charge 0.999999999 --grid 64": exits(0),
+    "fluid --mass 1 --charge 0.999999999 --grid 64": exits(0),
+    **{f"verify --mass {m} --charge {q}": exits(0)
+       for m, q in [("1", "0.6"), ("0.1", "0"), ("1e-3", "0"), ("10", "9.9"),
+                    ("1", "0.999999999999")]},
+    "curvature --mass 1 --charge 0 --grid 2 --guard 1e-300": exits(0),
+    **{f"{command} --mass 1 --charge {q}{theta} --format {fmt}":
+       exits(0) if fmt == "json" else
+       same_floats_as(f"{command} --mass 1 --charge {q}{theta} --format json")
+       for q in ("0.6", "0") for command in ("curvature", "fluid")
+       for theta in ("", " --theta 0.7") for fmt in ("csv", "json")},
+    **{f"verify --mass {m} --charge {q} --format json": passes("closed_vs_oracle_ricci")
+       for m, q in [("1", "0.9999"), ("0.1", "0")]},
+    "verify --mass 1 --charge 0.6 --guard 1e-9 --format json": passes("warp_identities"),
+    # at Q = 0 this close to r = 0 other rows fail (exit 1); the Kepler rows pass
+    "verify --mass 1 --charge 0 --guard 1e-9 --format json":
+        passes("warp_identities", codes=(0, 1)),
+    "verify --mass 1e-8 --charge 0 --format json": passes("roundtrip_inverse"),
+    # the Kepler solve inside (0, m*pi), at e = 1 and at both ends
+    **{f"transform --mass 1 --charge {q} --mu {mu}": exits(0)
+       for q, mu in [("0.6", "2"), ("0", "1e-30"), ("0", "5e-324"), ("0.6", "3.14159265358979")]},
+    # r = m and the double just below r_plus are rows whose Gauss-Legendre
+    # ellipse is the smallest (rho ~ 3.36), the latter an (m, r) row added to
+    # F(m); a horizon gap of 1.4e-6 of m at (1, 1 - 1e-12)
+    **{f"transform --mass 1 --charge {q} --r {r}":
+       record(lambda v: abs(v["mu"] - v["mu_closed_form_sqrt"]) <= 4 * math.ulp(math.pi))
+       for q, r in [("0.6", "1.0"), ("0", "1.0"), ("0.999999999999", "1.0"),
+                    ("0.6", "1.7999999999999998"), ("0", "1.9999999999999998"),
+                    ("0.999999999999", "1.0000014141979197")]},
+    # two doubles above r_minus: mu is 2.35608e-9 (60-digit mpmath), and the
+    # plain-ratio candidate stays positive, as where 3*mu/c underflows
+    "transform --mass 1 --charge 0.6 --r 0.2": record(
+        lambda v: abs(v["mu"] - 2.3560804576936207e-09) <= 1e-15 and v["mu_closed_form"] > 0),
+    "transform --mass 2.9e5 --charge 0 --mu 5e-324": record(lambda v: v["mu_closed_form"] > 0),
+    # r_of_mu's tolerance is in units of m: Q = 0.6m, mu = m*pi/2
+    **{f"transform --mass {m!r} --charge {0.6 * m!r} --mu {0.5 * m * math.pi!r}":
+       record(lambda v, m=m: abs(v["mu_closed_form_sqrt"] - v["mu"]) <= 1e-14 * m * math.pi)
+       for m in (1e-100, 1e-8, 1e8, 1e100)},
+    "transform --mass 1 --charge 0.6 --r 1 --tol 1e-6": exits(2),
+    # the oracle overflows this close to the axis; the run may not report its checks as passed
+    "verify --mass 1 --charge 0.6 --theta 1e-160": one_error_line("error: "),
+    "verify --mass 1 --charge 0.6 --theta 1e-150": one_error_line("error: floating-point overflow"),
+}
+
+
+class TestDefaultDispatch:
+    """The calls of DEFAULT_DISPATCH under numpy's default dispatch, as users run them.
+
+    conftest.py pins numpy's dispatch and OpenBLAS's kernels for this
+    process, so one child interpreter without the pin, and with every
+    warning an error, makes every call; each case then asserts on its run.
     """
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    child = subprocess.run([sys.executable, "-W", "error", "-m", "rnwarp", "verify", "--mass", "1",
-                            "--charge", "0.6", "--theta", theta],
-                           env=env, capture_output=True, text=True, timeout=60)
-    assert (child.returncode, child.stdout) == (2, "")
-    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
-    if theta == "1e-150":
-        assert child.stderr.startswith("error: floating-point overflow")
+
+    @pytest.fixture(scope="class")
+    def runs(self, unpinned_env):
+        scripts = Path(__file__).resolve().parents[1] / "scripts"
+        child = subprocess.run([sys.executable, "-W", "error", "-c", _CHILD, str(scripts)],
+                               input=json.dumps([call.split() for call in DEFAULT_DISPATCH]),
+                               env=unpinned_env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        return dict(zip(DEFAULT_DISPATCH, map(Run._make, json.loads(child.stdout))))
+
+    @pytest.mark.parametrize("call", DEFAULT_DISPATCH)
+    def test_call(self, runs, call):
+        DEFAULT_DISPATCH[call](runs[call], runs)
 
 
 class TestWriteFailureProcess:
@@ -853,9 +979,9 @@ class TestWriteFailureProcess:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["horizons", "curvature"])
-    def test_full_device(self, command):
+    def test_full_device(self, unpinned_env, command):
         with open("/dev/full", "w") as full:
-            proc = rnwarp(command, "--mass", "1", "--charge", "0.6", stdout=full)
+            proc = rnwarp(unpinned_env, command, "--mass", "1", "--charge", "0.6", stdout=full)
             _, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
         assert err == "error: cannot write output: [Errno 28] No space left on device\n"
@@ -863,9 +989,9 @@ class TestWriteFailureProcess:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")], ids=" ".join)
-    def test_help_into_full_device(self, argv, unbuffered):
+    def test_help_into_full_device(self, unpinned_env, argv, unbuffered):
         with open("/dev/full", "w") as full:
-            proc = rnwarp(*argv, unbuffered=unbuffered, stdout=full)
+            proc = rnwarp(unpinned_env, *argv, unbuffered=unbuffered, stdout=full)
             _, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
         assert err == "error: cannot write output: [Errno 28] No space left on device\n"
@@ -878,8 +1004,8 @@ class TestWriteFailureProcess:
         # the reader is gone before a record small enough to stay buffered
         (("horizons",), 0, False),
     ], ids=["table", "table-unbuffered", "record"])
-    def test_closed_pipe(self, argv, read, unbuffered):
-        proc = rnwarp(argv[0], "--mass", "1", "--charge", "0.6", *argv[1:],
+    def test_closed_pipe(self, unpinned_env, argv, read, unbuffered):
+        proc = rnwarp(unpinned_env, argv[0], "--mass", "1", "--charge", "0.6", *argv[1:],
                       unbuffered=unbuffered, stdout=subprocess.PIPE)
         proc.stdout.read(read)
         proc.stdout.close()

@@ -1,9 +1,7 @@
 import dataclasses
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -776,7 +774,7 @@ class TestBatchedPoints:
                     assert batch is SingularMetricError
                 assert (guard == 0.0) == bool(kinds)  # only the horizons are outside
 
-    def test_lone_point_is_its_batch_entry_under_the_default_dispatch(self):
+    def test_lone_point_is_its_batch_entry_under_the_default_dispatch(self, unpinned_env):
         """A lone point and a scalar Kepler inverse are their batch entries, unpinned.
 
         conftest.py caps numpy's SIMD dispatch at AVX2 and OpenBLAS at
@@ -787,11 +785,8 @@ class TestBatchedPoints:
         child interpreter with both variables removed. On a CPU without
         AVX-512 the child runs the kernels of the pinned suite.
         """
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
-        env["PYTHONPATH"] = str(Path(oracle.__file__).parents[1])
         child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _LONE_POINTS],
-                               env=env, capture_output=True, text=True, timeout=60)
+                               env=unpinned_env, capture_output=True, text=True, timeout=60)
         assert child.returncode == 0, child.stderr
 
     def test_invert4_batch_equals_each_matrix(self):

@@ -322,15 +322,13 @@ class TestBatchedClosedForms:
 @pytest.mark.parametrize("r", [1.0, np.array([0.5, 1.0, 1.5])])
 def test_each_call_checks_r_once(charged, monkeypatch, evaluate, r):
     checks = []
+    check = rn._require_interior
 
-    def counted(check):
-        def wrapper(p, r):
-            checks.append(check.__name__)
-            return check(p, r)
-        return wrapper
+    def counted(p, r, closed):
+        checks.append(closed)
+        return check(p, r, closed)
 
-    for name in ("_require_interior", "_require_closed_interior"):
-        monkeypatch.setattr(rn, name, counted(getattr(rn, name)))
+    monkeypatch.setattr(rn, "_require_interior", counted)
     evaluate(charged, r)
     assert len(checks) == 1
 
