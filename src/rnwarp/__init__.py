@@ -5,8 +5,7 @@ oracle on exact Taylor-jet derivatives, and a perfect-fluid reduction,
 cross validated against each other. Geometrized units G = c = 1 throughout.
 """
 
-from .calculus import DEFAULT_TOL, Interval, Tolerance, derivative, find_root_bracketed, \
-    integrate_endpoint_singular
+from .calculus import find_root_bracketed, integrate_endpoint_singular
 from .errors import BracketError, ConvergenceError, DomainError, ExtremalError, \
     SingularMetricError
 from .fluid import FluidReport, FluidResiduals, fluid_report
@@ -21,19 +20,15 @@ __all__ = [
     "BracketError",
     "ConvergenceError",
     "CurvaturePoint",
-    "DEFAULT_TOL",
     "DomainError",
     "ExtremalError",
     "FluidReport",
     "FluidResiduals",
     "HorizonPair",
-    "Interval",
     "MetricField",
     "RicciDiag",
     "SingularMetricError",
-    "Tolerance",
     "WarpState",
-    "derivative",
     "find_root_bracketed",
     "fluid_report",
     "horizons",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,33 +31,8 @@ _MAX_HALVINGS = 2200
 # per-step growth of the window that find_root_bracketed opens about a guess
 _WINDOW_GROWTH = 8.0
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy request for the quadrature's check and the root search."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
-            raise ValueError(
-                f"tolerances must be positive and finite, got {self.abs_tol}, {self.rel_tol}")
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Open interval (lo, hi), lo < hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"interval requires lo < hi, got ({self.lo}, {self.hi})")
-
-
-DEFAULT_TOL = Tolerance()
+# the relative accuracy of the quadrature's check and of the root search
+_REL_TOL = 1e-10
 
 
 # Gauss-Legendre rules of 20 and 12 points on [0, 1]: the nodes below 1/2,
@@ -94,8 +68,8 @@ _FINE = 2 * len(_GAUSS_20[0])
 
 
 def integrate_endpoint_singular(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
-                                beyond_lo=0.0, beyond_hi=0.0,
-                                tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+                                beyond_lo=0.0, beyond_hi=0.0, *,
+                                abs_tol: float = 1e-10) -> np.ndarray:
     """Integrate f(a, b)/sqrt(a*b) over each open interval (lo[i], hi[i]).
 
     Each row i has a singular point at or below its lower limit, at
@@ -134,16 +108,19 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray, np.ndarray], np.ndarray
     first such node (the 20-point rule's nodes first), or where its sum
     overflows though f is finite, and with ConvergenceError (carrying the
     20-point value and the difference) where the two sums differ by more
-    than the tolerance: a regular part that is not analytic there, such as
-    one more singular than the weight at an end (x^-3/4 or 1/x in place of
-    x^-1/2) or a discontinuous one, or a row singular at both its ends.
+    than abs_tol and by more than 1e-10 of the 20-point sum: a regular
+    part that is not analytic there, such as one more singular than the
+    weight at an end (x^-3/4 or 1/x in place of x^-1/2) or a
+    discontinuous one, or a row singular at both its ends.
     The error of the first failing row is raised, as a loop over the rows
     would raise it. A node whose distance from either singular point
     rounds to 0, as in a row a few subnormals wide, is dropped: f does
     not see it and it adds 0. Infinite limits, limits whose difference
-    overflows and offsets that are negative or not finite raise
-    ValueError before f is called.
+    overflows, offsets that are negative or not finite and an abs_tol that
+    is not positive and finite raise ValueError before f is called.
     """
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol!r}")
     try:
         limits = np.empty((4,) + np.broadcast(lo, hi, beyond_lo, beyond_hi).shape)
         limits[0], limits[1], limits[2], limits[3] = lo, hi, beyond_lo, beyond_hi
@@ -204,7 +181,7 @@ def integrate_endpoint_singular(f: Callable[[np.ndarray, np.ndarray], np.ndarray
     for i in (~np.isfinite(fine)).nonzero()[0].tolist():
         failed.setdefault(i, ValueError(f"the quadrature sum overflows on the interval "
                                         f"({float(lo[i])!r}, {float(hi[i])!r})"))
-    for i in (err > np.maximum(tol.abs_tol, tol.rel_tol * np.abs(fine))).nonzero()[0].tolist():
+    for i in (err > np.maximum(abs_tol, _REL_TOL * np.abs(fine))).nonzero()[0].tolist():
         failed.setdefault(i, ConvergenceError(
             "Gauss-Legendre quadrature did not converge: its 20- and 12-point sums differ "
             "by more than the tolerance", float(fine[i]), float(err[i])))
@@ -231,15 +208,15 @@ def _evaluate(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fx
 
 
-def find_root_bracketed(g: Callable[[float], float], iv: Interval,
-                        tol: Tolerance = DEFAULT_TOL, guess: float | None = None) -> float:
-    """Root of g inside [lo, hi], where g(lo) and g(hi) differ in sign.
+def find_root_bracketed(g: Callable[[float], float], lo: float, hi: float, *,
+                        abs_tol: float = 1e-10, guess: float | None = None) -> float:
+    """Root of g inside [lo, hi], lo < hi, where g(lo) and g(hi) differ in sign.
 
     Bisection, so convergence is guaranteed even where g has unbounded
     slope at the bracket ends. Each halving first tests the end with the
-    smaller |g| and returns it when |g| <= abs_tol or the half-width is
-    within rel_tol of it (plus 2 ulps of it, see _xtol). The
-    result always lies within the input bracket.
+    smaller |g| and returns it when |g| <= abs_tol, which must be positive
+    and finite, or the half-width is within 1e-10 of it, relative (plus 2
+    ulps of it, see _xtol). The result always lies within the input bracket.
 
     An optional guess inside [lo, hi] is tried first and returned as is
     when |g(guess)| <= abs_tol. Otherwise a window is widened
@@ -249,37 +226,41 @@ def find_root_bracketed(g: Callable[[float], float], iv: Interval,
     neither end changes sign either. Every value of g comes from a call
     to g.
     """
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol!r}")
+    if not lo < hi:
+        raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
     if guess is None:
-        a, b = iv.lo, iv.hi
+        a, b = lo, hi
         fa, fb = g(a), g(b)
     else:
-        if not iv.lo <= guess <= iv.hi:
-            raise ValueError(f"guess {guess!r} outside [{iv.lo}, {iv.hi}]")
+        if not lo <= guess <= hi:
+            raise ValueError(f"guess {guess!r} outside [{lo}, {hi}]")
         fx = g(guess)
-        if abs(fx) <= tol.abs_tol:
+        if abs(fx) <= abs_tol:
             return guess
-        a, fa, b, fb = _window(g, iv, guess, fx, tol)
+        a, fa, b, fb = _window(g, lo, hi, guess, fx)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"no sign change on [{a}, {b}]: g={fa!r}, {fb!r}")
-    return _bisect(g, a, fa, b, fb, tol)
+    return _bisect(g, a, fa, b, fb, abs_tol)
 
 
-def _xtol(x: float, tol: Tolerance) -> float:
+def _xtol(x: float) -> float:
     """Half the bracket width at which a root search near x stops, relative to x.
 
-    The 2*EPS keeps the stop above the spacing of doubles where rel_tol is
-    below it. It scales with |x| as rel_tol does, so a root of any size is
-    found to the same relative accuracy; the least subnormal keeps the
-    width positive at x = 0.
+    The 2*EPS keeps the stop above the spacing of doubles however small
+    _REL_TOL is. It scales with |x| as _REL_TOL does, so a root of any
+    size is found to the same relative accuracy; the least subnormal keeps
+    the width positive at x = 0.
     """
-    return max(0.5 * (tol.rel_tol + 2.0 * EPS) * abs(x), math.ulp(0.0))
+    return max(0.5 * (_REL_TOL + 2.0 * EPS) * abs(x), math.ulp(0.0))
 
 
-def _window(g, iv, x0, f0, tol):
+def _window(g, lo, hi, x0, f0):
     """A window [a, b] about x0, with g(a) and g(b), across which g changes sign.
 
     The window steps out from x0 on one side by a width that starts at
@@ -294,9 +275,9 @@ def _window(g, iv, x0, f0, tol):
     Raises BracketError when g keeps that sign at both interval ends.
     """
     positive = f0 > 0.0
-    for end in (iv.lo, iv.hi) if positive else (iv.hi, iv.lo):
+    for end in (lo, hi) if positive else (hi, lo):
         # a guess at 0 has no scale of its own; the interval's width gives one
-        inner, f_inner, width = x0, f0, _xtol(x0 or iv.hi - iv.lo, tol)
+        inner, f_inner, width = x0, f0, _xtol(x0 or hi - lo)
         while inner != end:
             x = max(end, x0 - width) if end < x0 else min(end, x0 + width)
             fx = g(x)
@@ -304,15 +285,15 @@ def _window(g, iv, x0, f0, tol):
                 return (x, fx, inner, f_inner) if x < x0 else (inner, f_inner, x, fx)
             inner, f_inner = x, fx
             width *= _WINDOW_GROWTH
-    raise BracketError(f"no sign change on [{iv.lo}, {iv.hi}] about the guess {x0!r}")
+    raise BracketError(f"no sign change on [{lo}, {hi}] about the guess {x0!r}")
 
 
-def _bisect(g, a, fa, b, fb, tol):
+def _bisect(g, a, fa, b, fb, abs_tol):
     """Bisection of a sign-changing bracket [a, b] with known g(a), g(b); b wins |g| ties."""
     for _ in range(_MAX_HALVINGS):
         x, fx, y = (a, fa, b) if abs(fa) < abs(fb) else (b, fb, a)
         half = 0.5 * (y - x)
-        if abs(fx) <= tol.abs_tol or abs(half) <= _xtol(x, tol):
+        if abs(fx) <= abs_tol or abs(half) <= _xtol(x):
             return x
         mid = 0.5 * a + 0.5 * b  # halves first: b - a may overflow
         fm = g(mid)

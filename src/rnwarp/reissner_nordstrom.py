@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus, oracle
-from .calculus import DEFAULT_TOL, Interval, Tolerance
 from .errors import DomainError, ExtremalError
 from .oracle import MetricField
 from .warped import RicciDiag, WarpState, _require_theta
@@ -103,15 +102,6 @@ def lapse_squared(p: BlackHoleParams, r):
     return n2 if n2.ndim else float(n2)
 
 
-def _tolerance(m: float) -> Tolerance:
-    """The accuracy of mu_of_r and r_of_mu: DEFAULT_TOL with its absolute part in units of m.
-
-    Both tolerances then scale with the unit of length, as mu does. m*abs_tol
-    does not underflow: horizons() refuses every m below ~1.5e-162.
-    """
-    return Tolerance(DEFAULT_TOL.abs_tol * m, DEFAULT_TOL.rel_tol)
-
-
 def mu_of_r(p: BlackHoleParams, r):
     """The coordinate map mu = F(r), by quadrature of the defining integral.
 
@@ -129,7 +119,9 @@ def mu_of_r(p: BlackHoleParams, r):
     of the row, or past it, and the other about c = (r_plus - r_minus)/2, a
     row width, past its other end, as the quadrature requires. F(m) is a
     quadrature row, no closed form, and F does not step back across m.
-    Every row's 20- and 12-point sums must agree to _tolerance(m).
+    Every row's 20- and 12-point sums must agree to 1e-10 relative or
+    1e-10*m absolute, which scales with the unit of length as mu does and
+    does not underflow: horizons() refuses every m below ~1.5e-162.
     """
     hp, rs = _require_interior(p, r, closed=True)
     rp, rm, m = hp.r_plus, hp.r_minus, p.mass
@@ -146,7 +138,7 @@ def mu_of_r(p: BlackHoleParams, r):
         above = r_rows > m
         lo = np.where(above, m, rm)
         rows = calculus.integrate_endpoint_singular(
-            integrand, lo, r_rows, lo - rm, rp - r_rows, _tolerance(m))
+            integrand, lo, r_rows, lo - rm, rp - r_rows, abs_tol=1e-10 * m)
         mu[inside] = np.where(above[:-1], rows[-1] + rows[:-1], rows[:-1])
     return float(mu) if mu.ndim == 0 else mu
 
@@ -202,8 +194,10 @@ def r_of_mu(p: BlackHoleParams, mu: float) -> float:
     F(r_plus) = m*pi, so [r_minus, r_plus] always brackets the root;
     the improper quadrature converges at the closed endpoints. The
     search starts from the Kepler inverse (_kepler_inverse) and returns it
-    when the quadrature agrees to the absolute part of _tolerance(m), in
-    units of m as mu is, so the root is always decided by mu_of_r. This is
+    when the quadrature agrees to 1e-10 of the smaller of m and mu, so
+    the root is always decided by mu_of_r, also where mu is far below m,
+    where 1e-10*m alone would pass any guess. The least subnormal keeps
+    the tolerance positive where 1e-10*mu underflows. This is
     the inverse of `rnwarp transform --mu`; the warped chart and the
     verification suite solve the Kepler angle themselves (_kepler_angle,
     _kepler_lift, _kepler_r).
@@ -214,7 +208,8 @@ def r_of_mu(p: BlackHoleParams, mu: float) -> float:
         return mu_of_r(p, r) - mu
 
     # next to mu = m*pi the Kepler r, (m - c) + 2c*sin(phi/2)^2, can round past r_plus = m + c
-    return calculus.find_root_bracketed(g, Interval(hp.r_minus, hp.r_plus), _tolerance(p.mass),
+    return calculus.find_root_bracketed(g, hp.r_minus, hp.r_plus,
+                                        abs_tol=max(1e-10 * min(p.mass, mu), math.ulp(0.0)),
                                         guess=min(_kepler_inverse(p, mu), hp.r_plus))
 
 
@@ -364,7 +359,7 @@ def _ricci_closed_form(p: BlackHoleParams, r: np.ndarray, n2, theta: float) -> R
         r_thth,
         r_thth * math.sin(theta) ** 2,
         np.zeros(r.shape),
-    ), theta=theta)
+    ))
 
 
 def _floats_for(r: np.ndarray, *values) -> tuple:

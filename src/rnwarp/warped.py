@@ -42,9 +42,9 @@ class WarpState:
 class RicciDiag:
     """The four nonvanishing Ricci components (length^-2) plus the scalar.
 
-    The components and the scalar are floats, or arrays along a grid.
-    theta, one angle, records the polar angle at which r_phph was
-    evaluated; r_phph = r_thth * sin(theta)^2 always.
+    The components and the scalar are floats, or arrays along a grid;
+    r_phph = r_thth * sin(theta)^2 at the polar angle theta they were
+    evaluated at.
     """
 
     r_mumu: float
@@ -52,7 +52,6 @@ class RicciDiag:
     r_thth: float
     r_phph: float
     scalar: float
-    theta: float
 
 
 def ricci_from_warps(w: WarpState, theta: float) -> RicciDiag:
@@ -69,7 +68,7 @@ def ricci_from_warps(w: WarpState, theta: float) -> RicciDiag:
     r_thth = w.f1p * w.f2 * w.f2p / w.f1 + w.f2 * w.f2pp + w.f2p * w.f2p + 1.0
     r_phph = r_thth * math.sin(theta) ** 2
     return RicciDiag(r_mumu, r_nunu, r_thth, r_phph,
-                     _ricci_scalar(r_mumu, r_nunu, r_thth, r_phph, theta, w), theta)
+                     _ricci_scalar(r_mumu, r_nunu, r_thth, r_phph, theta, w))
 
 
 def _require_theta(theta: float) -> None:

@@ -170,8 +170,8 @@ class TestTransform:
     def test_tiny_mu_at_zero_charge(self, capsys, mu, r):
         # phi ~ 1.8e-10 and 1.8e-100: the Kepler guess takes the slope
         # r/m = 2*sin(phi/2)^2, where 1 - cos(phi) is 0; r is (6 mu)^(2/3)/2 to
-        # 1e-20 relative. The root search accepts any r whose quadrature mu is
-        # within abs_tol, so here the Kepler guess alone decides r
+        # 1e-20 relative. The root search checks it against the quadrature to
+        # 1e-10 of mu, not of m, so the quadrature decides r here too
         code, out, err = run(capsys, "transform", "--mass", "1", "--charge", "0", "--mu", mu)
         assert (code, err) == (0, "")
         assert abs(json.loads(out)["r"] - r) <= 1e-9 * r
@@ -499,7 +499,7 @@ class TestUsage:
         assert err.startswith("error: lapse forms disagree") and err.count("\n") == 1
 
     def test_convergence_error_exits_2(self, capsys, monkeypatch):
-        def stalled(*args):
+        def stalled(*args, **kwargs):
             raise calculus.ConvergenceError("stalled", 0.5, 1e-3)
 
         monkeypatch.setattr(calculus, "integrate_endpoint_singular", stalled)

@@ -52,7 +52,7 @@ class TestFluidBalance:
             one = fluid_balance(q, w, 1.0)
             assert (rho[k], pressure[k]) == one[:2]
             assert [v[k] for v in astuple(res)] == list(astuple(one[2]))
-            assert [v[k] for v in astuple(rd)[:5]] == list(astuple(ricci_from_warps(w, 1.0))[:5])
+            assert [v[k] for v in astuple(rd)] == list(astuple(ricci_from_warps(w, 1.0)))
 
     def test_report_is_the_balance_at_its_warp_state(self, charged):
         rep = fluid_report(charged, 0.9, theta=0.6)

@@ -208,11 +208,11 @@ class TestZeroInnerHorizon:
         seen = []
         quad = calculus.integrate_endpoint_singular
 
-        def recording(f, *args):
+        def recording(f, *args, **kwargs):
             def g(a, b):
                 seen.append((a.copy(), b.copy()))
                 return f(a, b)
-            return quad(g, *args)
+            return quad(g, *args, **kwargs)
 
         monkeypatch.setattr(calculus, "integrate_endpoint_singular", recording)
         p = BlackHoleParams(1.0, 0.0)
@@ -240,19 +240,20 @@ class TestBatchedMu:
         calls = []
         quad = calculus.integrate_endpoint_singular
 
-        def counted(*args):
-            calls.append(args)
-            return quad(*args)
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return quad(*args, **kwargs)
 
         monkeypatch.setattr(calculus, "integrate_endpoint_singular", counted)
         hp = horizons(charged)
         mu = mu_of_r(charged, np.array([hp.r_minus, 1.0, 1.5, hp.r_plus]))
-        (f, lo, hi, beyond_lo, beyond_hi, tol), = calls
+        ((f, lo, hi, beyond_lo, beyond_hi), kwargs), = calls
         rm, rp, m = hp.r_minus, hp.r_plus, charged.mass
+        assert kwargs == {"abs_tol": 1e-10 * m}
         assert lo.tolist() == [rm, m, m, rm] and hi.tolist() == [1.0, 1.5, rp, m]
         assert beyond_lo.tolist() == [0.0, m - rm, m - rm, 0.0]
         assert beyond_hi.tolist() == [rp - 1.0, rp - 1.5, 0.0, rp - m]
-        rows = quad(f, lo, hi, beyond_lo, beyond_hi, tol)
+        rows = quad(f, lo, hi, beyond_lo, beyond_hi, **kwargs)
         assert mu.tolist() == [0.0, rows[0], rows[3] + rows[1], rows[3] + rows[2]]
 
     def test_scalar_gives_a_python_float(self, charged):
@@ -450,6 +451,17 @@ class TestInverse:
         exact = _kepler_inverse(p, mu)
         monkeypatch.setattr(rn, "_kepler_inverse", lambda p, mu: exact * (1.0 + off))
         assert abs(r_of_mu(p, mu) - exact) <= 1e-11 * exact
+
+    @pytest.mark.parametrize("mu", [1e-30, 1e-20, 1e-12])
+    def test_root_search_referees_a_bad_guess_far_below_m(self, monkeypatch, mu):
+        # the quadrature checks the guess to 1e-10 of the smaller of m and mu:
+        # to 1e-10*m alone, any guess passed at mu below ~1e-10*m, and this
+        # one, 1e-6 off, came back as it was
+        p = BlackHoleParams(1.0, 0.0)
+        exact = r_of_mu(p, mu)
+        guess = _kepler_inverse(p, mu) * (1.0 + 1e-6)
+        monkeypatch.setattr(rn, "_kepler_inverse", lambda p, mu: guess)
+        assert abs(r_of_mu(p, mu) - exact) <= 1e-10 * exact
 
     def test_kepler_guess_one_ulp_past_the_outer_horizon(self):
         # the guess rounds to the double above r_plus; the search starts at r_plus

@@ -179,7 +179,7 @@ def test_reference_verify_quadrature_budget(monkeypatch):
     quad, r_of_mu, find_root = (calculus.integrate_endpoint_singular, rn.r_of_mu,
                                 calculus.find_root_bracketed)
 
-    def counted_quad(f, lo, hi, *args):
+    def counted_quad(f, lo, hi, *args, **kwargs):
         rows.append(len(hi))
 
         def counted_f(a, b):
@@ -187,7 +187,7 @@ def test_reference_verify_quadrature_budget(monkeypatch):
             calls[0] += 1
             return f(a, b)
 
-        return quad(counted_f, lo, hi, *args)
+        return quad(counted_f, lo, hi, *args, **kwargs)
 
     def counted_root(fn):
         def wrapper(*args, **kwargs):
