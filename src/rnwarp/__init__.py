@@ -5,9 +5,7 @@ oracle on exact Taylor-jet derivatives, and a perfect-fluid reduction,
 cross validated against each other. Geometrized units G = c = 1 throughout.
 """
 
-from .calculus import find_root_bracketed, integrate_endpoint_singular
-from .errors import BracketError, ConvergenceError, DomainError, ExtremalError, \
-    SingularMetricError
+from .errors import ConvergenceError, DomainError, ExtremalError, SingularMetricError
 from .fluid import FluidReport, FluidResiduals, fluid_report
 from .oracle import CurvaturePoint, MetricField, ricci_at
 from .reissner_nordstrom import BlackHoleParams, HorizonPair, horizons, interior_grid, \
@@ -17,7 +15,6 @@ from .warped import RicciDiag, WarpState, ricci_from_warps
 
 __all__ = [
     "BlackHoleParams",
-    "BracketError",
     "ConvergenceError",
     "CurvaturePoint",
     "DomainError",
@@ -29,10 +26,8 @@ __all__ = [
     "RicciDiag",
     "SingularMetricError",
     "WarpState",
-    "find_root_bracketed",
     "fluid_report",
     "horizons",
-    "integrate_endpoint_singular",
     "interior_grid",
     "lapse_squared",
     "mu_closed_form",

@@ -209,44 +209,31 @@ def _evaluate(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def find_root_bracketed(g: Callable[[float], float], lo: float, hi: float, *,
-                        abs_tol: float = 1e-10, guess: float | None = None) -> float:
-    """Root of g inside [lo, hi], lo < hi, where g(lo) and g(hi) differ in sign.
+                        guess: float, abs_tol: float = 1e-10) -> float:
+    """Root of g inside [lo, hi], lo < hi, searched for from a guess in [lo, hi].
 
-    Bisection, so convergence is guaranteed even where g has unbounded
-    slope at the bracket ends. Each halving first tests the end with the
-    smaller |g| and returns it when |g| <= abs_tol, which must be positive
-    and finite, or the half-width is within 1e-10 of it, relative (plus 2
-    ulps of it, see _xtol). The result always lies within the input bracket.
-
-    An optional guess inside [lo, hi] is tried first and returned as is
-    when |g(guess)| <= abs_tol. Otherwise a window is widened
+    The guess is tried first and returned as is when |g(guess)| <= abs_tol,
+    which must be positive and finite. Otherwise a window is widened
     geometrically from the guess, one side at a time, until g changes
-    sign across it, and bisection runs on that window. Each side can
-    grow to its interval end, so BracketError is raised only when
-    neither end changes sign either. Every value of g comes from a call
-    to g.
+    sign across it (_window), and bisection runs on that window, so
+    convergence is guaranteed even where g has unbounded slope at the
+    interval ends. Each side can grow to its interval end, so BracketError
+    is raised only when neither end changes sign either. Each halving
+    first tests the end with the smaller |g| and returns it when
+    |g| <= abs_tol or the half-width is within 1e-10 of it, relative
+    (plus 2 ulps of it, see _xtol). The result always lies within
+    [lo, hi], and every value of g comes from a call to g.
     """
     if not 0.0 < abs_tol < math.inf:
         raise ValueError(f"abs_tol must be positive and finite, got {abs_tol!r}")
     if not lo < hi:
         raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
-    if guess is None:
-        a, b = lo, hi
-        fa, fb = g(a), g(b)
-    else:
-        if not lo <= guess <= hi:
-            raise ValueError(f"guess {guess!r} outside [{lo}, {hi}]")
-        fx = g(guess)
-        if abs(fx) <= abs_tol:
-            return guess
-        a, fa, b, fb = _window(g, lo, hi, guess, fx)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise BracketError(f"no sign change on [{a}, {b}]: g={fa!r}, {fb!r}")
-    return _bisect(g, a, fa, b, fb, abs_tol)
+    if not lo <= guess <= hi:
+        raise ValueError(f"guess {guess!r} outside [{lo}, {hi}]")
+    fx = g(guess)
+    if abs(fx) <= abs_tol:
+        return guess
+    return _bisect(g, *_window(g, lo, hi, guess, fx), abs_tol)
 
 
 def _xtol(x: float) -> float:

@@ -219,11 +219,10 @@ def _kepler_inverse(p: BlackHoleParams, mu):
     The same function as r_of_mu (the substitution integrates the defining
     quadrature exactly) from three root-finding steps instead of nested
     quadratures: r_of_mu's guess, which its root search checks against
-    mu_of_r.
-    mu is a float (giving a float), an array or an oracle.Jet (giving one).
+    mu_of_r. mu is a float (giving a float) or an array (giving one).
     """
-    r = _kepler_lift(p.mass, _half_gap(p), mu, _kepler_angle(p, mu))[0]
-    return r if isinstance(mu, oracle.Jet) or np.ndim(mu) else float(r)
+    r = _kepler_r(p.mass, _half_gap(p), _kepler_angle(p, mu))
+    return r if np.ndim(mu) else float(r)
 
 
 # phi - sin(phi) = phi^3 * sum_k _SERIES[k] * phi^(2k), k = 0..12, the odd

@@ -1,9 +1,6 @@
 import inspect
 import math
-import os
 import re
-import subprocess
-import sys
 import warnings
 
 import mpmath
@@ -12,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rnwarp
 from rnwarp import calculus
 from rnwarp.calculus import EPS, derivative, find_root_bracketed, integrate_endpoint_singular
 from rnwarp.errors import BracketError, ConvergenceError
@@ -274,7 +270,7 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="lo < hi"):
             integrate_endpoint_singular(never, lo, [hi])
         with pytest.raises(ValueError, match="lo < hi"):
-            find_root_bracketed(never, lo, hi)
+            find_root_bracketed(never, lo, hi, guess=lo)
 
 
 def kepler(x):
@@ -508,23 +504,20 @@ class TestBatchedRows:
 
 class TestFindRoot:
     def test_sqrt_two(self):
-        got = find_root_bracketed(lambda x: x * x - 2.0, 0.0, 2.0)
+        got = find_root_bracketed(lambda x: x * x - 2.0, 0.0, 2.0, guess=1.0)
         assert got == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_odd_function(self):
-        got = find_root_bracketed(lambda x: x, -1.0, 1.0)
+        got = find_root_bracketed(lambda x: x, -1.0, 1.0, guess=0.5)
         assert abs(got) <= 1e-10
 
     def test_cosine(self):
-        got = find_root_bracketed(math.cos, 1.0, 2.0)
+        got = find_root_bracketed(math.cos, 1.0, 2.0, guess=1.0)
         assert got == pytest.approx(math.pi / 2.0, abs=1e-9)
 
     def test_root_at_endpoint(self):
-        assert find_root_bracketed(lambda x: x, 0.0, 1.0) == 0.0
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
+        # the window reaches the interval end, where g is exactly 0
+        assert find_root_bracketed(lambda x: x, 0.0, 1.0, guess=1.0) == 0.0
 
     @given(st.floats(min_value=-5.0, max_value=5.0),
            st.floats(min_value=0.1, max_value=3.0),
@@ -535,7 +528,7 @@ class TestFindRoot:
         def g(x):
             return (x - root) * (1.0 + x * x)
 
-        got = find_root_bracketed(g, lo, hi)
+        got = find_root_bracketed(g, lo, hi, guess=hi)
         assert lo <= got <= hi
         assert got == pytest.approx(root, abs=1e-8 * max(1.0, abs(root)))
 
@@ -545,7 +538,7 @@ class TestFindRoot:
     ])
     def test_widest_brackets(self, g, root):
         # about a thousand halvings from 1e300 down to the tolerance
-        got = find_root_bracketed(g, -1e300, 1e300)
+        got = find_root_bracketed(g, -1e300, 1e300, guess=-1e300)
         assert got == pytest.approx(root, abs=1e-9)
 
     @pytest.mark.parametrize("fa, fb, want", [
@@ -621,7 +614,7 @@ class TestFindRoot:
         def g(x):
             return math.asin(x) - 0.25
 
-        got = find_root_bracketed(g, -1.0, 1.0)
+        got = find_root_bracketed(g, -1.0, 1.0, guess=-1.0)
         assert got == pytest.approx(math.sin(0.25), abs=1e-9)
 
 
@@ -653,15 +646,14 @@ class TestGuess:
         guess = {"lo": lo, "hi": hi, "below": root - 1e-6, "above": root + 1e-6,
                  "far_below": 0.9 * lo + 0.1 * root,
                  "far_above": 0.9 * hi + 0.1 * root}[where]
-        plain = find_root_bracketed(g, lo, hi)
         got = find_root_bracketed(g, lo, hi, guess=guess)
-        assert plain == pytest.approx(root, abs=1e-9)
         assert got == pytest.approx(root, abs=1e-9)
         assert lo <= got <= hi
 
     @pytest.mark.parametrize("guess", [-1.0, -0.2, 0.0, 0.7, 1.0])
     def test_no_sign_change_anywhere_raises(self, guess):
-        with pytest.raises(BracketError):
+        # from any guess, both sides reach their interval ends first
+        with pytest.raises(BracketError, match=r"no sign change on \[-1.0, 1.0\]"):
             find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0, guess=guess)
 
     @pytest.mark.parametrize("guess", [-1.5, 2.0, math.nan])
@@ -704,7 +696,7 @@ class TestDerivative:
 # each public function that takes abs_tol, on f or g that it must not call
 TOLERANT = {
     "quadrature": lambda **tol: integrate_endpoint_singular(never, 0.0, [1.0], 0.0, 1.0, **tol),
-    "root_search": lambda **tol: find_root_bracketed(never, -1.0, 1.0, **tol),
+    "root_search": lambda **tol: find_root_bracketed(never, -1.0, 1.0, guess=0.0, **tol),
 }
 
 
@@ -716,6 +708,9 @@ class TestTolerance:
         for fn in (integrate_endpoint_singular, find_root_bracketed):
             param = inspect.signature(fn).parameters["abs_tol"]
             assert (param.kind, param.default) == (param.KEYWORD_ONLY, 1e-10)
+        # the root search has one mode: it always starts from a guess
+        param = inspect.signature(find_root_bracketed).parameters["guess"]
+        assert (param.kind, param.default) == (param.KEYWORD_ONLY, param.empty)
 
     @pytest.mark.parametrize("call", TOLERANT.values(), ids=TOLERANT.keys())
     @pytest.mark.parametrize("abs_tol", [0.0, -1.0])
