@@ -69,8 +69,13 @@ def horizons(p: BlackHoleParams) -> HorizonPair:
 
 
 def _half_gap(p: BlackHoleParams) -> float:
-    """c = sqrt(m^2 - Q^2), r_pm = m +- c; DomainError unless c is finite and positive."""
-    c = math.sqrt(p.mass * p.mass - p.charge * p.charge)  # NaN if both squares overflow
+    """c = sqrt(m^2 - Q^2), r_pm = m +- c; DomainError unless c is finite and positive.
+
+    m^2 - Q^2 is formed as (m - Q)(m + Q): for Q >= m/2, m - Q is exact
+    (Sterbenz), where m*m - Q*Q cancels next to extremality, so c and the
+    horizons stay within a few ulps of their exact values as Q/m -> 1.
+    """
+    c = math.sqrt((p.mass - p.charge) * (p.mass + p.charge))
     if not 0.0 < c < math.inf:
         raise DomainError(f"mass {p.mass} out of range: m^2 - Q^2 overflows or underflows")
     return c

@@ -292,11 +292,11 @@ EXACT_MU = {
         (255, 1.9, 2.2546759474394630635),
     ],
     (0.3, 0.3 * (1 - 5e-5)): [
-        (0, 0.29730003375021236, 0.13400039020185368077),
-        (1, 0.29732120995609307, 0.13873733962868791252),
+        (0, 0.2973000337502121, 0.1340003902017905774),
+        (1, 0.2973212099560928, 0.13873733962862680699),
         (128, 0.30001058810294035, 0.46929777995132515631),
-        (254, 0.3026787900439069, 0.80103945004273558437),
-        (255, 0.3026999662497876, 0.80586209920090621459),
+        (254, 0.3026787900439072, 0.80103945004279779099),
+        (255, 0.3026999662497879, 0.80586209920097046412),
     ],
 }
 

@@ -68,6 +68,34 @@ class TestHorizons:
         assert hp.r_plus + hp.r_minus == pytest.approx(2.0 * m, rel=1e-12)
         assert hp.r_plus * hp.r_minus == pytest.approx(q * q, rel=1e-12, abs=1e-12 * m * m)
 
+    @given(log_m=st.floats(min_value=-100.0, max_value=100.0),
+           log_gap=st.floats(min_value=-15.0, max_value=math.log10(0.5)))
+    def test_within_a_few_ulps_of_the_60_digit_radii_next_to_extremality(self, log_m, log_gap):
+        # (m - Q)/m from 1e-15 to 1/2. With u = 2^-53: m - Q is exact
+        # (Sterbenz), m + Q and the product round once each, so the rounded
+        # m^2 - Q^2 has its square root within u*c of c, and rounding that
+        # root adds ulp(c)/2: c is within u*c + ulp(c)/2 < 1.5 ulps. r_plus =
+        # m + c adds ulp(r_plus)/2 to that, and ulp(c) <= ulp(r_plus): < 2 ulps.
+        # Where c >= m/2, m - c is exact (Sterbenz), so r_minus's error is c's:
+        # u*c < (c/r_minus) ulp(r_minus), plus ulp(c)/2 <= 4 ulp(r_minus), as
+        # c/r_minus <= (sqrt(3)/2)/(1 - sqrt(3)/2) = 6.46 < 8 at Q >= m/2:
+        # < 10.5 ulps. Where c < m/2, c < r_minus, and r_minus's error is
+        # below 1.5 ulps plus its own rounding. (m*m - Q*Q cancels here: it
+        # left r_pm up to 1.15e7 ulps off.)
+        import mpmath
+
+        m = 10.0 ** log_m
+        p = BlackHoleParams(m, m * (1.0 - 10.0 ** log_gap))
+        hp = horizons(p)
+        with mpmath.workdps(60):
+            big_m, big_q = mpmath.mpf(p.mass), mpmath.mpf(p.charge)
+            c = mpmath.sqrt((big_m - big_q) * (big_m + big_q))
+            exact = {"c": c, "r_plus": big_m + c, "r_minus": big_m - c}
+        got = {"c": rn._half_gap(p), "r_plus": hp.r_plus, "r_minus": hp.r_minus}
+        bound = {"c": 1.5, "r_plus": 2.0, "r_minus": 10.5}
+        for name, want in exact.items():
+            ulps = abs(mpmath.mpf(got[name]) - want) / math.ulp(float(want))
+            assert ulps < bound[name], (name, p, float(ulps))
 
     def test_overflowing_mass_named(self):
         with pytest.raises(DomainError, match="overflow"):
@@ -465,7 +493,7 @@ class TestInverse:
 
     def test_kepler_guess_one_ulp_past_the_outer_horizon(self):
         # the guess rounds to the double above r_plus; the search starts at r_plus
-        p, mu = BlackHoleParams(3.7938181643841387, 3.7930057103806347), 11.918631274188876
+        p, mu = BlackHoleParams(0.43431915189654674, 0.4341362502983352), 1.3644538569115405
         assert _kepler_inverse(p, mu) > horizons(p).r_plus
         assert r_of_mu(p, mu) == horizons(p).r_plus
 
@@ -596,9 +624,9 @@ class TestKeplerInverse:
         assert worst <= 4e-16
 
     def test_within_5e_11_m_of_the_40_digit_root(self):
-        # the error is c's: m^2 - Q^2 cancels as Q/m -> 1, and c carries the
-        # rounding into r. Measured: worst 4.02e-11*m at Q/m = 1 - 1.6e-12,
-        # median 1.0e-16*m
+        # c carries its rounding into r. Measured: worst 7.2e-16*m, median 0;
+        # 4.02e-11*m at Q/m = 1 - 1.6e-12 while c's m^2 - Q^2 was m*m - Q*Q,
+        # which cancels as Q/m -> 1
         import mpmath
 
         worst = 0.0
@@ -612,9 +640,9 @@ class TestKeplerInverse:
         # dr/dmu = c*sin(phi)/r and d2r/dmu2 = -m/r^2 + Q^2/r^3 at the
         # 40-digit root, relative where they exceed 1 (in units of m for the
         # second). Measured, the same with derivatives by Newton steps in jet
-        # arithmetic and by the implicit function theorem: worst 2.91e-11
-        # and 4.02e-11, c's rounding as Q/m -> 1; below Q/m = 0.999 both
-        # 6.6e-12, where m - c cancels next to r_minus
+        # arithmetic and by the implicit function theorem: worst 2.23e-12 for
+        # both at Q/m = 0.0084, where m - c cancels next to r_minus (2.91e-11
+        # and 4.02e-11 as Q/m -> 1 while c's m^2 - Q^2 was m*m - Q*Q)
         import mpmath
 
         worst = [0.0, 0.0]
