@@ -14,7 +14,14 @@ class BracketError(ValueError):
 
 
 class SingularMetricError(ValueError):
-    """Metric matrix is numerically singular at the requested point."""
+    """Metric matrix is numerically singular at the requested point.
+
+    Carries the index of the first singular matrix in its batch.
+    """
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 class ConvergenceError(RuntimeError):

@@ -233,7 +233,7 @@ def invert4(g: np.ndarray) -> np.ndarray:
     scale. numpy's det and inv factor each matrix of a batch on its own,
     so every matrix gets the bits it gets alone. Raises
     SingularMetricError, naming the first failing matrix's normalized
-    determinant.
+    determinant and carrying its index in the flattened batch.
     """
     a = np.asarray(g, dtype=float)
     rows = a.reshape(-1, 4, 4)
@@ -245,9 +245,9 @@ def invert4(g: np.ndarray) -> np.ndarray:
     det = np.linalg.det(normed)
     singular = np.abs(det) <= _DET_FLOOR
     if singular.any():
-        raise SingularMetricError(
-            f"row-normalized metric determinant {det[np.argmax(singular)]!r} "
-            f"below pivot floor {_DET_FLOOR}")
+        k = int(np.argmax(singular))
+        raise SingularMetricError(f"row-normalized metric determinant {float(det[k])!r} "
+                                  f"below pivot floor {_DET_FLOOR}", k)
     # C order, as a single matrix has it (the division alone may not give
     # it): the BLAS kernel of a matmul, and its rounding, follow the layout
     return np.ascontiguousarray((np.linalg.inv(normed) / scale[:, None, :]).reshape(a.shape))
@@ -287,7 +287,10 @@ def ricci_at(mf: MetricField, x) -> CurvaturePoint:
     g = mf.g(Jet.variables(x))  # in x's shape: a lone point's values are numpy scalars
     n = len(pts)
     metric = g.val.reshape(n, 4, 4)
-    ginv = invert4(metric)
+    try:
+        ginv = invert4(metric)
+    except SingularMetricError as exc:
+        raise SingularMetricError(f"{exc} at point {pts[exc.index].tolist()}", exc.index) from None
     # the point axis first, in C order as for ginv: dg[n, e, i, j] = d_e g_ij
     # and hess[n, e, b, i, j] = d_e d_b g_ij
     dg = np.ascontiguousarray(g.grad.reshape(4, n, 4, 4).transpose(1, 0, 2, 3))

@@ -439,15 +439,24 @@ class TestVerifyCommand:
             assert err.startswith("error: floating-point overflow") and err.count("\n") == 1
             assert "(34" not in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("theta", ["1e-160", "1e-150"])
+    @pytest.mark.parametrize("theta", ["1e-160", "1e-150", "1e-300"])
     def test_non_finite_oracle_exits_2(self, capsys, theta):
         # the oracle's inverse metric (1e-160) or its derivative (1e-150)
-        # overflows this close to the axis; the run stops with one line
-        # naming the overflow instead of reporting the checks as passed
+        # overflows this close to the axis; at 1e-300 sin(theta)^2
+        # underflows to 0 and the metric fails the pivot check. The run
+        # stops with one line naming the overflow, or the determinant as a
+        # plain float and the first failing point, instead of reporting the
+        # checks as passed
         code, out, err = run(capsys, "verify", "--mass", "1", "--charge", "0.6",
                              "--theta", theta, "--format", "json")
         assert (code, out) == (2, "")
-        assert err.startswith("error: floating-point overflow") and err.count("\n") == 1
+        assert err.count("\n") == 1
+        if theta == "1e-300":
+            assert err.startswith("error: row-normalized metric determinant 0.0 below pivot "
+                                  "floor 1e-12 at point [")
+            assert err.endswith(", 0.0, 1e-300, 0.0]\n")
+        else:
+            assert err.startswith("error: floating-point overflow")
 
     @pytest.mark.parametrize("command, mass, charge, cause", [
         ("verify", "1e-150", "5e-151", "float division by zero"),

@@ -289,7 +289,7 @@ def test_each_op_forms_the_grid_state_once_without_python_level_wrappers(
 
 def test_a_singular_chart_metric_is_an_error_not_a_skip(charged, monkeypatch):
     def singular(g):
-        raise SingularMetricError("row-normalized metric determinant 0.0 below pivot floor")
+        raise SingularMetricError("row-normalized metric determinant 0.0 below pivot floor", 0)
 
     monkeypatch.setattr(oracle, "invert4", singular)
     with pytest.raises(SingularMetricError):
