@@ -171,6 +171,7 @@ class TestIntegrate:
     @settings(max_examples=20)
     def test_additive_over_subintervals(self, split):
         # each part keeps the other end's singular point, past its own end
+        # bound: three sums each within about an ulp of pi, and one rounding (measured 2)
         whole = integrate_both_ends(arcsine, (0.0, 2.0))
         left = integrate_both_ends(arcsine, (0.0, split), (0.0, 2.0 - split))
         right = integrate_both_ends(arcsine, (split, 2.0), (split, 0.0))
@@ -183,6 +184,7 @@ class TestIntegrate:
     @settings(max_examples=25)
     def test_shifted_arcsine_family(self, a, width, c1, c2):
         # integral of c1/sqrt((b-x)(x-a)) + c2 over (a, b) is c1*pi + c2*(b-a)
+        # bound: each term rounds with its own size, not with their sum (measured 1.96 EPS)
         b = a + width
 
         def f(da, db):
@@ -202,6 +204,7 @@ class TestIntegrate:
         # the nearer one resolves it at any offset, and taking the row in
         # halves keeps the farther one a width away, so every row is good
         # to a few ulps
+        # bound: truncation is far below EPS (ellipse >= 3.36); rounding left (measured 1.95)
         lo_gap, width, hi_gap = gaps
         lo = s + lo_gap
         hi = lo + width
@@ -530,7 +533,8 @@ class TestFindRoot:
 
         got = find_root_bracketed(g, lo, hi, guess=hi)
         assert lo <= got <= hi
-        assert got == pytest.approx(root, abs=1e-8 * max(1.0, abs(root)))
+        # bound: |x - root| <= |g| <= 1e-10, or a bracket (1e-10 + 2 EPS)*|x| wide (0.97e-10)
+        assert got == pytest.approx(root, abs=2e-10 * max(1.0, abs(root)))
 
     @pytest.mark.parametrize("g, root", [
         (lambda x: x - 1.0, 1.0),
@@ -668,6 +672,7 @@ class TestGuess:
     def test_r_of_mu_round_trip_within_the_verify_bound(self, m, q_over_m, frac):
         # the mu range of verify's round-trip samples; r_of_mu starts from
         # the Kepler inverse and the quadrature decides the root
+        # bound: verify's own; the search stops at 1e-10*min(m, mu) in mu (measured 4.1e-15)
         p = BlackHoleParams(m, m * q_over_m)
         mu_max = m * math.pi
         mu = frac * mu_max
@@ -685,6 +690,7 @@ class TestDerivative:
            st.floats(min_value=-1e3, max_value=1e3))
     def test_linear_exact(self, a, b):
         # no truncation error for a line, so a wide step drowns the roundoff
+        # bound: EPS*(1.7|a| + 1e3) per value, times 18/(12h) = 3 in the stencil (3.9e-14)
         got = derivative(lambda x: a * x + b, 0.7, h=0.5)
         assert abs(got - a) <= 1e-10 * max(abs(a), 1.0)
 
