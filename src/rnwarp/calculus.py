@@ -293,6 +293,7 @@ def _bisect(g, a, fa, b, fb, abs_tol):
     raise ConvergenceError("bracketed root search did not converge", x, abs(2.0 * half))
 
 
+# traced by name in bench/rnbench/tracer.py; goes with ROADMAP item 11
 def derivative(f: Callable[[float], float], x: float, h: float) -> float:
     """Derivative of f at x by the 4-point fourth-order central stencil of step h."""
     if h <= 0.0:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# bench/test_rnbench.py checks that its tracer replaces this mu_of_r; goes with ROADMAP item 11
 from .reissner_nordstrom import BlackHoleParams, mu_of_r, warp_state
 from .warped import WarpState, _require_theta
 
@@ -80,6 +81,7 @@ def fluid_balance(charge: float, w: WarpState,
     return rho, pressure, FluidResiduals(res_mumu, res_nunu, res_thth, res_phph)
 
 
+# traced by name in bench/rnbench/tracer.py; goes with ROADMAP item 11
 def fluid_report(p: BlackHoleParams, r: float, theta: float = 0.5 * math.pi) -> FluidReport:
     """fluid_balance at interior r, with r and its quadrature coordinate mu_of_r(r) attached."""
     rho, pressure, residuals = fluid_balance(p.charge, warp_state(p, r), theta)

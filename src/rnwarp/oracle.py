@@ -221,6 +221,7 @@ class CurvaturePoint:
     christoffel: np.ndarray
     ricci: np.ndarray
     scalar: float
+    # bench/test_rnbench.py builds one without metric; the default goes with ROADMAP item 11
     metric: np.ndarray | None = None
 
 

@@ -209,6 +209,7 @@ def r_of_mu(p: BlackHoleParams, mu: float) -> float:
     """
     hp = horizons(p)
 
+    # bench/test_rnbench.py finds this closure by its name, g; goes with ROADMAP item 11
     def g(r):
         return mu_of_r(p, r) - mu
 

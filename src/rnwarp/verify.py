@@ -130,6 +130,7 @@ def _component_floors(w, theta: float, m: float) -> tuple[float, float, float, f
             f2sq * math.sin(theta) ** 2 / msq)
 
 
+# called by the oracle check in bench/rnbench/workloads.py; goes with ROADMAP item 11
 def _off_diagonal_norm(ricci: np.ndarray, mf_g, x, m: float):
     """_weighted_off_diagonal with the metric from one call of the chart's mf_g at x."""
     return _weighted_off_diagonal(ricci, mf_g(x), m)
