@@ -80,8 +80,8 @@ class TestHorizons:
         # u*c < (c/r_minus) ulp(r_minus), plus ulp(c)/2 <= 4 ulp(r_minus), as
         # c/r_minus <= (sqrt(3)/2)/(1 - sqrt(3)/2) = 6.46 < 8 at Q >= m/2:
         # < 10.5 ulps. Where c < m/2, c < r_minus, and r_minus's error is
-        # below 1.5 ulps plus its own rounding. (m*m - Q*Q cancels here: it
-        # left r_pm up to 1.15e7 ulps off.)
+        # below 1.5 ulps plus its own rounding. (m*m - Q*Q would cancel here,
+        # leaving r_pm up to 1.15e7 ulps off.)
         import mpmath
 
         m = 10.0 ** log_m
@@ -624,9 +624,7 @@ class TestKeplerInverse:
         assert worst <= 4e-16
 
     def test_within_5e_11_m_of_the_40_digit_root(self):
-        # c carries its rounding into r. Measured: worst 7.2e-16*m, median 0;
-        # 4.02e-11*m at Q/m = 1 - 1.6e-12 while c's m^2 - Q^2 was m*m - Q*Q,
-        # which cancels as Q/m -> 1
+        # c carries its rounding into r. Measured: worst 7.2e-16*m, median 0
         import mpmath
 
         worst = 0.0
@@ -641,8 +639,7 @@ class TestKeplerInverse:
         # 40-digit root, relative where they exceed 1 (in units of m for the
         # second). Measured, the same with derivatives by Newton steps in jet
         # arithmetic and by the implicit function theorem: worst 2.23e-12 for
-        # both at Q/m = 0.0084, where m - c cancels next to r_minus (2.91e-11
-        # and 4.02e-11 as Q/m -> 1 while c's m^2 - Q^2 was m*m - Q*Q)
+        # both at Q/m = 0.0084, where m - c cancels next to r_minus
         import mpmath
 
         worst = [0.0, 0.0]
