@@ -88,13 +88,9 @@ def _params(args: argparse.Namespace) -> rn.BlackHoleParams:
 
 
 def cmd_horizons(args: argparse.Namespace) -> int:
-    p = _params(args)
-    hp = rn.horizons(p)
-    _emit_record(args.format, {
-        "r_plus": hp.r_plus,
-        "r_minus": hp.r_minus,
-        "extremal_margin": p.mass * p.mass - p.charge * p.charge,
-    })
+    hp = _params(args).horizons
+    _emit_record(args.format, {"r_plus": hp.r_plus, "r_minus": hp.r_minus,
+                               "extremal_margin": hp.margin})
     return 0
 
 

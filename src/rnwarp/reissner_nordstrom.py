@@ -20,7 +20,7 @@ verification suite rather than resolved here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +31,35 @@ from .warped import RicciDiag, WarpState, _require_theta
 
 
 @dataclass(frozen=True)
+class HorizonPair:
+    """Horizon radii r_pm = m +- c, c = half_gap = sqrt(margin), margin = m^2 - Q^2.
+
+    Built by BlackHoleParams alone; the interior is r_minus < r < r_plus.
+    """
+
+    r_plus: float
+    r_minus: float
+    half_gap: float
+    margin: float
+
+    @property
+    def width(self) -> float:
+        return self.r_plus - self.r_minus
+
+
+@dataclass(frozen=True)
 class BlackHoleParams:
-    """Mass and charge, both length units; nonextremal (Q < m) only."""
+    """Mass and charge, both length units; nonextremal (Q < m) only.
+
+    horizons, the HorizonPair, is formed once here, from m^2 - Q^2 as
+    (m - Q)(m + Q): m - Q is exact for Q >= m/2 (Sterbenz), where m*m - Q*Q
+    cancels, so the margin, c and the radii stay within a few ulps of their
+    exact values as Q/m -> 1. DomainError unless c is finite and positive.
+    """
 
     mass: float
     charge: float
+    horizons: HorizonPair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.mass) and math.isfinite(self.charge)):
@@ -48,37 +72,16 @@ class BlackHoleParams:
         if self.charge >= self.mass:
             raise ExtremalError(
                 f"charge {self.charge} >= mass {self.mass}: no interior region exists")
-
-
-@dataclass(frozen=True)
-class HorizonPair:
-    """Outer and inner horizon radii; the interior is r_minus < r < r_plus."""
-
-    r_plus: float
-    r_minus: float
-
-    @property
-    def width(self) -> float:
-        return self.r_plus - self.r_minus
+        margin = (self.mass - self.charge) * (self.mass + self.charge)
+        c = math.sqrt(margin)
+        if not 0.0 < c < math.inf:
+            raise DomainError(f"mass {self.mass} out of range: m^2 - Q^2 overflows or underflows")
+        object.__setattr__(self, "horizons", HorizonPair(self.mass + c, self.mass - c, c, margin))
 
 
 def horizons(p: BlackHoleParams) -> HorizonPair:
-    """Horizon radii r_pm = m +- c, c = sqrt(m^2 - Q^2) (see _half_gap)."""
-    c = _half_gap(p)
-    return HorizonPair(p.mass + c, p.mass - c)
-
-
-def _half_gap(p: BlackHoleParams) -> float:
-    """c = sqrt(m^2 - Q^2), r_pm = m +- c; DomainError unless c is finite and positive.
-
-    m^2 - Q^2 is formed as (m - Q)(m + Q): for Q >= m/2, m - Q is exact
-    (Sterbenz), where m*m - Q*Q cancels next to extremality, so c and the
-    horizons stay within a few ulps of their exact values as Q/m -> 1.
-    """
-    c = math.sqrt((p.mass - p.charge) * (p.mass + p.charge))
-    if not 0.0 < c < math.inf:
-        raise DomainError(f"mass {p.mass} out of range: m^2 - Q^2 overflows or underflows")
-    return c
+    """The horizon geometry that BlackHoleParams derived when p was built."""
+    return p.horizons
 
 
 def _factored_lapse(hp: HorizonPair, r, r2):
@@ -126,7 +129,7 @@ def mu_of_r(p: BlackHoleParams, r):
     quadrature row, no closed form, and F does not step back across m.
     Every row's 20- and 12-point sums must agree to 1e-10 relative or
     1e-10*m absolute, which scales with the unit of length as mu does and
-    does not underflow: horizons() refuses every m below ~1.5e-162.
+    does not underflow: BlackHoleParams refuses every m below ~1.5e-162.
     """
     hp, rs = _require_interior(p, r, closed=True)
     rp, rm, m = hp.r_plus, hp.r_minus, p.mass
@@ -160,13 +163,14 @@ def mu_closed_form(p: BlackHoleParams, r):
     the array.
     """
     hp, r = _require_interior(p, r, closed=True)
-    mu = _plain_ratio_mu(p.mass, _half_gap(p), _forward_angle(hp, r))
+    mu = _plain_ratio_mu(p, _forward_angle(hp, r))
     return mu if mu.ndim else float(mu)
 
 
-def _plain_ratio_mu(m: float, c: float, phi):
+def _plain_ratio_mu(p: BlackHoleParams, phi):
     """mu_closed_form at the angles phi of _forward_angle."""
-    return 4.0 * m * np.arcsin(np.sin(0.5 * phi) / math.sqrt(2.0)) - c * np.sin(phi)
+    return (4.0 * p.mass * np.arcsin(np.sin(0.5 * phi) / math.sqrt(2.0))
+            - p.horizons.half_gap * np.sin(phi))
 
 
 def mu_closed_form_sqrt(p: BlackHoleParams, r):
@@ -179,7 +183,7 @@ def mu_closed_form_sqrt(p: BlackHoleParams, r):
     array of r the array.
     """
     hp, r = _require_interior(p, r, closed=True)
-    mu = _kepler_mu(p.mass, _half_gap(p), _forward_angle(hp, r))
+    mu = _kepler_mu(hp, _forward_angle(hp, r))
     return mu if mu.ndim else float(mu)
 
 
@@ -207,7 +211,7 @@ def r_of_mu(p: BlackHoleParams, mu: float) -> float:
     verification suite solve the Kepler angle themselves (_kepler_angle,
     _kepler_lift, _kepler_r).
     """
-    hp = horizons(p)
+    hp = p.horizons
 
     # bench/test_rnbench.py finds this closure by its name, g; goes with ROADMAP item 11
     def g(r):
@@ -227,7 +231,7 @@ def _kepler_inverse(p: BlackHoleParams, mu):
     quadratures: r_of_mu's guess, which its root search checks against
     mu_of_r. mu is a float (giving a float) or an array (giving one).
     """
-    r = _kepler_r(p.mass, _half_gap(p), _kepler_angle(p, mu))
+    r = _kepler_r(p.horizons, _kepler_angle(p, mu))
     return r if np.ndim(mu) else float(r)
 
 
@@ -247,7 +251,7 @@ def _kepler_angle(p: BlackHoleParams, mu) -> np.ndarray:
     relative; see _halley for why its denominator stays away from 0. The
     angles are values only: a Jet mu gets its derivatives from _kepler_lift.
     """
-    m, c = p.mass, _half_gap(p)
+    m, hp, c = p.mass, p.horizons, p.horizons.half_gap
     values = mu.val if isinstance(mu, oracle.Jet) else np.asarray(mu, dtype=float)
     inside = (0.0 < values) & (values < m * math.pi)
     if not inside.all():
@@ -255,7 +259,7 @@ def _kepler_angle(p: BlackHoleParams, mu) -> np.ndarray:
                           f"(0, {m * math.pi})")
     # times 6/e the cubic is phi^3 + 3a*phi - 2h = 0; Cardano's root s - a/s,
     # s^3 = h + sqrt(h^2 + a^3), is 2h/(s2 + a + a^2/s2), which does not cancel
-    a, h = 2.0 * (m - c) / c, 3.0 * values / c
+    a, h = 2.0 * hp.r_minus / c, 3.0 * values / c
     # a ufunc: a lone mu gives numpy scalars, whose ** calls libm's pow, not numpy's loop
     s2 = np.square(np.cbrt(h + np.hypot(h, a * math.sqrt(a))))
     if a == 0.0:
@@ -266,11 +270,11 @@ def _kepler_angle(p: BlackHoleParams, mu) -> np.ndarray:
         phi = np.where(zero, np.cbrt(6.0 / c) * np.cbrt(values), 2.0 * h / np.where(zero, 1.0, s2))
     else:
         phi = 2.0 * h / (s2 + a + a * a / s2)
-    phi = _halley(m, c, values, np.minimum(_halley(m, c, values, phi), math.pi))
-    return phi - (_kepler_mu(m, c, phi) - values) / _kepler_r(m, c, phi)
+    phi = _halley(hp, values, np.minimum(_halley(hp, values, phi), math.pi))
+    return phi - (_kepler_mu(hp, phi) - values) / _kepler_r(hp, phi)
 
 
-def _halley(m: float, c: float, values, phi):
+def _halley(hp: HorizonPair, values, phi):
     """One Halley step on f(phi) = mu(phi) - values: phi - d/(1 - d*f''/(2f')), d = f/f'.
 
     f' = r (_kepler_r) and f'' = c*sin(phi). The denominator stays away
@@ -279,12 +283,12 @@ def _halley(m: float, c: float, values, phi):
     the step, about the start's relative error. Measured over Q/m in
     [0, 1 - 1e-12] and mu/(m*pi) in [1e-300, 1 - 1e-15], it is below 0.07.
     """
-    r = _kepler_r(m, c, phi)
-    d = (_kepler_mu(m, c, phi) - values) / r
-    return phi - d / (1.0 - 0.5 * d * c * np.sin(phi) / r)
+    r = _kepler_r(hp, phi)
+    d = (_kepler_mu(hp, phi) - values) / r
+    return phi - d / (1.0 - 0.5 * d * hp.half_gap * np.sin(phi) / r)
 
 
-def _kepler_lift(m: float, c: float, mu, phi) -> tuple:
+def _kepler_lift(hp: HorizonPair, mu, phi) -> tuple:
     """r = dmu/dphi (_kepler_r) and sin(phi) at the solved angles phi of mu's values.
 
     A float or array mu gives arrays. A Jet mu gives jets of mu, by the
@@ -293,30 +297,30 @@ def _kepler_lift(m: float, c: float, mu, phi) -> tuple:
     cost of one chain rule, and r and sin(phi) follow phi by the chain rule.
     sin(phi/2), sin(phi) and cos(phi) are each formed once.
     """
-    r, sin = _kepler_r(m, c, phi), np.sin(phi)
+    r, sin = _kepler_r(hp, phi), np.sin(phi)
     if not isinstance(mu, oracle.Jet):
         return r, sin
-    cos, slope = np.cos(phi), 1.0 / r
+    c, cos, slope = hp.half_gap, np.cos(phi), 1.0 / r
     # a ufunc: a lone mu gives numpy scalars, whose ** calls libm's pow, not numpy's loop
     angle = oracle.chain(mu, phi, slope, -c * sin * np.power(slope, 3.0))
     return oracle.chain(angle, r, c * sin, c * cos), oracle.chain(angle, sin, cos, -sin)
 
 
-def _kepler_mu(m: float, c: float, phi):
-    """mu = (m - c)*phi + c*(phi - sin(phi)) at an array of angles in [0, pi].
+def _kepler_mu(hp: HorizonPair, phi):
+    """mu = r_minus*phi + c*(phi - sin(phi)) at an array of angles in [0, pi], r_minus = m - c.
 
     phi - sin(phi) from _SERIES does not cancel below phi ~ 1 as the
     difference does.
     """
     x2 = phi * phi
     series = np.add.reduce(x2[..., None] ** _POWERS * _SERIES, axis=-1)
-    return phi * ((m - c) + c * x2 * series)
+    return phi * (hp.r_minus + hp.half_gap * x2 * series)
 
 
-def _kepler_r(m: float, c: float, phi):
-    """r = dmu/dphi = (m - c) + 2c*sin(phi/2)^2, where m - c*cos(phi) cancels, at an array phi."""
+def _kepler_r(hp: HorizonPair, phi):
+    """r = dmu/dphi = r_minus + 2c*sin(phi/2)^2, where m - c*cos(phi) cancels, at an array phi."""
     half = np.sin(0.5 * phi)
-    return (m - c) + 2.0 * c * (half * half)
+    return hp.r_minus + 2.0 * hp.half_gap * (half * half)
 
 
 def warp_state(p: BlackHoleParams, r) -> WarpState:
@@ -383,7 +387,7 @@ def static_chart(p: BlackHoleParams) -> MetricField:
     shape (..., 4) and returns metrics of shape (..., 4, 4), or a Jet of
     points and returns a Jet of metrics.
     """
-    hp = horizons(p)
+    hp = p.horizons
 
     def g(x):
         x = oracle.points(x)
@@ -405,16 +409,16 @@ def warped_chart(p: BlackHoleParams) -> MetricField:
     Jet's mu-derivatives from the implicit function theorem
     (_kepler_lift).
     """
-    c = _half_gap(p)
+    hp = p.horizons
 
     def g(x):
         x = oracle.points(x)
         mu = x[..., 0]
-        r, sin_phi = _kepler_lift(p.mass, c, mu, _kepler_angle(p, mu))
+        r, sin_phi = _kepler_lift(hp, mu, _kepler_angle(p, mu))
         s = oracle.sin(x[..., 2])
         # f1 = N = c*sin(phi)/r: next to either horizon the difference of radii
         # in N^2 = (r_plus - r)(r - r_minus)/r^2 cancels, the sine does not
-        f1 = c * sin_phi / r
+        f1 = hp.half_gap * sin_phi / r
         r2 = r * r
         return oracle.diagonal_metric(x, (-1.0, f1 * f1, r2, r2 * (s * s)))
 
@@ -433,7 +437,7 @@ def interior_grid(p: BlackHoleParams, n: int, guard_fraction: float = 0.05) -> l
         raise ValueError(f"grid needs at least 2 points, got {n}")
     if not 0.0 < guard_fraction < 0.5:
         raise ValueError(f"guard_fraction must lie in (0, 0.5), got {guard_fraction}")
-    hp = horizons(p)
+    hp = p.horizons
     lo = max(hp.r_minus + guard_fraction * hp.width, hp.r_minus + 2.0 * math.ulp(hp.r_minus),
              2.0 * math.ulp(hp.r_plus))
     hi = min(hp.r_plus - guard_fraction * hp.width, hp.r_plus - 2.0 * math.ulp(hp.r_plus))
@@ -447,7 +451,7 @@ def _require_interior(p: BlackHoleParams, r, closed: bool) -> tuple[HorizonPair,
     closed says whether the horizons count: the interior is then [r_minus, r_plus],
     else (r_minus, r_plus).
     """
-    hp = horizons(p)
+    hp = p.horizons
     rs = np.asarray(r, dtype=float)
     within = np.less_equal if closed else np.less
     inside = within(hp.r_minus, rs) & within(rs, hp.r_plus)

@@ -168,8 +168,8 @@ def _warp_identity_residuals(p, mu: np.ndarray, phi: np.ndarray, w: WarpState) -
     Q^2/r^3 as a jet of r gives f1''. Each is compared with the warp state
     w and scaled by the local magnitudes, so the check is unit independent.
     """
-    m, q, c = p.mass, p.charge, rn._half_gap(p)
-    r = rn._kepler_lift(m, c, oracle.Jet.variables(mu[:, None])[..., 0], phi)[0]
+    m, q = p.mass, p.charge
+    r = rn._kepler_lift(p.horizons, oracle.Jet.variables(mu[:, None])[..., 0], phi)[0]
     q_r = q / r
     f1p_of_mu = (q_r * q_r - m / r) / r  # -m/r^2 + Q^2/r^3, with no power of r to overflow
 
@@ -199,22 +199,22 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
     Kepler inverse, and one lapse_squared call gives the N^2 that the
     warp state and the closed-form Ricci share.
     """
-    hp = rn.horizons(p)
+    hp = p.horizons
     grid = np.array(rn.interior_grid(p, grid_points, guard_fraction))
-    m, q, c = p.mass, p.charge, rn._half_gap(p)
+    m, q = p.mass, p.charge
     n = len(grid)
 
     # the grid lies strictly inside the horizons by construction, and
     # lapse_squared below checks it
     phi_grid = rn._forward_angle(hp, grid)
-    mu_sqrt = rn._kepler_mu(m, c, phi_grid)
+    mu_sqrt = rn._kepler_mu(hp, phi_grid)
 
     # the Kepler inverse against the quadrature at fixed pseudorandom mu
     # samples, the one Kepler solve of the run; every quadrature of the run
     # (the grid, the outer horizon, the round trip) is one batch
     mu_max = m * math.pi
     mu_samples = mu_max * _ROUNDTRIP_FRACTIONS
-    r_samples = rn._kepler_r(m, c, rn._kepler_angle(p, mu_samples))
+    r_samples = rn._kepler_r(hp, rn._kepler_angle(p, mu_samples))
     mus = rn.mu_of_r(p, np.concatenate([grid, [hp.r_plus], r_samples]))
     mu, mu_outer, mu_round = mus[:n], mus[n], mus[n + 1:]
 
@@ -283,7 +283,7 @@ def run_verification(p: rn.BlackHoleParams, grid_points: int = 64,
         # the two closed-form candidates against the quadrature definition
         ("closed_form_sqrt_vs_quadrature", np.abs(mu_sqrt - mu), grid),
     ]]
-    plain_gap = float(np.maximum.reduce(np.abs(rn._plain_ratio_mu(m, c, phi_grid) - mu)))
+    plain_gap = float(np.maximum.reduce(np.abs(rn._plain_ratio_mu(p, phi_grid) - mu)))
 
     notes = [
         f"plain-ratio closed form for mu deviates from quadrature by up to {plain_gap:.6g} "
