@@ -73,6 +73,32 @@ class TestHorizons:
         assert code == 0
         assert lines[0] == "r_plus,r_minus,extremal_margin"
 
+    def test_extremal_margin_within_2_ulps_of_the_50_digit_value(self, capsys):
+        # m from 1e-3 to 1e3, (m - Q)/m from 1e-15 to 0.1. With u = 2^-53:
+        # Q >= m/2, so m - Q is exact (Sterbenz); m + Q and the product
+        # round once each, so the margin is within (2u + u^2) x of the exact
+        # x = m^2 - Q^2, and u*x < ulp(x): < 2 + u ulps. Both formats print
+        # the shortest round-trip repr. Measured: worst 1.18 ulps; m*m - Q*Q
+        # cancels here, 8.7% off at (64.73790013904903, 64.73790013904896)
+        import mpmath
+
+        rng = np.random.default_rng(35)
+        masses = 10.0 ** rng.uniform(-3.0, 3.0, 300)
+        gaps = 10.0 ** rng.uniform(-15.0, -1.0, 300)
+        draws = [(64.73790013904903, 64.73790013904896)]
+        draws += list(zip(masses.tolist(), (masses * (1.0 - gaps)).tolist()))
+        for m, q in draws:
+            with mpmath.workdps(50):
+                exact = (mpmath.mpf(m) - mpmath.mpf(q)) * (mpmath.mpf(m) + mpmath.mpf(q))
+            argv = ("horizons", "--mass", repr(m), "--charge", repr(q))
+            _, out, _ = run(capsys, *argv)
+            margins = [json.loads(out)["extremal_margin"]]
+            _, out, _ = run(capsys, *argv, "--format", "csv")
+            margins.append(float(out.splitlines()[1].split(",")[2]))
+            for margin in margins:
+                ulps = abs(mpmath.mpf(margin) - exact) / math.ulp(float(exact))
+                assert ulps < 2.0 + 2.0 ** -53, (m, q, margin, float(ulps))
+
 
 class TestTransform:
     def test_r_to_mu(self, capsys):
@@ -135,7 +161,7 @@ class TestTransform:
         assert abs(json.loads(out)["mu"] - want) <= 4 * math.ulp(math.pi)
 
     def test_tolerance_in_units_of_m_at_the_smallest_mass(self, capsys):
-        # m^2 underflows below ~1.5e-162, so horizons() refuses the mass before
+        # m^2 underflows below ~1.5e-162, so BlackHoleParams refuses the mass before
         # the quadrature's 1e-10*m could; at 2.3e-162 that tolerance is 2.3e-172
         code, _, err = run(capsys, "transform", "--mass", "1.5e-162", "--charge", "0",
                            "--r", "1.5e-162")
