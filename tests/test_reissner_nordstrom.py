@@ -623,8 +623,16 @@ class TestKeplerInverse:
                 worst = max(worst, float(error))
         assert worst <= 4e-16
 
-    def test_within_5e_11_m_of_the_40_digit_root(self):
-        # c carries its rounding into r. Measured: worst 7.2e-16*m, median 0
+    def test_within_2_73e_15_m_of_the_40_digit_root(self):
+        # r = r_minus + 2c*sin(phi/2)^2 against m - c*cos(phi) at the 40-digit
+        # c and root, with u = 2^-53, from three roundings and r's formula:
+        # c within 1.5 ulps, 3u*m, moves r at fixed mu by at most as much, as
+        # dr/dc = -cos(phi) + c*sin(phi)^2/r lies in [-cos(phi), 1]
+        # (r >= c(1 - cos(phi))); r_minus = m - c rounds by half an ulp of m,
+        # u*m; the angle's 4e-16 moves r by c*phi*sin(phi)*4e-16 <= 1.82*4e-16*m;
+        # numpy's sin is within 1 ulp, so 2c*sin(phi/2)^2 is within 6u of
+        # itself, and with the sum's rounding r is within 7u*r <= 14u*m.
+        # Bound 18u + 7.28e-16 = 2.73e-15; measured: worst 7.2e-16*m, median 0
         import mpmath
 
         worst = 0.0
@@ -632,26 +640,47 @@ class TestKeplerInverse:
             with mpmath.workdps(40):
                 exact = float(mpmath.mpf(m) - c * mpmath.cos(phi))
             worst = max(worst, abs(_kepler_inverse(BlackHoleParams(m, q), mu) - exact) / m)
-        assert worst <= 5.1e-11
+        assert worst <= 18 * 2.0 ** -53 + 1.82 * 4e-16
 
-    def test_jet_within_5e_11_of_the_40_digit_derivatives(self):
-        # dr/dmu = c*sin(phi)/r and d2r/dmu2 = -m/r^2 + Q^2/r^3 at the
-        # 40-digit root, relative where they exceed 1 (in units of m for the
-        # second). Measured, the same with derivatives by Newton steps in jet
-        # arithmetic and by the implicit function theorem: worst 2.23e-12 for
-        # both at Q/m = 0.0084, where m - c cancels next to r_minus
+    def test_jet_within_the_propagated_roundings_of_the_40_digit_derivatives(self):
+        # dr/dmu = S = c*sin(phi)/r and d2r/dmu2 = B = -m/r^2 + Q^2/r^3 at the
+        # 40-digit root, relative where they exceed 1 (in units of m for B).
+        # Each draw's bound carries the same roundings to first order, u =
+        # 2^-53: c's 1.5 ulps (none at Q = 0, where c = sqrt(m*m) = m) at
+        # fixed mu, where dS/dc = sin(phi) Q^2/r^3 and dB/dc = -2c/r^3 +
+        # dB/dr (c*sin(phi)^2/r - cos(phi)); the angle's 4e-16, through
+        # dS/dphi = r*B and dB/dphi = dB/dr c*sin(phi); r's own 8u*r (r_minus
+        # = m - c within u*r_minus, the formula within 7u*r), through -S/r and
+        # d(A - B2)/dr = (3*B2 - 2*A)/r, A = c*cos(phi)/r^2, B2 =
+        # c^2 sin(phi)^2/r^3, the two terms of B as the jet forms it; and the
+        # jet's own arithmetic, 5u of S and 14u of |A| + B2. A fixed bound
+        # cannot hold: next to r_minus at small Q/m, where m - c cancels, the
+        # errors grow as powers of m/r. Measured: at most 0.61 of the bound
+        # for S and 0.53 for B, 2.23e-12 for both at Q/m = 0.0084; the
+        # largest bound is 1.33e-11 for S and 3.8e-11 for B
         import mpmath
 
-        worst = [0.0, 0.0]
+        u = 2.0 ** -53
         for m, q, mu, c, phi in _exact_kepler_roots():
             with mpmath.workdps(40):
-                r = mpmath.mpf(m) - c * mpmath.cos(phi)
-                slope = float(c * mpmath.sin(phi) / r)
-                bend = float((mpmath.mpf(q) ** 2 / r - m) / r ** 2)
+                big_r = mpmath.mpf(m) - c * mpmath.cos(phi)
+                slope = float(c * mpmath.sin(phi) / big_r)
+                bend = float((mpmath.mpf(q) ** 2 / big_r - m) / big_r ** 2)
+                r, c, sin, cos, phi = (float(v) for v in (big_r, c, mpmath.sin(phi),
+                                                          mpmath.cos(phi), phi))
+            a, b2 = c * cos / r ** 2, c * c * sin * sin / r ** 3
+            db_dr = 2.0 * m / r ** 3 - 3.0 * q * q / r ** 4
+            dc, dphi, dr = (1.5 * math.ulp(c) if q > 0.0 else 0.0), 4e-16 * phi, 8 * u * r
+            slope_bound = (sin * q * q / r ** 3 * dc + abs(r * bend) * dphi + slope / r * dr
+                           + 5 * u * slope) / max(1.0, abs(slope))
+            bend_bound = m * (abs(-2.0 * c / r ** 3 + db_dr * (c * sin * sin / r - cos)) * dc
+                              + abs(db_dr * c * sin) * dphi + abs(3.0 * b2 - 2.0 * a) / r * dr
+                              + 14 * u * (abs(a) + b2)) / max(1.0, m * abs(bend))
             jet = _kepler_jet(BlackHoleParams(m, q), Jet.variables([[mu]])[..., 0])
-            worst[0] = max(worst[0], abs(jet.grad[0, 0] - slope) / max(1.0, abs(slope)))
-            worst[1] = max(worst[1], m * abs(jet.hess[0, 0, 0] - bend) / max(1.0, m * abs(bend)))
-        assert max(worst) <= 5.1e-11
+            error = abs(jet.grad[0, 0] - slope) / max(1.0, abs(slope))
+            assert error <= slope_bound, (m, q, mu, error, slope_bound)
+            error = m * abs(jet.hess[0, 0, 0] - bend) / max(1.0, m * abs(bend))
+            assert error <= bend_bound, (m, q, mu, error, bend_bound)
 
     def test_batch_and_jet_equal_each_float(self, charged):
         mus = np.linspace(0.01, 0.99, 41) * math.pi
