@@ -91,6 +91,7 @@ class TestFluidReport:
     @given(m=masses, qr=charge_ratios, frac=fractions)
     @settings(max_examples=30)
     def test_extraction_closes_three_balances(self, m, qr, frac):
+        # bound: two terms of at most the scale, a few roundings apart (measured 4.3e-15)
         p = BlackHoleParams(m, m * qr)
         hp = horizons(p)
         r = hp.r_minus + hp.width * frac
@@ -109,6 +110,7 @@ class TestFluidReport:
     def test_source_terms_scale_with_charge_squared(self, m, qr, frac):
         # the extracted rho and P, rescaled by their warp weights, recover
         # Q^2 exactly: the testable core of the charge dependence
+        # bound: a few roundings of Q^2; the floor is for a subnormal Q^2 (measured 5.7e-4 of it)
         p = BlackHoleParams(m, m * qr)
         hp = horizons(p)
         r = hp.r_minus + hp.width * frac
