@@ -217,7 +217,7 @@ def r_of_mu(p: BlackHoleParams, mu: float) -> float:
     def g(r):
         return mu_of_r(p, r) - mu
 
-    # next to mu = m*pi the Kepler r, (m - c) + 2c*sin(phi/2)^2, can round past r_plus = m + c
+    # next to mu = m*pi the Kepler r, r_minus + 2c*sin(phi/2)^2, can round past r_plus = m + c
     return calculus.find_root_bracketed(g, hp.r_minus, hp.r_plus,
                                         abs_tol=max(1e-10 * min(p.mass, mu), math.ulp(0.0)),
                                         guess=min(_kepler_inverse(p, mu), hp.r_plus))
